@@ -132,7 +132,8 @@ def parse_graph_json(text: str) -> Graph:
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise FormatError('graph file needs keys "n" and "edges"')
     n = data["n"]
-    if not isinstance(n, int) or n < 0:
+    # bool is a subclass of int, and true must not read as one vertex
+    if type(n) is not int or n < 0:
         raise FormatError('"n" must be a nonnegative integer')
     raw = data["edges"]
     if not isinstance(raw, list):
@@ -140,7 +141,7 @@ def parse_graph_json(text: str) -> Graph:
     seen = set()
     for pair in raw:
         if (not isinstance(pair, list)) or len(pair) != 2 \
-                or not all(isinstance(v, int) for v in pair):
+                or not all(type(v) is int for v in pair):
             raise FormatError(f"bad edge entry: {pair!r}")
         i, j = pair
         if i == j:

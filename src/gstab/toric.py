@@ -317,6 +317,8 @@ def _module_start_degree(fs_list, theta: int) -> int:
 
 
 def _module_generators(g: Graph, theta: int, degree_bound: int | None) -> list[Monomial]:
+    if degree_bound is not None and degree_bound < 0:
+        raise ParameterError(f"degree bound must be nonnegative, got {degree_bound}")
     comps = connected_components(g)
     fs_list = [FacetSystem.from_graph(c.graph, check=False) for c in comps]
     stables = [_component_stable_exps(fs, c.graph) for fs, c in zip(fs_list, comps)]
@@ -340,8 +342,9 @@ def _module_generators(g: Graph, theta: int, degree_bound: int | None) -> list[M
             droppable = []
             stuck = []
             for fs, st, sl in zip(fs_list, stables, slices):
-                can = [p for p in sl if _can_drop(fs, st, p, theta, d)]
-                cannot = [p for p in sl if not _can_drop(fs, st, p, theta, d)]
+                can, cannot = [], []
+                for p in sl:
+                    (can if _can_drop(fs, st, p, theta, d) else cannot).append(p)
                 droppable.append(can)
                 stuck.append(cannot)
             new = 0
@@ -377,6 +380,13 @@ def anticanonical_generators(g: Graph, degree_bound: int | None = None) -> tuple
     return tuple(_module_generators(g, -1, degree_bound))
 
 
+def _slack(fs: FacetSystem, exps, degree: int) -> tuple[int, ...]:
+    """Slack of x^a t^q in each ring inequality: a_1..a_n, then
+    q - sum_{i in C} a_i for each maximal clique C, in the order of
+    `fs.cliques`.  The point is in the ring iff every entry is >= 0."""
+    return (*exps, *(degree - s for s in _clique_sums(fs, exps)))
+
+
 @lru_cache(maxsize=None)
 def trace_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomial, ...]:
     """Minimal generators of the trace ideal.
@@ -385,20 +395,39 @@ def trace_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomia
     generator plus a ring point, so the pairwise sums generate; reducing
     them against each other (difference in the ring means redundant)
     leaves exactly the minimal generating set.
+
+    The reduction works on slack vectors (`_slack`).  Slack is linear in
+    the point, so cand - k is in the ring iff slack(k) <= slack(cand) in
+    every entry; that is `in_ring(fs, cand - k)` verbatim, so the kept set
+    is the same.  For each entry j and value x, `le[j][x]` is the bitset of
+    kept generators whose slack at j is at most x, and a candidate is
+    redundant iff the AND of `le[j][slack_j]` over all entries is nonzero.
     """
     fs = FacetSystem.from_graph(g, check=False)
+    # (degree, *exponents) tuples sort like the (degree, exponents) key
     sums = sorted(
-        {w + v for w in omega_generators(g, degree_bound)
-         for v in anticanonical_generators(g, degree_bound)},
-        key=lambda m: (m.degree, m.exponents),
-    )
-    for m in sums:
-        if not in_ring(fs, m):
-            raise RuntimeError("trace candidate outside the ring; this is a bug")
+        {(w.degree + v.degree, *(a + b for a, b in zip(w.exponents, v.exponents)))
+         for w in omega_generators(g, degree_bound)
+         for v in anticanonical_generators(g, degree_bound)})
+    slacks = [_slack(fs, p[1:], p[0]) for p in sums]
+    if any(min(s) < 0 for s in slacks):
+        raise RuntimeError("trace candidate outside the ring; this is a bug")
+    tops = [max(col) for col in zip(*slacks)]
+    le = [[0] * (top + 1) for top in tops]
     kept: list[Monomial] = []
-    for cand in sums:
-        if not any(in_ring(fs, cand - k) for k in kept):
-            kept.append(cand)
+    for p, s in zip(sums, slacks):
+        hit = -1
+        for row, x in zip(le, s):
+            hit &= row[x]
+            if not hit:
+                break
+        if hit:
+            continue
+        bit = 1 << len(kept)
+        for row, x, top in zip(le, s, tops):
+            for y in range(x, top + 1):
+                row[y] |= bit
+        kept.append(Monomial(p[1:], p[0]))
     return tuple(kept)
 
 
@@ -517,6 +546,35 @@ def monomial_on_face(fs: FacetSystem, face: Face, m: Monomial) -> bool:
         for ci in face.tight_cliques)
 
 
+def _missed_faces(fs: FacetSystem, faces, gens) -> list[Face]:
+    """The faces, in the given order, on which no generator lies.
+
+    A generator lies on a face iff its slack (`_slack`) is 0 at every
+    coordinate tight on the face: entry i - 1 for each vertex i in
+    `tight_nonneg`, entry n + ci for each clique index ci in
+    `tight_cliques`.  That is `monomial_on_face` verbatim.  With `zero[j]`
+    the bitset of generators of slack 0 at entry j, a face is missed iff
+    the AND of `zero[j]` over its tight entries is 0.
+    """
+    zero = [0] * (fs.n + len(fs.cliques))
+    for k, t in enumerate(gens):
+        bit = 1 << k
+        for j, x in enumerate(_slack(fs, t.exponents, t.degree)):
+            if x == 0:
+                zero[j] |= bit
+    everyone = (1 << len(gens)) - 1
+    missed = []
+    for face in faces:
+        on = everyone
+        for i in face.tight_nonneg:
+            on &= zero[i - 1]
+        for ci in face.tight_cliques:
+            on &= zero[fs.n + ci]
+        if not on:
+            missed.append(face)
+    return missed
+
+
 def is_m_primary(g: Graph, degree_bound: int | None = None,
                  face_limit: int | None = None,
                  vertex_limit: int | None = None) -> bool:
@@ -527,6 +585,12 @@ def is_m_primary(g: Graph, degree_bound: int | None = None,
     so the trace meets a face iff a generator lies on it, and the trace is
     m-primary iff it meets every face except the origin.  A unit trace
     (Gorenstein ring) counts as m-primary.
+
+    A generator lies on a face iff its slack vector is 0 at every
+    inequality tight on the face.  This is exact: the face's equalities
+    a_i = 0 and sum_{i in C} a_i = q, which `monomial_on_face` checks, are
+    those slack entries being 0.  `_missed_faces` tests all generators
+    against all faces at once.
     """
     fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
     # enumerate faces first: the size guard must fire before the generator
@@ -535,12 +599,7 @@ def is_m_primary(g: Graph, degree_bound: int | None = None,
     gens = trace_generators(g, degree_bound)
     if trace_is_unit(g, degree_bound):
         return True
-    for face in faces:
-        if face.dim < 1:
-            continue
-        if not any(monomial_on_face(fs, face, t) for t in gens):
-            return False
-    return True
+    return all(face.dim < 1 for face in _missed_faces(fs, faces, gens))
 
 
 def trace_height(g: Graph, degree_bound: int | None = None,
@@ -551,18 +610,16 @@ def trace_height(g: Graph, degree_bound: int | None = None,
     The radical of a monomial ideal is an intersection of face primes, and
     the height of a face prime is the cone dimension minus the face
     dimension, so the height is n + 1 minus the largest dimension of a
-    face avoiding the trace.
+    face avoiding the trace.  The faces avoiding the trace are those on
+    which no generator has zero slack at every tight inequality, an exact
+    restatement of `monomial_on_face` (see `_missed_faces`).
     """
     fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
     faces = cone_faces(fs, face_limit)
     if trace_is_unit(g, degree_bound):
         return UNIT
     gens = trace_generators(g, degree_bound)
-    missed = [
-        face.dim for face in faces
-        if not any(monomial_on_face(fs, face, t) for t in gens)
-    ]
-    return (fs.n + 1) - max(missed)
+    return (fs.n + 1) - max(face.dim for face in _missed_faces(fs, faces, gens))
 
 
 # ---------------------------------------------------------------------------

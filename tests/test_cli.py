@@ -95,6 +95,25 @@ def test_graph_analyze_inconclusive_exit(capsys, graph_file):
     assert "InconclusiveError" in err
 
 
+def test_graph_analyze_negative_degree_bound(capsys, graph_file):
+    path = graph_file("k2.json", 2, [[1, 2]])
+    code, payload, err = run_cli(capsys, "graph", "analyze", path,
+                                 "--oracle", "--degree-bound", "-1")
+    assert code == EXIT_PARAMS
+    assert payload is None
+    assert "ParameterError" in err
+
+
+# each file reads as a valid graph if true counts as the integer 1
+@pytest.mark.parametrize("n, edges", [(True, []), (2, [[True, 2]]), (3, [[3, True]])])
+def test_graph_analyze_rejects_bool_integers(capsys, graph_file, n, edges):
+    path = graph_file("bool.json", n, edges)
+    code, payload, err = run_cli(capsys, "graph", "analyze", path)
+    assert code == EXIT_PARSE
+    assert payload is None
+    assert "FormatError" in err
+
+
 def test_poset_analyze(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({

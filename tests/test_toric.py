@@ -22,6 +22,7 @@ from gstab.toric import (
     UNIT,
     FacetSystem,
     Monomial,
+    _missed_faces,
     _slice,
     a_invariant,
     anticanonical_generators,
@@ -42,6 +43,7 @@ from gstab.toric import (
     trace_equals_power,
     trace_generators,
     trace_height,
+    trace_is_unit,
     verify_equivalence,
 )
 
@@ -90,6 +92,38 @@ def sieve_trace_generators(g, qmax):
         gens.extend(sorted(level - covered, key=lambda m: m.exponents))
         prev = level
     return gens
+
+
+def pairwise_trace_generators(g):
+    """The quadratic reduction: walk the sorted canonical-plus-anticanonical
+    sums and keep a candidate unless cand - k is in the ring for a kept k."""
+    fs = fs_of(g)
+    sums = sorted(
+        {w + v for w in omega_generators(g) for v in anticanonical_generators(g)},
+        key=lambda m: (m.degree, m.exponents))
+    kept = []
+    for cand in sums:
+        assert in_ring(fs, cand)
+        if not any(in_ring(fs, cand - k) for k in kept):
+            kept.append(cand)
+    return tuple(kept)
+
+
+def face_walk_missed(fs, faces, gens):
+    """Faces on which no generator lies, one monomial_on_face test at a time."""
+    return [f for f in faces if not any(monomial_on_face(fs, f, t) for t in gens)]
+
+
+def kernel_corpus(corpus):
+    """Every perfect graph on at most five vertices and the two-component
+    unions of the shared corpus, plus three larger graphs."""
+    from gstab.posets import comparability_graph, hmp_poset
+
+    return list(corpus) + [
+        ("K4+P3", disjoint_union(complete_graph(4), path_graph(3))),
+        ("K3+K3+K1", disjoint_union(disjoint_union(K3, K3), K1)),
+        ("hmp(5,6)", comparability_graph(hmp_poset(5, 6))),
+    ]
 
 
 # -- membership: ring ---------------------------------------------------------
@@ -293,6 +327,24 @@ def test_paw_trace_generators_exact():
         (0, 1, 0, 1), (1, 0, 0, 0), (1, 0, 0, 1)]
 
 
+def test_trace_generators_match_pairwise_reduction(corpus):
+    for name, g in kernel_corpus(corpus):
+        assert trace_generators(g) == pairwise_trace_generators(g), name
+
+
+def test_trace_generator_counts_pinned():
+    from gstab.posets import comparability_graph, hmp_poset
+
+    assert len(trace_generators(disjoint_union(complete_graph(5), P3))) == 1680
+    assert len(trace_generators(comparability_graph(hmp_poset(7, 8)))) == 630
+
+
+def test_negative_degree_bound_is_a_parameter_error():
+    for search in (omega_generators, anticanonical_generators, trace_generators):
+        with pytest.raises(ParameterError):
+            search(K2, degree_bound=-1)
+
+
 def test_generator_search_inconclusive_surfaces():
     with pytest.raises(InconclusiveError):
         omega_generators(K2, degree_bound=0)
@@ -368,6 +420,20 @@ def test_origin_face_accepts_only_origin():
     assert origin.dim == 0
     assert monomial_on_face(fs, origin, Monomial((0, 0, 0), 0))
     assert not monomial_on_face(fs, origin, Monomial((0, 0, 0), 1))
+
+
+def test_missed_faces_match_face_walk(corpus):
+    for name, g in kernel_corpus(corpus):
+        fs = fs_of(g)
+        faces = cone_faces(fs)
+        gens = trace_generators(g)
+        missed = face_walk_missed(fs, faces, gens)
+        assert _missed_faces(fs, faces, gens) == missed, name
+        if trace_is_unit(g):
+            assert is_m_primary(g) and trace_height(g) is UNIT, name
+        else:
+            assert is_m_primary(g) == all(f.dim < 1 for f in missed), name
+            assert trace_height(g) == g.n + 1 - max(f.dim for f in missed), name
 
 
 # -- m-primariness and height ----------------------------------------------------
