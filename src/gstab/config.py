@@ -2,11 +2,14 @@
 
 All limits can be overridden at once by the environment variable
 GSTAB_SIZE_LIMIT (an integer n): the perfection and verify guards become n
-and the cone guard becomes n + 1.  Individual callers may also pass
-explicit limits to the functions that enforce them.
+and the cone guard becomes n + 1.  A value that is not a nonnegative
+integer is a ParameterError.  Individual callers may also pass explicit
+limits to the functions that enforce them.
 """
 
 import os
+
+from .errors import ParameterError
 
 # Perfection test inspects all induced subgraphs: 2^n of them.
 DEFAULT_PERFECT_LIMIT = 12
@@ -26,9 +29,13 @@ def _env_override() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        return None
+        value = None
+    if value is None or value < 0:
+        raise ParameterError(
+            f"{_ENV_VAR} must be a nonnegative integer, got {raw!r}")
+    return value
 
 
 def perfect_limit() -> int:

@@ -62,14 +62,25 @@ class Poset:
         return sorted(out, key=lambda ab: (str(ab[0]), str(ab[1])))
 
 
+def _hashable(label) -> bool:
+    try:
+        hash(label)
+    except TypeError:
+        return False
+    return True
+
+
 def poset_from_covers(elements, covers) -> Poset:
     """Build a poset from cover (or any generating) relations."""
     elements = tuple(elements)
+    for e in elements:
+        if not _hashable(e):
+            raise FormatError(f"poset label {e!r} is not hashable")
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     below = [set() for _ in range(n)]  # below[i]: direct successors
     for a, b in covers:
-        if a not in index or b not in index:
+        if not (_hashable(a) and _hashable(b) and a in index and b in index):
             raise FormatError(f"cover ({a!r}, {b!r}) uses unknown label")
         below[index[a]].add(index[b])
     # transitive closure by repeated sweep; n is tiny here
@@ -97,6 +108,8 @@ def parse_poset_json(text: str) -> Poset:
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
         raise FormatError('poset file needs keys "elements" and "covers"')
+    if not isinstance(data["elements"], list):
+        raise FormatError('"elements" must be a list of labels')
     covers = data["covers"]
     if not isinstance(covers, list) or not all(
             isinstance(c, list) and len(c) == 2 for c in covers):

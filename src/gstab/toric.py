@@ -288,24 +288,53 @@ def a_invariant(g: Graph) -> int:
 # where at least one component point cannot drop, which keeps the
 # materialized sets small.
 
-def _component_stable_exps(fs: FacetSystem, g: Graph) -> tuple[tuple[int, ...], ...]:
-    from .graphs import stable_sets
+def _drop_splitter(fs: FacetSystem, theta: int):
+    """The drop test of the theta-module of a connected graph.
 
-    out = []
-    for w in stable_sets(g):
-        e = [0] * g.n
-        for v in w:
-            e[v - 1] = 1
-        out.append(tuple(e))
-    return tuple(out)
+    Returns split(points, degree), which divides a degree slice into the
+    points that drop to the previous degree (p - w is in the module for
+    some stable set w) and those that do not.
 
+    p - w stays in the module iff w avoids every vertex where p has zero
+    slack (p_i = theta) and meets every clique where p has zero slack
+    (clique sum degree - theta): a stable set meets a clique at most once,
+    and every other entry has slack at least 1.  The stable sets are the
+    degree-one ring points; `masks[j]` is the bitset of those avoiding
+    vertex j + 1 (j < n) or meeting clique j - n (j >= n).  Whether p
+    drops depends only on its zero-slack pattern, so the answer is
+    memoised on it.
+    """
+    stables = _slice(fs, 0, 1)
+    cliques = [tuple(i - 1 for i in c) for c in fs.cliques]
+    masks = [0] * (fs.n + len(cliques))
+    for k, w in enumerate(stables):
+        bit = 1 << k
+        for i, x in enumerate(w):
+            if not x:
+                masks[i] |= bit
+        for ci, c in enumerate(cliques):
+            if any(w[i] for i in c):
+                masks[fs.n + ci] |= bit
+    full = (1 << len(stables)) - 1
+    memo: dict[tuple[bool, ...], bool] = {}
 
-def _can_drop(fs: FacetSystem, stable_exps, exps, theta: int, degree: int) -> bool:
-    for w in stable_exps:
-        cand = tuple(a - b for a, b in zip(exps, w))
-        if _in_module(fs, cand, degree - 1, theta):
-            return True
-    return False
+    def split(points, degree: int):
+        cap = degree - theta
+        can, cannot = [], []
+        for p in points:
+            key = (*(x == theta for x in p),
+                   *(sum([p[i] for i in c]) == cap for c in cliques))
+            drops = memo.get(key)
+            if drops is None:
+                hit = full
+                for tight, mask in zip(key, masks):
+                    if tight:
+                        hit &= mask
+                drops = memo[key] = hit != 0
+            (can if drops else cannot).append(p)
+        return can, cannot
+
+    return split
 
 
 def _module_start_degree(fs_list, theta: int) -> int:
@@ -321,7 +350,7 @@ def _module_generators(g: Graph, theta: int, degree_bound: int | None) -> list[M
         raise ParameterError(f"degree bound must be nonnegative, got {degree_bound}")
     comps = connected_components(g)
     fs_list = [FacetSystem.from_graph(c.graph, check=False) for c in comps]
-    stables = [_component_stable_exps(fs, c.graph) for fs, c in zip(fs_list, comps)]
+    splitters = [_drop_splitter(fs, theta) for fs in fs_list]
     window = degree_bound if degree_bound is not None \
         else 2 * (maximal_cliques(g).dim + 3)
     start = _module_start_degree(fs_list, theta)
@@ -341,10 +370,8 @@ def _module_generators(g: Graph, theta: int, degree_bound: int | None) -> list[M
         if all(slices):
             droppable = []
             stuck = []
-            for fs, st, sl in zip(fs_list, stables, slices):
-                can, cannot = [], []
-                for p in sl:
-                    (can if _can_drop(fs, st, p, theta, d) else cannot).append(p)
+            for split, sl in zip(splitters, slices):
+                can, cannot = split(sl, d)
                 droppable.append(can)
                 stuck.append(cannot)
             new = 0
@@ -465,73 +492,69 @@ def trace_contains_maximal_ideal(g: Graph, vertex_limit: int | None = None) -> b
 # ---------------------------------------------------------------------------
 # faces of the cone
 
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix (fraction-free)."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(row, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        for r in range(row + 1, len(mat)):
-            if mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [pv * x - factor * y for x, y in zip(mat[r], mat[row])]
-        row += 1
-        rank += 1
-        if row == len(mat):
-            break
-    return rank
-
-
 @lru_cache(maxsize=None)
 def cone_faces(fs: FacetSystem, limit: int | None = None) -> tuple[Face, ...]:
     """All faces of the cone over the stable set polytope.
 
-    Faces are intersections of facet point sets.  Because the polytope has
-    0/1 vertices, each face is spanned by its degree-one lattice points,
-    so those points both identify the face and give its dimension.
+    Because the polytope has 0/1 vertices, each face is spanned by its
+    degree-one lattice points, so a face is identified by the bitset of
+    those points (bit k for the k-th point of the lexicographic slice) and
+    an intersection of faces by the AND of their bitsets.  An inequality is
+    tight on a face iff the face's points all lie on that facet, a subset
+    test of the two bitsets.
+
+    Dimensions come from the grading of the face lattice.  The full cone
+    has dimension n + 1.  Every proper intersection G = F & facet of a face
+    F is a face of dimension at most dim F - 1, with equality when G is a
+    facet of F, and every facet of F arises this way.  So dim G is the
+    least dim F - 1 over the faces F it is cut from, and visiting faces by
+    decreasing point count settles each dimension before it is passed on.
+    The apex is the face with no points, of dimension 0.
     """
     limit = cone_dim_limit() if limit is None else limit
     if fs.n + 1 > limit:
         raise SizeGuardError(
             f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
     verts = _slice(fs, 0, 1)
-    facet_sets: list[frozenset[int]] = []
-    for i in range(fs.n):
-        facet_sets.append(frozenset(k for k, e in enumerate(verts) if e[i] == 0))
-    for c in fs.cliques:
-        facet_sets.append(frozenset(
-            k for k, e in enumerate(verts) if sum(e[i - 1] for i in c) == 1))
+    facets = [0] * (fs.n + len(fs.cliques))
+    for k, e in enumerate(verts):
+        bit = 1 << k
+        for i in range(fs.n):
+            if e[i] == 0:
+                facets[i] |= bit
+        for ci, c in enumerate(fs.cliques):
+            if sum(e[i - 1] for i in c) == 1:
+                facets[fs.n + ci] |= bit
 
-    found = {frozenset(range(len(verts)))}
-    queue = list(found)
-    while queue:
-        cur = queue.pop()
-        for fset in facet_sets:
-            nxt = cur & fset
-            if nxt not in found:
-                found.add(nxt)
-                queue.append(nxt)
+    full = (1 << len(verts)) - 1
+    dims = {full: fs.n + 1}
+    by_size = [[] for _ in verts] + [[full]]
+    for bucket in reversed(by_size):
+        for face in bucket:
+            dim = dims[face] - 1
+            for f in facets:
+                sub = face & f
+                if sub == face:
+                    continue
+                known = dims.get(sub)
+                if known is None:
+                    by_size[sub.bit_count()].append(sub)
+                    dims[sub] = dim
+                elif known > dim:
+                    dims[sub] = dim
 
     faces = []
-    for members in found:
-        pts = tuple(sorted(verts[k] for k in members))
-        tight_nonneg = frozenset(
-            i + 1 for i in range(fs.n) if all(p[i] == 0 for p in pts))
-        tight_cliques = frozenset(
-            ci for ci, c in enumerate(fs.cliques)
-            if all(sum(p[i - 1] for i in c) == 1 for p in pts))
-        dim = _int_rank([list(p) + [1] for p in pts]) if pts else 0
-        faces.append(Face(tight_nonneg, tight_cliques, pts, dim))
+    for members, dim in dims.items():
+        pts = []
+        rest = members
+        while rest:
+            low = rest & -rest
+            pts.append(verts[low.bit_length() - 1])
+            rest ^= low
+        tight = [j for j, f in enumerate(facets) if members & ~f == 0]
+        faces.append(Face(frozenset(j + 1 for j in tight if j < fs.n),
+                          frozenset(j - fs.n for j in tight if j >= fs.n),
+                          tuple(pts), dim))
     faces.sort(key=lambda f: (f.dim, f.points))
     return tuple(faces)
 
@@ -575,6 +598,26 @@ def _missed_faces(fs: FacetSystem, faces, gens) -> list[Face]:
     return missed
 
 
+def _face_oracles(g: Graph, degree_bound: int | None, face_limit: int | None,
+                  vertex_limit: int | None) -> tuple[bool, object]:
+    """m-primariness and height of the trace ideal, from one pass.
+
+    One facet system, one face enumeration, one trace-generator search and
+    one `_missed_faces` result serve both answers.  The faces are
+    enumerated first: the size guard must fire before the generator
+    search, which grows much faster with the vertex count.
+    """
+    fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
+    faces = cone_faces(fs, face_limit)
+    gens = trace_generators(g, degree_bound)
+    if trace_is_unit(g, degree_bound):
+        return True, UNIT
+    missed = _missed_faces(fs, faces, gens)
+    # the apex carries no generator unless the trace is the unit ideal
+    return (all(face.dim < 1 for face in missed),
+            (fs.n + 1) - max(face.dim for face in missed))
+
+
 def is_m_primary(g: Graph, degree_bound: int | None = None,
                  face_limit: int | None = None,
                  vertex_limit: int | None = None) -> bool:
@@ -592,14 +635,7 @@ def is_m_primary(g: Graph, degree_bound: int | None = None,
     those slack entries being 0.  `_missed_faces` tests all generators
     against all faces at once.
     """
-    fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
-    # enumerate faces first: the size guard must fire before the generator
-    # search, which grows much faster with the vertex count
-    faces = cone_faces(fs, face_limit)
-    gens = trace_generators(g, degree_bound)
-    if trace_is_unit(g, degree_bound):
-        return True
-    return all(face.dim < 1 for face in _missed_faces(fs, faces, gens))
+    return _face_oracles(g, degree_bound, face_limit, vertex_limit)[0]
 
 
 def trace_height(g: Graph, degree_bound: int | None = None,
@@ -614,12 +650,7 @@ def trace_height(g: Graph, degree_bound: int | None = None,
     which no generator has zero slack at every tight inequality, an exact
     restatement of `monomial_on_face` (see `_missed_faces`).
     """
-    fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
-    faces = cone_faces(fs, face_limit)
-    if trace_is_unit(g, degree_bound):
-        return UNIT
-    gens = trace_generators(g, degree_bound)
-    return (fs.n + 1) - max(face.dim for face in _missed_faces(fs, faces, gens))
+    return _face_oracles(g, degree_bound, face_limit, vertex_limit)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +699,7 @@ def classify(g: Graph, oracle: bool = False, degree_bound: int | None = None,
     check = None
     if oracle:
         power_ok = trace_equals_power(g, spread, vertex_limit=vertex_limit)
-        m_prim = is_m_primary(g, degree_bound, vertex_limit=vertex_limit)
-        height = trace_height(g, degree_bound, vertex_limit=vertex_limit)
+        m_prim, height = _face_oracles(g, degree_bound, None, vertex_limit)
         if all_pure:
             height_ok = (height is UNIT) if spread == 0 else (height == g.n + 1)
             agreement = power_ok and m_prim and height_ok

@@ -129,6 +129,15 @@ def test_poset_analyze(capsys, tmp_path):
     assert payload["oracle"]["height"] == 4
 
 
+def test_poset_analyze_unhashable_labels(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"elements": [[1], [2]], "covers": []}))
+    code, payload, err = run_cli(capsys, "poset", "analyze", str(path))
+    assert code == EXIT_PARSE
+    assert payload is None
+    assert "FormatError" in err
+
+
 def test_family_hmp_45(capsys):
     code, payload, _ = run_cli(capsys, "family", "hmp", "--a", "4", "--b", "5",
                                "--oracle")
@@ -216,6 +225,17 @@ def test_verify_size_guard(capsys):
     assert code == EXIT_SIZE_GUARD
     assert payload is None
     assert "SizeGuardError" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_malformed_size_limit_env(capsys, graph_file, monkeypatch, raw):
+    monkeypatch.setenv("GSTAB_SIZE_LIMIT", raw)
+    path = graph_file("k2.json", 2, [[1, 2]])
+    for argv in (["graph", "analyze", path], ["verify", "--max-n", "1"]):
+        code, payload, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARAMS
+        assert payload is None
+        assert "ParameterError" in err
 
 
 def test_json_indent_flag(capsys, graph_file):

@@ -83,6 +83,17 @@ def test_parse_poset_json():
     assert p == hmp_poset(4, 5)
 
 
+@pytest.mark.parametrize("text", [
+    '{"elements": [[1], [2]], "covers": []}',
+    '{"elements": [1, {"a": 2}], "covers": []}',
+    '{"elements": [1, 2], "covers": [[[1], 2]]}',
+    '{"elements": 5, "covers": []}',
+])
+def test_parse_poset_json_rejects_bad_labels(text):
+    with pytest.raises(FormatError):
+        parse_poset_json(text)
+
+
 # -- comparability graphs ----------------------------------------------------
 
 def test_comparability_chain_is_complete():

@@ -10,11 +10,13 @@ import pytest
 from gstab.errors import InconclusiveError, NotPerfectError, ParameterError, SizeGuardError
 from gstab.graphs import (
     complete_graph,
+    connected_components,
     cycle_graph,
     disjoint_union,
     empty_graph,
     graphs_up_to_iso,
     is_perfect,
+    maximal_cliques,
     path_graph,
     paw_graph,
 )
@@ -22,6 +24,7 @@ from gstab.toric import (
     UNIT,
     FacetSystem,
     Monomial,
+    OracleCheck,
     _missed_faces,
     _slice,
     a_invariant,
@@ -107,6 +110,33 @@ def pairwise_trace_generators(g):
         if not any(in_ring(fs, cand - k) for k in kept):
             kept.append(cand)
     return tuple(kept)
+
+
+def int_rank(rows):
+    """Rank over the rationals of an integer matrix (fraction-free)."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    row = 0
+    for col in range(cols):
+        pivot = None
+        for r in range(row, len(mat)):
+            if mat[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        pv = mat[row][col]
+        for r in range(row + 1, len(mat)):
+            if mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [pv * x - factor * y for x, y in zip(mat[r], mat[row])]
+        row += 1
+        rank += 1
+        if row == len(mat):
+            break
+    return rank
 
 
 def face_walk_missed(fs, faces, gens):
@@ -280,26 +310,26 @@ def test_minimal_canonical_degree_k3():
 
 # -- generators ----------------------------------------------------------------
 
-def test_omega_generators_against_sieve():
-    for g in SMALL:
-        fs = fs_of(g)
-        start = fs.delta + 1
-        degrees = range(start, start + 3)
-        expected = sieve_module_generators(g, 1, degrees)
-        got = [m for m in omega_generators(g) if m.degree < start + 3]
-        assert sorted(got, key=lambda m: (m.degree, m.exponents)) == \
-            sorted(expected, key=lambda m: (m.degree, m.exponents))
+def assert_generators_match_sieve(g, theta, gens, start):
+    """The generators equal the sieve over the whole window the search
+    scanned: from the lowest module degree to two degrees past the last
+    generator, where the search stops."""
+    degrees = range(start, max((m.degree for m in gens), default=start) + 3)
+    expected = sieve_module_generators(g, theta, degrees)
+    assert sorted(gens, key=lambda m: (m.degree, m.exponents)) == \
+        sorted(expected, key=lambda m: (m.degree, m.exponents))
 
 
-def test_anticanonical_generators_against_sieve():
-    for g in SMALL:
+def test_omega_generators_against_sieve(corpus):
+    for name, g in kernel_corpus(corpus):
         fs = fs_of(g)
-        start = -min(len(c) for c in fs.cliques) - 1
-        degrees = range(start, start + 3)
-        expected = sieve_module_generators(g, -1, degrees)
-        got = [m for m in anticanonical_generators(g) if m.degree < start + 3]
-        assert sorted(got, key=lambda m: (m.degree, m.exponents)) == \
-            sorted(expected, key=lambda m: (m.degree, m.exponents))
+        assert_generators_match_sieve(g, 1, omega_generators(g), fs.delta + 1)
+
+
+def test_anticanonical_generators_against_sieve(corpus):
+    for name, g in kernel_corpus(corpus):
+        start = -min(len(c) for c in fs_of(g).cliques) - 1
+        assert_generators_match_sieve(g, -1, anticanonical_generators(g), start)
 
 
 def test_trace_generators_against_sieve():
@@ -405,6 +435,25 @@ def test_cone_face_guard():
         cone_faces(fs_of(empty_graph(9)))
 
 
+def test_face_dims_match_rank(corpus):
+    """The graded face lattice gives each face the rank of its points
+    (with a homogenizing 1), the apex 0."""
+    from gstab.posets import comparability_graph, hmp_poset
+
+    graphs = [(name, g) for name, g in corpus if "+" not in name]
+    graphs.append(("hmp(5,6)", comparability_graph(hmp_poset(5, 6))))
+    for name, g in graphs:
+        for face in cone_faces(fs_of(g)):
+            rank = int_rank([list(p) + [1] for p in face.points])
+            assert face.dim == rank, (name, face)
+
+
+def test_face_count_pinned(corpus):
+    # the 51 perfect graphs on at most five vertices
+    total = sum(len(cone_faces(fs_of(g))) for name, g in corpus if "+" not in name)
+    assert total == 4962
+
+
 def test_full_cone_contains_every_stable_set_point():
     fs = fs_of(P3)
     top = max(cone_faces(fs), key=lambda f: f.dim)
@@ -457,6 +506,15 @@ def test_trace_height_prescribed_family_extra_pairs():
         g = comparability_graph(hmp_poset(a, b))
         assert trace_height(g) == a
         assert g.n + 1 == b
+
+
+def test_classify_oracle_matches_separate_calls(corpus):
+    # agreement is True: the criterion holds on every graph of the corpus
+    for name, g in corpus:
+        dims = [maximal_cliques(c.graph).dim for c in connected_components(g)]
+        separate = OracleCheck(trace_equals_power(g, dims[0] - dims[-1]),
+                               is_m_primary(g), trace_height(g), True)
+        assert classify(g, oracle=True).oracle == separate, name
 
 
 def test_height_dim_iff_m_primary(corpus):
@@ -526,6 +584,18 @@ def test_size_limit_env_override(monkeypatch):
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "4")
     with pytest.raises(SizeGuardError):
         classify(path_graph(5))
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", ""])
+def test_malformed_size_limit_env(monkeypatch, raw):
+    from gstab.config import cone_dim_limit, perfect_limit, verify_limit
+
+    monkeypatch.setenv("GSTAB_SIZE_LIMIT", raw)
+    for limit in (perfect_limit, cone_dim_limit, verify_limit):
+        with pytest.raises(ParameterError):
+            limit()
+    with pytest.raises(ParameterError):
+        classify(K2)
 
 
 def test_gorenstein_iff_graph_itself_pure(corpus):
