@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .config import perfect_limit
 from .errors import FormatError, SizeGuardError
@@ -417,43 +417,117 @@ def _perfect_by_coloring(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# enumeration up to isomorphism (canonical forms)
+# enumeration up to isomorphism (vertex augmentation)
+#
+# A graph on vertices 0..n-1 is encoded as a pair mask: bit k is set when the
+# k-th pair of combinations(range(n), 2) is an edge.  Its canonical form is
+# the smallest pair mask over all relabellings, and each isomorphism class
+# is represented by the graph whose mask is canonical.
 
 def _vertex_pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
 @lru_cache(maxsize=None)
-def _pair_permutations(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each vertex permutation, the induced permutation of pair slots."""
-    pairs = _vertex_pairs(n)
-    index = {p: k for k, p in enumerate(pairs)}
-    table = []
-    for perm in permutations(range(n)):
-        row = tuple(index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs)
-        table.append(row)
-    return tuple(table)
+def _block_shifts(n: int) -> tuple[int, ...]:
+    """Bit offset of the pairs (i, j), j > i, of each position i."""
+    return tuple(i * (n - 1) - i * (i - 1) // 2 for i in range(n))
 
 
-def _apply_pair_perm(mask: int, row: tuple[int, ...]) -> int:
-    out = 0
-    for src, dst in enumerate(row):
-        if mask >> src & 1:
-            out |= 1 << dst
-    return out
+def _twin_masks(adj: list[int]) -> list[int]:
+    """For each vertex, the vertices with its neighbourhood apart from
+    each other; swapping two such twins is an automorphism."""
+    twins = [0] * len(adj)
+    for u, v in combinations(range(len(adj)), 2):
+        if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+            twins[u] |= 1 << v
+            twins[v] |= 1 << u
+    return twins
 
 
-def _is_canonical_mask(mask: int, n: int) -> bool:
-    for row in _pair_permutations(n):
-        if _apply_pair_perm(mask, row) < mask:
-            return False
-    return True
+def _canonical_mask(adj: list[int]) -> int:
+    """The smallest pair mask over all relabellings of the graph `adj`.
+
+    The pairs (i, j), j > i, of position i are a block of bits above every
+    block of a lower position, and bit j - i - 1 of the block is the edge
+    between the vertices at positions i and j.  So positions are filled from
+    n - 1 downwards, and a vertex may take position i only if its block
+    there (its edges to the vertices already placed) is the smallest over
+    all partial placements that have survived so far.  Of two twins one is
+    tried, and placements that leave the same vertices with the same blocks
+    are merged, since their completions are the same.
+    """
+    n = len(adj)
+    shifts = _block_shifts(n)
+    twins = _twin_masks(adj)
+    # each placement: (unplaced vertices, the block each would get next)
+    placements = {(tuple(range(n)), (0,) * n)}
+    mask = 0
+    for i in range(n - 1, -1, -1):
+        low = min([min(codes) for _, codes in placements])
+        mask |= low << shifts[i]
+        grown = set()
+        for verts, codes in placements:
+            tried = 0
+            for k, code in enumerate(codes):
+                v = verts[k]
+                if code != low or twins[v] & tried:
+                    continue
+                tried |= 1 << v
+                row = adj[v]
+                grown.add((verts[:k] + verts[k + 1:],
+                           tuple([c << 1 | (row >> u & 1)
+                                  for u, c in zip(verts, codes) if u != v])))
+        placements = grown
+    return mask
+
+
+def _invariants(adj: list[int]) -> list[tuple[int, int]]:
+    """(degree, sum of the neighbours' degrees) of each vertex."""
+    degrees = [a.bit_count() for a in adj]
+    return [(d, sum(degrees[u] for u in _bits(a))) for d, a in zip(degrees, adj)]
+
+
+@lru_cache(maxsize=None)
+def _canonical_masks(n: int) -> tuple[int, ...]:
+    """The canonical masks of the graphs on n vertices, ascending.
+
+    Each graph arises from the canonical graph on n - 1 vertices isomorphic
+    to it minus a vertex v, plus a new vertex playing v, for every v.  So
+    the layer is built from the one below by adding a vertex with each
+    neighbourhood, keeping only children whose new vertex has the largest
+    invariant (any vertex with it can play the new one).  Neighbourhoods
+    that differ by swapping twins of the parent give the same child, so of
+    each twin class only an initial segment may be chosen.
+    """
+    if n <= 1:
+        return (0,)
+    x = n - 1
+    found = set()
+    for parent in _canonical_masks(x):
+        adj = [0] * x
+        for k, (i, j) in enumerate(_vertex_pairs(x)):
+            if parent >> k & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        top = max(a.bit_count() for a in adj)
+        later_twins = [t >> (v + 1) << (v + 1) for v, t in enumerate(_twin_masks(adj))]
+        for nbrs in range(1 << x):
+            if nbrs.bit_count() < top or any(
+                    nbrs & later_twins[v] for v in range(x) if not nbrs >> v & 1):
+                continue
+            child = [a | (nbrs >> v & 1) << x for v, a in enumerate(adj)]
+            child.append(nbrs)
+            inv = _invariants(child)
+            if inv[x] == max(inv):
+                found.add(_canonical_mask(child))
+    return tuple(sorted(found))
 
 
 def graphs_up_to_iso(n: int):
-    """Yield one representative per isomorphism class of graphs on n vertices."""
+    """Yield one representative per isomorphism class of graphs on n vertices,
+    the graph with the smallest pair mask in each class, by ascending mask."""
     pairs = _vertex_pairs(n)
-    for mask in range(1 << len(pairs)):
-        if _is_canonical_mask(mask, n):
-            edges = [(i + 1, j + 1) for k, (i, j) in enumerate(pairs) if mask >> k & 1]
-            yield Graph.from_edges(n, edges)
+    for mask in _canonical_masks(n):
+        edges = [(i + 1, j + 1) for k, (i, j) in enumerate(pairs) if mask >> k & 1]
+        yield Graph.from_edges(n, edges)

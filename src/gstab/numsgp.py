@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, SizeGuardError
+
+# Entries of the membership table, 2 * min(gens) * max(gens) + 1.  Past
+# this a table takes seconds and tens of megabytes to fill; family(60, 40)
+# needs about 3 * 10**5.
+TABLE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,10 @@ def semigroup(generators) -> NumericalSemigroup:
     if g != 1:
         raise FormatError(f"gcd of generators is {g}, complement would be infinite")
     limit = 2 * gens[0] * gens[-1]
+    if limit + 1 > TABLE_LIMIT:
+        raise SizeGuardError(
+            f"membership table for generators {gens[0]}..{gens[-1]} needs "
+            f"{limit + 1} entries, limit {TABLE_LIMIT}")
     member = [False] * (limit + 1)
     member[0] = True
     for x in range(1, limit + 1):

@@ -197,6 +197,13 @@ def test_numsgp_gcd_error(capsys):
     assert "FormatError" in err
 
 
+def test_numsgp_table_size_guard(capsys):
+    code, payload, err = run_cli(capsys, "numsgp", "--gens", "1000003,1000004")
+    assert code == EXIT_SIZE_GUARD
+    assert payload is None
+    assert "SizeGuardError" in err
+
+
 def test_numsgp_needs_exactly_one_input(capsys):
     code, _, _ = run_cli(capsys, "numsgp")
     assert code == EXIT_PARAMS

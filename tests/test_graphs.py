@@ -1,6 +1,7 @@
 """Graph layer: cliques, components, purity, perfection, stable sets."""
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import pytest
 
@@ -241,10 +242,53 @@ def test_parse_graph_json_rejects_garbage():
 
 # -- enumeration up to isomorphism -------------------------------------------
 
+@lru_cache(maxsize=None)
+def pair_permutations(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each vertex permutation, the induced permutation of pair slots."""
+    pairs = list(combinations(range(n), 2))
+    index = {p: k for k, p in enumerate(pairs)}
+    return tuple(tuple(index[tuple(sorted((perm[i], perm[j])))] for i, j in pairs)
+                 for perm in permutations(range(n)))
+
+
+def apply_pair_perm(mask: int, row: tuple[int, ...]) -> int:
+    out = 0
+    for src, dst in enumerate(row):
+        if mask >> src & 1:
+            out |= 1 << dst
+    return out
+
+
+def is_canonical_mask(mask: int, n: int) -> bool:
+    """No relabelling gives a smaller pair mask (all n! of them are tried)."""
+    return all(apply_pair_perm(mask, row) >= mask for row in pair_permutations(n))
+
+
+def brute_graphs_up_to_iso(n: int):
+    """Edge lists of the graphs with a canonical pair mask, by ascending mask."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        if is_canonical_mask(mask, n):
+            yield sorted((i + 1, j + 1) for k, (i, j) in enumerate(pairs) if mask >> k & 1)
+
+
 def test_graph_counts_up_to_iso():
-    # standard counts of graphs on n unlabeled vertices
-    assert [sum(1 for _ in graphs_up_to_iso(n)) for n in range(1, 6)] == \
-        [1, 2, 4, 11, 34]
+    # standard counts of graphs on n unlabeled vertices (OEIS A000088)
+    assert [sum(1 for _ in graphs_up_to_iso(n)) for n in range(8)] == \
+        [1, 1, 2, 4, 11, 34, 156, 1044]
+
+
+def test_enumeration_matches_brute_force_canonical_masks():
+    for n in range(7):
+        got = [g.sorted_edges() for g in graphs_up_to_iso(n)]
+        assert got == list(brute_graphs_up_to_iso(n)), n
+
+
+def test_enumeration_edge_cases():
+    assert list(graphs_up_to_iso(0)) == [Graph(0, frozenset())]
+    negative = graphs_up_to_iso(-1)   # lazy: nothing is checked until iterated
+    with pytest.raises(FormatError):
+        next(negative)
 
 
 def test_only_c5_imperfect_on_five_vertices():

@@ -3,8 +3,9 @@ ideal, duality, trace, residue, and the prescribed type/residue family."""
 
 import pytest
 
-from gstab.errors import FormatError, ParameterError
+from gstab.errors import FormatError, ParameterError, SizeGuardError
 from gstab.numsgp import (
+    TABLE_LIMIT,
     canonical_ideal,
     cm_type,
     family,
@@ -77,6 +78,14 @@ def test_semigroup_rejects_bad_input():
         semigroup([0, 3])
     with pytest.raises(FormatError):
         semigroup([])
+
+
+def test_semigroup_table_size_guard():
+    with pytest.raises(SizeGuardError):
+        semigroup([1000003, 1000004])
+    with pytest.raises(SizeGuardError):
+        semigroup([1000, 1001])   # 2002001 entries
+    assert 2 * 61 * 2500 + 1 <= TABLE_LIMIT   # family(60, 40)
 
 
 # -- pseudo-Frobenius and type ----------------------------------------------------
