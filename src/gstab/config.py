@@ -1,10 +1,12 @@
 """Size guards for the exponential-time steps.
 
-All limits can be overridden at once by the environment variable
-GSTAB_SIZE_LIMIT (an integer n): the perfection and verify guards become n
-and the cone guard becomes n + 1.  A value that is not a nonnegative
-integer is a ParameterError.  Individual callers may also pass explicit
-limits to the functions that enforce them.
+The defaults are 12 vertices for the perfection test, cone dimension 9
+for face enumeration and 7 vertices for `verify`.  All limits can be
+overridden at once by the environment variable GSTAB_SIZE_LIMIT (an
+integer n): the perfection and verify guards become n and the cone guard
+becomes n + 1.  A value that is not a nonnegative integer is a
+ParameterError.  Individual callers may also pass explicit limits to the
+functions that enforce them.
 """
 
 import os
@@ -17,12 +19,12 @@ DEFAULT_PERFECT_LIMIT = 12
 # Face enumeration works in the (n+1)-dimensional cone.
 DEFAULT_CONE_DIM_LIMIT = 9
 
-# `verify` enumerates graphs up to isomorphism by vertex augmentation, and
-# checks the 1105 perfect graphs on 7 vertices in about a minute.  The
-# default stays at 6 until the per-graph caches (lru_cache on Graph and
-# FacetSystem, one entry per graph) are scoped: a run to 7 peaks at about
-# 800 MB.
-DEFAULT_VERIFY_LIMIT = 6
+# `verify` enumerates graphs up to isomorphism by vertex augmentation and
+# checks the 1105 perfect graphs on 7 vertices in under a minute, in flat
+# memory since faces and generators live for one `classify` call.  A run to
+# 8 vertices (9992 perfect graphs) takes about 24 minutes, so 8 needs the
+# environment override.
+DEFAULT_VERIFY_LIMIT = 7
 
 _ENV_VAR = "GSTAB_SIZE_LIMIT"
 

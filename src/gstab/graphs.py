@@ -17,6 +17,12 @@ from itertools import combinations
 from .config import perfect_limit
 from .errors import FormatError, SizeGuardError
 
+# Entries in each cache keyed on one graph (or a value built from it).  One
+# `classify` call looks up the graph, its complement and its components, and
+# a sweep such as `verify` moves to a new graph after each call, so a small
+# bound keeps the hits within a call while memory stays flat over the sweep.
+GRAPH_CACHE_SIZE = 32
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -163,7 +169,7 @@ def load_graph(path: str) -> Graph:
 # ---------------------------------------------------------------------------
 # bitmask internals (vertices 0..n-1 inside, labels 1..n outside)
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _adjacency_masks(g: Graph) -> tuple[int, ...]:
     adj = [0] * g.n
     for i, j in g.edges:
@@ -263,7 +269,7 @@ def _colorable(adj: tuple[int, ...], vertices: list[int], k: int) -> bool:
 # ---------------------------------------------------------------------------
 # operations
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def maximal_cliques(g: Graph) -> CliqueComplex:
     """All inclusion-maximal cliques, lexicographically sorted.
 
@@ -283,7 +289,7 @@ def is_pure(g: Graph) -> bool:
     return len(sizes) <= 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def connected_components(g: Graph) -> tuple[Component, ...]:
     """Vertex-induced components, each relabeled 1..n_i.
 
@@ -318,7 +324,7 @@ def connected_components(g: Graph) -> tuple[Component, ...]:
     return tuple(built)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def stable_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All stable (independent) vertex sets, the empty set included.
 
@@ -363,7 +369,7 @@ def chromatic_number(g: Graph, limit: int | None = None) -> int:
     return k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def has_odd_hole(g: Graph) -> bool:
     """Induced odd cycle of length >= 5 present?"""
     adj = _adjacency_masks(g)
@@ -404,7 +410,7 @@ def is_perfect(g: Graph, limit: int | None = None) -> bool:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _perfect_by_coloring(g: Graph) -> bool:
     adj = _adjacency_masks(g)
     for mask in range(1, 1 << g.n):

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import FormatError, ParameterError
-from .graphs import Graph
+from .graphs import GRAPH_CACHE_SIZE, Graph
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def antichains(p: Poset) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def maximal_chains(p: Poset) -> tuple[tuple[int, ...], ...]:
     """Maximal chains as index tuples, found by DFS from minimal elements."""
     n = len(p)

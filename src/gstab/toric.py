@@ -24,6 +24,7 @@ from itertools import product
 from .config import cone_dim_limit
 from .errors import InconclusiveError, NotPerfectError, ParameterError, SizeGuardError
 from .graphs import (
+    GRAPH_CACHE_SIZE,
     Graph,
     connected_components,
     graphs_up_to_iso,
@@ -215,7 +216,7 @@ def in_trace(fs: FacetSystem, m: Monomial) -> bool:
 # ---------------------------------------------------------------------------
 # degree slices
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _vertex_cliques(fs: FacetSystem) -> tuple[tuple[int, ...], ...]:
     """For each vertex (0-based), the indices of cliques containing it."""
     out = [[] for _ in range(fs.n)]
@@ -225,7 +226,6 @@ def _vertex_cliques(fs: FacetSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(x) for x in out)
 
 
-@lru_cache(maxsize=None)
 def _slice(fs: FacetSystem, theta: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors in the theta-module at the given degree,
     in ascending lexicographic order."""
@@ -395,13 +395,11 @@ def _module_generators(g: Graph, theta: int, degree_bound: int | None) -> list[M
     return gens
 
 
-@lru_cache(maxsize=None)
 def omega_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomial, ...]:
     """Minimal generators of the canonical module, lowest degree delta+1."""
     return tuple(_module_generators(g, 1, degree_bound))
 
 
-@lru_cache(maxsize=None)
 def anticanonical_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomial, ...]:
     """Minimal generators of the anticanonical fractional ideal."""
     return tuple(_module_generators(g, -1, degree_bound))
@@ -414,7 +412,6 @@ def _slack(fs: FacetSystem, exps, degree: int) -> tuple[int, ...]:
     return (*exps, *(degree - s for s in _clique_sums(fs, exps)))
 
 
-@lru_cache(maxsize=None)
 def trace_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomial, ...]:
     """Minimal generators of the trace ideal.
 
@@ -431,11 +428,12 @@ def trace_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomia
     redundant iff the AND of `le[j][slack_j]` over all entries is nonzero.
     """
     fs = FacetSystem.from_graph(g, check=False)
+    omega = omega_generators(g, degree_bound)
+    anti = anticanonical_generators(g, degree_bound)
     # (degree, *exponents) tuples sort like the (degree, exponents) key
     sums = sorted(
         {(w.degree + v.degree, *(a + b for a, b in zip(w.exponents, v.exponents)))
-         for w in omega_generators(g, degree_bound)
-         for v in anticanonical_generators(g, degree_bound)})
+         for w in omega for v in anti})
     slacks = [_slack(fs, p[1:], p[0]) for p in sums]
     if any(min(s) < 0 for s in slacks):
         raise RuntimeError("trace candidate outside the ring; this is a bug")
@@ -458,9 +456,13 @@ def trace_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomia
     return tuple(kept)
 
 
-def trace_is_unit(g: Graph, degree_bound: int | None = None) -> bool:
-    gens = trace_generators(g, degree_bound)
+def _is_unit(gens) -> bool:
+    """Do the minimal trace generators say the trace is the whole ring?"""
     return len(gens) == 1 and gens[0].degree == 0
+
+
+def trace_is_unit(g: Graph, degree_bound: int | None = None) -> bool:
+    return _is_unit(trace_generators(g, degree_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +494,6 @@ def trace_contains_maximal_ideal(g: Graph, vertex_limit: int | None = None) -> b
 # ---------------------------------------------------------------------------
 # faces of the cone
 
-@lru_cache(maxsize=None)
 def cone_faces(fs: FacetSystem, limit: int | None = None) -> tuple[Face, ...]:
     """All faces of the cone over the stable set polytope.
 
@@ -529,32 +530,28 @@ def cone_faces(fs: FacetSystem, limit: int | None = None) -> tuple[Face, ...]:
     full = (1 << len(verts)) - 1
     dims = {full: fs.n + 1}
     by_size = [[] for _ in verts] + [[full]]
+    faces = []
     for bucket in reversed(by_size):
         for face in bucket:
-            dim = dims[face] - 1
-            for f in facets:
+            dim = dims[face]
+            below = dim - 1
+            tight = []
+            for j, f in enumerate(facets):
                 sub = face & f
                 if sub == face:
+                    tight.append(j)
                     continue
                 known = dims.get(sub)
                 if known is None:
                     by_size[sub.bit_count()].append(sub)
-                    dims[sub] = dim
-                elif known > dim:
-                    dims[sub] = dim
-
-    faces = []
-    for members, dim in dims.items():
-        pts = []
-        rest = members
-        while rest:
-            low = rest & -rest
-            pts.append(verts[low.bit_length() - 1])
-            rest ^= low
-        tight = [j for j, f in enumerate(facets) if members & ~f == 0]
-        faces.append(Face(frozenset(j + 1 for j in tight if j < fs.n),
-                          frozenset(j - fs.n for j in tight if j >= fs.n),
-                          tuple(pts), dim))
+                    dims[sub] = below
+                elif known > below:
+                    dims[sub] = below
+            bits = bin(face)[:1:-1]   # bit k of the face at index k
+            faces.append(Face(frozenset(j + 1 for j in tight if j < fs.n),
+                              frozenset(j - fs.n for j in tight if j >= fs.n),
+                              tuple(verts[k] for k, b in enumerate(bits) if b == "1"),
+                              dim))
     faces.sort(key=lambda f: (f.dim, f.points))
     return tuple(faces)
 
@@ -610,7 +607,7 @@ def _face_oracles(g: Graph, degree_bound: int | None, face_limit: int | None,
     fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
     faces = cone_faces(fs, face_limit)
     gens = trace_generators(g, degree_bound)
-    if trace_is_unit(g, degree_bound):
+    if _is_unit(gens):
         return True, UNIT
     missed = _missed_faces(fs, faces, gens)
     # the apex carries no generator unless the trace is the unit ideal

@@ -234,6 +234,16 @@ def test_verify_size_guard(capsys):
     assert "SizeGuardError" in err
 
 
+def test_verify_default_limit_is_seven(capsys, monkeypatch):
+    # 7 is the default (a run takes about 45 s, too long for this suite);
+    # 8 still needs GSTAB_SIZE_LIMIT
+    monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
+    code, payload, err = run_cli(capsys, "verify", "--max-n", "8")
+    assert code == EXIT_SIZE_GUARD
+    assert payload is None
+    assert "limited to 7 vertices" in err
+
+
 @pytest.mark.parametrize("raw", ["abc", "-3"])
 def test_malformed_size_limit_env(capsys, graph_file, monkeypatch, raw):
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", raw)

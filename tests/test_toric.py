@@ -5,10 +5,18 @@ membership thresholds vs. definitional checks, product-structured generator
 search vs. a per-degree sieve, fast classification vs. brute force.
 """
 
-import pytest
+import gc
+import tracemalloc
+from itertools import combinations
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gstab import graphs, posets, toric
 from gstab.errors import InconclusiveError, NotPerfectError, ParameterError, SizeGuardError
 from gstab.graphs import (
+    Graph,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -25,6 +33,7 @@ from gstab.toric import (
     FacetSystem,
     Monomial,
     OracleCheck,
+    _face_oracles,
     _missed_faces,
     _slice,
     a_invariant,
@@ -73,13 +82,15 @@ def sieve_module_generators(g, theta, degrees):
     fs = fs_of(g)
     ring_one = [m.exponents for m in degree_monomials(fs, 1)]
     gens = []
+    prev = set(_slice(fs, theta, degrees[0] - 1))
     for d in degrees:
-        prev = set(_slice(fs, theta, d - 1))
-        for exps in _slice(fs, theta, d):
+        level = _slice(fs, theta, d)
+        for exps in level:
             covered = any(
                 tuple(a - b for a, b in zip(exps, r)) in prev for r in ring_one)
             if not covered:
                 gens.append(Monomial(exps, d))
+        prev = set(level)
     return gens
 
 
@@ -154,6 +165,23 @@ def kernel_corpus(corpus):
         ("K3+K3+K1", disjoint_union(disjoint_union(K3, K3), K1)),
         ("hmp(5,6)", comparability_graph(hmp_poset(5, 6))),
     ]
+
+
+@pytest.fixture(scope="module")
+def kernel_faces_and_gens(corpus):
+    """(name, graph, facet system, faces, trace generators) for each graph of
+    `kernel_corpus`, computed once for the tests that check them."""
+    out = []
+    for name, g in kernel_corpus(corpus):
+        fs = fs_of(g)
+        out.append((name, g, fs, cone_faces(fs), trace_generators(g)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_reports(corpus):
+    """`classify(g, oracle=True)` for each corpus graph, computed once."""
+    return [(name, g, classify(g, oracle=True)) for name, g in corpus]
 
 
 # -- membership: ring ---------------------------------------------------------
@@ -357,9 +385,9 @@ def test_paw_trace_generators_exact():
         (0, 1, 0, 1), (1, 0, 0, 0), (1, 0, 0, 1)]
 
 
-def test_trace_generators_match_pairwise_reduction(corpus):
-    for name, g in kernel_corpus(corpus):
-        assert trace_generators(g) == pairwise_trace_generators(g), name
+def test_trace_generators_match_pairwise_reduction(kernel_faces_and_gens):
+    for name, g, fs, faces, gens in kernel_faces_and_gens:
+        assert gens == pairwise_trace_generators(g), name
 
 
 def test_trace_generator_counts_pinned():
@@ -471,18 +499,17 @@ def test_origin_face_accepts_only_origin():
     assert not monomial_on_face(fs, origin, Monomial((0, 0, 0), 1))
 
 
-def test_missed_faces_match_face_walk(corpus):
-    for name, g in kernel_corpus(corpus):
-        fs = fs_of(g)
-        faces = cone_faces(fs)
-        gens = trace_generators(g)
+def test_missed_faces_match_face_walk(kernel_faces_and_gens):
+    for name, g, fs, faces, gens in kernel_faces_and_gens:
         missed = face_walk_missed(fs, faces, gens)
         assert _missed_faces(fs, faces, gens) == missed, name
-        if trace_is_unit(g):
-            assert is_m_primary(g) and trace_height(g) is UNIT, name
+        # the one pass behind is_m_primary and trace_height, against the walk
+        if gens == (Monomial((0,) * g.n, 0),):
+            expected = (True, UNIT)
         else:
-            assert is_m_primary(g) == all(f.dim < 1 for f in missed), name
-            assert trace_height(g) == g.n + 1 - max(f.dim for f in missed), name
+            expected = (all(f.dim < 1 for f in missed),
+                        g.n + 1 - max(f.dim for f in missed))
+        assert _face_oracles(g, None, None, None) == expected, name
 
 
 # -- m-primariness and height ----------------------------------------------------
@@ -499,6 +526,11 @@ def test_trace_height_examples():
     assert trace_height(K3K1) == 5
 
 
+def test_trace_is_unit_examples():
+    assert trace_is_unit(K2) and trace_is_unit(P3)
+    assert not trace_is_unit(PAW) and not trace_is_unit(K3K1)
+
+
 def test_trace_height_prescribed_family_extra_pairs():
     from gstab.posets import comparability_graph, hmp_poset
 
@@ -508,22 +540,22 @@ def test_trace_height_prescribed_family_extra_pairs():
         assert g.n + 1 == b
 
 
-def test_classify_oracle_matches_separate_calls(corpus):
+def test_classify_oracle_matches_separate_calls(oracle_reports):
     # agreement is True: the criterion holds on every graph of the corpus
-    for name, g in corpus:
+    for name, g, report in oracle_reports:
         dims = [maximal_cliques(c.graph).dim for c in connected_components(g)]
         separate = OracleCheck(trace_equals_power(g, dims[0] - dims[-1]),
-                               is_m_primary(g), trace_height(g), True)
-        assert classify(g, oracle=True).oracle == separate, name
+                               *_face_oracles(g, None, None, None), True)
+        assert report.oracle == separate, name
 
 
-def test_height_dim_iff_m_primary(corpus):
-    for name, g in corpus:
-        h = trace_height(g)
+def test_height_dim_iff_m_primary(oracle_reports):
+    for name, g, report in oracle_reports:
+        h = report.oracle.height
         if h is UNIT:
-            assert classify(g).gorenstein, name
+            assert report.gorenstein, name
         else:
-            assert (h == g.n + 1) == is_m_primary(g), name
+            assert (h == g.n + 1) == report.oracle.m_primary, name
 
 
 # -- classification ----------------------------------------------------------------
@@ -608,6 +640,62 @@ def test_gorenstein_iff_graph_itself_pure(corpus):
 def test_nearly_gorenstein_helper(corpus):
     for name, g in corpus:
         assert is_nearly_gorenstein(g) == classify(g).nearly_gorenstein, name
+
+
+@st.composite
+def relabelled_perfect_graphs(draw):
+    """A perfect graph on at most 6 vertices and a relabelling of it."""
+    n = draw(st.integers(1, 6))
+    pairs = list(combinations(range(1, n + 1), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, keep in zip(pairs, present) if keep]
+    g = Graph.from_edges(n, edges)
+    assume(is_perfect(g))
+    perm = draw(st.permutations(range(1, n + 1)))
+    return g, Graph.from_edges(n, [(perm[i - 1], perm[j - 1]) for i, j in edges])
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(relabelled_perfect_graphs())
+def test_classify_invariant_under_relabelling(pair):
+    # components are listed by dimension, then by smallest vertex; on at
+    # most 6 vertices two components of equal dimension are both pure, so
+    # a relabelling cannot reorder component_pure
+    g, h = pair
+    assert classify(h, oracle=True) == classify(g, oracle=True)
+
+
+def test_classify_holds_no_memory_per_graph(corpus):
+    """What `classify(oracle=True)` leaves allocated must not grow with the
+    number of graphs classified: faces and generators live for one call,
+    and every cache it fills is bounded.  The bounded caches are emptied
+    before each reading, so what remains is state that could grow."""
+    caches = [value for module in (graphs, toric, posets)
+              for value in vars(module).values() if hasattr(value, "cache_clear")]
+
+    def held():
+        for cache in caches:
+            if cache.cache_parameters()["maxsize"] is not None:
+                cache.cache_clear()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    # an unbounded cache already filled by an earlier test would not grow
+    for cache in caches:
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        for name, g in corpus[:10]:
+            classify(g, oracle=True)
+        prefix = held()
+        for name, g in corpus[10:]:
+            classify(g, oracle=True)
+        grown = held() - prefix
+    finally:
+        tracemalloc.stop()
+    # kept for every graph, the canonical generators of the other 56 corpus
+    # graphs would take about 32 KB, their faces about 6.5 MB
+    assert grown < 16 * 1024
 
 
 def test_verify_equivalence_small():
