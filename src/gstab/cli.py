@@ -31,7 +31,7 @@ from .errors import (
     ParameterError,
     SizeGuardError,
 )
-from .graphs import Graph, load_graph
+from .graphs import Graph, connected_components, load_graph
 from .numsgp import (
     canonical_ideal,
     cm_type,
@@ -57,9 +57,11 @@ def _height_json(height):
     return "unit" if height is UNIT else height
 
 
-def _classification_payload(report: TraceReport, g: Graph) -> dict:
-    from .graphs import connected_components
+def _header(command: str) -> dict:
+    return {"tool": "gstab", "version": __version__, "command": command}
 
+
+def _classification_payload(report: TraceReport, g: Graph) -> dict:
     comps = connected_components(g)
     payload = {
         "perfect": True,
@@ -95,9 +97,7 @@ def cmd_graph_analyze(args) -> tuple[dict, int]:
     report = classify(g, oracle=args.oracle, degree_bound=args.degree_bound,
                       vertex_limit=args.max_n)
     payload = {
-        "tool": "gstab",
-        "version": __version__,
-        "command": "graph analyze",
+        **_header("graph analyze"),
         "input": {"path": args.file, **_graph_payload(g)},
     }
     payload.update(_classification_payload(report, g))
@@ -118,9 +118,7 @@ def cmd_poset_analyze(args) -> tuple[dict, int]:
     report = classify(g, oracle=args.oracle, degree_bound=args.degree_bound,
                       vertex_limit=args.max_n)
     payload = {
-        "tool": "gstab",
-        "version": __version__,
-        "command": "poset analyze",
+        **_header("poset analyze"),
         "input": {"path": args.file, **_poset_payload(p)},
         "has_x_subposet": has_x_subposet(p),
         "antichain_count": len(antichains(p)),
@@ -135,9 +133,7 @@ def cmd_family_hmp(args) -> tuple[dict, int]:
     p = hmp_poset(args.a, args.b)
     g = comparability_graph(p)
     payload = {
-        "tool": "gstab",
-        "version": __version__,
-        "command": "family hmp",
+        **_header("family hmp"),
         "a": args.a,
         "b": args.b,
         "poset": _poset_payload(p),
@@ -176,9 +172,7 @@ def cmd_numsgp(args) -> tuple[dict, int]:
     tr = trace_ideal(h)
     pf = pseudo_frobenius(h)
     payload = {
-        "tool": "gstab",
-        "version": __version__,
-        "command": "numsgp",
+        **_header("numsgp"),
         "generators": list(h.generators),
         "gaps": list(h.gaps),
         "frobenius": h.frobenius,
@@ -215,9 +209,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         raise ParameterError("--max-n must be at least 1")
     result = verify_equivalence(args.max_n)
     payload = {
-        "tool": "gstab",
-        "version": __version__,
-        "command": "verify",
+        **_header("verify"),
         "max_n": args.max_n,
         **result,
     }

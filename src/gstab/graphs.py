@@ -293,8 +293,10 @@ def is_pure(g: Graph) -> bool:
 def connected_components(g: Graph) -> tuple[Component, ...]:
     """Vertex-induced components, each relabeled 1..n_i.
 
-    Sorted so the clique-complex dimensions come out descending; ties are
-    broken by smallest original vertex label.
+    Sorted by descending clique-complex dimension, impure before pure
+    within a dimension, then by smallest original vertex label.  The
+    (dimension, purity) sequence is therefore the same for every labelling
+    of the graph.
     """
     adj = _adjacency_masks(g)
     seen = [False] * g.n
@@ -320,7 +322,8 @@ def connected_components(g: Graph) -> tuple[Component, ...]:
                  if (i - 1) in relabel and (j - 1) in relabel]
         sub = Graph.from_edges(len(group), edges)
         built.append(Component(sub, tuple(v + 1 for v in group)))
-    built.sort(key=lambda c: (-maximal_cliques(c.graph).dim, c.vertices[0]))
+    built.sort(key=lambda c: (-maximal_cliques(c.graph).dim, is_pure(c.graph),
+                              c.vertices[0]))
     return tuple(built)
 
 

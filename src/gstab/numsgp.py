@@ -195,16 +195,10 @@ def family(a: int, b: int) -> NumericalSemigroup:
     """The semigroup generated by a+1 together with b(a+1)+1 .. b(a+1)+a.
 
     Its elements below the conductor b(a+1) are exactly the multiples
-    i(a+1) with 0 <= i < b; the constructor verifies that shape.
+    i(a+1) with 0 <= i < b.
     """
     if a < 2 or b < 1:
         raise ParameterError(f"need a >= 2 and b >= 1, got a={a}, b={b}")
     step = a + 1
     gens = (step,) + tuple(b * step + k for k in range(1, a + 1))
-    h = semigroup(gens)
-    expected_conductor = b * step
-    expected_members = {i * step for i in range(b)}
-    if h.conductor != expected_conductor or \
-            set(h.members_below_conductor) != expected_members:
-        raise RuntimeError("family semigroup does not have the expected shape")
-    return h
+    return semigroup(gens)

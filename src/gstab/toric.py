@@ -35,17 +35,16 @@ from .graphs import (
 
 
 class _Unit:
-    """Sentinel for 'the trace is the whole ring' (height question is moot)."""
+    """Sentinel for 'the trace is the whole ring' (height question is moot).
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    Pickling and copying refer back to the module constant `UNIT`, so
+    `height is UNIT` survives both."""
 
     def __repr__(self):
         return "Unit"
+
+    def __reduce__(self):
+        return "UNIT"
 
 
 UNIT = _Unit()
@@ -278,6 +277,43 @@ def a_invariant(g: Graph) -> int:
     return -maximal_cliques(g).dim - 2
 
 
+def _slack(fs: FacetSystem, exps, degree: int) -> tuple[int, ...]:
+    """Slack of x^a t^q in each ring inequality: a_1..a_n, then
+    q - sum_{i in C} a_i for each maximal clique C, in the order of
+    `fs.cliques`.  The point is in the ring iff every entry is >= 0."""
+    return (*exps, *(degree - s for s in _clique_sums(fs, exps)))
+
+
+def _zero_masks(fs: FacetSystem, points) -> list[int]:
+    """For each entry of `_slack`, the bitset of the degree-one points
+    (bit k for `points[k]`) with slack 0 there.
+
+    Entry j is a facet of the cone: the degree-one points on it are the
+    stable sets avoiding vertex j + 1 (j < n) or meeting clique j - n
+    (j >= n).  A face is the intersection of the facets containing it and
+    is spanned by its degree-one points, so ANDs of these bitsets name
+    every face.
+    """
+    masks = [0] * (fs.n + len(fs.cliques))
+    for k, p in enumerate(points):
+        bit = 1 << k
+        for j, x in enumerate(_slack(fs, p, 1)):
+            if not x:
+                masks[j] |= bit
+    return masks
+
+
+def _face_of(masks, full: int, pattern) -> int:
+    """The face cut out by a zero-slack pattern (a truth value per entry of
+    `_slack`), as the bitset of its degree-one points; `full` has a bit
+    for every point.  The apex, the face without points, is 0."""
+    face = full
+    for tight, mask in zip(pattern, masks):
+        if tight:
+            face &= mask
+    return face
+
+
 # ---------------------------------------------------------------------------
 # module generators, computed degree by degree per component
 #
@@ -299,22 +335,13 @@ def _drop_splitter(fs: FacetSystem, theta: int):
     slack (p_i = theta) and meets every clique where p has zero slack
     (clique sum degree - theta): a stable set meets a clique at most once,
     and every other entry has slack at least 1.  The stable sets are the
-    degree-one ring points; `masks[j]` is the bitset of those avoiding
-    vertex j + 1 (j < n) or meeting clique j - n (j >= n).  Whether p
-    drops depends only on its zero-slack pattern, so the answer is
-    memoised on it.
+    degree-one ring points, so those w are the points of the face cut out
+    by p's zero-slack pattern (`_face_of`), and p drops iff that face is
+    more than the apex.  The answer is memoised on the pattern.
     """
     stables = _slice(fs, 0, 1)
     cliques = [tuple(i - 1 for i in c) for c in fs.cliques]
-    masks = [0] * (fs.n + len(cliques))
-    for k, w in enumerate(stables):
-        bit = 1 << k
-        for i, x in enumerate(w):
-            if not x:
-                masks[i] |= bit
-        for ci, c in enumerate(cliques):
-            if any(w[i] for i in c):
-                masks[fs.n + ci] |= bit
+    masks = _zero_masks(fs, stables)
     full = (1 << len(stables)) - 1
     memo: dict[tuple[bool, ...], bool] = {}
 
@@ -326,11 +353,7 @@ def _drop_splitter(fs: FacetSystem, theta: int):
                    *(sum([p[i] for i in c]) == cap for c in cliques))
             drops = memo.get(key)
             if drops is None:
-                hit = full
-                for tight, mask in zip(key, masks):
-                    if tight:
-                        hit &= mask
-                drops = memo[key] = hit != 0
+                drops = memo[key] = _face_of(masks, full, key) != 0
             (can if drops else cannot).append(p)
         return can, cannot
 
@@ -405,13 +428,6 @@ def anticanonical_generators(g: Graph, degree_bound: int | None = None) -> tuple
     return tuple(_module_generators(g, -1, degree_bound))
 
 
-def _slack(fs: FacetSystem, exps, degree: int) -> tuple[int, ...]:
-    """Slack of x^a t^q in each ring inequality: a_1..a_n, then
-    q - sum_{i in C} a_i for each maximal clique C, in the order of
-    `fs.cliques`.  The point is in the ring iff every entry is >= 0."""
-    return (*exps, *(degree - s for s in _clique_sums(fs, exps)))
-
-
 def trace_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomial, ...]:
     """Minimal generators of the trace ideal.
 
@@ -435,8 +451,6 @@ def trace_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomia
         {(w.degree + v.degree, *(a + b for a, b in zip(w.exponents, v.exponents)))
          for w in omega for v in anti})
     slacks = [_slack(fs, p[1:], p[0]) for p in sums]
-    if any(min(s) < 0 for s in slacks):
-        raise RuntimeError("trace candidate outside the ring; this is a bug")
     tops = [max(col) for col in zip(*slacks)]
     le = [[0] * (top + 1) for top in tops]
     kept: list[Monomial] = []
@@ -494,8 +508,10 @@ def trace_contains_maximal_ideal(g: Graph, vertex_limit: int | None = None) -> b
 # ---------------------------------------------------------------------------
 # faces of the cone
 
-def cone_faces(fs: FacetSystem, limit: int | None = None) -> tuple[Face, ...]:
-    """All faces of the cone over the stable set polytope.
+def _face_lattice(fs: FacetSystem, limit: int | None = None):
+    """All faces of the cone over the stable set polytope, as
+    `(verts, facets, dims)`: the degree-one points, the facet bitsets
+    (`_zero_masks`), and a dict from each face to its dimension.
 
     Because the polytope has 0/1 vertices, each face is spanned by its
     degree-one lattice points, so a face is identified by the bitset of
@@ -517,29 +533,16 @@ def cone_faces(fs: FacetSystem, limit: int | None = None) -> tuple[Face, ...]:
         raise SizeGuardError(
             f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
     verts = _slice(fs, 0, 1)
-    facets = [0] * (fs.n + len(fs.cliques))
-    for k, e in enumerate(verts):
-        bit = 1 << k
-        for i in range(fs.n):
-            if e[i] == 0:
-                facets[i] |= bit
-        for ci, c in enumerate(fs.cliques):
-            if sum(e[i - 1] for i in c) == 1:
-                facets[fs.n + ci] |= bit
-
+    facets = _zero_masks(fs, verts)
     full = (1 << len(verts)) - 1
     dims = {full: fs.n + 1}
     by_size = [[] for _ in verts] + [[full]]
-    faces = []
     for bucket in reversed(by_size):
         for face in bucket:
-            dim = dims[face]
-            below = dim - 1
-            tight = []
-            for j, f in enumerate(facets):
+            below = dims[face] - 1
+            for f in facets:
                 sub = face & f
                 if sub == face:
-                    tight.append(j)
                     continue
                 known = dims.get(sub)
                 if known is None:
@@ -547,11 +550,21 @@ def cone_faces(fs: FacetSystem, limit: int | None = None) -> tuple[Face, ...]:
                     dims[sub] = below
                 elif known > below:
                     dims[sub] = below
-            bits = bin(face)[:1:-1]   # bit k of the face at index k
-            faces.append(Face(frozenset(j + 1 for j in tight if j < fs.n),
-                              frozenset(j - fs.n for j in tight if j >= fs.n),
-                              tuple(verts[k] for k, b in enumerate(bits) if b == "1"),
-                              dim))
+    return verts, facets, dims
+
+
+def cone_faces(fs: FacetSystem, limit: int | None = None) -> tuple[Face, ...]:
+    """All faces of the cone over the stable set polytope, ordered by
+    dimension and then by their points (see `_face_lattice`)."""
+    verts, facets, dims = _face_lattice(fs, limit)
+    faces = []
+    for face, dim in dims.items():
+        tight = [j for j, f in enumerate(facets) if face & f == face]
+        bits = bin(face)[:1:-1]   # bit k of the face at index k
+        faces.append(Face(frozenset(j + 1 for j in tight if j < fs.n),
+                          frozenset(j - fs.n for j in tight if j >= fs.n),
+                          tuple(verts[k] for k, b in enumerate(bits) if b == "1"),
+                          dim))
     faces.sort(key=lambda f: (f.dim, f.points))
     return tuple(faces)
 
@@ -566,33 +579,21 @@ def monomial_on_face(fs: FacetSystem, face: Face, m: Monomial) -> bool:
         for ci in face.tight_cliques)
 
 
-def _missed_faces(fs: FacetSystem, faces, gens) -> list[Face]:
-    """The faces, in the given order, on which no generator lies.
+def _missed_faces(fs: FacetSystem, lattice, gens) -> dict[int, int]:
+    """The faces of `lattice` (a `_face_lattice` result) on which no
+    generator lies, as a dict from face bitset to dimension.
 
-    A generator lies on a face iff its slack (`_slack`) is 0 at every
-    coordinate tight on the face: entry i - 1 for each vertex i in
-    `tight_nonneg`, entry n + ci for each clique index ci in
-    `tight_cliques`.  That is `monomial_on_face` verbatim.  With `zero[j]`
-    the bitset of generators of slack 0 at entry j, a face is missed iff
-    the AND of `zero[j]` over its tight entries is 0.
+    A ring point t lies on a face F iff its slack (`_slack`) is 0 at every
+    inequality tight on F, which is `monomial_on_face` verbatim.  The
+    inequalities where t has slack 0 cut out the smallest face containing
+    t (`_face_of`), so t lies on F iff that face is a subset of F.
     """
-    zero = [0] * (fs.n + len(fs.cliques))
-    for k, t in enumerate(gens):
-        bit = 1 << k
-        for j, x in enumerate(_slack(fs, t.exponents, t.degree)):
-            if x == 0:
-                zero[j] |= bit
-    everyone = (1 << len(gens)) - 1
-    missed = []
-    for face in faces:
-        on = everyone
-        for i in face.tight_nonneg:
-            on &= zero[i - 1]
-        for ci in face.tight_cliques:
-            on &= zero[fs.n + ci]
-        if not on:
-            missed.append(face)
-    return missed
+    verts, facets, dims = lattice
+    full = (1 << len(verts)) - 1
+    cuts = {_face_of(facets, full, [x == 0 for x in _slack(fs, t.exponents, t.degree)])
+            for t in gens}
+    return {face: dim for face, dim in dims.items()
+            if not any(cut & face == cut for cut in cuts)}
 
 
 def _face_oracles(g: Graph, degree_bound: int | None, face_limit: int | None,
@@ -605,14 +606,13 @@ def _face_oracles(g: Graph, degree_bound: int | None, face_limit: int | None,
     search, which grows much faster with the vertex count.
     """
     fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
-    faces = cone_faces(fs, face_limit)
+    lattice = _face_lattice(fs, face_limit)
     gens = trace_generators(g, degree_bound)
     if _is_unit(gens):
         return True, UNIT
-    missed = _missed_faces(fs, faces, gens)
+    missed = _missed_faces(fs, lattice, gens).values()
     # the apex carries no generator unless the trace is the unit ideal
-    return (all(face.dim < 1 for face in missed),
-            (fs.n + 1) - max(face.dim for face in missed))
+    return all(dim < 1 for dim in missed), (fs.n + 1) - max(missed)
 
 
 def is_m_primary(g: Graph, degree_bound: int | None = None,

@@ -1,9 +1,11 @@
 """Command-line interface: reports, match flags, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from gstab import __version__
 from gstab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
@@ -253,6 +255,39 @@ def test_malformed_size_limit_env(capsys, graph_file, monkeypatch, raw):
         assert code == EXIT_PARAMS
         assert payload is None
         assert "ParameterError" in err
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("graph analyze", ["graph", "analyze", "{graph}"]),
+    ("poset analyze", ["poset", "analyze", "{poset}"]),
+    ("family hmp", ["family", "hmp", "--a", "4", "--b", "5"]),
+    ("numsgp", ["numsgp", "--gens", "3,4,5"]),
+    ("verify", ["verify", "--max-n", "1"]),
+])
+def test_report_header(capsys, tmp_path, command, argv):
+    files = {"graph": tmp_path / "g.json", "poset": tmp_path / "p.json"}
+    files["graph"].write_text(json.dumps({"n": 2, "edges": [[1, 2]]}))
+    files["poset"].write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", "b"]]}))
+    argv = [arg.format(**files) for arg in argv]
+    code, payload, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert (payload["tool"], payload["version"], payload["command"]) == \
+        ("gstab", __version__, command)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--max-n", "5"],
+     "734bff9876d526a9f4f8d9cb8618e9b6cfe630a228fc5f4b74ad5c032524cc7e"),
+    (["family", "hmp", "--a", "5", "--b", "7", "--oracle"],
+     "993020e51a9ce876efdbe7603c468d199814b5ca92e79994d437550e8faf67f3"),
+    (["numsgp", "--family", "5", "3"],
+     "d1b7c5dfd8d962276a79d94254eaae9ce1986ef8e7534c87d22bd823a049fc85"),
+])
+def test_report_bytes_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_json_indent_flag(capsys, graph_file):

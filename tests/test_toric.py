@@ -5,7 +5,11 @@ membership thresholds vs. definitional checks, product-structured generator
 search vs. a per-degree sieve, fast classification vs. brute force.
 """
 
+import copy
+import dataclasses
 import gc
+import hashlib
+import pickle
 import tracemalloc
 from itertools import combinations
 
@@ -33,6 +37,7 @@ from gstab.toric import (
     FacetSystem,
     Monomial,
     OracleCheck,
+    _face_lattice,
     _face_oracles,
     _missed_faces,
     _slice,
@@ -385,6 +390,16 @@ def test_paw_trace_generators_exact():
         (0, 1, 0, 1), (1, 0, 0, 0), (1, 0, 0, 1)]
 
 
+def test_trace_candidates_lie_in_ring(corpus):
+    # every canonical-plus-anticanonical sum is a ring point, so its slack
+    # vector is nonnegative, which the trace-generator reduction relies on
+    for name, g in kernel_corpus(corpus):
+        fs = fs_of(g)
+        anti = anticanonical_generators(g)
+        for w in omega_generators(g):
+            assert all(in_ring(fs, w + v) for v in anti), name
+
+
 def test_trace_generators_match_pairwise_reduction(kernel_faces_and_gens):
     for name, g, fs, faces, gens in kernel_faces_and_gens:
         assert gens == pairwise_trace_generators(g), name
@@ -476,6 +491,24 @@ def test_face_dims_match_rank(corpus):
             assert face.dim == rank, (name, face)
 
 
+def test_faces_and_generators_pinned(corpus):
+    """Faces, their order and all three generator tuples, byte for byte:
+    the sha256 of their reprs over the 51 perfect graphs on at most five
+    vertices, hmp(5,6) and K4+P3."""
+    from gstab.posets import comparability_graph, hmp_poset
+
+    graphs = [g for name, g in corpus if "+" not in name]
+    graphs += [comparability_graph(hmp_poset(5, 6)),
+               disjoint_union(complete_graph(4), path_graph(3))]
+    digest = hashlib.sha256()
+    for g in graphs:
+        for part in (cone_faces(fs_of(g)), omega_generators(g),
+                     anticanonical_generators(g), trace_generators(g)):
+            digest.update(repr(part).encode())
+    assert digest.hexdigest() == \
+        "8cbacbaebc3001c731e3d5cd2cfeb62ad654dcc21f41d13fda61548fcea36d60"
+
+
 def test_face_count_pinned(corpus):
     # the 51 perfect graphs on at most five vertices
     total = sum(len(cone_faces(fs_of(g))) for name, g in corpus if "+" not in name)
@@ -502,7 +535,11 @@ def test_origin_face_accepts_only_origin():
 def test_missed_faces_match_face_walk(kernel_faces_and_gens):
     for name, g, fs, faces, gens in kernel_faces_and_gens:
         missed = face_walk_missed(fs, faces, gens)
-        assert _missed_faces(fs, faces, gens) == missed, name
+        lattice = _face_lattice(fs)
+        # each walked face as its bitset of degree-one points, with its dim
+        index = {p: k for k, p in enumerate(lattice[0])}
+        walked = {sum(1 << index[p] for p in f.points): f.dim for f in missed}
+        assert _missed_faces(fs, lattice, gens) == walked, name
         # the one pass behind is_m_primary and trace_height, against the walk
         if gens == (Monomial((0,) * g.n, 0),):
             expected = (True, UNIT)
@@ -524,6 +561,16 @@ def test_trace_height_examples():
     assert trace_height(PAW) == 4
     assert trace_height(K2) is UNIT
     assert trace_height(K3K1) == 5
+
+
+def test_unit_survives_copy_and_pickle():
+    assert repr(UNIT) == "Unit"
+    assert copy.copy(UNIT) is UNIT
+    assert copy.deepcopy(UNIT) is UNIT
+    assert pickle.loads(pickle.dumps(UNIT)) is UNIT
+    check = OracleCheck(True, True, UNIT, True)
+    assert dataclasses.asdict(check)["height"] is UNIT
+    assert pickle.loads(pickle.dumps(check)).height is UNIT
 
 
 def test_trace_is_unit_examples():
@@ -643,26 +690,43 @@ def test_nearly_gorenstein_helper(corpus):
 
 
 @st.composite
-def relabelled_perfect_graphs(draw):
-    """A perfect graph on at most 6 vertices and a relabelling of it."""
-    n = draw(st.integers(1, 6))
+def perfect_graphs(draw, max_n):
+    """A perfect graph on 1..max_n vertices."""
+    n = draw(st.integers(1, max_n))
     pairs = list(combinations(range(1, n + 1), 2))
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = [p for p, keep in zip(pairs, present) if keep]
-    g = Graph.from_edges(n, edges)
+    g = Graph.from_edges(n, [p for p, keep in zip(pairs, present) if keep])
     assume(is_perfect(g))
-    perm = draw(st.permutations(range(1, n + 1)))
-    return g, Graph.from_edges(n, [(perm[i - 1], perm[j - 1]) for i, j in edges])
+    return g
+
+
+@st.composite
+def relabelled_perfect_graphs(draw):
+    """A perfect graph on at most 6 vertices and a relabelling of it."""
+    g = draw(perfect_graphs(6))
+    perm = draw(st.permutations(range(1, g.n + 1)))
+    return g, Graph.from_edges(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
 
 
 @settings(derandomize=True, deadline=None, max_examples=30, database=None)
 @given(relabelled_perfect_graphs())
 def test_classify_invariant_under_relabelling(pair):
-    # components are listed by dimension, then by smallest vertex; on at
-    # most 6 vertices two components of equal dimension are both pure, so
-    # a relabelling cannot reorder component_pure
     g, h = pair
     assert classify(h, oracle=True) == classify(g, oracle=True)
+
+
+def test_component_order_ignores_labels():
+    # paw and K3 both have dimension 2; the impure paw comes first
+    for g in (disjoint_union(PAW, K3), disjoint_union(K3, PAW)):
+        report = classify(g)
+        assert report.component_dims == (2, 2)
+        assert report.component_pure == (False, True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(perfect_graphs(5), perfect_graphs(5))
+def test_classify_invariant_under_union_order(a, b):
+    assert classify(disjoint_union(a, b)) == classify(disjoint_union(b, a))
 
 
 def test_classify_holds_no_memory_per_graph(corpus):
