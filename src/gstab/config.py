@@ -20,10 +20,11 @@ DEFAULT_PERFECT_LIMIT = 12
 DEFAULT_CONE_DIM_LIMIT = 9
 
 # `verify` enumerates graphs up to isomorphism by vertex augmentation and
-# checks the 1105 perfect graphs on 7 vertices in under a minute, in flat
-# memory since faces and generators live for one `classify` call.  A run to
-# 8 vertices (9992 perfect graphs) takes about 24 minutes, so 8 needs the
-# environment override.
+# checks the 1105 perfect graphs on 7 vertices in about 20 s, in flat
+# memory since faces and generators live for one `classify` call, and the
+# generator searches walk only the branches that hold new generators.  A
+# run to 8 vertices (9992 perfect graphs) takes about 9 minutes, so 8 needs
+# the environment override.
 DEFAULT_VERIFY_LIMIT = 7
 
 _ENV_VAR = "GSTAB_SIZE_LIMIT"

@@ -216,41 +216,76 @@ def in_trace(fs: FacetSystem, m: Monomial) -> bool:
 # degree slices
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _vertex_cliques(fs: FacetSystem) -> tuple[tuple[int, ...], ...]:
-    """For each vertex (0-based), the indices of cliques containing it."""
-    out = [[] for _ in range(fs.n)]
+def _vertex_cliques(fs: FacetSystem):
+    """For each vertex (0-based), the indices of the cliques containing it,
+    and the indices of the cliques whose last vertex it is."""
+    by_vertex = [[] for _ in range(fs.n)]
+    closing = [[] for _ in range(fs.n)]
     for ci, c in enumerate(fs.cliques):
         for v in c:
-            out[v - 1].append(ci)
-    return tuple(tuple(x) for x in out)
+            by_vertex[v - 1].append(ci)
+        closing[max(c) - 1].append(ci)
+    return tuple(map(tuple, by_vertex)), tuple(map(tuple, closing))
+
+
+def _walk(fs: FacetSystem, theta: int, degree: int, masks, full: int, bound):
+    """Walk the theta-module slice at the given degree in ascending
+    lexicographic order and split its points into (drop, stuck) lists.
+
+    The walk assigns vertices in order and carries each point's face as a
+    running AND: `masks` holds a bitset per `_slack` entry (`_zero_masks`),
+    the face starts at `full`, a vertex's mask is ANDed in when its value
+    is theta (slack 0), and a clique's when its last vertex is assigned and
+    its sum reaches degree - theta.  A point is stuck iff its face is 0.
+    Below vertex v every point's face contains the running face ANDed with
+    `bound[v]`, so a node where that is nonzero is skipped: its points all
+    drop.  With masks, `full` and bound all zero every point is stuck,
+    which is the plain slice.
+    """
+    n = fs.n
+    caps = [degree - theta * (len(c) + 1) for c in fs.cliques]
+    if any(cap < 0 for cap in caps):
+        return [], []
+    by_vertex, closing = _vertex_cliques(fs)
+    drop: list[tuple[int, ...]] = []
+    stuck: list[tuple[int, ...]] = []
+    shifted = [0] * n
+
+    def assign(v: int, face: int):
+        cliques, ends, mask, below = by_vertex[v], closing[v], masks[v], bound[v + 1]
+        room = min(caps[ci] for ci in cliques)
+        last = v + 1 == n
+        if last:
+            prefix = tuple(x + theta for x in shifted[:v])
+        for b in range(room + 1):
+            f = face if b else face & mask
+            # every cap here is at least room, so only b = room can use up
+            # the cap of a clique ending here
+            if b == room:
+                for ci in ends:
+                    if caps[ci] == room:
+                        f &= masks[n + ci]
+            if f & below:
+                continue
+            if last:
+                (drop if f else stuck).append((*prefix, b + theta))
+                continue
+            shifted[v] = b
+            for ci in cliques:
+                caps[ci] -= b
+            assign(v + 1, f)
+            for ci in cliques:
+                caps[ci] += b
+
+    assign(0, full)
+    return drop, stuck
 
 
 def _slice(fs: FacetSystem, theta: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors in the theta-module at the given degree,
     in ascending lexicographic order."""
-    caps = [degree - theta * (len(c) + 1) for c in fs.cliques]
-    if any(cap < 0 for cap in caps):
-        return ()
-    by_vertex = _vertex_cliques(fs)
-    points: list[tuple[int, ...]] = []
-    shifted = [0] * fs.n
-
-    def assign(v: int, remaining: list[int]):
-        if v == fs.n:
-            points.append(tuple(b + theta for b in shifted))
-            return
-        room = min(remaining[ci] for ci in by_vertex[v])
-        for b in range(room + 1):
-            shifted[v] = b
-            for ci in by_vertex[v]:
-                remaining[ci] -= b
-            assign(v + 1, remaining)
-            for ci in by_vertex[v]:
-                remaining[ci] += b
-        shifted[v] = 0
-
-    assign(0, caps)
-    return tuple(points)
+    zeros = [0] * (fs.n + len(fs.cliques))
+    return tuple(_walk(fs, theta, degree, zeros, 0, zeros)[1])
 
 
 def degree_monomials(fs: FacetSystem, q: int) -> list[Monomial]:
@@ -317,47 +352,45 @@ def _face_of(masks, full: int, pattern) -> int:
 # ---------------------------------------------------------------------------
 # module generators, computed degree by degree per component
 #
+# A point p of the theta-module drops to the previous degree iff p - w is
+# in the module for some stable set w.  That holds iff w avoids every vertex
+# where p has zero slack (p_i = theta) and meets every clique where p has
+# zero slack (clique sum degree - theta): a stable set meets a clique at
+# most once, and every other entry has slack at least 1.  The stable sets
+# are the degree-one ring points, so those w are the points of the face cut
+# out by p's zero-slack pattern, and p is a new generator (stuck) iff that
+# face is the apex.  `_walk` carries the face as it assigns the vertices.
+#
+# A connected graph needs only the stuck points, so its walk prunes: a
+# subtree all of whose points drop is skipped.  `bound[v]` is the AND of
+# the masks of vertices >= v and of the cliques whose last vertex is >= v.
+# Those are the only entries a point below a node at vertex v can still
+# AND into the running face, so every such point's face contains
+# face & bound[v], and when that is nonzero none of them is stuck.
+#
 # A degree slice of the union graph is the cartesian product of the
-# component slices in the same degree, and a point drops to the previous
-# degree iff each component point does (subtract a stable set per
-# component).  New generators therefore live in the product positions
-# where at least one component point cannot drop, which keeps the
-# materialized sets small.
+# component slices in the same degree, and a point drops iff each component
+# point does (subtract a stable set per component).  New generators
+# therefore live in the product positions where at least one component
+# point cannot drop, which keeps the materialized sets small; those
+# products need every component's droppable points, so a disconnected
+# graph walks whole slices.
 
-def _drop_splitter(fs: FacetSystem, theta: int):
-    """The drop test of the theta-module of a connected graph.
-
-    Returns split(points, degree), which divides a degree slice into the
-    points that drop to the previous degree (p - w is in the module for
-    some stable set w) and those that do not.
-
-    p - w stays in the module iff w avoids every vertex where p has zero
-    slack (p_i = theta) and meets every clique where p has zero slack
-    (clique sum degree - theta): a stable set meets a clique at most once,
-    and every other entry has slack at least 1.  The stable sets are the
-    degree-one ring points, so those w are the points of the face cut out
-    by p's zero-slack pattern (`_face_of`), and p drops iff that face is
-    more than the apex.  The answer is memoised on the pattern.
-    """
+def _drop_tables(fs: FacetSystem, prune: bool):
+    """The (masks, full, bound) arguments of `_walk` for the drop test of
+    `fs`, with a bound that prunes or (all zero) one that never does."""
     stables = _slice(fs, 0, 1)
-    cliques = [tuple(i - 1 for i in c) for c in fs.cliques]
     masks = _zero_masks(fs, stables)
     full = (1 << len(stables)) - 1
-    memo: dict[tuple[bool, ...], bool] = {}
-
-    def split(points, degree: int):
-        cap = degree - theta
-        can, cannot = [], []
-        for p in points:
-            key = (*(x == theta for x in p),
-                   *(sum([p[i] for i in c]) == cap for c in cliques))
-            drops = memo.get(key)
-            if drops is None:
-                drops = memo[key] = _face_of(masks, full, key) != 0
-            (can if drops else cannot).append(p)
-        return can, cannot
-
-    return split
+    if not prune:
+        return masks, full, [0] * (fs.n + 1)
+    closing = _vertex_cliques(fs)[1]
+    bound = [full] * (fs.n + 1)
+    for v in reversed(range(fs.n)):
+        bound[v] = bound[v + 1] & masks[v]
+        for ci in closing[v]:
+            bound[v] &= masks[fs.n + ci]
+    return masks, full, bound
 
 
 def _module_start_degree(fs_list, theta: int) -> int:
@@ -373,7 +406,7 @@ def _module_generators(g: Graph, theta: int, degree_bound: int | None) -> list[M
         raise ParameterError(f"degree bound must be nonnegative, got {degree_bound}")
     comps = connected_components(g)
     fs_list = [FacetSystem.from_graph(c.graph, check=False) for c in comps]
-    splitters = [_drop_splitter(fs, theta) for fs in fs_list]
+    tables = [_drop_tables(fs, len(comps) == 1) for fs in fs_list]
     window = degree_bound if degree_bound is not None \
         else 2 * (maximal_cliques(g).dim + 3)
     start = _module_start_degree(fs_list, theta)
@@ -389,23 +422,15 @@ def _module_generators(g: Graph, theta: int, degree_bound: int | None) -> list[M
     quiet = 0
     stabilized = False
     for d in range(start, start + window + 1):
-        slices = [_slice(fs, theta, d) for fs in fs_list]
-        if all(slices):
-            droppable = []
-            stuck = []
-            for split, sl in zip(splitters, slices):
-                can, cannot = split(sl, d)
-                droppable.append(can)
-                stuck.append(cannot)
-            new = 0
-            for j in range(len(comps)):
-                pools = [droppable[k] if k < j else (stuck[k] if k == j else slices[k])
-                         for k in range(len(comps))]
-                for parts in product(*pools):
-                    gens.append(Monomial(embed(parts), d))
-                    new += 1
-        else:
-            new = 0
+        splits = [_walk(fs, theta, d, *t) for fs, t in zip(fs_list, tables)]
+        new = 0
+        for j in range(len(comps)):
+            # an empty component slice empties every product
+            pools = [drop if k < j else (stuck if k == j else drop + stuck)
+                     for k, (drop, stuck) in enumerate(splits)]
+            for parts in product(*pools):
+                gens.append(Monomial(embed(parts), d))
+                new += 1
         quiet = quiet + 1 if new == 0 else 0
         if quiet >= 2 and d > start:
             stabilized = True
@@ -492,7 +517,10 @@ def trace_equals_power(g: Graph, power: int, vertex_limit: int | None = None) ->
     """
     if power < 0:
         raise ParameterError("power must be nonnegative")
-    fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
+    return _trace_equals_power(FacetSystem.from_graph(g, vertex_limit=vertex_limit), power)
+
+
+def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
     for q in range(power):
         if any(in_trace(fs, m) for m in degree_monomials(fs, q)):
             return False
@@ -596,16 +624,16 @@ def _missed_faces(fs: FacetSystem, lattice, gens) -> dict[int, int]:
             if not any(cut & face == cut for cut in cuts)}
 
 
-def _face_oracles(g: Graph, degree_bound: int | None, face_limit: int | None,
-                  vertex_limit: int | None) -> tuple[bool, object]:
-    """m-primariness and height of the trace ideal, from one pass.
+def _face_oracles(g: Graph, fs: FacetSystem, degree_bound: int | None,
+                  face_limit: int | None) -> tuple[bool, object]:
+    """m-primariness and height of the trace ideal, from one pass over the
+    facet system `fs` of the perfect graph `g`.
 
-    One facet system, one face enumeration, one trace-generator search and
-    one `_missed_faces` result serve both answers.  The faces are
-    enumerated first: the size guard must fire before the generator
-    search, which grows much faster with the vertex count.
+    One face enumeration, one trace-generator search and one
+    `_missed_faces` result serve both answers.  The faces are enumerated
+    first: the size guard must fire before the generator search, which
+    grows much faster with the vertex count.
     """
-    fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
     lattice = _face_lattice(fs, face_limit)
     gens = trace_generators(g, degree_bound)
     if _is_unit(gens):
@@ -632,7 +660,8 @@ def is_m_primary(g: Graph, degree_bound: int | None = None,
     those slack entries being 0.  `_missed_faces` tests all generators
     against all faces at once.
     """
-    return _face_oracles(g, degree_bound, face_limit, vertex_limit)[0]
+    fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
+    return _face_oracles(g, fs, degree_bound, face_limit)[0]
 
 
 def trace_height(g: Graph, degree_bound: int | None = None,
@@ -647,7 +676,8 @@ def trace_height(g: Graph, degree_bound: int | None = None,
     which no generator has zero slack at every tight inequality, an exact
     restatement of `monomial_on_face` (see `_missed_faces`).
     """
-    return _face_oracles(g, degree_bound, face_limit, vertex_limit)[1]
+    fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
+    return _face_oracles(g, fs, degree_bound, face_limit)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +725,10 @@ def classify(g: Graph, oracle: bool = False, degree_bound: int | None = None,
 
     check = None
     if oracle:
-        power_ok = trace_equals_power(g, spread, vertex_limit=vertex_limit)
-        m_prim, height = _face_oracles(g, degree_bound, None, vertex_limit)
+        # perfection is checked above, once
+        fs = FacetSystem.from_graph(g, check=False)
+        power_ok = _trace_equals_power(fs, spread)
+        m_prim, height = _face_oracles(g, fs, degree_bound, None)
         if all_pure:
             height_ok = (height is UNIT) if spread == 0 else (height == g.n + 1)
             agreement = power_ok and m_prim and height_ok

@@ -10,6 +10,7 @@ import dataclasses
 import gc
 import hashlib
 import pickle
+import random
 import tracemalloc
 from itertools import combinations
 
@@ -37,10 +38,15 @@ from gstab.toric import (
     FacetSystem,
     Monomial,
     OracleCheck,
+    _drop_tables,
     _face_lattice,
+    _face_of,
     _face_oracles,
     _missed_faces,
+    _module_start_degree,
     _slice,
+    _walk,
+    _zero_masks,
     a_invariant,
     anticanonical_generators,
     classify,
@@ -158,6 +164,76 @@ def int_rank(rows):
 def face_walk_missed(fs, faces, gens):
     """Faces on which no generator lies, one monomial_on_face test at a time."""
     return [f for f in faces if not any(monomial_on_face(fs, f, t) for t in gens)]
+
+
+def drop_splitter(fs, theta):
+    """The drop test by whole slices, point by point.
+
+    Returns split(points, degree), which divides a degree slice into the
+    points that drop to the previous degree (p - w is in the module for
+    some stable set w) and those that do not.  p drops iff the face cut out
+    by its zero-slack pattern (vertices with p_i = theta, cliques with sum
+    degree - theta; `_face_of`) has a degree-one point; the answer is
+    memoised on the pattern.
+    """
+    stables = _slice(fs, 0, 1)
+    cliques = [tuple(i - 1 for i in c) for c in fs.cliques]
+    masks = _zero_masks(fs, stables)
+    full = (1 << len(stables)) - 1
+    memo = {}
+
+    def split(points, degree):
+        cap = degree - theta
+        can, cannot = [], []
+        for p in points:
+            key = (*(x == theta for x in p),
+                   *(sum([p[i] for i in c]) == cap for c in cliques))
+            drops = memo.get(key)
+            if drops is None:
+                drops = memo[key] = _face_of(masks, full, key) != 0
+            (can if drops else cannot).append(p)
+        return can, cannot
+
+    return split
+
+
+def oracle_splits(g, fs, theta):
+    """(degree, slice, (drop, stuck)) by `drop_splitter` over the degrees a
+    generator search for `fs` scans: from its start degree until two
+    consecutive degrees have no stuck point, within the default window."""
+    split = drop_splitter(fs, theta)
+    start = _module_start_degree([fs], theta)
+    quiet = 0
+    for d in range(start, start + 2 * (maximal_cliques(g).dim + 3) + 1):
+        points = _slice(fs, theta, d)
+        drop, stuck = split(points, d)
+        yield d, points, (drop, stuck)
+        quiet = quiet + 1 if not stuck else 0
+        if quiet >= 2 and d > start:
+            return
+    raise AssertionError("oracle search did not stabilize")
+
+
+def oracle_generators(g, theta):
+    """Module generators as the stuck points of whole slices of `g`'s own
+    facet system, degree by degree."""
+    return tuple(Monomial(p, d) for d, _, (_, stuck) in oracle_splits(g, fs_of(g), theta)
+                 for p in stuck)
+
+
+def seeded_comparability_graphs():
+    """Six comparability graphs on 8 vertices, drawn as the fastpath
+    benchmark draws them, with relation densities stratified over
+    [0.2, 0.5]; three of them are disconnected."""
+    from gstab.posets import comparability_graph, poset_from_covers
+
+    rng = random.Random(0)
+    out = []
+    for k in range(6):
+        q = 0.2 + 0.05 * (k + rng.random())
+        rel = [(u, v) for u in range(8) for v in range(u + 1, 8) if rng.random() < q]
+        out.append((f"poset8#{k}", comparability_graph(poset_from_covers(range(8), rel))))
+    return out
 
 
 def kernel_corpus(corpus):
@@ -365,6 +441,53 @@ def test_anticanonical_generators_against_sieve(corpus):
         assert_generators_match_sieve(g, -1, anticanonical_generators(g), start)
 
 
+def test_pruned_walk_matches_drop_oracle(corpus):
+    """The walk finds the stuck points of the whole-slice drop test, pruned
+    or not, degree by degree, on every kernel graph's own facet system and
+    on 8-vertex comparability graphs; unpruned it also splits the slice
+    the same way."""
+    graphs8 = seeded_comparability_graphs()
+    assert sum(len(connected_components(g)) > 1 for _, g in graphs8) >= 2
+    for name, g in kernel_corpus(corpus) + graphs8:
+        fs = fs_of(g)
+        pruned, whole = _drop_tables(fs, True), _drop_tables(fs, False)
+        for theta in (1, -1):
+            for d, points, (drop, stuck) in oracle_splits(g, fs, theta):
+                assert _walk(fs, theta, d, *pruned)[1] == stuck, (name, theta, d)
+                assert _walk(fs, theta, d, *whole) == (drop, stuck), (name, theta, d)
+
+
+class CountingBound(list):
+    """A `_walk` bound that counts its reads: the walk reads it once per
+    node it enters."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_pruning_is_exercised():
+    from gstab.posets import comparability_graph, hmp_poset
+
+    hmp = comparability_graph(hmp_poset(5, 6))
+    for g in (hmp, disjoint_union(complete_graph(4), P3)):
+        assert omega_generators(g) == oracle_generators(g, 1)
+        assert anticanonical_generators(g) == oracle_generators(g, -1)
+    fs = fs_of(hmp)
+    masks, full, bound = _drop_tables(fs, True)
+    for theta in (1, -1):
+        leaves = points = 0
+        pruned, whole = CountingBound(bound), CountingBound([0] * len(bound))
+        for d, sl, _ in oracle_splits(hmp, fs, theta):
+            leaves += sum(map(len, _walk(fs, theta, d, masks, full, pruned)))
+            points += len(sl)
+            _walk(fs, theta, d, masks, full, whole)
+        assert leaves < points, theta
+        assert pruned.reads < whole.reads, theta
+
+
 def test_trace_generators_against_sieve():
     for g in [K2, P3, PAW, K2K1, K3K1]:
         expected = sieve_trace_generators(g, 3)
@@ -546,7 +669,7 @@ def test_missed_faces_match_face_walk(kernel_faces_and_gens):
         else:
             expected = (all(f.dim < 1 for f in missed),
                         g.n + 1 - max(f.dim for f in missed))
-        assert _face_oracles(g, None, None, None) == expected, name
+        assert _face_oracles(g, fs, None, None) == expected, name
 
 
 # -- m-primariness and height ----------------------------------------------------
@@ -592,7 +715,7 @@ def test_classify_oracle_matches_separate_calls(oracle_reports):
     for name, g, report in oracle_reports:
         dims = [maximal_cliques(c.graph).dim for c in connected_components(g)]
         separate = OracleCheck(trace_equals_power(g, dims[0] - dims[-1]),
-                               *_face_oracles(g, None, None, None), True)
+                               *_face_oracles(g, fs_of(g), None, None), True)
         assert report.oracle == separate, name
 
 
@@ -645,6 +768,22 @@ def test_classify_rejects_imperfect():
         classify(cycle_graph(5))
 
 
+def test_classify_checks_perfection_once(monkeypatch):
+    from gstab.posets import comparability_graph, hmp_poset
+
+    calls = []
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return is_perfect(g, *args, **kwargs)
+
+    monkeypatch.setattr(toric, "is_perfect", counting)
+    for g in (K2, K3K1, PAW, comparability_graph(hmp_poset(4, 6))):
+        calls.clear()
+        classify(g, oracle=True)
+        assert calls == [g]
+
+
 def test_classify_rejects_empty_graph():
     with pytest.raises(ParameterError):
         classify(empty_graph(0))
@@ -690,9 +829,9 @@ def test_nearly_gorenstein_helper(corpus):
 
 
 @st.composite
-def perfect_graphs(draw, max_n):
-    """A perfect graph on 1..max_n vertices."""
-    n = draw(st.integers(1, max_n))
+def perfect_graphs(draw, max_n, min_n=1):
+    """A perfect graph on min_n..max_n vertices."""
+    n = draw(st.integers(min_n, max_n))
     pairs = list(combinations(range(1, n + 1), 2))
     present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = Graph.from_edges(n, [p for p, keep in zip(pairs, present) if keep])
@@ -701,9 +840,9 @@ def perfect_graphs(draw, max_n):
 
 
 @st.composite
-def relabelled_perfect_graphs(draw):
-    """A perfect graph on at most 6 vertices and a relabelling of it."""
-    g = draw(perfect_graphs(6))
+def relabelled_perfect_graphs(draw, max_n=6, min_n=1):
+    """A perfect graph on min_n..max_n vertices and a relabelling of it."""
+    g = draw(perfect_graphs(max_n, min_n))
     perm = draw(st.permutations(range(1, g.n + 1)))
     return g, Graph.from_edges(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
 
@@ -711,6 +850,13 @@ def relabelled_perfect_graphs(draw):
 @settings(derandomize=True, deadline=None, max_examples=30, database=None)
 @given(relabelled_perfect_graphs())
 def test_classify_invariant_under_relabelling(pair):
+    g, h = pair
+    assert classify(h, oracle=True) == classify(g, oracle=True)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15, database=None)
+@given(relabelled_perfect_graphs(7, 7))
+def test_classify_invariant_under_relabelling_on_seven_vertices(pair):
     g, h = pair
     assert classify(h, oracle=True) == classify(g, oracle=True)
 
