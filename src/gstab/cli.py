@@ -9,15 +9,17 @@ Subcommands:
 
 Reports are canonical JSON on stdout (sorted keys, stable field set), so a
 rerun with the same inputs is byte-identical; timings go to stderr.  Exit
-codes: 0 ok and all match flags true, 2 parse error, 3 input not perfect,
-4 size guard, 5 bad parameters, 6 a match flag is false, 7 generator
-search inconclusive.
+codes: 0 ok and all match flags true, 1 stdout closed before the report
+was written (as by `| head`), 2 parse error, 3 input not perfect, 4 size
+guard, 5 bad parameters, 6 a match flag is false, 7 generator search
+inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -45,6 +47,7 @@ from .posets import Poset, antichains, comparability_graph, has_x_subposet, hmp_
 from .toric import UNIT, TraceReport, classify, trace_height, verify_equivalence
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_PARSE = 2
 EXIT_NOT_PERFECT = 3
 EXIT_SIZE_GUARD = 4
@@ -297,7 +300,16 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "kind": "OSError"}, sort_keys=True),
               file=sys.stderr)
         return EXIT_PARSE
-    print(json.dumps(payload, indent=args.json_indent, sort_keys=True))
+    try:
+        print(json.dumps(payload, indent=args.json_indent, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     elapsed = (time.perf_counter() - started) * 1000.0
     print(f"elapsed_ms={elapsed:.1f}", file=sys.stderr)
     return code

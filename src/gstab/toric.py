@@ -9,9 +9,13 @@ canonical and an anticanonical point.  Everything in this module is an
 integer computation on those inequality systems.
 
 Membership tests (`in_ring`, `in_canonical`, `in_anticanonical`,
-`in_trace`) are deliberately brute force: they are the oracle against
-which the fast combinatorial classification is checked.  The generator
-and face machinery is what makes m-primariness and trace height
+`in_trace`) work from the definitions alone: they are the oracle against
+which the fast combinatorial classification is checked.  `in_trace` is an
+exhaustive pruned search for a canonical summand: it covers every degree
+split and every summand the definition allows, and its bounds only skip
+values that no completion of a partial summand can make valid, so it
+never uses the purity criterion, the generators or the faces.  The
+generator and face machinery is what makes m-primariness and trace height
 computable at desk scale.
 """
 
@@ -192,10 +196,13 @@ def in_anticanonical_definitional(g: Graph, m: Monomial,
 def in_trace(fs: FacetSystem, m: Monomial) -> bool:
     """Is m a sum of a canonical-module point and an anticanonical point?
 
-    The search box is exhaustive: a canonical summand w must satisfy
-    1 <= w_i <= a_i + 1 (the complement has entries >= -1), and for a
-    fixed w a valid degree split exists iff the max clique sum of w plus
-    the max clique sum of m - w is at most m's degree.
+    Decided by an exhaustive pruned search over the canonical summand
+    (`_in_trace`): every degree split and every summand w in the box the
+    definition allows is covered.  The search bounds each clique's
+    unassigned part by its least and largest possible sum, so it only
+    skips values that no completion of the partial w can make valid; at a
+    clique's last vertex the test is the clique's exact inequality, so the
+    bounds never decide an answer.
     """
     _check_length(fs, m)
     a, q = m.exponents, m.degree
@@ -203,13 +210,80 @@ def in_trace(fs: FacetSystem, m: Monomial) -> bool:
         return False
     if not _in_module(fs, a, q, 0):
         return False
-    for w in product(*(range(1, x + 2) for x in a)):
-        max_w = max(_clique_sums(fs, w))
-        rest = tuple(x - y for x, y in zip(a, w))
-        max_rest = max(_clique_sums(fs, rest))
-        if max_w + max_rest <= q:
+    return _in_trace(fs, a, q)
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _trace_tables(fs: FacetSystem):
+    """The parts of the trace search that depend only on `fs`: the cliques
+    as ascending 0-based vertex tuples and the largest and smallest clique
+    sizes."""
+    cliques = tuple(tuple(sorted(i - 1 for i in c)) for c in fs.cliques)
+    sizes = [len(c) for c in cliques]
+    return cliques, max(sizes), min(sizes)
+
+
+def _in_trace(fs: FacetSystem, a, q: int) -> bool:
+    """Is the ring point x^a t^q a sum w + (a - w) of a canonical point w
+    in some degree d and an anticanonical point in degree q - d?
+
+    Spelled out, that asks for d and w with 1 <= w_i <= a_i + 1 and, for
+    every maximal clique C with clique sum cs_C,
+    cs_C(a) - q + d - 1 <= cs_C(w) <= d - 1.  Since w_i >= 1 forces
+    cs_C(w) >= |C| and w_i <= a_i + 1 forces cs_C(w) <= cs_C(a) + |C|, no d
+    outside omega + 1 .. q + 1 + min |C| (omega the largest clique size)
+    can satisfy every clique, so the degrees in that range are all tried.
+
+    For each d the vertices are assigned in order, carrying each clique's
+    partial sum.  A value of vertex v is skipped when some clique C through
+    v cannot land in its interval even if each of C's later vertices takes
+    its least value 1 or its largest value a_i + 1.  Those bounds only
+    prune: at a clique's last vertex there are no later vertices and the
+    test is the clique's own interval, so every full assignment reached is
+    a witness and no witness is skipped.
+    """
+    cliques, top, bottom = _trace_tables(fs)
+    n = fs.n
+    # per vertex v, for each clique C through it: (clique index, low,
+    # count), where count is the number of C's vertices after v and low is
+    # cs_C(a) minus the largest sum those can take, which is a's sum over
+    # C's vertices up to v minus count
+    rows = [[] for _ in range(n)]
+    for ci, c in enumerate(cliques):
+        low, count = 0, len(c)
+        for v in c:
+            low += a[v]
+            count -= 1
+            rows[v].append((ci, low - count, count))
+    part = [0] * len(cliques)
+
+    def place(v: int, hi: int, slack: int) -> bool:
+        # x >= cs_C(a) - slack - part_C - (largest sum of C's later vertices)
+        # x <= hi - part_C - (number of C's later vertices)
+        x_lo, x_hi = 1, a[v] + 1
+        for ci, low, count in rows[v]:
+            p = part[ci]
+            if low - p - slack > x_lo:
+                x_lo = low - p - slack
+            if hi - p - count < x_hi:
+                x_hi = hi - p - count
+        if x_lo > x_hi:
+            return False
+        if v + 1 == n:
             return True
-    return False
+        row = rows[v]
+        for x in range(x_lo, x_hi + 1):
+            for ci, _, _ in row:
+                part[ci] += x
+            found = place(v + 1, hi, slack)
+            for ci, _, _ in row:
+                part[ci] -= x
+            if found:
+                return True
+        return False
+
+    # hi = d - 1 is the top of every clique's interval; slack = q - d + 1
+    return any(place(0, d - 1, q - d + 1) for d in range(top + 1, q + 2 + bottom))
 
 
 # ---------------------------------------------------------------------------
@@ -522,15 +596,15 @@ def trace_equals_power(g: Graph, power: int, vertex_limit: int | None = None) ->
 
 def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
     for q in range(power):
-        if any(in_trace(fs, m) for m in degree_monomials(fs, q)):
+        if any(_in_trace(fs, a, q) for a in _slice(fs, 0, q)):
             return False
-    return all(in_trace(fs, m) for m in degree_monomials(fs, power))
+    return all(_in_trace(fs, a, power) for a in _slice(fs, 0, power))
 
 
 def trace_contains_maximal_ideal(g: Graph, vertex_limit: int | None = None) -> bool:
     """Oracle for near-Gorensteinness: every degree-one monomial in the trace."""
     fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
-    return all(in_trace(fs, m) for m in degree_monomials(fs, 1))
+    return all(_in_trace(fs, a, 1) for a in _slice(fs, 0, 1))
 
 
 # ---------------------------------------------------------------------------

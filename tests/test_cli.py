@@ -1,12 +1,19 @@
 """Command-line interface: reports, match flags, exit codes, determinism."""
 
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gstab
 from gstab import __version__
 from gstab.cli import (
+    EXIT_CLOSED_STDOUT,
     EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
     EXIT_NOT_PERFECT,
@@ -237,13 +244,23 @@ def test_verify_size_guard(capsys):
 
 
 def test_verify_default_limit_is_seven(capsys, monkeypatch):
-    # 7 is the default (a run takes about 45 s, too long for this suite);
+    # 7 is the default (a run takes 12-19 s, too long for this suite);
     # 8 still needs GSTAB_SIZE_LIMIT
     monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
     code, payload, err = run_cli(capsys, "verify", "--max-n", "8")
     assert code == EXIT_SIZE_GUARD
     assert payload is None
     assert "limited to 7 vertices" in err
+
+
+def test_size_limit_env_leaves_perfection_guard_at_default(capsys, graph_file, monkeypatch):
+    # the override that lets verify reach 8 vertices must not lower the
+    # perfection guard from 12 to 8
+    monkeypatch.setenv("GSTAB_SIZE_LIMIT", "8")
+    path = graph_file("p12.json", 12, [[i, i + 1] for i in range(1, 12)])
+    code, payload, err = run_cli(capsys, "graph", "analyze", path)
+    assert code == EXIT_OK, err
+    assert payload["classification"] == "Gorenstein"
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3"])
@@ -301,3 +318,30 @@ def test_json_indent_flag(capsys, graph_file):
 def test_mismatch_exit_code_is_distinct():
     assert EXIT_MISMATCH not in {EXIT_OK, EXIT_PARSE, EXIT_NOT_PERFECT,
                                  EXIT_SIZE_GUARD, EXIT_PARAMS}
+
+
+def test_closed_stdout_exits_1_without_traceback(capsys, monkeypatch, tmp_path):
+    class ClosedPipe(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return sink.fileno()
+
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["numsgp", "--family", "5", "3"])
+        # stdout now points at devnull, so the flush at exit cannot fail
+        assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+    assert code == EXIT_CLOSED_STDOUT
+    assert capsys.readouterr().err == ""
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["numsgp", "--family", "5", "3"]
+    env = {**os.environ, "PYTHONPATH": str(Path(gstab.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "gstab", *argv], env=env,
+                         capture_output=True, text=True, check=False)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert main(argv) == EXIT_OK
+    assert run.stdout == capsys.readouterr().out

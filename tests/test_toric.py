@@ -12,7 +12,7 @@ import hashlib
 import pickle
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,6 +42,7 @@ from gstab.toric import (
     _face_lattice,
     _face_of,
     _face_oracles,
+    _in_trace,
     _missed_faces,
     _module_start_degree,
     _slice,
@@ -197,6 +198,25 @@ def drop_splitter(fs, theta):
     return split
 
 
+def in_trace_box(fs, m):
+    """The trace test by scanning the whole box of canonical summands.
+
+    A canonical summand w of x^a t^q has 1 <= w_i <= a_i + 1 (the rest
+    a - w has entries >= -1), and for a fixed w some degree split works
+    iff the largest clique sum of w plus the largest clique sum of a - w
+    is at most q.  Both clique-sum vectors are rebuilt for every w.
+    """
+    if not in_ring(fs, m):
+        return False
+    a, q = m.exponents, m.degree
+
+    def top(exps):
+        return max(sum(exps[i - 1] for i in c) for c in fs.cliques)
+
+    return any(top(w) + top(tuple(x - y for x, y in zip(a, w))) <= q
+               for w in product(*(range(1, x + 2) for x in a)))
+
+
 def oracle_splits(g, fs, theta):
     """(degree, slice, (drop, stuck)) by `drop_splitter` over the degrees a
     generator search for `fs` scans: from its start degree until two
@@ -337,6 +357,26 @@ def test_in_trace_paw_origin_false():
 
 def test_in_trace_k3k1_degree_one_false():
     assert not in_trace(fs_of(K3K1), Monomial((0, 0, 0, 1), 1))
+
+
+def test_in_trace_matches_box_scan(corpus):
+    """The pruned witness search against the box scan at every ring point
+    of degree at most spread + 1, and at points outside the ring."""
+    cases = kernel_corpus(corpus) + [("P7", path_graph(7))]
+    for name, g in cases:
+        fs = fs_of(g)
+        dims = classify(g).component_dims
+        for q in range(dims[0] - dims[-1] + 2):
+            for m in degree_monomials(fs, q):
+                assert in_trace(fs, m) == in_trace_box(fs, m), (name, m)
+        # a negative entry, or degree 1 under a clique sum of 2
+        outside = [Monomial((*m.exponents[:-1], -1), m.degree)
+                   for m in degree_monomials(fs, 2)]
+        outside += [Monomial(m.exponents, 1) for m in degree_monomials(fs, 2)
+                    if not in_ring(fs, Monomial(m.exponents, 1))]
+        for m in outside:
+            assert not in_trace(fs, m) and not in_trace_box(fs, m), (name, m)
+            assert not _in_trace(fs, m.exponents, m.degree), (name, m)
 
 
 def test_in_trace_implies_in_ring():
@@ -797,11 +837,20 @@ def test_classify_vertex_limit_override():
 
 
 def test_size_limit_env_override(monkeypatch):
+    """GSTAB_SIZE_LIMIT only ever raises a guard; an explicit vertex_limit
+    replaces it, up or down."""
+    from gstab.config import cone_dim_limit, perfect_limit, verify_limit
+
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "13")
     assert classify(empty_graph(13)).gorenstein
+    assert (perfect_limit(), cone_dim_limit(), verify_limit()) == (13, 14, 13)
+    monkeypatch.setenv("GSTAB_SIZE_LIMIT", "8")
+    assert (perfect_limit(), cone_dim_limit(), verify_limit()) == (12, 9, 8)
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "4")
+    assert (perfect_limit(), cone_dim_limit(), verify_limit()) == (12, 9, 7)
+    assert classify(path_graph(5)).gorenstein
     with pytest.raises(SizeGuardError):
-        classify(path_graph(5))
+        classify(path_graph(5), vertex_limit=4)
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3", ""])
