@@ -7,8 +7,9 @@ never lowers one: the perfection and verify guards become the larger of
 their default and n, the cone guard the larger of its default and n + 1.
 So `GSTAB_SIZE_LIMIT=8`, which lets `verify` reach 8 vertices, leaves the
 perfection test at 12.  A value that is not a nonnegative integer is a
-ParameterError.  Individual callers may also pass explicit limits to the
-functions that enforce them; those replace the guard, up or down.
+ParameterError.  `classify(vertex_limit=...)` (the CLI's `--max-n`),
+`is_perfect(limit=...)` and `chromatic_number(limit=...)` take an explicit
+vertex limit, which replaces the perfection guard, up or down.
 """
 
 import os

@@ -178,17 +178,6 @@ def _adjacency_masks(g: Graph) -> tuple[int, ...]:
     return tuple(adj)
 
 
-def _mask_to_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
-
-
 def _maximal_clique_masks(adj: tuple[int, ...], subset: int) -> list[int]:
     """Bron-Kerbosch with pivoting, restricted to the vertices in `subset`."""
     cliques: list[int] = []
@@ -199,7 +188,7 @@ def _maximal_clique_masks(adj: tuple[int, ...], subset: int) -> list[int]:
             return
         piv_pool = p | x
         # pivot: vertex of p|x with the most neighbours inside p
-        pivot = max(_bits(piv_pool), key=lambda v: _popcount(p & adj[v]))
+        pivot = max(_bits(piv_pool), key=lambda v: (p & adj[v]).bit_count())
         for v in _bits(p & ~adj[pivot]):
             bit = 1 << v
             extend(r | bit, p & adj[v] & subset, x & adj[v] & subset)
@@ -217,16 +206,12 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
 def _max_clique_size(adj: tuple[int, ...], subset: int) -> int:
     best = 0
 
     def grow(cur_size: int, candidates: int):
         nonlocal best
-        if cur_size + _popcount(candidates) <= best:
+        if cur_size + candidates.bit_count() <= best:
             return
         if candidates == 0:
             best = max(best, cur_size)
@@ -235,7 +220,7 @@ def _max_clique_size(adj: tuple[int, ...], subset: int) -> int:
             bit = 1 << v
             grow(cur_size + 1, candidates & adj[v])
             candidates &= ~bit
-            if cur_size + _popcount(candidates) <= best:
+            if cur_size + candidates.bit_count() <= best:
                 return
 
     grow(0, subset)
@@ -278,7 +263,7 @@ def maximal_cliques(g: Graph) -> CliqueComplex:
     adj = _adjacency_masks(g)
     full = (1 << g.n) - 1
     masks = _maximal_clique_masks(adj, full)
-    cliques = sorted(_mask_to_vertices(m) for m in masks)
+    cliques = sorted(tuple(v + 1 for v in _bits(m)) for m in masks)
     dim = max((len(c) for c in cliques), default=0) - 1
     return CliqueComplex(tuple(cliques), dim)
 
@@ -347,7 +332,7 @@ def stable_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
                 break
             m ^= low
         if ok:
-            out.append(_mask_to_vertices(mask))
+            out.append(tuple(v + 1 for v in _bits(mask)))
     out.sort(key=lambda s: (len(s), s))
     return tuple(out)
 
@@ -365,7 +350,7 @@ def chromatic_number(g: Graph, limit: int | None = None) -> int:
     if g.n == 0:
         return 0
     adj = _adjacency_masks(g)
-    order = sorted(range(g.n), key=lambda v: -_popcount(adj[v]))
+    order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
     k = _max_clique_size(adj, (1 << g.n) - 1)
     while not _colorable(adj, order, k):
         k += 1
@@ -381,7 +366,7 @@ def has_odd_hole(g: Graph) -> bool:
             mask = 0
             for v in subset:
                 mask |= 1 << v
-            if all(_popcount(adj[v] & mask) == 2 for v in subset):
+            if all((adj[v] & mask).bit_count() == 2 for v in subset):
                 # 2-regular induced subgraph: a cycle iff connected
                 start = subset[0]
                 reach = 1 << start
@@ -418,7 +403,7 @@ def _perfect_by_coloring(g: Graph) -> bool:
     adj = _adjacency_masks(g)
     for mask in range(1, 1 << g.n):
         omega = _max_clique_size(adj, mask)
-        vertices = sorted(_bits(mask), key=lambda v: -_popcount(adj[v] & mask))
+        vertices = sorted(_bits(mask), key=lambda v: -(adj[v] & mask).bit_count())
         sub_adj = tuple(a & mask for a in adj)
         if not _colorable(sub_adj, vertices, omega):
             return False

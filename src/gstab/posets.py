@@ -3,18 +3,21 @@
 A poset is stored by its strict-order relation (transitive closure); cover
 relations are recomputed as the transitive reduction.  Element labels are
 arbitrary strings or ints; positions in the element list fix the vertex
-numbering of the comparability graph.
+numbering of the comparability graph.  The chain polytope of a poset is
+the stable set polytope of its comparability graph (Stanley, "Two poset
+polytopes", 1986): its maximal chains are the graph's maximal cliques and
+its antichains the graph's stable sets, so both are read off the graph.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import FormatError, ParameterError
-from .graphs import GRAPH_CACHE_SIZE, Graph
+from .graphs import Graph, stable_sets
+from .toric import FacetSystem, hilbert_function
 
 
 @dataclass(frozen=True)
@@ -220,38 +223,10 @@ def has_x_subposet(p: Poset) -> bool:
 
 
 def antichains(p: Poset) -> tuple[tuple, ...]:
-    """All antichains as label tuples, ordered by size then position."""
-    n = len(p)
-    out = []
-    for mask in range(1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        if all(j not in p.lt[i] and i not in p.lt[j]
-               for i, j in combinations(members, 2)):
-            out.append(tuple(p.elements[i] for i in members))
-    out.sort(key=lambda s: (len(s), tuple(p.elements.index(e) for e in s)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def maximal_chains(p: Poset) -> tuple[tuple[int, ...], ...]:
-    """Maximal chains as index tuples, found by DFS from minimal elements."""
-    n = len(p)
-    minimal = [i for i in range(n) if not any(i in ups for ups in p.lt)]
-    chains = []
-
-    def walk(path):
-        last = path[-1]
-        succ = [j for j in p.lt[last]
-                if not any(j in p.lt[k] for k in p.lt[last])]
-        if not succ:
-            chains.append(tuple(path))
-            return
-        for j in sorted(succ):
-            walk(path + [j])
-
-    for i in sorted(minimal):
-        walk([i])
-    return tuple(sorted(chains))
+    """All antichains as label tuples, ordered by size then position: the
+    stable sets of the comparability graph."""
+    return tuple(tuple(p.elements[v - 1] for v in s)
+                 for s in stable_sets(comparability_graph(p)))
 
 
 def polytope_point_count(p: Poset, kind: str, q: int) -> int:
@@ -287,25 +262,12 @@ def polytope_point_count(p: Poset, kind: str, q: int) -> int:
         assign(0, [0] * n)
         return count
     if kind == "chain":
-        chains = maximal_chains(p)
-        count = 0
-
-        def assign2(idx, sums):
-            nonlocal count
-            if idx == n:
-                count += 1
-                return
-            active = [k for k, ch in enumerate(chains) if idx in ch]
-            room = min((q - sums[k] for k in active), default=q)
-            for y in range(room + 1):
-                for k in active:
-                    sums[k] += y
-                assign2(idx + 1, sums)
-                for k in active:
-                    sums[k] -= y
-
-        assign2(0, [0] * len(chains))
-        return count
+        # the q-th dilate holds the degree-q ring points of the comparability
+        # graph; the empty poset has only the origin (and no facet system)
+        if n == 0:
+            return 1
+        fs = FacetSystem.from_graph(comparability_graph(p), check=False)
+        return hilbert_function(fs, q)
     raise ParameterError(f"kind must be 'order' or 'chain', got {kind!r}")
 
 

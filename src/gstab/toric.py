@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .config import cone_dim_limit
 from .errors import InconclusiveError, NotPerfectError, ParameterError, SizeGuardError
@@ -89,11 +90,10 @@ class FacetSystem:
     delta: int
 
     @staticmethod
-    def from_graph(g: Graph, check: bool = True,
-                   vertex_limit: int | None = None) -> "FacetSystem":
+    def from_graph(g: Graph, check: bool = True) -> "FacetSystem":
         if g.n == 0:
             raise ParameterError("need at least one vertex")
-        if check and not is_perfect(g, vertex_limit):
+        if check and not is_perfect(g):
             raise NotPerfectError("graph is not perfect")
         cx = maximal_cliques(g)
         return FacetSystem(g.n, cx.maximal_cliques, cx.dim + 1)
@@ -213,16 +213,6 @@ def in_trace(fs: FacetSystem, m: Monomial) -> bool:
     return _in_trace(fs, a, q)
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _trace_tables(fs: FacetSystem):
-    """The parts of the trace search that depend only on `fs`: the cliques
-    as ascending 0-based vertex tuples and the largest and smallest clique
-    sizes."""
-    cliques = tuple(tuple(sorted(i - 1 for i in c)) for c in fs.cliques)
-    sizes = [len(c) for c in cliques]
-    return cliques, max(sizes), min(sizes)
-
-
 def _in_trace(fs: FacetSystem, a, q: int) -> bool:
     """Is the ring point x^a t^q a sum w + (a - w) of a canonical point w
     in some degree d and an anticanonical point in degree q - d?
@@ -242,7 +232,8 @@ def _in_trace(fs: FacetSystem, a, q: int) -> bool:
     test is the clique's own interval, so every full assignment reached is
     a witness and no witness is skipped.
     """
-    cliques, top, bottom = _trace_tables(fs)
+    t = _tables(fs)
+    cliques = t.cliques
     n = fs.n
     # per vertex v, for each clique C through it: (clique index, low,
     # count), where count is the number of C's vertices after v and low is
@@ -283,31 +274,19 @@ def _in_trace(fs: FacetSystem, a, q: int) -> bool:
         return False
 
     # hi = d - 1 is the top of every clique's interval; slack = q - d + 1
-    return any(place(0, d - 1, q - d + 1) for d in range(top + 1, q + 2 + bottom))
+    return any(place(0, d - 1, q - d + 1) for d in range(t.top + 1, q + 2 + t.bottom))
 
 
 # ---------------------------------------------------------------------------
 # degree slices
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _vertex_cliques(fs: FacetSystem):
-    """For each vertex (0-based), the indices of the cliques containing it,
-    and the indices of the cliques whose last vertex it is."""
-    by_vertex = [[] for _ in range(fs.n)]
-    closing = [[] for _ in range(fs.n)]
-    for ci, c in enumerate(fs.cliques):
-        for v in c:
-            by_vertex[v - 1].append(ci)
-        closing[max(c) - 1].append(ci)
-    return tuple(map(tuple, by_vertex)), tuple(map(tuple, closing))
-
-
-def _walk(fs: FacetSystem, theta: int, degree: int, masks, full: int, bound):
+def _walk(fs: FacetSystem, theta: int, degree: int, index, masks, full: int, bound):
     """Walk the theta-module slice at the given degree in ascending
     lexicographic order and split its points into (drop, stuck) lists.
 
-    The walk assigns vertices in order and carries each point's face as a
-    running AND: `masks` holds a bitset per `_slack` entry (`_zero_masks`),
+    `index` is the (by_vertex, closing) pair of `_tables`.  The walk
+    assigns vertices in order and carries each point's face as a running
+    AND: `masks` holds a bitset per `_slack` entry (`_zero_masks`),
     the face starts at `full`, a vertex's mask is ANDed in when its value
     is theta (slack 0), and a clique's when its last vertex is assigned and
     its sum reaches degree - theta.  A point is stuck iff its face is 0.
@@ -320,7 +299,7 @@ def _walk(fs: FacetSystem, theta: int, degree: int, masks, full: int, bound):
     caps = [degree - theta * (len(c) + 1) for c in fs.cliques]
     if any(cap < 0 for cap in caps):
         return [], []
-    by_vertex, closing = _vertex_cliques(fs)
+    by_vertex, closing = index
     drop: list[tuple[int, ...]] = []
     stuck: list[tuple[int, ...]] = []
     shifted = [0] * n
@@ -359,7 +338,7 @@ def _slice(fs: FacetSystem, theta: int, degree: int) -> tuple[tuple[int, ...], .
     """All exponent vectors in the theta-module at the given degree,
     in ascending lexicographic order."""
     zeros = [0] * (fs.n + len(fs.cliques))
-    return tuple(_walk(fs, theta, degree, zeros, 0, zeros)[1])
+    return tuple(_walk(fs, theta, degree, _tables(fs).index, zeros, 0, zeros)[1])
 
 
 def degree_monomials(fs: FacetSystem, q: int) -> list[Monomial]:
@@ -450,21 +429,44 @@ def _face_of(masks, full: int, pattern) -> int:
 # products need every component's droppable points, so a disconnected
 # graph walks whole slices.
 
-def _drop_tables(fs: FacetSystem, prune: bool):
-    """The (masks, full, bound) arguments of `_walk` for the drop test of
-    `fs`, with a bound that prunes or (all zero) one that never does."""
-    stables = _slice(fs, 0, 1)
-    masks = _zero_masks(fs, stables)
-    full = (1 << len(stables)) - 1
-    if not prune:
-        return masks, full, [0] * (fs.n + 1)
-    closing = _vertex_cliques(fs)[1]
-    bound = [full] * (fs.n + 1)
-    for v in reversed(range(fs.n)):
+class _Tables(NamedTuple):
+    """Everything the searches of this module read off one facet system."""
+
+    cliques: tuple   # the cliques as ascending 0-based vertex tuples
+    index: tuple     # per vertex: the cliques through it, the cliques it closes
+    top: int         # the largest clique size
+    bottom: int      # the smallest clique size
+    points: tuple    # the degree-one points (stable sets), `_slice(fs, 0, 1)`
+    masks: tuple     # their `_zero_masks`; bit k of a face is points[k]
+    full: int        # the bitset of every point
+    bound: tuple     # the pruning bound of `_walk`, described above
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _tables(fs: FacetSystem) -> _Tables:
+    """The `_Tables` of `fs`, built once per facet system.  The clique
+    index is built first, since `_walk` needs it to list the points."""
+    n = fs.n
+    cliques = tuple(tuple(sorted(i - 1 for i in c)) for c in fs.cliques)
+    by_vertex = [[] for _ in range(n)]
+    closing = [[] for _ in range(n)]
+    for ci, c in enumerate(cliques):
+        for v in c:
+            by_vertex[v].append(ci)
+        closing[c[-1]].append(ci)
+    index = tuple(map(tuple, by_vertex)), tuple(map(tuple, closing))
+    zeros = [0] * (n + len(cliques))
+    points = tuple(_walk(fs, 0, 1, index, zeros, 0, zeros)[1])
+    masks = tuple(_zero_masks(fs, points))
+    full = (1 << len(points)) - 1
+    bound = [full] * (n + 1)
+    for v in reversed(range(n)):
         bound[v] = bound[v + 1] & masks[v]
         for ci in closing[v]:
-            bound[v] &= masks[fs.n + ci]
-    return masks, full, bound
+            bound[v] &= masks[n + ci]
+    sizes = [len(c) for c in cliques]
+    return _Tables(cliques, index, max(sizes), min(sizes), points, masks, full,
+                   tuple(bound))
 
 
 def _module_start_degree(fs_list, theta: int) -> int:
@@ -480,7 +482,10 @@ def _module_generators(g: Graph, theta: int, degree_bound: int | None) -> list[M
         raise ParameterError(f"degree bound must be nonnegative, got {degree_bound}")
     comps = connected_components(g)
     fs_list = [FacetSystem.from_graph(c.graph, check=False) for c in comps]
-    tables = [_drop_tables(fs, len(comps) == 1) for fs in fs_list]
+    tables = [_tables(fs) for fs in fs_list]
+    # the product pools below need every component's droppable points, so
+    # only a connected graph prunes
+    prune = len(comps) == 1
     window = degree_bound if degree_bound is not None \
         else 2 * (maximal_cliques(g).dim + 3)
     start = _module_start_degree(fs_list, theta)
@@ -496,7 +501,9 @@ def _module_generators(g: Graph, theta: int, degree_bound: int | None) -> list[M
     quiet = 0
     stabilized = False
     for d in range(start, start + window + 1):
-        splits = [_walk(fs, theta, d, *t) for fs, t in zip(fs_list, tables)]
+        splits = [_walk(fs, theta, d, t.index, t.masks, t.full,
+                        t.bound if prune else (0,) * len(t.bound))
+                  for fs, t in zip(fs_list, tables)]
         new = 0
         for j in range(len(comps)):
             # an empty component slice empties every product
@@ -581,7 +588,7 @@ def trace_is_unit(g: Graph, degree_bound: int | None = None) -> bool:
 # ---------------------------------------------------------------------------
 # trace as a power of the maximal ideal (brute-force route)
 
-def trace_equals_power(g: Graph, power: int, vertex_limit: int | None = None) -> bool:
+def trace_equals_power(g: Graph, power: int) -> bool:
     """Does the trace equal the power-th power of the maximal ideal?
 
     Checks that no ring monomial of smaller degree is in the trace and
@@ -591,7 +598,7 @@ def trace_equals_power(g: Graph, power: int, vertex_limit: int | None = None) ->
     """
     if power < 0:
         raise ParameterError("power must be nonnegative")
-    return _trace_equals_power(FacetSystem.from_graph(g, vertex_limit=vertex_limit), power)
+    return _trace_equals_power(FacetSystem.from_graph(g), power)
 
 
 def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
@@ -601,24 +608,24 @@ def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
     return all(_in_trace(fs, a, power) for a in _slice(fs, 0, power))
 
 
-def trace_contains_maximal_ideal(g: Graph, vertex_limit: int | None = None) -> bool:
+def trace_contains_maximal_ideal(g: Graph) -> bool:
     """Oracle for near-Gorensteinness: every degree-one monomial in the trace."""
-    fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
+    fs = FacetSystem.from_graph(g)
     return all(_in_trace(fs, a, 1) for a in _slice(fs, 0, 1))
 
 
 # ---------------------------------------------------------------------------
 # faces of the cone
 
-def _face_lattice(fs: FacetSystem, limit: int | None = None):
-    """All faces of the cone over the stable set polytope, as
-    `(verts, facets, dims)`: the degree-one points, the facet bitsets
-    (`_zero_masks`), and a dict from each face to its dimension.
+def _face_lattice(fs: FacetSystem) -> dict[int, int]:
+    """All faces of the cone over the stable set polytope, as a dict from
+    each face to its dimension.
 
     Because the polytope has 0/1 vertices, each face is spanned by its
     degree-one lattice points, so a face is identified by the bitset of
-    those points (bit k for the k-th point of the lexicographic slice) and
-    an intersection of faces by the AND of their bitsets.  An inequality is
+    those points (bit k for `_tables(fs).points[k]`) and an intersection
+    of faces by the AND of their bitsets, the facets being the
+    `_zero_masks`.  An inequality is
     tight on a face iff the face's points all lie on that facet, a subset
     test of the two bitsets.
 
@@ -630,19 +637,17 @@ def _face_lattice(fs: FacetSystem, limit: int | None = None):
     decreasing point count settles each dimension before it is passed on.
     The apex is the face with no points, of dimension 0.
     """
-    limit = cone_dim_limit() if limit is None else limit
+    limit = cone_dim_limit()
     if fs.n + 1 > limit:
         raise SizeGuardError(
             f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
-    verts = _slice(fs, 0, 1)
-    facets = _zero_masks(fs, verts)
-    full = (1 << len(verts)) - 1
-    dims = {full: fs.n + 1}
-    by_size = [[] for _ in verts] + [[full]]
+    t = _tables(fs)
+    dims = {t.full: fs.n + 1}
+    by_size = [[] for _ in t.points] + [[t.full]]
     for bucket in reversed(by_size):
         for face in bucket:
             below = dims[face] - 1
-            for f in facets:
+            for f in t.masks:
                 sub = face & f
                 if sub == face:
                     continue
@@ -652,20 +657,20 @@ def _face_lattice(fs: FacetSystem, limit: int | None = None):
                     dims[sub] = below
                 elif known > below:
                     dims[sub] = below
-    return verts, facets, dims
+    return dims
 
 
-def cone_faces(fs: FacetSystem, limit: int | None = None) -> tuple[Face, ...]:
+def cone_faces(fs: FacetSystem) -> tuple[Face, ...]:
     """All faces of the cone over the stable set polytope, ordered by
     dimension and then by their points (see `_face_lattice`)."""
-    verts, facets, dims = _face_lattice(fs, limit)
+    t = _tables(fs)
     faces = []
-    for face, dim in dims.items():
-        tight = [j for j, f in enumerate(facets) if face & f == face]
+    for face, dim in _face_lattice(fs).items():
+        tight = [j for j, f in enumerate(t.masks) if face & f == face]
         bits = bin(face)[:1:-1]   # bit k of the face at index k
         faces.append(Face(frozenset(j + 1 for j in tight if j < fs.n),
                           frozenset(j - fs.n for j in tight if j >= fs.n),
-                          tuple(verts[k] for k, b in enumerate(bits) if b == "1"),
+                          tuple(t.points[k] for k, b in enumerate(bits) if b == "1"),
                           dim))
     faces.sort(key=lambda f: (f.dim, f.points))
     return tuple(faces)
@@ -681,8 +686,8 @@ def monomial_on_face(fs: FacetSystem, face: Face, m: Monomial) -> bool:
         for ci in face.tight_cliques)
 
 
-def _missed_faces(fs: FacetSystem, lattice, gens) -> dict[int, int]:
-    """The faces of `lattice` (a `_face_lattice` result) on which no
+def _missed_faces(fs: FacetSystem, dims, gens) -> dict[int, int]:
+    """The faces of `dims` (a `_face_lattice` result) on which no
     generator lies, as a dict from face bitset to dimension.
 
     A ring point t lies on a face F iff its slack (`_slack`) is 0 at every
@@ -690,36 +695,28 @@ def _missed_faces(fs: FacetSystem, lattice, gens) -> dict[int, int]:
     inequalities where t has slack 0 cut out the smallest face containing
     t (`_face_of`), so t lies on F iff that face is a subset of F.
     """
-    verts, facets, dims = lattice
-    full = (1 << len(verts)) - 1
-    cuts = {_face_of(facets, full, [x == 0 for x in _slack(fs, t.exponents, t.degree)])
-            for t in gens}
+    t = _tables(fs)
+    cuts = {_face_of(t.masks, t.full, [x == 0 for x in _slack(fs, m.exponents, m.degree)])
+            for m in gens}
     return {face: dim for face, dim in dims.items()
             if not any(cut & face == cut for cut in cuts)}
 
 
-def _face_oracles(g: Graph, fs: FacetSystem, degree_bound: int | None,
-                  face_limit: int | None) -> tuple[bool, object]:
-    """m-primariness and height of the trace ideal, from one pass over the
-    facet system `fs` of the perfect graph `g`.
+def _face_oracles(g: Graph, fs: FacetSystem, degree_bound: int | None) -> object:
+    """Height of the trace ideal, or UNIT, from one pass over the facet
+    system `fs` of the perfect graph `g`.
 
-    One face enumeration, one trace-generator search and one
-    `_missed_faces` result serve both answers.  The faces are enumerated
-    first: the size guard must fire before the generator search, which
-    grows much faster with the vertex count.
+    The faces are enumerated first: the size guard must fire before the
+    generator search, which grows much faster with the vertex count.
     """
-    lattice = _face_lattice(fs, face_limit)
+    dims = _face_lattice(fs)
     gens = trace_generators(g, degree_bound)
     if _is_unit(gens):
-        return True, UNIT
-    missed = _missed_faces(fs, lattice, gens).values()
-    # the apex carries no generator unless the trace is the unit ideal
-    return all(dim < 1 for dim in missed), (fs.n + 1) - max(missed)
+        return UNIT
+    return (fs.n + 1) - max(_missed_faces(fs, dims, gens).values())
 
 
-def is_m_primary(g: Graph, degree_bound: int | None = None,
-                 face_limit: int | None = None,
-                 vertex_limit: int | None = None) -> bool:
+def is_m_primary(g: Graph, degree_bound: int | None = None) -> bool:
     """Is the trace ideal primary to the maximal ideal?
 
     True iff every positive-dimensional face of the cone carries a trace
@@ -733,14 +730,16 @@ def is_m_primary(g: Graph, degree_bound: int | None = None,
     a_i = 0 and sum_{i in C} a_i = q, which `monomial_on_face` checks, are
     those slack entries being 0.  `_missed_faces` tests all generators
     against all faces at once.
+
+    The apex (dimension 0) carries no generator unless the trace is the
+    unit ideal, so the trace is m-primary iff the apex is the only missed
+    face, that is iff the height is UNIT or the cone dimension n + 1.
     """
-    fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
-    return _face_oracles(g, fs, degree_bound, face_limit)[0]
+    height = _face_oracles(g, FacetSystem.from_graph(g), degree_bound)
+    return height is UNIT or height == g.n + 1
 
 
-def trace_height(g: Graph, degree_bound: int | None = None,
-                 face_limit: int | None = None,
-                 vertex_limit: int | None = None):
+def trace_height(g: Graph, degree_bound: int | None = None):
     """Height of the trace ideal, or UNIT when the trace is the whole ring.
 
     The radical of a monomial ideal is an intersection of face primes, and
@@ -750,8 +749,7 @@ def trace_height(g: Graph, degree_bound: int | None = None,
     which no generator has zero slack at every tight inequality, an exact
     restatement of `monomial_on_face` (see `_missed_faces`).
     """
-    fs = FacetSystem.from_graph(g, vertex_limit=vertex_limit)
-    return _face_oracles(g, fs, degree_bound, face_limit)[1]
+    return _face_oracles(g, FacetSystem.from_graph(g), degree_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -802,13 +800,14 @@ def classify(g: Graph, oracle: bool = False, degree_bound: int | None = None,
         # perfection is checked above, once
         fs = FacetSystem.from_graph(g, check=False)
         power_ok = _trace_equals_power(fs, spread)
-        m_prim, height = _face_oracles(g, fs, degree_bound, None)
+        height = _face_oracles(g, fs, degree_bound)
+        # see is_m_primary
+        m_prim = height is UNIT or height == g.n + 1
         if all_pure:
             height_ok = (height is UNIT) if spread == 0 else (height == g.n + 1)
-            agreement = power_ok and m_prim and height_ok
+            agreement = power_ok and height_ok
         else:
-            agreement = (not power_ok) and (not m_prim) \
-                and height is not UNIT and height < g.n + 1
+            agreement = not power_ok and not m_prim
         check = OracleCheck(power_ok, m_prim, height, agreement)
 
     return TraceReport(
@@ -824,7 +823,7 @@ def classify(g: Graph, oracle: bool = False, degree_bound: int | None = None,
     )
 
 
-def verify_equivalence(max_n: int, vertex_limit: int | None = None) -> dict:
+def verify_equivalence(max_n: int) -> dict:
     """Run the purity criterion against both oracles over all graphs up to
     max_n vertices (one representative per isomorphism class).
 
@@ -836,10 +835,10 @@ def verify_equivalence(max_n: int, vertex_limit: int | None = None) -> dict:
     for n in range(1, max_n + 1):
         for g in graphs_up_to_iso(n):
             checked += 1
-            if not is_perfect(g, vertex_limit):
+            if not is_perfect(g):
                 continue
             perfect_count += 1
-            report = classify(g, oracle=True, vertex_limit=vertex_limit)
+            report = classify(g, oracle=True)
             fast_gps = report.classification != "NotGPS"
             if not (fast_gps == report.oracle.trace_power == report.oracle.m_primary
                     and report.oracle.agreement):

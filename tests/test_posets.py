@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from gstab.errors import FormatError, ParameterError
-from gstab.graphs import complete_graph, empty_graph, stable_sets
+from gstab.graphs import complete_graph, empty_graph, maximal_cliques, stable_sets
 from gstab.posets import (
     antichain,
     antichains,
@@ -15,7 +15,6 @@ from gstab.posets import (
     has_x_subposet,
     hmp_poset,
     load_poset,
-    maximal_chains,
     ordinal_sum,
     parse_poset_json,
     polytope_point_count,
@@ -50,6 +49,28 @@ def brute_order_points(p, q):
         if all(y[i] <= y[j] for i in range(n) for j in p.lt[i]):
             count += 1
     return count
+
+
+def maximal_chains(p):
+    """Maximal chains as index tuples, found by DFS from minimal elements
+    along cover relations."""
+    n = len(p)
+    minimal = [i for i in range(n) if not any(i in ups for ups in p.lt)]
+    chains = []
+
+    def walk(path):
+        last = path[-1]
+        succ = [j for j in p.lt[last]
+                if not any(j in p.lt[k] for k in p.lt[last])]
+        if not succ:
+            chains.append(tuple(path))
+            return
+        for j in sorted(succ):
+            walk(path + [j])
+
+    for i in sorted(minimal):
+        walk([i])
+    return sorted(chains)
 
 
 def brute_chain_points(p, q):
@@ -248,6 +269,14 @@ def test_zero_dilate_is_origin():
         assert polytope_point_count(p, "chain", 0) == 1
 
 
+def test_empty_poset_polytopes_are_the_origin():
+    empty = poset_from_covers([], [])
+    for q in range(3):
+        assert polytope_point_count(empty, "order", q) == 1
+        assert polytope_point_count(empty, "chain", q) == 1
+    assert antichains(empty) == ((),)
+
+
 def test_point_counts_match_brute_force():
     for p in [chain(3), antichain(3), hmp_poset(4, 5), x_poset()]:
         for q in range(4):
@@ -264,9 +293,14 @@ def test_chain_polytope_counts_ring_monomials():
 
 
 def test_maximal_chains_hmp45():
+    """The test oracle's chains, which are also the maximal cliques of the
+    comparability graph that the library counts on."""
     p = hmp_poset(4, 5)
     labeled = [tuple(p.elements[i] for i in ch) for ch in maximal_chains(p)]
     assert sorted(labeled) == [("m", "c1", "c2"), ("m", "p")]
+    cliques = maximal_cliques(comparability_graph(p)).maximal_cliques
+    assert sorted(tuple(sorted(i + 1 for i in ch)) for ch in maximal_chains(p)) == \
+        list(cliques)
 
 
 def test_point_count_rejects_bad_kind():

@@ -38,7 +38,6 @@ from gstab.toric import (
     FacetSystem,
     Monomial,
     OracleCheck,
-    _drop_tables,
     _face_lattice,
     _face_of,
     _face_oracles,
@@ -46,6 +45,7 @@ from gstab.toric import (
     _missed_faces,
     _module_start_degree,
     _slice,
+    _tables,
     _walk,
     _zero_masks,
     a_invariant,
@@ -490,11 +490,13 @@ def test_pruned_walk_matches_drop_oracle(corpus):
     assert sum(len(connected_components(g)) > 1 for _, g in graphs8) >= 2
     for name, g in kernel_corpus(corpus) + graphs8:
         fs = fs_of(g)
-        pruned, whole = _drop_tables(fs, True), _drop_tables(fs, False)
+        t = _tables(fs)
+        walk = (t.index, t.masks, t.full)
         for theta in (1, -1):
             for d, points, (drop, stuck) in oracle_splits(g, fs, theta):
-                assert _walk(fs, theta, d, *pruned)[1] == stuck, (name, theta, d)
-                assert _walk(fs, theta, d, *whole) == (drop, stuck), (name, theta, d)
+                assert _walk(fs, theta, d, *walk, t.bound)[1] == stuck, (name, theta, d)
+                assert _walk(fs, theta, d, *walk, [0] * (fs.n + 1)) == (drop, stuck), \
+                    (name, theta, d)
 
 
 class CountingBound(list):
@@ -516,16 +518,35 @@ def test_pruning_is_exercised():
         assert omega_generators(g) == oracle_generators(g, 1)
         assert anticanonical_generators(g) == oracle_generators(g, -1)
     fs = fs_of(hmp)
-    masks, full, bound = _drop_tables(fs, True)
+    t = _tables(fs)
+    walk = (t.index, t.masks, t.full)
     for theta in (1, -1):
         leaves = points = 0
-        pruned, whole = CountingBound(bound), CountingBound([0] * len(bound))
+        pruned, whole = CountingBound(t.bound), CountingBound([0] * len(t.bound))
         for d, sl, _ in oracle_splits(hmp, fs, theta):
-            leaves += sum(map(len, _walk(fs, theta, d, masks, full, pruned)))
+            leaves += sum(map(len, _walk(fs, theta, d, *walk, pruned)))
             points += len(sl)
-            _walk(fs, theta, d, masks, full, whole)
+            _walk(fs, theta, d, *walk, whole)
         assert leaves < points, theta
         assert pruned.reads < whole.reads, theta
+
+
+def test_tables_built_once_per_facet_system(monkeypatch):
+    """`classify(oracle=True)` builds the incidence table once per facet
+    system: once for a connected graph, and for K4+P3 once per component
+    plus once for the union."""
+    from gstab.posets import comparability_graph, hmp_poset
+
+    builds = []
+    zero_masks = toric._zero_masks
+    monkeypatch.setattr(toric, "_zero_masks",
+                        lambda *args: builds.append(1) or zero_masks(*args))
+    for g, expected in ((comparability_graph(hmp_poset(5, 6)), 1),
+                        (disjoint_union(complete_graph(4), P3), 3)):
+        _tables.cache_clear()
+        builds.clear()
+        assert classify(g, oracle=True).oracle.agreement
+        assert len(builds) == expected
 
 
 def test_trace_generators_against_sieve():
@@ -698,18 +719,18 @@ def test_origin_face_accepts_only_origin():
 def test_missed_faces_match_face_walk(kernel_faces_and_gens):
     for name, g, fs, faces, gens in kernel_faces_and_gens:
         missed = face_walk_missed(fs, faces, gens)
-        lattice = _face_lattice(fs)
         # each walked face as its bitset of degree-one points, with its dim
-        index = {p: k for k, p in enumerate(lattice[0])}
+        index = {p: k for k, p in enumerate(_tables(fs).points)}
         walked = {sum(1 << index[p] for p in f.points): f.dim for f in missed}
-        assert _missed_faces(fs, lattice, gens) == walked, name
-        # the one pass behind is_m_primary and trace_height, against the walk
+        assert _missed_faces(fs, _face_lattice(fs), gens) == walked, name
+        # the one pass behind is_m_primary and trace_height, against the
+        # walk: m-primary (only the apex missed) iff the height is UNIT or n + 1
+        height = _face_oracles(g, fs, None)
         if gens == (Monomial((0,) * g.n, 0),):
-            expected = (True, UNIT)
+            assert height is UNIT, name
         else:
-            expected = (all(f.dim < 1 for f in missed),
-                        g.n + 1 - max(f.dim for f in missed))
-        assert _face_oracles(g, fs, None, None) == expected, name
+            assert height == g.n + 1 - max(f.dim for f in missed), name
+        assert all(f.dim < 1 for f in missed) == (height is UNIT or height == g.n + 1), name
 
 
 # -- m-primariness and height ----------------------------------------------------
@@ -754,8 +775,9 @@ def test_classify_oracle_matches_separate_calls(oracle_reports):
     # agreement is True: the criterion holds on every graph of the corpus
     for name, g, report in oracle_reports:
         dims = [maximal_cliques(c.graph).dim for c in connected_components(g)]
+        height = _face_oracles(g, fs_of(g), None)
         separate = OracleCheck(trace_equals_power(g, dims[0] - dims[-1]),
-                               *_face_oracles(g, fs_of(g), None, None), True)
+                               height is UNIT or height == g.n + 1, height, True)
         assert report.oracle == separate, name
 
 
