@@ -338,7 +338,7 @@ def _slice(fs: FacetSystem, theta: int, degree: int) -> tuple[tuple[int, ...], .
     """All exponent vectors in the theta-module at the given degree,
     in ascending lexicographic order."""
     zeros = [0] * (fs.n + len(fs.cliques))
-    return tuple(_walk(fs, theta, degree, _tables(fs).index, zeros, 0, zeros)[1])
+    return tuple(_walk(fs, theta, degree, _clique_index(fs)[1], zeros, 0, zeros)[1])
 
 
 def degree_monomials(fs: FacetSystem, q: int) -> list[Monomial]:
@@ -391,14 +391,15 @@ def _zero_masks(fs: FacetSystem, points) -> list[int]:
     return masks
 
 
-def _face_of(masks, full: int, pattern) -> int:
-    """The face cut out by a zero-slack pattern (a truth value per entry of
-    `_slack`), as the bitset of its degree-one points; `full` has a bit
-    for every point.  The apex, the face without points, is 0."""
+def _face_of(masks, full: int, pattern: int) -> int:
+    """The face cut out by a zero-slack pattern (bit j set where entry j of
+    `_slack` is 0), as the bitset of its degree-one points; `full` has a
+    bit for every point.  The apex, the face without points, is 0."""
     face = full
-    for tight, mask in zip(pattern, masks):
-        if tight:
-            face &= mask
+    while pattern:
+        low = pattern & -pattern
+        face &= masks[low.bit_length() - 1]
+        pattern ^= low
     return face
 
 
@@ -442,19 +443,28 @@ class _Tables(NamedTuple):
     bound: tuple     # the pruning bound of `_walk`, described above
 
 
+def _clique_index(fs: FacetSystem) -> tuple[tuple, tuple]:
+    """The cliques of `fs` as ascending 0-based vertex tuples, and the
+    clique index `_walk` reads: per vertex, the cliques through it and the
+    cliques whose last vertex it is.  Uncached: it costs one pass over the
+    cliques, and `_slice` needs nothing else of `_tables`."""
+    cliques = tuple(tuple(sorted(i - 1 for i in c)) for c in fs.cliques)
+    by_vertex = [[] for _ in range(fs.n)]
+    closing = [[] for _ in range(fs.n)]
+    for ci, c in enumerate(cliques):
+        for v in c:
+            by_vertex[v].append(ci)
+        closing[c[-1]].append(ci)
+    return cliques, (tuple(map(tuple, by_vertex)), tuple(map(tuple, closing)))
+
+
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _tables(fs: FacetSystem) -> _Tables:
     """The `_Tables` of `fs`, built once per facet system.  The clique
     index is built first, since `_walk` needs it to list the points."""
     n = fs.n
-    cliques = tuple(tuple(sorted(i - 1 for i in c)) for c in fs.cliques)
-    by_vertex = [[] for _ in range(n)]
-    closing = [[] for _ in range(n)]
-    for ci, c in enumerate(cliques):
-        for v in c:
-            by_vertex[v].append(ci)
-        closing[c[-1]].append(ci)
-    index = tuple(map(tuple, by_vertex)), tuple(map(tuple, closing))
+    cliques, index = _clique_index(fs)
+    closing = index[1]
     zeros = [0] * (n + len(cliques))
     points = tuple(_walk(fs, 0, 1, index, zeros, 0, zeros)[1])
     masks = tuple(_zero_masks(fs, points))
@@ -576,13 +586,9 @@ def trace_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomia
     return tuple(kept)
 
 
-def _is_unit(gens) -> bool:
-    """Do the minimal trace generators say the trace is the whole ring?"""
-    return len(gens) == 1 and gens[0].degree == 0
-
-
 def trace_is_unit(g: Graph, degree_bound: int | None = None) -> bool:
-    return _is_unit(trace_generators(g, degree_bound))
+    gens = trace_generators(g, degree_bound)
+    return len(gens) == 1 and gens[0].degree == 0
 
 
 # ---------------------------------------------------------------------------
@@ -686,54 +692,68 @@ def monomial_on_face(fs: FacetSystem, face: Face, m: Monomial) -> bool:
         for ci in face.tight_cliques)
 
 
-def _missed_faces(fs: FacetSystem, dims, gens) -> dict[int, int]:
-    """The faces of `dims` (a `_face_lattice` result) on which no
-    generator lies, as a dict from face bitset to dimension.
-
-    A ring point t lies on a face F iff its slack (`_slack`) is 0 at every
-    inequality tight on F, which is `monomial_on_face` verbatim.  The
-    inequalities where t has slack 0 cut out the smallest face containing
-    t (`_face_of`), so t lies on F iff that face is a subset of F.
-    """
-    t = _tables(fs)
-    cuts = {_face_of(t.masks, t.full, [x == 0 for x in _slack(fs, m.exponents, m.degree)])
-            for m in gens}
-    return {face: dim for face, dim in dims.items()
-            if not any(cut & face == cut for cut in cuts)}
+def _tight_patterns(fs: FacetSystem, gens, value: int) -> set[int]:
+    """The distinct bitsets, one per generator, of the `_slack` entries
+    equal to `value` (bit j for entry j)."""
+    out = set()
+    for m in gens:
+        pattern = 0
+        for j, x in enumerate(_slack(fs, m.exponents, m.degree)):
+            if x == value:
+                pattern |= 1 << j
+        out.add(pattern)
+    return out
 
 
 def _face_oracles(g: Graph, fs: FacetSystem, degree_bound: int | None) -> object:
     """Height of the trace ideal, or UNIT, from one pass over the facet
     system `fs` of the perfect graph `g`.
 
+    The sums w + v of a canonical generator w and an anticanonical
+    generator v generate the trace, so every trace point is such a sum
+    plus a ring point r.  Slack entries are >= 0 on the ring, so s + r
+    has slack 0 at an entry iff s and r both do: a face meets the trace
+    iff some sum w + v lies on it.  Slack is additive, canonical points
+    have slack >= 1 and anticanonical points slack >= -1 in every entry,
+    so w + v has slack 0 exactly where w has slack 1 and v has slack -1.
+    Its zero-slack pattern is the AND of those two bitsets, and no sum is
+    formed or reduced to minimal generators.
+
+    Each distinct pattern cuts out (`_face_of`) the smallest face holding
+    its sums, so a face meets the trace iff it contains one of those cuts.
+    The origin is the only ring point whose cut is the apex, so a cut of 0
+    puts 1 in the trace: UNIT.  Otherwise the height is n + 1 minus the
+    largest dimension of a face containing no cut, which the apex always
+    is.  The cuts are tested smallest first, the likeliest to fit.
+
     The faces are enumerated first: the size guard must fire before the
     generator search, which grows much faster with the vertex count.
     """
     dims = _face_lattice(fs)
-    gens = trace_generators(g, degree_bound)
-    if _is_unit(gens):
+    omega = _tight_patterns(fs, omega_generators(g, degree_bound), 1)
+    anti = _tight_patterns(fs, anticanonical_generators(g, degree_bound), -1)
+    t = _tables(fs)
+    cuts = {_face_of(t.masks, t.full, p) for p in {w & v for w in omega for v in anti}}
+    if 0 in cuts:
         return UNIT
-    return (fs.n + 1) - max(_missed_faces(fs, dims, gens).values())
+    cuts = sorted(cuts, key=int.bit_count)
+    best = 0
+    for face, dim in dims.items():
+        if dim > best and not any(cut & face == cut for cut in cuts):
+            best = dim
+    return (fs.n + 1) - best
 
 
 def is_m_primary(g: Graph, degree_bound: int | None = None) -> bool:
     """Is the trace ideal primary to the maximal ideal?
 
-    True iff every positive-dimensional face of the cone carries a trace
-    generator: a point on a face only decomposes into points on that face,
-    so the trace meets a face iff a generator lies on it, and the trace is
-    m-primary iff it meets every face except the origin.  A unit trace
-    (Gorenstein ring) counts as m-primary.
-
-    A generator lies on a face iff its slack vector is 0 at every
-    inequality tight on the face.  This is exact: the face's equalities
-    a_i = 0 and sum_{i in C} a_i = q, which `monomial_on_face` checks, are
-    those slack entries being 0.  `_missed_faces` tests all generators
-    against all faces at once.
-
-    The apex (dimension 0) carries no generator unless the trace is the
-    unit ideal, so the trace is m-primary iff the apex is the only missed
-    face, that is iff the height is UNIT or the cone dimension n + 1.
+    True iff the trace meets every face of the cone except the apex; a
+    unit trace (Gorenstein ring) counts as m-primary.  The apex meets the
+    trace only when the trace is the unit ideal, so the trace is m-primary
+    iff the height is UNIT or the cone dimension n + 1.  Which faces meet
+    the trace is read off the zero-slack patterns of the pairwise sums of
+    canonical and anticanonical generators (`_face_oracles`): a face meets
+    it iff it contains the face one of those patterns cuts out.
     """
     height = _face_oracles(g, FacetSystem.from_graph(g), degree_bound)
     return height is UNIT or height == g.n + 1
@@ -745,9 +765,10 @@ def trace_height(g: Graph, degree_bound: int | None = None):
     The radical of a monomial ideal is an intersection of face primes, and
     the height of a face prime is the cone dimension minus the face
     dimension, so the height is n + 1 minus the largest dimension of a
-    face avoiding the trace.  The faces avoiding the trace are those on
-    which no generator has zero slack at every tight inequality, an exact
-    restatement of `monomial_on_face` (see `_missed_faces`).
+    face avoiding the trace.  A face meets the trace iff some sum w + v of
+    a canonical and an anticanonical generator lies on it, that is iff it
+    contains the face cut out by the AND of w's slack-1 and v's slack-(-1)
+    bitsets; `_face_oracles` gives the argument.
     """
     return _face_oracles(g, FacetSystem.from_graph(g), degree_bound)
 

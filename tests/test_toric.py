@@ -42,8 +42,8 @@ from gstab.toric import (
     _face_of,
     _face_oracles,
     _in_trace,
-    _missed_faces,
     _module_start_degree,
+    _slack,
     _slice,
     _tables,
     _walk,
@@ -167,6 +167,27 @@ def face_walk_missed(fs, faces, gens):
     return [f for f in faces if not any(monomial_on_face(fs, f, t) for t in gens)]
 
 
+def bits(flags):
+    """The int bitset with bit j set where flags[j] is true."""
+    return sum(1 << j for j, flag in enumerate(flags) if flag)
+
+
+def missed_faces(fs, dims, gens):
+    """The faces of `dims` (a `_face_lattice` result) on which no
+    generator lies, as a dict from face bitset to dimension.
+
+    A ring point lies on a face F iff its slack (`_slack`) is 0 at every
+    inequality tight on F, which is `monomial_on_face` verbatim.  The
+    inequalities where it has slack 0 cut out the smallest face containing
+    it (`_face_of`), so it lies on F iff that face is a subset of F.
+    """
+    t = _tables(fs)
+    cuts = {_face_of(t.masks, t.full, bits(x == 0 for x in _slack(fs, m.exponents, m.degree)))
+            for m in gens}
+    return {face: dim for face, dim in dims.items()
+            if not any(cut & face == cut for cut in cuts)}
+
+
 def drop_splitter(fs, theta):
     """The drop test by whole slices, point by point.
 
@@ -191,7 +212,7 @@ def drop_splitter(fs, theta):
                    *(sum([p[i] for i in c]) == cap for c in cliques))
             drops = memo.get(key)
             if drops is None:
-                drops = memo[key] = _face_of(masks, full, key) != 0
+                drops = memo[key] = _face_of(masks, full, bits(key)) != 0
             (can if drops else cannot).append(p)
         return can, cannot
 
@@ -722,15 +743,64 @@ def test_missed_faces_match_face_walk(kernel_faces_and_gens):
         # each walked face as its bitset of degree-one points, with its dim
         index = {p: k for k, p in enumerate(_tables(fs).points)}
         walked = {sum(1 << index[p] for p in f.points): f.dim for f in missed}
-        assert _missed_faces(fs, _face_lattice(fs), gens) == walked, name
-        # the one pass behind is_m_primary and trace_height, against the
-        # walk: m-primary (only the apex missed) iff the height is UNIT or n + 1
+        assert missed_faces(fs, _face_lattice(fs), gens) == walked, name
+
+
+def test_face_oracles_match_minimal_generator_route(kernel_faces_and_gens):
+    """The pairwise-pattern pass behind is_m_primary and trace_height
+    against the minimal trace generators: UNIT iff the trace is the unit
+    ideal, otherwise n + 1 minus the largest dimension of a face no
+    generator lies on; m-primary (only the apex missed) iff the height is
+    UNIT or n + 1."""
+    for name, g, fs, faces, gens in kernel_faces_and_gens:
         height = _face_oracles(g, fs, None)
-        if gens == (Monomial((0,) * g.n, 0),):
-            assert height is UNIT, name
-        else:
-            assert height == g.n + 1 - max(f.dim for f in missed), name
-        assert all(f.dim < 1 for f in missed) == (height is UNIT or height == g.n + 1), name
+        assert (height is UNIT) == trace_is_unit(g), name
+        missed = missed_faces(fs, _face_lattice(fs), gens)
+        if height is not UNIT:
+            assert height == g.n + 1 - max(missed.values()), name
+        assert all(dim < 1 for dim in missed.values()) == \
+            (height is UNIT or height == g.n + 1), name
+
+
+def test_face_pass_reads_generators_not_trace_sums(monkeypatch):
+    """`classify(oracle=True)` never reduces trace generators, and computes
+    one slack vector per canonical and anticanonical generator plus one per
+    degree-one point for the incidence table, not one per pairwise sum."""
+    from gstab.posets import comparability_graph, hmp_poset
+
+    g = comparability_graph(hmp_poset(5, 6))
+    slacks, reductions = [], []
+    slack, reduce = toric._slack, toric.trace_generators
+    monkeypatch.setattr(toric, "_slack", lambda *args: slacks.append(1) or slack(*args))
+    monkeypatch.setattr(toric, "trace_generators",
+                        lambda *args: reductions.append(1) or reduce(*args))
+    _tables.cache_clear()
+    assert classify(g, oracle=True).oracle.agreement
+    monkeypatch.undo()
+    assert reductions == []
+    omega, anti = omega_generators(g), anticanonical_generators(g)
+    assert len(slacks) == len(omega) + len(anti) + len(_tables(fs_of(g)).points)
+    assert len(slacks) < len(omega) * len(anti)
+
+
+def test_slices_build_no_incidence_table(monkeypatch):
+    """On a facet system not seen before, `hilbert_function`,
+    `degree_monomials` and the chain count of `polytope_point_count` walk
+    with the clique index alone and build no `_zero_masks`."""
+    from gstab.posets import hmp_poset, polytope_point_count
+
+    builds = []
+    zero_masks = toric._zero_masks
+    monkeypatch.setattr(toric, "_zero_masks", lambda *args: builds.append(1) or zero_masks(*args))
+    _tables.cache_clear()
+    assert hilbert_function(fs_of(empty_graph(12)), 1) == 2 ** 12
+    # a1 + a2 <= 2 and a2 + a3 <= 2: 9 + 4 + 1 points by a2
+    assert len(degree_monomials(fs_of(P3), 2)) == 14
+    # the chain and order polytopes of a poset have the same Ehrhart
+    # polynomial (Stanley, "Two poset polytopes", 1986)
+    p = hmp_poset(4, 6)
+    assert polytope_point_count(p, "chain", 3) == polytope_point_count(p, "order", 3)
+    assert builds == []
 
 
 # -- m-primariness and height ----------------------------------------------------
