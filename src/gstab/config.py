@@ -7,9 +7,9 @@ never lowers one: the perfection and verify guards become the larger of
 their default and n, the cone guard the larger of its default and n + 1.
 So `GSTAB_SIZE_LIMIT=8`, which lets `verify` reach 8 vertices, leaves the
 perfection test at 12.  A value that is not a nonnegative integer is a
-ParameterError.  `classify(vertex_limit=...)` (the CLI's `--max-n`),
-`is_perfect(limit=...)` and `chromatic_number(limit=...)` take an explicit
-vertex limit, which replaces the perfection guard, up or down.
+ParameterError.  `classify(vertex_limit=...)` (the CLI's `--max-n`) and
+`is_perfect(limit=...)` take an explicit vertex limit, which replaces the
+perfection guard, up or down.
 """
 
 import os
@@ -23,10 +23,10 @@ DEFAULT_PERFECT_LIMIT = 12
 DEFAULT_CONE_DIM_LIMIT = 9
 
 # `verify` enumerates graphs up to isomorphism by vertex augmentation and
-# checks the 1105 perfect graphs on 7 vertices in 12-19 s, in flat
+# checks the 1105 perfect graphs on 7 vertices in 9-11 s, in flat
 # memory since faces and generators live for one `classify` call, and the
 # generator searches walk only the branches that hold new generators.  A
-# run to 8 vertices (9992 perfect graphs) takes about 7 minutes, so 8 needs
+# run to 8 vertices (9992 perfect graphs) takes about 4 minutes, so 8 needs
 # the environment override.
 DEFAULT_VERIFY_LIMIT = 7
 

@@ -337,26 +337,6 @@ def stable_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def clique_number(g: Graph) -> int:
-    adj = _adjacency_masks(g)
-    return _max_clique_size(adj, (1 << g.n) - 1)
-
-
-def chromatic_number(g: Graph, limit: int | None = None) -> int:
-    """Exact chromatic number by backtracking, clique size as lower bound."""
-    limit = perfect_limit() if limit is None else limit
-    if g.n > limit:
-        raise SizeGuardError(f"chromatic number limited to {limit} vertices, got {g.n}")
-    if g.n == 0:
-        return 0
-    adj = _adjacency_masks(g)
-    order = sorted(range(g.n), key=lambda v: -adj[v].bit_count())
-    k = _max_clique_size(adj, (1 << g.n) - 1)
-    while not _colorable(adj, order, k):
-        k += 1
-    return k
-
-
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def has_odd_hole(g: Graph) -> bool:
     """Induced odd cycle of length >= 5 present?"""

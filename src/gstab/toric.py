@@ -100,22 +100,6 @@ class FacetSystem:
 
 
 @dataclass(frozen=True)
-class Face:
-    """A face of the cone over the stable set polytope.
-
-    `tight_nonneg` / `tight_cliques` record which inequalities hold with
-    equality everywhere on the face (vertex labels, resp. indices into the
-    facet system's clique list); `points` are the degree-one lattice points
-    lying on the face, which span it.
-    """
-
-    tight_nonneg: frozenset[int]
-    tight_cliques: frozenset[int]
-    points: tuple[tuple[int, ...], ...]
-    dim: int
-
-
-@dataclass(frozen=True)
 class OracleCheck:
     """Brute-force side of a classification run."""
 
@@ -178,19 +162,11 @@ def in_canonical(fs: FacetSystem, m: Monomial) -> bool:
 def in_anticanonical(fs: FacetSystem, m: Monomial) -> bool:
     """Exponents at least -1, clique sums at most degree + 1.
 
-    This is the facet-threshold route.  `in_anticanonical_definitional`
-    tests the defining property instead; the two must agree, and the test
-    suite checks that they do.
+    This is the facet-threshold route.  The test suite checks it against
+    the defining property: m + w in the ring for every canonical generator w.
     """
     _check_length(fs, m)
     return _in_module(fs, m.exponents, m.degree, -1)
-
-
-def in_anticanonical_definitional(g: Graph, m: Monomial,
-                                  degree_bound: int | None = None) -> bool:
-    """True iff m + w lands in the ring for every canonical-module generator w."""
-    fs = FacetSystem.from_graph(g)
-    return all(in_ring(fs, m + w) for w in omega_generators(g, degree_bound))
 
 
 def in_trace(fs: FacetSystem, m: Monomial) -> bool:
@@ -544,53 +520,6 @@ def anticanonical_generators(g: Graph, degree_bound: int | None = None) -> tuple
     return tuple(_module_generators(g, -1, degree_bound))
 
 
-def trace_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomial, ...]:
-    """Minimal generators of the trace ideal.
-
-    Every trace monomial is a canonical generator plus an anticanonical
-    generator plus a ring point, so the pairwise sums generate; reducing
-    them against each other (difference in the ring means redundant)
-    leaves exactly the minimal generating set.
-
-    The reduction works on slack vectors (`_slack`).  Slack is linear in
-    the point, so cand - k is in the ring iff slack(k) <= slack(cand) in
-    every entry; that is `in_ring(fs, cand - k)` verbatim, so the kept set
-    is the same.  For each entry j and value x, `le[j][x]` is the bitset of
-    kept generators whose slack at j is at most x, and a candidate is
-    redundant iff the AND of `le[j][slack_j]` over all entries is nonzero.
-    """
-    fs = FacetSystem.from_graph(g, check=False)
-    omega = omega_generators(g, degree_bound)
-    anti = anticanonical_generators(g, degree_bound)
-    # (degree, *exponents) tuples sort like the (degree, exponents) key
-    sums = sorted(
-        {(w.degree + v.degree, *(a + b for a, b in zip(w.exponents, v.exponents)))
-         for w in omega for v in anti})
-    slacks = [_slack(fs, p[1:], p[0]) for p in sums]
-    tops = [max(col) for col in zip(*slacks)]
-    le = [[0] * (top + 1) for top in tops]
-    kept: list[Monomial] = []
-    for p, s in zip(sums, slacks):
-        hit = -1
-        for row, x in zip(le, s):
-            hit &= row[x]
-            if not hit:
-                break
-        if hit:
-            continue
-        bit = 1 << len(kept)
-        for row, x, top in zip(le, s, tops):
-            for y in range(x, top + 1):
-                row[y] |= bit
-        kept.append(Monomial(p[1:], p[0]))
-    return tuple(kept)
-
-
-def trace_is_unit(g: Graph, degree_bound: int | None = None) -> bool:
-    gens = trace_generators(g, degree_bound)
-    return len(gens) == 1 and gens[0].degree == 0
-
-
 # ---------------------------------------------------------------------------
 # trace as a power of the maximal ideal (brute-force route)
 
@@ -612,12 +541,6 @@ def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
         if any(_in_trace(fs, a, q) for a in _slice(fs, 0, q)):
             return False
     return all(_in_trace(fs, a, power) for a in _slice(fs, 0, power))
-
-
-def trace_contains_maximal_ideal(g: Graph) -> bool:
-    """Oracle for near-Gorensteinness: every degree-one monomial in the trace."""
-    fs = FacetSystem.from_graph(g)
-    return all(_in_trace(fs, a, 1) for a in _slice(fs, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -664,32 +587,6 @@ def _face_lattice(fs: FacetSystem) -> dict[int, int]:
                 elif known > below:
                     dims[sub] = below
     return dims
-
-
-def cone_faces(fs: FacetSystem) -> tuple[Face, ...]:
-    """All faces of the cone over the stable set polytope, ordered by
-    dimension and then by their points (see `_face_lattice`)."""
-    t = _tables(fs)
-    faces = []
-    for face, dim in _face_lattice(fs).items():
-        tight = [j for j, f in enumerate(t.masks) if face & f == face]
-        bits = bin(face)[:1:-1]   # bit k of the face at index k
-        faces.append(Face(frozenset(j + 1 for j in tight if j < fs.n),
-                          frozenset(j - fs.n for j in tight if j >= fs.n),
-                          tuple(t.points[k] for k, b in enumerate(bits) if b == "1"),
-                          dim))
-    faces.sort(key=lambda f: (f.dim, f.points))
-    return tuple(faces)
-
-
-def monomial_on_face(fs: FacetSystem, face: Face, m: Monomial) -> bool:
-    """Does a ring monomial satisfy all of the face's tight equalities?"""
-    exps = m.exponents
-    if any(exps[i - 1] != 0 for i in face.tight_nonneg):
-        return False
-    return all(
-        sum(exps[i - 1] for i in fs.cliques[ci]) == m.degree
-        for ci in face.tight_cliques)
 
 
 def _tight_patterns(fs: FacetSystem, gens, value: int) -> set[int]:

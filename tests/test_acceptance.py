@@ -27,10 +27,11 @@ from gstab.toric import (
     hilbert_function,
     is_m_primary,
     omega_generators,
-    trace_contains_maximal_ideal,
     trace_equals_power,
     trace_height,
 )
+
+from oracles import trace_contains_maximal_ideal
 
 
 def dim_spread(g):

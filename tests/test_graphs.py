@@ -8,8 +8,6 @@ import pytest
 from gstab.errors import FormatError, SizeGuardError
 from gstab.graphs import (
     Graph,
-    chromatic_number,
-    clique_number,
     complement,
     complete_graph,
     connected_components,
@@ -135,8 +133,7 @@ def test_is_pure():
 
 def test_c5_not_perfect():
     c5 = cycle_graph(5)
-    assert chromatic_number(c5) == 3
-    assert clique_number(c5) == 2
+    assert maximal_cliques(c5).dim == 1
     assert not is_perfect(c5)
 
 
@@ -166,12 +163,6 @@ def test_perfection_size_guard():
     with pytest.raises(SizeGuardError):
         is_perfect(empty_graph(13))
     assert is_perfect(empty_graph(13), limit=13)
-
-
-def test_chromatic_number_size_guard():
-    with pytest.raises(SizeGuardError):
-        chromatic_number(empty_graph(13))
-    assert chromatic_number(empty_graph(13), limit=13) == 1
 
 
 # -- stable sets -------------------------------------------------------------
@@ -294,5 +285,5 @@ def test_enumeration_edge_cases():
 def test_only_c5_imperfect_on_five_vertices():
     bad = [g for g in graphs_up_to_iso(5) if not is_perfect(g)]
     assert len(bad) == 1
-    assert clique_number(bad[0]) == 2
+    assert maximal_cliques(bad[0]).dim == 1
     assert len(bad[0].edges) == 5

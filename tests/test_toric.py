@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gstab
 from gstab import graphs, posets, toric
 from gstab.errors import InconclusiveError, NotPerfectError, ParameterError, SizeGuardError
 from gstab.graphs import (
@@ -51,24 +52,25 @@ from gstab.toric import (
     a_invariant,
     anticanonical_generators,
     classify,
-    cone_faces,
     degree_monomials,
     hilbert_function,
     in_anticanonical,
-    in_anticanonical_definitional,
     in_canonical,
     in_ring,
     in_trace,
     is_m_primary,
     is_nearly_gorenstein,
-    monomial_on_face,
     omega_generators,
-    trace_contains_maximal_ideal,
     trace_equals_power,
-    trace_generators,
     trace_height,
-    trace_is_unit,
     verify_equivalence,
+)
+
+from oracles import (
+    cone_faces,
+    in_anticanonical_definitional,
+    monomial_on_face,
+    pairwise_trace_generators,
 )
 
 K1 = complete_graph(1)
@@ -118,21 +120,6 @@ def sieve_trace_generators(g, qmax):
         gens.extend(sorted(level - covered, key=lambda m: m.exponents))
         prev = level
     return gens
-
-
-def pairwise_trace_generators(g):
-    """The quadratic reduction: walk the sorted canonical-plus-anticanonical
-    sums and keep a candidate unless cand - k is in the ring for a kept k."""
-    fs = fs_of(g)
-    sums = sorted(
-        {w + v for w in omega_generators(g) for v in anticanonical_generators(g)},
-        key=lambda m: (m.degree, m.exponents))
-    kept = []
-    for cand in sums:
-        assert in_ring(fs, cand)
-        if not any(in_ring(fs, cand - k) for k in kept):
-            kept.append(cand)
-    return tuple(kept)
 
 
 def int_rank(rows):
@@ -296,7 +283,7 @@ def kernel_faces_and_gens(corpus):
     out = []
     for name, g in kernel_corpus(corpus):
         fs = fs_of(g)
-        out.append((name, g, fs, cone_faces(fs), trace_generators(g)))
+        out.append((name, g, fs, cone_faces(fs), pairwise_trace_generators(g)))
     return out
 
 
@@ -304,6 +291,18 @@ def kernel_faces_and_gens(corpus):
 def oracle_reports(corpus):
     """`classify(g, oracle=True)` for each corpus graph, computed once."""
     return [(name, g, classify(g, oracle=True)) for name, g in corpus]
+
+
+# -- library surface ----------------------------------------------------------
+
+def test_reference_oracles_live_only_in_tests():
+    """The reference oracles are test code: no name of theirs, nor of the
+    helpers they replaced, is left in the library."""
+    gone = ["Face", "cone_faces", "monomial_on_face", "in_anticanonical_definitional",
+            "trace_contains_maximal_ideal", "trace_generators", "trace_is_unit",
+            "chromatic_number", "clique_number"]
+    for module in (gstab, toric, graphs):
+        assert [name for name in gone if hasattr(module, name)] == [], module.__name__
 
 
 # -- membership: ring ---------------------------------------------------------
@@ -458,6 +457,16 @@ def test_degree_monomials_k2_degree_one():
 def test_segre_count_k2k1():
     assert hilbert_function(fs_of(K2K1), 2) == 18
     assert hilbert_function(fs_of(K2), 2) * hilbert_function(fs_of(K1), 2) == 18
+    # the ring of a disjoint union is the Segre product of the components'
+    # rings, so its Hilbert function is the product of theirs
+    pieces = [g for n in range(1, 4) for g in graphs_up_to_iso(n)
+              if is_perfect(g) and len(connected_components(g)) == 1]
+    assert len(pieces) == 4   # K1, K2, P3, K3
+    for g, h in product(pieces, repeat=2):
+        union = fs_of(disjoint_union(g, h))
+        for q in range(4):
+            assert hilbert_function(union, q) == \
+                hilbert_function(fs_of(g), q) * hilbert_function(fs_of(h), q), (g, h, q)
 
 
 # -- a-invariant ---------------------------------------------------------------
@@ -573,7 +582,7 @@ def test_tables_built_once_per_facet_system(monkeypatch):
 def test_trace_generators_against_sieve():
     for g in [K2, P3, PAW, K2K1, K3K1]:
         expected = sieve_trace_generators(g, 3)
-        got = [m for m in trace_generators(g) if m.degree <= 3]
+        got = [m for m in pairwise_trace_generators(g) if m.degree <= 3]
         assert sorted(got, key=lambda m: (m.degree, m.exponents)) == \
             sorted(expected, key=lambda m: (m.degree, m.exponents))
 
@@ -581,13 +590,13 @@ def test_trace_generators_against_sieve():
 def test_trace_generators_all_pass_brute_membership():
     for g in SMALL:
         fs = fs_of(g)
-        for t in trace_generators(g):
+        for t in pairwise_trace_generators(g):
             assert in_ring(fs, t)
             assert in_trace(fs, t)
 
 
 def test_paw_trace_generators_exact():
-    gens = trace_generators(PAW)
+    gens = pairwise_trace_generators(PAW)
     assert all(m.degree == 1 for m in gens)
     # every degree-one monomial except the one for stable set {3}
     assert sorted(m.exponents for m in gens) == [
@@ -605,20 +614,8 @@ def test_trace_candidates_lie_in_ring(corpus):
             assert all(in_ring(fs, w + v) for v in anti), name
 
 
-def test_trace_generators_match_pairwise_reduction(kernel_faces_and_gens):
-    for name, g, fs, faces, gens in kernel_faces_and_gens:
-        assert gens == pairwise_trace_generators(g), name
-
-
-def test_trace_generator_counts_pinned():
-    from gstab.posets import comparability_graph, hmp_poset
-
-    assert len(trace_generators(disjoint_union(complete_graph(5), P3))) == 1680
-    assert len(trace_generators(comparability_graph(hmp_poset(7, 8)))) == 630
-
-
 def test_negative_degree_bound_is_a_parameter_error():
-    for search in (omega_generators, anticanonical_generators, trace_generators):
+    for search in (omega_generators, anticanonical_generators):
         with pytest.raises(ParameterError):
             search(K2, degree_bound=-1)
 
@@ -708,7 +705,7 @@ def test_faces_and_generators_pinned(corpus):
     digest = hashlib.sha256()
     for g in graphs:
         for part in (cone_faces(fs_of(g)), omega_generators(g),
-                     anticanonical_generators(g), trace_generators(g)):
+                     anticanonical_generators(g), pairwise_trace_generators(g)):
             digest.update(repr(part).encode())
     assert digest.hexdigest() == \
         "8cbacbaebc3001c731e3d5cd2cfeb62ad654dcc21f41d13fda61548fcea36d60"
@@ -754,7 +751,7 @@ def test_face_oracles_match_minimal_generator_route(kernel_faces_and_gens):
     UNIT or n + 1."""
     for name, g, fs, faces, gens in kernel_faces_and_gens:
         height = _face_oracles(g, fs, None)
-        assert (height is UNIT) == trace_is_unit(g), name
+        assert (height is UNIT) == any(m.degree == 0 for m in gens), name
         missed = missed_faces(fs, _face_lattice(fs), gens)
         if height is not UNIT:
             assert height == g.n + 1 - max(missed.values()), name
@@ -763,21 +760,18 @@ def test_face_oracles_match_minimal_generator_route(kernel_faces_and_gens):
 
 
 def test_face_pass_reads_generators_not_trace_sums(monkeypatch):
-    """`classify(oracle=True)` never reduces trace generators, and computes
-    one slack vector per canonical and anticanonical generator plus one per
-    degree-one point for the incidence table, not one per pairwise sum."""
+    """`classify(oracle=True)` computes one slack vector per canonical and
+    anticanonical generator plus one per degree-one point for the incidence
+    table, not one per pairwise sum."""
     from gstab.posets import comparability_graph, hmp_poset
 
     g = comparability_graph(hmp_poset(5, 6))
-    slacks, reductions = [], []
-    slack, reduce = toric._slack, toric.trace_generators
+    slacks = []
+    slack = toric._slack
     monkeypatch.setattr(toric, "_slack", lambda *args: slacks.append(1) or slack(*args))
-    monkeypatch.setattr(toric, "trace_generators",
-                        lambda *args: reductions.append(1) or reduce(*args))
     _tables.cache_clear()
     assert classify(g, oracle=True).oracle.agreement
     monkeypatch.undo()
-    assert reductions == []
     omega, anti = omega_generators(g), anticanonical_generators(g)
     assert len(slacks) == len(omega) + len(anti) + len(_tables(fs_of(g)).points)
     assert len(slacks) < len(omega) * len(anti)
@@ -827,9 +821,13 @@ def test_unit_survives_copy_and_pickle():
     assert pickle.loads(pickle.dumps(check)).height is UNIT
 
 
-def test_trace_is_unit_examples():
-    assert trace_is_unit(K2) and trace_is_unit(P3)
-    assert not trace_is_unit(PAW) and not trace_is_unit(K3K1)
+def test_unit_trace_examples():
+    # the trace is the unit ideal iff a minimal generator has degree 0
+    def unit(g):
+        return any(m.degree == 0 for m in pairwise_trace_generators(g))
+
+    assert unit(K2) and unit(P3)
+    assert not unit(PAW) and not unit(K3K1)
 
 
 def test_trace_height_prescribed_family_extra_pairs():
