@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-    gstab graph analyze FILE [--oracle] [--degree-bound Q] [--max-n N]
-    gstab poset analyze FILE [--oracle] [--degree-bound Q] [--max-n N]
+    gstab graph analyze FILE [--oracle] [--max-n N]
+    gstab poset analyze FILE [--oracle] [--max-n N]
     gstab family hmp --a A --b B [--oracle]
     gstab numsgp --gens 3,4,5 | --family A B
     gstab verify --max-n K
@@ -11,8 +11,7 @@ Reports are canonical JSON on stdout (sorted keys, stable field set), so a
 rerun with the same inputs is byte-identical; timings go to stderr.  Exit
 codes: 0 ok and all match flags true, 1 stdout closed before the report
 was written (as by `| head`), 2 parse error, 3 input not perfect, 4 size
-guard, 5 bad parameters, 6 a match flag is false, 7 generator search
-inconclusive.
+guard, 5 bad parameters, 6 a match flag is false.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .config import verify_limit
 from .errors import (
     FormatError,
     GstabError,
-    InconclusiveError,
     NotPerfectError,
     ParameterError,
     SizeGuardError,
@@ -53,7 +51,6 @@ EXIT_NOT_PERFECT = 3
 EXIT_SIZE_GUARD = 4
 EXIT_PARAMS = 5
 EXIT_MISMATCH = 6
-EXIT_INCONCLUSIVE = 7
 
 
 def _height_json(height):
@@ -97,8 +94,7 @@ def _graph_payload(g: Graph) -> dict:
 
 def cmd_graph_analyze(args) -> tuple[dict, int]:
     g = load_graph(args.file)
-    report = classify(g, oracle=args.oracle, degree_bound=args.degree_bound,
-                      vertex_limit=args.max_n)
+    report = classify(g, oracle=args.oracle, vertex_limit=args.max_n)
     payload = {
         **_header("graph analyze"),
         "input": {"path": args.file, **_graph_payload(g)},
@@ -118,8 +114,7 @@ def _poset_payload(p: Poset) -> dict:
 def cmd_poset_analyze(args) -> tuple[dict, int]:
     p = load_poset(args.file)
     g = comparability_graph(p)
-    report = classify(g, oracle=args.oracle, degree_bound=args.degree_bound,
-                      vertex_limit=args.max_n)
+    report = classify(g, oracle=args.oracle, vertex_limit=args.max_n)
     payload = {
         **_header("poset analyze"),
         "input": {"path": args.file, **_poset_payload(p)},
@@ -148,7 +143,7 @@ def cmd_family_hmp(args) -> tuple[dict, int]:
     }
     ok = payload["dim_match"]
     if args.oracle:
-        height = trace_height(g, degree_bound=args.degree_bound)
+        height = trace_height(g)
         height_match = height == args.a
         payload["oracle"] = {
             "height": _height_json(height),
@@ -230,8 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def analysis_flags(p):
         p.add_argument("--oracle", action="store_true",
                        help="also run the brute-force lattice-point checks")
-        p.add_argument("--degree-bound", type=int, default=None,
-                       help="degree window for generator searches")
         p.add_argument("--max-n", type=int, default=None,
                        help="override the perfection-test vertex limit")
 
@@ -255,7 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     hmp.add_argument("--a", type=int, required=True)
     hmp.add_argument("--b", type=int, required=True)
     hmp.add_argument("--oracle", action="store_true")
-    hmp.add_argument("--degree-bound", type=int, default=None)
     hmp.set_defaults(run=cmd_family_hmp)
 
     num = sub.add_parser("numsgp", help="numerical semigroup invariants")
@@ -277,7 +269,6 @@ _ERROR_CODES = [
     (NotPerfectError, EXIT_NOT_PERFECT),
     (SizeGuardError, EXIT_SIZE_GUARD),
     (ParameterError, EXIT_PARAMS),
-    (InconclusiveError, EXIT_INCONCLUSIVE),
 ]
 
 

@@ -23,11 +23,10 @@ DEFAULT_PERFECT_LIMIT = 12
 DEFAULT_CONE_DIM_LIMIT = 9
 
 # `verify` enumerates graphs up to isomorphism by vertex augmentation and
-# checks the 1105 perfect graphs on 7 vertices in 9-11 s, in flat
-# memory since faces and generators live for one `classify` call, and the
-# generator searches walk only the branches that hold new generators.  A
-# run to 8 vertices (9992 perfect graphs) takes about 4 minutes, so 8 needs
-# the environment override.
+# checks the 1105 perfect graphs on 7 vertices in 10-13 s, in flat
+# memory since the faces live for one `classify` call.  A run to 8
+# vertices (9992 perfect graphs) takes about 4 minutes, so 8 needs the
+# environment override.
 DEFAULT_VERIFY_LIMIT = 7
 
 _ENV_VAR = "GSTAB_SIZE_LIMIT"

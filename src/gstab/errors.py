@@ -23,8 +23,3 @@ class SizeGuardError(GstabError):
 
 class ParameterError(GstabError):
     """Family parameters outside their admissible range."""
-
-
-class InconclusiveError(GstabError):
-    """A bounded generator search exhausted its degree window without
-    stabilizing.  Callers must not treat this as a negative answer."""

@@ -14,20 +14,22 @@ which the fast combinatorial classification is checked.  `in_trace` is an
 exhaustive pruned search for a canonical summand: it covers every degree
 split and every summand the definition allows, and its bounds only skip
 values that no completion of a partial summand can make valid, so it
-never uses the purity criterion, the generators or the faces.  The
-generator and face machinery is what makes m-primariness and trace height
-computable at desk scale.
+never uses the purity criterion or the faces.
+
+m-primariness and the trace height come from the faces of the cone: the
+trace misses a face iff the ring localised at the face's prime is not
+Gorenstein, which an integer linear system over the facets through the
+face decides (`_local_height`).  Neither needs module generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 from .config import cone_dim_limit
-from .errors import InconclusiveError, NotPerfectError, ParameterError, SizeGuardError
+from .errors import NotPerfectError, ParameterError, SizeGuardError
 from .graphs import (
     GRAPH_CACHE_SIZE,
     Graph,
@@ -182,8 +184,6 @@ def in_trace(fs: FacetSystem, m: Monomial) -> bool:
     """
     _check_length(fs, m)
     a, q = m.exponents, m.degree
-    if any(x < 0 for x in a):
-        return False
     if not _in_module(fs, a, q, 0):
         return False
     return _in_trace(fs, a, q)
@@ -256,65 +256,44 @@ def _in_trace(fs: FacetSystem, a, q: int) -> bool:
 # ---------------------------------------------------------------------------
 # degree slices
 
-def _walk(fs: FacetSystem, theta: int, degree: int, index, masks, full: int, bound):
-    """Walk the theta-module slice at the given degree in ascending
-    lexicographic order and split its points into (drop, stuck) lists.
+def _walk(fs: FacetSystem, theta: int, degree: int, by_vertex) -> list[tuple[int, ...]]:
+    """The exponent vectors of the theta-module slice at the given degree,
+    in ascending lexicographic order.
 
-    `index` is the (by_vertex, closing) pair of `_tables`.  The walk
-    assigns vertices in order and carries each point's face as a running
-    AND: `masks` holds a bitset per `_slack` entry (`_zero_masks`),
-    the face starts at `full`, a vertex's mask is ANDed in when its value
-    is theta (slack 0), and a clique's when its last vertex is assigned and
-    its sum reaches degree - theta.  A point is stuck iff its face is 0.
-    Below vertex v every point's face contains the running face ANDed with
-    `bound[v]`, so a node where that is nonzero is skipped: its points all
-    drop.  With masks, `full` and bound all zero every point is stuck,
-    which is the plain slice.
+    `by_vertex` holds per vertex the indices of the cliques through it
+    (`_clique_index`).  The walk assigns the vertices in order, each value
+    shifted down by theta, and carries what is left of each clique's cap.
     """
     n = fs.n
     caps = [degree - theta * (len(c) + 1) for c in fs.cliques]
     if any(cap < 0 for cap in caps):
-        return [], []
-    by_vertex, closing = index
-    drop: list[tuple[int, ...]] = []
-    stuck: list[tuple[int, ...]] = []
+        return []
+    out: list[tuple[int, ...]] = []
     shifted = [0] * n
 
-    def assign(v: int, face: int):
-        cliques, ends, mask, below = by_vertex[v], closing[v], masks[v], bound[v + 1]
+    def assign(v: int):
+        cliques = by_vertex[v]
         room = min(caps[ci] for ci in cliques)
-        last = v + 1 == n
-        if last:
+        if v + 1 == n:
             prefix = tuple(x + theta for x in shifted[:v])
+            out.extend((*prefix, b + theta) for b in range(room + 1))
+            return
         for b in range(room + 1):
-            f = face if b else face & mask
-            # every cap here is at least room, so only b = room can use up
-            # the cap of a clique ending here
-            if b == room:
-                for ci in ends:
-                    if caps[ci] == room:
-                        f &= masks[n + ci]
-            if f & below:
-                continue
-            if last:
-                (drop if f else stuck).append((*prefix, b + theta))
-                continue
             shifted[v] = b
             for ci in cliques:
                 caps[ci] -= b
-            assign(v + 1, f)
+            assign(v + 1)
             for ci in cliques:
                 caps[ci] += b
 
-    assign(0, full)
-    return drop, stuck
+    assign(0)
+    return out
 
 
 def _slice(fs: FacetSystem, theta: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors in the theta-module at the given degree,
     in ascending lexicographic order."""
-    zeros = [0] * (fs.n + len(fs.cliques))
-    return tuple(_walk(fs, theta, degree, _clique_index(fs)[1], zeros, 0, zeros)[1])
+    return tuple(_walk(fs, theta, degree, _clique_index(fs)[1]))
 
 
 def degree_monomials(fs: FacetSystem, q: int) -> list[Monomial]:
@@ -367,157 +346,49 @@ def _zero_masks(fs: FacetSystem, points) -> list[int]:
     return masks
 
 
-def _face_of(masks, full: int, pattern: int) -> int:
-    """The face cut out by a zero-slack pattern (bit j set where entry j of
-    `_slack` is 0), as the bitset of its degree-one points; `full` has a
-    bit for every point.  The apex, the face without points, is 0."""
-    face = full
-    while pattern:
-        low = pattern & -pattern
-        face &= masks[low.bit_length() - 1]
-        pattern ^= low
-    return face
-
-
 # ---------------------------------------------------------------------------
-# module generators, computed degree by degree per component
-#
-# A point p of the theta-module drops to the previous degree iff p - w is
-# in the module for some stable set w.  That holds iff w avoids every vertex
-# where p has zero slack (p_i = theta) and meets every clique where p has
-# zero slack (clique sum degree - theta): a stable set meets a clique at
-# most once, and every other entry has slack at least 1.  The stable sets
-# are the degree-one ring points, so those w are the points of the face cut
-# out by p's zero-slack pattern, and p is a new generator (stuck) iff that
-# face is the apex.  `_walk` carries the face as it assigns the vertices.
-#
-# A connected graph needs only the stuck points, so its walk prunes: a
-# subtree all of whose points drop is skipped.  `bound[v]` is the AND of
-# the masks of vertices >= v and of the cliques whose last vertex is >= v.
-# Those are the only entries a point below a node at vertex v can still
-# AND into the running face, so every such point's face contains
-# face & bound[v], and when that is nonzero none of them is stuck.
-#
-# A degree slice of the union graph is the cartesian product of the
-# component slices in the same degree, and a point drops iff each component
-# point does (subtract a stable set per component).  New generators
-# therefore live in the product positions where at least one component
-# point cannot drop, which keeps the materialized sets small; those
-# products need every component's droppable points, so a disconnected
-# graph walks whole slices.
+# tables read off one facet system
 
 class _Tables(NamedTuple):
     """Everything the searches of this module read off one facet system."""
 
     cliques: tuple   # the cliques as ascending 0-based vertex tuples
-    index: tuple     # per vertex: the cliques through it, the cliques it closes
     top: int         # the largest clique size
     bottom: int      # the smallest clique size
     points: tuple    # the degree-one points (stable sets), `_slice(fs, 0, 1)`
     masks: tuple     # their `_zero_masks`; bit k of a face is points[k]
     full: int        # the bitset of every point
-    bound: tuple     # the pruning bound of `_walk`, described above
+    forms: tuple     # per `_slack` entry, its linear form on Z^(n+1)
 
 
 def _clique_index(fs: FacetSystem) -> tuple[tuple, tuple]:
-    """The cliques of `fs` as ascending 0-based vertex tuples, and the
-    clique index `_walk` reads: per vertex, the cliques through it and the
-    cliques whose last vertex it is.  Uncached: it costs one pass over the
-    cliques, and `_slice` needs nothing else of `_tables`."""
+    """The cliques of `fs` as ascending 0-based vertex tuples, and per
+    vertex the indices of the cliques through it, which `_walk` reads.
+    Uncached: it costs one pass over the cliques, and `_slice` needs
+    nothing else of `_tables`."""
     cliques = tuple(tuple(sorted(i - 1 for i in c)) for c in fs.cliques)
     by_vertex = [[] for _ in range(fs.n)]
-    closing = [[] for _ in range(fs.n)]
     for ci, c in enumerate(cliques):
         for v in c:
             by_vertex[v].append(ci)
-        closing[c[-1]].append(ci)
-    return cliques, (tuple(map(tuple, by_vertex)), tuple(map(tuple, closing)))
+    return cliques, tuple(map(tuple, by_vertex))
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _tables(fs: FacetSystem) -> _Tables:
-    """The `_Tables` of `fs`, built once per facet system.  The clique
-    index is built first, since `_walk` needs it to list the points."""
+    """The `_Tables` of `fs`, built once per facet system.
+
+    The forms are the `_slack` entries as functions of (a, q): x_i for
+    each vertex i, then q - sum_{i in C} x_i for each clique C."""
     n = fs.n
-    cliques, index = _clique_index(fs)
-    closing = index[1]
-    zeros = [0] * (n + len(cliques))
-    points = tuple(_walk(fs, 0, 1, index, zeros, 0, zeros)[1])
+    cliques, by_vertex = _clique_index(fs)
+    points = tuple(_walk(fs, 0, 1, by_vertex))
     masks = tuple(_zero_masks(fs, points))
     full = (1 << len(points)) - 1
-    bound = [full] * (n + 1)
-    for v in reversed(range(n)):
-        bound[v] = bound[v + 1] & masks[v]
-        for ci in closing[v]:
-            bound[v] &= masks[n + ci]
+    forms = [(*(int(i == j) for i in range(n)), 0) for j in range(n)]
+    forms += [(*(-int(i in c) for i in range(n)), 1) for c in cliques]
     sizes = [len(c) for c in cliques]
-    return _Tables(cliques, index, max(sizes), min(sizes), points, masks, full,
-                   tuple(bound))
-
-
-def _module_start_degree(fs_list, theta: int) -> int:
-    if theta == 1:
-        return max(fs.delta for fs in fs_list) + 1
-    if theta == -1:
-        return -min(min(len(c) for c in fs.cliques) for fs in fs_list) - 1
-    raise ParameterError("generators are only computed for theta = 1 or -1")
-
-
-def _module_generators(g: Graph, theta: int, degree_bound: int | None) -> list[Monomial]:
-    if degree_bound is not None and degree_bound < 0:
-        raise ParameterError(f"degree bound must be nonnegative, got {degree_bound}")
-    comps = connected_components(g)
-    fs_list = [FacetSystem.from_graph(c.graph, check=False) for c in comps]
-    tables = [_tables(fs) for fs in fs_list]
-    # the product pools below need every component's droppable points, so
-    # only a connected graph prunes
-    prune = len(comps) == 1
-    window = degree_bound if degree_bound is not None \
-        else 2 * (maximal_cliques(g).dim + 3)
-    start = _module_start_degree(fs_list, theta)
-
-    def embed(parts) -> tuple[int, ...]:
-        full = [0] * g.n
-        for comp, exps in zip(comps, parts):
-            for slot, orig in enumerate(comp.vertices):
-                full[orig - 1] = exps[slot]
-        return tuple(full)
-
-    gens: list[Monomial] = []
-    quiet = 0
-    stabilized = False
-    for d in range(start, start + window + 1):
-        splits = [_walk(fs, theta, d, t.index, t.masks, t.full,
-                        t.bound if prune else (0,) * len(t.bound))
-                  for fs, t in zip(fs_list, tables)]
-        new = 0
-        for j in range(len(comps)):
-            # an empty component slice empties every product
-            pools = [drop if k < j else (stuck if k == j else drop + stuck)
-                     for k, (drop, stuck) in enumerate(splits)]
-            for parts in product(*pools):
-                gens.append(Monomial(embed(parts), d))
-                new += 1
-        quiet = quiet + 1 if new == 0 else 0
-        if quiet >= 2 and d > start:
-            stabilized = True
-            break
-    if not stabilized:
-        raise InconclusiveError(
-            f"generator search did not stabilize within degrees "
-            f"{start}..{start + window}; raise the degree bound")
-    gens.sort(key=lambda m: (m.degree, m.exponents))
-    return gens
-
-
-def omega_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomial, ...]:
-    """Minimal generators of the canonical module, lowest degree delta+1."""
-    return tuple(_module_generators(g, 1, degree_bound))
-
-
-def anticanonical_generators(g: Graph, degree_bound: int | None = None) -> tuple[Monomial, ...]:
-    """Minimal generators of the anticanonical fractional ideal."""
-    return tuple(_module_generators(g, -1, degree_bound))
+    return _Tables(cliques, max(sizes), min(sizes), points, masks, full, tuple(forms))
 
 
 # ---------------------------------------------------------------------------
@@ -589,85 +460,128 @@ def _face_lattice(fs: FacetSystem) -> dict[int, int]:
     return dims
 
 
-def _tight_patterns(fs: FacetSystem, gens, value: int) -> set[int]:
-    """The distinct bitsets, one per generator, of the `_slack` entries
-    equal to `value` (bit j for entry j)."""
-    out = set()
-    for m in gens:
-        pattern = 0
-        for j, x in enumerate(_slack(fs, m.exponents, m.degree)):
-            if x == value:
-                pattern |= 1 << j
-        out.add(pattern)
-    return out
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(x, y, d) with x*a + y*b = d, where |d| = gcd(a, b) and a, b are
+    not both 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    return x0, y0, a
 
 
-def _face_oracles(g: Graph, fs: FacetSystem, degree_bound: int | None) -> object:
-    """Height of the trace ideal, or UNIT, from one pass over the facet
-    system `fs` of the perfect graph `g`.
+def _gorenstein(t: _Tables, face: int) -> bool:
+    """Is the ring localised at the prime of `face` Gorenstein?
 
-    The sums w + v of a canonical generator w and an anticanonical
-    generator v generate the trace, so every trace point is such a sum
-    plus a ring point r.  Slack entries are >= 0 on the ring, so s + r
-    has slack 0 at an entry iff s and r both do: a face meets the trace
-    iff some sum w + v lies on it.  Slack is additive, canonical points
-    have slack >= 1 and anticanonical points slack >= -1 in every entry,
-    so w + v has slack 0 exactly where w has slack 1 and v has slack -1.
-    Its zero-slack pattern is the AND of those two bitsets, and no sum is
-    formed or reduced to minimal generators.
+    That localisation is the semigroup ring of the cone plus the span of
+    the face, over the same lattice Z^(n+1), which the stable sets
+    generate; its facets are the facets of the cone that contain the face.
+    A normal semigroup ring is Gorenstein iff some lattice point c has
+    value 1 on every primitive facet form (Bruns-Herzog, Cohen-Macaulay
+    Rings, Thm 6.3.5).  The forms of `t.forms` are primitive, so the
+    answer is whether those whose mask contains `face` are all 1 at some
+    integer c.
 
-    Each distinct pattern cuts out (`_face_of`) the smallest face holding
-    its sums, so a face meets the trace iff it contains one of those cuts.
-    The origin is the only ring point whose cut is the apex, so a cut of 0
-    puts 1 in the trace: UNIT.  Otherwise the height is n + 1 minus the
-    largest dimension of a face containing no cut, which the apex always
-    is.  The cuts are tested smallest first, the likeliest to fit.
+    Decided by unimodular column reduction: the integer points on which
+    the forms seen so far are 1 are c plus the integer span of `basis`.  A
+    new form takes some value on each basis vector; extended-gcd steps,
+    each an invertible integer change of two basis vectors, gather those
+    values into one vector `pivot` with value their gcd and leave every
+    other vector at value 0, so those span the new solution set's
+    directions.  The form can be made 1 iff that gcd divides 1 minus the
+    form's value at c.
+    """
+    width = len(t.forms[0])
+    c = [0] * width
+    basis = [[int(i == j) for i in range(width)] for j in range(width)]
+    for form, mask in zip(t.forms, t.masks):
+        if face & mask != face:
+            continue
+        pivot, value, rest = None, 0, []
+        for u in basis:
+            g = sum(a * b for a, b in zip(form, u))
+            if not g:
+                rest.append(u)
+            elif pivot is None:
+                pivot, value = u, g
+            else:
+                x, y, d = _ext_gcd(value, g)
+                rest.append([g // d * a - value // d * b for a, b in zip(pivot, u)])
+                pivot, value = [x * a + y * b for a, b in zip(pivot, u)], d
+        need = 1 - sum(a * b for a, b in zip(form, c))
+        if pivot is None:
+            if need:
+                return False
+        elif need % value:
+            return False
+        else:
+            c = [a + need // value * b for a, b in zip(c, pivot)]
+        basis = rest
+    return True
 
-    The faces are enumerated first: the size guard must fire before the
-    generator search, which grows much faster with the vertex count.
+
+def _local_height(fs: FacetSystem) -> object:
+    """Height of the trace ideal, or UNIT, from the facet system `fs`.
+
+    The trace of the canonical module cuts out the non-Gorenstein locus
+    (Herzog-Hibi-Stamate, "The trace of the canonical module", 2019), so
+    the trace lies in the prime of a face iff the ring localised there is
+    not Gorenstein (`_gorenstein`).  The radical of the monomial ideal is
+    the intersection of those face primes, and the prime of a face has
+    height n + 1 minus the face's dimension.
+
+    A larger face has a smaller prime, whose localisation is a further
+    localisation, and a localisation of a Gorenstein ring is Gorenstein:
+    non-Gorenstein faces are closed downwards.  So:
+    - if the apex, whose prime is the maximal ideal, is Gorenstein, the
+      ring is, and the trace is UNIT;
+    - every other face contains a ray, spanned by one degree-one point,
+      so if every ray is Gorenstein the apex is the only non-Gorenstein
+      face and the height is n + 1;
+    - otherwise the largest non-Gorenstein face has all its points on
+      non-Gorenstein rays, so only such faces are tested, largest first.
+    Each face is decided once per call.
+
+    The faces are enumerated first, so that the size guard of
+    `_face_lattice` fires before anything is solved.
     """
     dims = _face_lattice(fs)
-    omega = _tight_patterns(fs, omega_generators(g, degree_bound), 1)
-    anti = _tight_patterns(fs, anticanonical_generators(g, degree_bound), -1)
     t = _tables(fs)
-    cuts = {_face_of(t.masks, t.full, p) for p in {w & v for w in omega for v in anti}}
-    if 0 in cuts:
+    gorenstein = cache(lambda face: _gorenstein(t, face))
+    if gorenstein(0):
         return UNIT
-    cuts = sorted(cuts, key=int.bit_count)
-    best = 0
-    for face, dim in dims.items():
-        if dim > best and not any(cut & face == cut for cut in cuts):
-            best = dim
-    return (fs.n + 1) - best
+    bad = 0
+    for k in range(len(t.points)):
+        if not gorenstein(1 << k):
+            bad |= 1 << k
+    if not bad:
+        return fs.n + 1
+    faces = sorted((face for face in dims if face & bad == face), key=dims.get, reverse=True)
+    return fs.n + 1 - next(dims[face] for face in faces if not gorenstein(face))
 
 
-def is_m_primary(g: Graph, degree_bound: int | None = None) -> bool:
+def is_m_primary(g: Graph) -> bool:
     """Is the trace ideal primary to the maximal ideal?
 
-    True iff the trace meets every face of the cone except the apex; a
-    unit trace (Gorenstein ring) counts as m-primary.  The apex meets the
-    trace only when the trace is the unit ideal, so the trace is m-primary
-    iff the height is UNIT or the cone dimension n + 1.  Which faces meet
-    the trace is read off the zero-slack patterns of the pairwise sums of
-    canonical and anticanonical generators (`_face_oracles`): a face meets
-    it iff it contains the face one of those patterns cuts out.
+    True iff the trace lies in no face prime but the maximal ideal, the
+    prime of the apex; a unit trace (Gorenstein ring) counts as m-primary.
+    So the trace is m-primary iff its height is UNIT or the cone dimension
+    n + 1.
     """
-    height = _face_oracles(g, FacetSystem.from_graph(g), degree_bound)
+    height = trace_height(g)
     return height is UNIT or height == g.n + 1
 
 
-def trace_height(g: Graph, degree_bound: int | None = None):
+def trace_height(g: Graph):
     """Height of the trace ideal, or UNIT when the trace is the whole ring.
 
-    The radical of a monomial ideal is an intersection of face primes, and
-    the height of a face prime is the cone dimension minus the face
-    dimension, so the height is n + 1 minus the largest dimension of a
-    face avoiding the trace.  A face meets the trace iff some sum w + v of
-    a canonical and an anticanonical generator lies on it, that is iff it
-    contains the face cut out by the AND of w's slack-1 and v's slack-(-1)
-    bitsets; `_face_oracles` gives the argument.
+    Decided face by face from the facet system by the Gorenstein
+    localisation criterion (`_local_height`); no module generator is
+    computed.
     """
-    return _face_oracles(g, FacetSystem.from_graph(g), degree_bound)
+    return _local_height(FacetSystem.from_graph(g))
 
 
 # ---------------------------------------------------------------------------
@@ -684,13 +598,12 @@ def is_nearly_gorenstein(g: Graph) -> bool:
     return dims[0] - dims[-1] <= 1
 
 
-def classify(g: Graph, oracle: bool = False, degree_bound: int | None = None,
-             vertex_limit: int | None = None) -> TraceReport:
+def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) -> TraceReport:
     """Classify the non-Gorenstein locus of the stable set ring.
 
     Fast path: component dimensions and purity.  With `oracle=True` the
-    brute-force power test, the face test, and the height computation run
-    as well, and the report records whether everything agrees.
+    brute-force power test and the face-by-face height (`_local_height`)
+    run as well, and the report records whether everything agrees.
     """
     if g.n == 0:
         raise ParameterError("need at least one vertex")
@@ -718,7 +631,7 @@ def classify(g: Graph, oracle: bool = False, degree_bound: int | None = None,
         # perfection is checked above, once
         fs = FacetSystem.from_graph(g, check=False)
         power_ok = _trace_equals_power(fs, spread)
-        height = _face_oracles(g, fs, degree_bound)
+        height = _local_height(fs)
         # see is_m_primary
         m_prim = height is UNIT or height == g.n + 1
         if all_pure:

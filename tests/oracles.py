@@ -1,8 +1,10 @@
 """Reference oracles that exist only to check the library.
 
-Each one takes a route the library does not: the trace ideal's minimal
-generators by reducing the pairwise canonical-plus-anticanonical sums, the
-faces of the cone as objects with their tight inequalities and points, the
+Each one takes a route the library does not: the canonical and
+anticanonical generators by a drop test over whole degree slices, the
+trace height from those generators, the trace ideal's minimal generators
+by reducing the pairwise canonical-plus-anticanonical sums, the faces of
+the cone as objects with their tight inequalities and points, the
 anticanonical ideal by its defining property, and near-Gorensteinness by
 testing every degree-one monomial for trace membership.
 """
@@ -10,17 +12,141 @@ testing every degree-one monomial for trace membership.
 from dataclasses import dataclass
 from functools import lru_cache
 
+from gstab.graphs import maximal_cliques
 from gstab.toric import (
+    UNIT,
     FacetSystem,
     Monomial,
     _face_lattice,
     _in_trace,
+    _slack,
     _slice,
     _tables,
-    anticanonical_generators,
+    _zero_masks,
     in_ring,
-    omega_generators,
 )
+
+
+def bits(flags):
+    """The int bitset with bit j set where flags[j] is true."""
+    return sum(1 << j for j, flag in enumerate(flags) if flag)
+
+
+def face_of(masks, full, pattern):
+    """The face cut out by a zero-slack pattern (bit j set where entry j of
+    `_slack` is 0), as the bitset of its degree-one points; `full` has a
+    bit for every point.  The apex, the face without points, is 0."""
+    face = full
+    while pattern:
+        low = pattern & -pattern
+        face &= masks[low.bit_length() - 1]
+        pattern ^= low
+    return face
+
+
+def drop_splitter(fs, theta):
+    """The drop test by whole slices, point by point.
+
+    Returns split(points, degree), which divides a degree slice into the
+    points that drop to the previous degree (p - w is in the module for
+    some stable set w) and those that do not.  That holds iff w avoids
+    every vertex where p has zero slack (p_i = theta) and meets every
+    clique where p has zero slack (clique sum degree - theta): a stable set
+    meets a clique at most once, and every other entry has slack at least
+    1.  So p drops iff the face its zero-slack pattern cuts out
+    (`face_of`) has a degree-one point; the answer is memoised on the
+    pattern.
+    """
+    stables = _slice(fs, 0, 1)
+    cliques = [tuple(i - 1 for i in c) for c in fs.cliques]
+    masks = _zero_masks(fs, stables)
+    full = (1 << len(stables)) - 1
+    memo = {}
+
+    def split(points, degree):
+        cap = degree - theta
+        can, cannot = [], []
+        for p in points:
+            key = (*(x == theta for x in p),
+                   *(sum([p[i] for i in c]) == cap for c in cliques))
+            drops = memo.get(key)
+            if drops is None:
+                drops = memo[key] = face_of(masks, full, bits(key)) != 0
+            (can if drops else cannot).append(p)
+        return can, cannot
+
+    return split
+
+
+@lru_cache(maxsize=None)
+def module_generators(g, theta):
+    """Minimal generators of the theta-module (1: canonical, -1:
+    anticanonical) as the points of whole slices of `g`'s own facet system
+    that do not drop (`drop_splitter`), degree by degree.
+
+    The degrees run from the lowest module degree (delta + 1 for the
+    canonical module, minus the smallest clique size minus 1 for the
+    anticanonical one) until two consecutive degrees have no new
+    generator, within a window of twice the clique-complex dimension plus
+    6.  Cached, because several tests and oracles read the same graphs."""
+    fs = FacetSystem.from_graph(g)
+    split = drop_splitter(fs, theta)
+    start = fs.delta + 1 if theta == 1 else -min(len(c) for c in fs.cliques) - 1
+    gens, quiet = [], 0
+    for d in range(start, start + 2 * (maximal_cliques(g).dim + 3) + 1):
+        stuck = split(_slice(fs, theta, d), d)[1]
+        gens += (Monomial(p, d) for p in stuck)
+        quiet = 0 if stuck else quiet + 1
+        if quiet >= 2 and d > start:
+            return tuple(gens)
+    raise AssertionError("oracle search did not stabilize")
+
+
+def omega_generators(g):
+    """Minimal generators of the canonical module, lowest degree delta + 1."""
+    return module_generators(g, 1)
+
+
+def anticanonical_generators(g):
+    """Minimal generators of the anticanonical fractional ideal."""
+    return module_generators(g, -1)
+
+
+def tight_patterns(fs, gens, value):
+    """The distinct bitsets, one per generator, of the `_slack` entries
+    equal to `value` (bit j for entry j)."""
+    return {bits(x == value for x in _slack(fs, m.exponents, m.degree)) for m in gens}
+
+
+def generator_trace_height(g):
+    """Height of the trace ideal, or UNIT, from the module generators.
+
+    The sums w + v of a canonical generator w and an anticanonical
+    generator v generate the trace, so every trace point is such a sum
+    plus a ring point r.  Slack entries are >= 0 on the ring, so s + r
+    has slack 0 at an entry iff s and r both do: a face meets the trace
+    iff some sum w + v lies on it.  Slack is additive, canonical points
+    have slack >= 1 and anticanonical points slack >= -1 in every entry,
+    so w + v has slack 0 exactly where w has slack 1 and v has slack -1.
+    Its zero-slack pattern is the AND of those two bitsets.
+
+    Each distinct pattern cuts out (`face_of`) the smallest face holding
+    its sums, so a face meets the trace iff it contains one of those cuts.
+    The origin is the only ring point whose cut is the apex, so a cut of 0
+    puts 1 in the trace: UNIT.  Otherwise the height is n + 1 minus the
+    largest dimension of a face containing no cut, which the apex always
+    is.
+    """
+    fs = FacetSystem.from_graph(g)
+    dims = _face_lattice(fs)
+    omega = tight_patterns(fs, omega_generators(g), 1)
+    anti = tight_patterns(fs, anticanonical_generators(g), -1)
+    t = _tables(fs)
+    cuts = {face_of(t.masks, t.full, w & v) for w in omega for v in anti}
+    if 0 in cuts:
+        return UNIT
+    return fs.n + 1 - max(dim for face, dim in dims.items()
+                          if not any(cut & face == cut for cut in cuts))
 
 
 @lru_cache(maxsize=None)
@@ -87,10 +213,10 @@ def monomial_on_face(fs: FacetSystem, face: Face, m: Monomial) -> bool:
         for ci in face.tight_cliques)
 
 
-def in_anticanonical_definitional(g, m: Monomial, degree_bound: int | None = None) -> bool:
+def in_anticanonical_definitional(g, m: Monomial) -> bool:
     """True iff m + w lands in the ring for every canonical-module generator w."""
     fs = FacetSystem.from_graph(g)
-    return all(in_ring(fs, m + w) for w in omega_generators(g, degree_bound))
+    return all(in_ring(fs, m + w) for w in omega_generators(g))
 
 
 def trace_contains_maximal_ideal(g) -> bool:

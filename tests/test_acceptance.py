@@ -26,12 +26,11 @@ from gstab.toric import (
     a_invariant,
     hilbert_function,
     is_m_primary,
-    omega_generators,
     trace_equals_power,
     trace_height,
 )
 
-from oracles import trace_contains_maximal_ideal
+from oracles import omega_generators, trace_contains_maximal_ideal
 
 
 def dim_spread(g):

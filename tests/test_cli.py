@@ -14,7 +14,6 @@ import gstab
 from gstab import __version__
 from gstab.cli import (
     EXIT_CLOSED_STDOUT,
-    EXIT_INCONCLUSIVE,
     EXIT_MISMATCH,
     EXIT_NOT_PERFECT,
     EXIT_OK,
@@ -93,24 +92,6 @@ def test_graph_analyze_deterministic_output(capsys, graph_file):
     main(["graph", "analyze", path, "--oracle"])
     second = capsys.readouterr().out
     assert first == second
-
-
-def test_graph_analyze_inconclusive_exit(capsys, graph_file):
-    path = graph_file("k2.json", 2, [[1, 2]])
-    code, payload, err = run_cli(capsys, "graph", "analyze", path,
-                                 "--oracle", "--degree-bound", "0")
-    assert code == EXIT_INCONCLUSIVE
-    assert payload is None
-    assert "InconclusiveError" in err
-
-
-def test_graph_analyze_negative_degree_bound(capsys, graph_file):
-    path = graph_file("k2.json", 2, [[1, 2]])
-    code, payload, err = run_cli(capsys, "graph", "analyze", path,
-                                 "--oracle", "--degree-bound", "-1")
-    assert code == EXIT_PARAMS
-    assert payload is None
-    assert "ParameterError" in err
 
 
 # each file reads as a valid graph if true counts as the integer 1

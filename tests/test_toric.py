@@ -1,8 +1,9 @@
 """Lattice-point oracle layer.
 
 The spine of this file is the pair of independent routes for everything:
-membership thresholds vs. definitional checks, product-structured generator
-search vs. a per-degree sieve, fast classification vs. brute force.
+membership thresholds vs. definitional checks, the whole-slice generator
+search vs. a per-degree sieve, the face-by-face Gorenstein height vs. the
+generator route, fast classification vs. brute force.
 """
 
 import copy
@@ -10,7 +11,6 @@ import dataclasses
 import gc
 import hashlib
 import pickle
-import random
 import tracemalloc
 from itertools import combinations, product
 
@@ -19,8 +19,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gstab
-from gstab import graphs, posets, toric
-from gstab.errors import InconclusiveError, NotPerfectError, ParameterError, SizeGuardError
+from gstab import errors, graphs, posets, toric
+from gstab.errors import NotPerfectError, ParameterError, SizeGuardError
 from gstab.graphs import (
     Graph,
     complete_graph,
@@ -40,17 +40,13 @@ from gstab.toric import (
     Monomial,
     OracleCheck,
     _face_lattice,
-    _face_of,
-    _face_oracles,
+    _gorenstein,
     _in_trace,
-    _module_start_degree,
+    _local_height,
     _slack,
     _slice,
     _tables,
-    _walk,
-    _zero_masks,
     a_invariant,
-    anticanonical_generators,
     classify,
     degree_monomials,
     hilbert_function,
@@ -60,16 +56,20 @@ from gstab.toric import (
     in_trace,
     is_m_primary,
     is_nearly_gorenstein,
-    omega_generators,
     trace_equals_power,
     trace_height,
     verify_equivalence,
 )
 
 from oracles import (
+    anticanonical_generators,
+    bits,
     cone_faces,
+    face_of,
+    generator_trace_height,
     in_anticanonical_definitional,
     monomial_on_face,
+    omega_generators,
     pairwise_trace_generators,
 )
 
@@ -154,11 +154,6 @@ def face_walk_missed(fs, faces, gens):
     return [f for f in faces if not any(monomial_on_face(fs, f, t) for t in gens)]
 
 
-def bits(flags):
-    """The int bitset with bit j set where flags[j] is true."""
-    return sum(1 << j for j, flag in enumerate(flags) if flag)
-
-
 def missed_faces(fs, dims, gens):
     """The faces of `dims` (a `_face_lattice` result) on which no
     generator lies, as a dict from face bitset to dimension.
@@ -166,44 +161,13 @@ def missed_faces(fs, dims, gens):
     A ring point lies on a face F iff its slack (`_slack`) is 0 at every
     inequality tight on F, which is `monomial_on_face` verbatim.  The
     inequalities where it has slack 0 cut out the smallest face containing
-    it (`_face_of`), so it lies on F iff that face is a subset of F.
+    it (`face_of`), so it lies on F iff that face is a subset of F.
     """
     t = _tables(fs)
-    cuts = {_face_of(t.masks, t.full, bits(x == 0 for x in _slack(fs, m.exponents, m.degree)))
+    cuts = {face_of(t.masks, t.full, bits(x == 0 for x in _slack(fs, m.exponents, m.degree)))
             for m in gens}
     return {face: dim for face, dim in dims.items()
             if not any(cut & face == cut for cut in cuts)}
-
-
-def drop_splitter(fs, theta):
-    """The drop test by whole slices, point by point.
-
-    Returns split(points, degree), which divides a degree slice into the
-    points that drop to the previous degree (p - w is in the module for
-    some stable set w) and those that do not.  p drops iff the face cut out
-    by its zero-slack pattern (vertices with p_i = theta, cliques with sum
-    degree - theta; `_face_of`) has a degree-one point; the answer is
-    memoised on the pattern.
-    """
-    stables = _slice(fs, 0, 1)
-    cliques = [tuple(i - 1 for i in c) for c in fs.cliques]
-    masks = _zero_masks(fs, stables)
-    full = (1 << len(stables)) - 1
-    memo = {}
-
-    def split(points, degree):
-        cap = degree - theta
-        can, cannot = [], []
-        for p in points:
-            key = (*(x == theta for x in p),
-                   *(sum([p[i] for i in c]) == cap for c in cliques))
-            drops = memo.get(key)
-            if drops is None:
-                drops = memo[key] = _face_of(masks, full, bits(key)) != 0
-            (can if drops else cannot).append(p)
-        return can, cannot
-
-    return split
 
 
 def in_trace_box(fs, m):
@@ -223,45 +187,6 @@ def in_trace_box(fs, m):
 
     return any(top(w) + top(tuple(x - y for x, y in zip(a, w))) <= q
                for w in product(*(range(1, x + 2) for x in a)))
-
-
-def oracle_splits(g, fs, theta):
-    """(degree, slice, (drop, stuck)) by `drop_splitter` over the degrees a
-    generator search for `fs` scans: from its start degree until two
-    consecutive degrees have no stuck point, within the default window."""
-    split = drop_splitter(fs, theta)
-    start = _module_start_degree([fs], theta)
-    quiet = 0
-    for d in range(start, start + 2 * (maximal_cliques(g).dim + 3) + 1):
-        points = _slice(fs, theta, d)
-        drop, stuck = split(points, d)
-        yield d, points, (drop, stuck)
-        quiet = quiet + 1 if not stuck else 0
-        if quiet >= 2 and d > start:
-            return
-    raise AssertionError("oracle search did not stabilize")
-
-
-def oracle_generators(g, theta):
-    """Module generators as the stuck points of whole slices of `g`'s own
-    facet system, degree by degree."""
-    return tuple(Monomial(p, d) for d, _, (_, stuck) in oracle_splits(g, fs_of(g), theta)
-                 for p in stuck)
-
-
-def seeded_comparability_graphs():
-    """Six comparability graphs on 8 vertices, drawn as the fastpath
-    benchmark draws them, with relation densities stratified over
-    [0.2, 0.5]; three of them are disconnected."""
-    from gstab.posets import comparability_graph, poset_from_covers
-
-    rng = random.Random(0)
-    out = []
-    for k in range(6):
-        q = 0.2 + 0.05 * (k + rng.random())
-        rel = [(u, v) for u in range(8) for v in range(u + 1, 8) if rng.random() < q]
-        out.append((f"poset8#{k}", comparability_graph(poset_from_covers(range(8), rel))))
-    return out
 
 
 def kernel_corpus(corpus):
@@ -300,8 +225,9 @@ def test_reference_oracles_live_only_in_tests():
     helpers they replaced, is left in the library."""
     gone = ["Face", "cone_faces", "monomial_on_face", "in_anticanonical_definitional",
             "trace_contains_maximal_ideal", "trace_generators", "trace_is_unit",
-            "chromatic_number", "clique_number"]
-    for module in (gstab, toric, graphs):
+            "chromatic_number", "clique_number", "omega_generators",
+            "anticanonical_generators", "InconclusiveError"]
+    for module in (gstab, toric, graphs, errors):
         assert [name for name in gone if hasattr(module, name)] == [], module.__name__
 
 
@@ -511,60 +437,9 @@ def test_anticanonical_generators_against_sieve(corpus):
         assert_generators_match_sieve(g, -1, anticanonical_generators(g), start)
 
 
-def test_pruned_walk_matches_drop_oracle(corpus):
-    """The walk finds the stuck points of the whole-slice drop test, pruned
-    or not, degree by degree, on every kernel graph's own facet system and
-    on 8-vertex comparability graphs; unpruned it also splits the slice
-    the same way."""
-    graphs8 = seeded_comparability_graphs()
-    assert sum(len(connected_components(g)) > 1 for _, g in graphs8) >= 2
-    for name, g in kernel_corpus(corpus) + graphs8:
-        fs = fs_of(g)
-        t = _tables(fs)
-        walk = (t.index, t.masks, t.full)
-        for theta in (1, -1):
-            for d, points, (drop, stuck) in oracle_splits(g, fs, theta):
-                assert _walk(fs, theta, d, *walk, t.bound)[1] == stuck, (name, theta, d)
-                assert _walk(fs, theta, d, *walk, [0] * (fs.n + 1)) == (drop, stuck), \
-                    (name, theta, d)
-
-
-class CountingBound(list):
-    """A `_walk` bound that counts its reads: the walk reads it once per
-    node it enters."""
-
-    reads = 0
-
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
-
-
-def test_pruning_is_exercised():
-    from gstab.posets import comparability_graph, hmp_poset
-
-    hmp = comparability_graph(hmp_poset(5, 6))
-    for g in (hmp, disjoint_union(complete_graph(4), P3)):
-        assert omega_generators(g) == oracle_generators(g, 1)
-        assert anticanonical_generators(g) == oracle_generators(g, -1)
-    fs = fs_of(hmp)
-    t = _tables(fs)
-    walk = (t.index, t.masks, t.full)
-    for theta in (1, -1):
-        leaves = points = 0
-        pruned, whole = CountingBound(t.bound), CountingBound([0] * len(t.bound))
-        for d, sl, _ in oracle_splits(hmp, fs, theta):
-            leaves += sum(map(len, _walk(fs, theta, d, *walk, pruned)))
-            points += len(sl)
-            _walk(fs, theta, d, *walk, whole)
-        assert leaves < points, theta
-        assert pruned.reads < whole.reads, theta
-
-
 def test_tables_built_once_per_facet_system(monkeypatch):
-    """`classify(oracle=True)` builds the incidence table once per facet
-    system: once for a connected graph, and for K4+P3 once per component
-    plus once for the union."""
+    """`classify(oracle=True)` builds the incidence table once, for the
+    graph's own facet system, connected or not."""
     from gstab.posets import comparability_graph, hmp_poset
 
     builds = []
@@ -572,7 +447,7 @@ def test_tables_built_once_per_facet_system(monkeypatch):
     monkeypatch.setattr(toric, "_zero_masks",
                         lambda *args: builds.append(1) or zero_masks(*args))
     for g, expected in ((comparability_graph(hmp_poset(5, 6)), 1),
-                        (disjoint_union(complete_graph(4), P3), 3)):
+                        (disjoint_union(complete_graph(4), P3), 1)):
         _tables.cache_clear()
         builds.clear()
         assert classify(g, oracle=True).oracle.agreement
@@ -612,25 +487,6 @@ def test_trace_candidates_lie_in_ring(corpus):
         anti = anticanonical_generators(g)
         for w in omega_generators(g):
             assert all(in_ring(fs, w + v) for v in anti), name
-
-
-def test_negative_degree_bound_is_a_parameter_error():
-    for search in (omega_generators, anticanonical_generators):
-        with pytest.raises(ParameterError):
-            search(K2, degree_bound=-1)
-
-
-def test_generator_search_inconclusive_surfaces():
-    with pytest.raises(InconclusiveError):
-        omega_generators(K2, degree_bound=0)
-
-
-def test_inconclusive_propagates_through_face_tests():
-    # never silently converted to a boolean answer
-    with pytest.raises(InconclusiveError):
-        is_m_primary(PAW, degree_bound=0)
-    with pytest.raises(InconclusiveError):
-        trace_height(PAW, degree_bound=0)
 
 
 # -- trace as a power of the maximal ideal --------------------------------------
@@ -744,37 +600,19 @@ def test_missed_faces_match_face_walk(kernel_faces_and_gens):
 
 
 def test_face_oracles_match_minimal_generator_route(kernel_faces_and_gens):
-    """The pairwise-pattern pass behind is_m_primary and trace_height
+    """The face-by-face height behind is_m_primary and trace_height
     against the minimal trace generators: UNIT iff the trace is the unit
     ideal, otherwise n + 1 minus the largest dimension of a face no
     generator lies on; m-primary (only the apex missed) iff the height is
     UNIT or n + 1."""
     for name, g, fs, faces, gens in kernel_faces_and_gens:
-        height = _face_oracles(g, fs, None)
+        height = _local_height(fs)
         assert (height is UNIT) == any(m.degree == 0 for m in gens), name
         missed = missed_faces(fs, _face_lattice(fs), gens)
         if height is not UNIT:
             assert height == g.n + 1 - max(missed.values()), name
         assert all(dim < 1 for dim in missed.values()) == \
             (height is UNIT or height == g.n + 1), name
-
-
-def test_face_pass_reads_generators_not_trace_sums(monkeypatch):
-    """`classify(oracle=True)` computes one slack vector per canonical and
-    anticanonical generator plus one per degree-one point for the incidence
-    table, not one per pairwise sum."""
-    from gstab.posets import comparability_graph, hmp_poset
-
-    g = comparability_graph(hmp_poset(5, 6))
-    slacks = []
-    slack = toric._slack
-    monkeypatch.setattr(toric, "_slack", lambda *args: slacks.append(1) or slack(*args))
-    _tables.cache_clear()
-    assert classify(g, oracle=True).oracle.agreement
-    monkeypatch.undo()
-    omega, anti = omega_generators(g), anticanonical_generators(g)
-    assert len(slacks) == len(omega) + len(anti) + len(_tables(fs_of(g)).points)
-    assert len(slacks) < len(omega) * len(anti)
 
 
 def test_slices_build_no_incidence_table(monkeypatch):
@@ -830,6 +668,62 @@ def test_unit_trace_examples():
     assert not unit(PAW) and not unit(K3K1)
 
 
+def perfect_graphs_up_to(max_n):
+    """(name, graph) for every perfect graph on 1..max_n vertices, one per
+    isomorphism class."""
+    return [(f"n{n}#{k}", g) for n in range(1, max_n + 1)
+            for k, g in enumerate(graphs_up_to_iso(n)) if is_perfect(g)]
+
+
+def oracle_large_graphs():
+    """The 20 graphs of the benchmark's oracle_large workload: hmp(a, b)
+    for 4 <= a <= 7 and a < b <= 9, five unions of complete graphs and
+    paths, and P7."""
+    from gstab.posets import comparability_graph, hmp_poset
+
+    out = [(f"hmp({a},{b})", comparability_graph(hmp_poset(a, b)))
+           for a in range(4, 8) for b in range(a + 1, 10)]
+    K, P = complete_graph, path_graph
+    for name, parts in (("K5+K1", (K(5), K(1))), ("K5+K2", (K(5), K(2))),
+                        ("K5+P3", (K(5), P(3))), ("K4+P3", (K(4), P(3))),
+                        ("K3+K3+K1", (K(3), K(3), K(1))), ("P7", (P(7),))):
+        g = parts[0]
+        for h in parts[1:]:
+            g = disjoint_union(g, h)
+        out.append((name, g))
+    return out
+
+
+def test_local_height_matches_generator_route(corpus):
+    """The face-by-face Gorenstein height against the height read off the
+    canonical and anticanonical generators of whole degree slices."""
+    graphs = kernel_corpus(corpus) + perfect_graphs_up_to(6) + oracle_large_graphs()
+    assert len(graphs) == 69 + 199 + 20
+    for name, g in graphs:
+        assert _local_height(fs_of(g)) == generator_trace_height(g), name
+
+
+def test_ray_gorenstein_closed_form():
+    """The ray of a stable set S is Gorenstein iff every vertex of S lies
+    only in maximal cliques of one size.
+
+    The forms tight at S are x_j for j outside S and q - sum_{i in C} x_i
+    for every clique C through a vertex of S, which meets C only there.
+    Setting them to 1 forces c_j = 1 off S and c_s = q - |C| for every
+    clique C through s in S, so the system is solvable iff each s has one
+    clique size.  The library solves the systems instead, so this checks
+    the solver against a rule it does not use."""
+    rays = 0
+    for name, g in perfect_graphs_up_to(6):
+        t = _tables(fs_of(g))
+        sizes = [{len(c) for c in t.cliques if v in c} for v in range(g.n)]
+        for k, point in enumerate(t.points):
+            one_size = all(len(sizes[v]) == 1 for v in range(g.n) if point[v])
+            assert _gorenstein(t, 1 << k) == one_size, (name, point)
+            rays += 1
+    assert rays == 3265
+
+
 def test_trace_height_prescribed_family_extra_pairs():
     from gstab.posets import comparability_graph, hmp_poset
 
@@ -843,9 +737,8 @@ def test_classify_oracle_matches_separate_calls(oracle_reports):
     # agreement is True: the criterion holds on every graph of the corpus
     for name, g, report in oracle_reports:
         dims = [maximal_cliques(c.graph).dim for c in connected_components(g)]
-        height = _face_oracles(g, fs_of(g), None)
         separate = OracleCheck(trace_equals_power(g, dims[0] - dims[-1]),
-                               height is UNIT or height == g.n + 1, height, True)
+                               is_m_primary(g), trace_height(g), True)
         assert report.oracle == separate, name
 
 
