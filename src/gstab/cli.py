@@ -8,7 +8,8 @@ Subcommands:
     gstab verify --max-n K
 
 Reports are canonical JSON on stdout (sorted keys, stable field set), so a
-rerun with the same inputs is byte-identical; timings go to stderr.  Exit
+rerun with the same inputs is byte-identical; timings go to stderr.  The
+global `--json-indent` (default 2) must lie in 0..16.  Exit
 codes: 0 ok and all match flags true, 1 stdout closed before the report
 was written (as by `| head`), 2 parse error, 3 input not perfect, 4 size
 guard, 5 bad parameters, 6 a match flag is false.
@@ -51,6 +52,10 @@ EXIT_NOT_PERFECT = 3
 EXIT_SIZE_GUARD = 4
 EXIT_PARAMS = 5
 EXIT_MISMATCH = 6
+
+# `--json-indent` range: wide enough to read, small enough that the indent
+# strings `json.dumps` builds stay small
+MAX_JSON_INDENT = 16
 
 
 def _height_json(height):
@@ -219,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gstab",
         description="Stable set rings of perfect graphs: classification and oracles.",
     )
-    parser.add_argument("--json-indent", type=int, default=2)
+    parser.add_argument("--json-indent", type=int, default=2,
+                        help=f"spaces per JSON nesting level, 0..{MAX_JSON_INDENT}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def analysis_flags(p):
@@ -277,6 +283,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if not 0 <= args.json_indent <= MAX_JSON_INDENT:
+            raise ParameterError(
+                f"--json-indent must be in 0..{MAX_JSON_INDENT}, got {args.json_indent}")
         payload, code = args.run(args)
     except GstabError as exc:
         for cls, code in _ERROR_CODES:

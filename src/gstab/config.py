@@ -1,7 +1,7 @@
 """Size guards for the exponential-time steps.
 
 The defaults are 12 vertices for the perfection test, cone dimension 9
-for face enumeration and 7 vertices for `verify`.  The environment
+for the face oracle and 7 vertices for `verify`.  The environment
 variable GSTAB_SIZE_LIMIT (an integer n) raises all of them at once and
 never lowers one: the perfection and verify guards become the larger of
 their default and n, the cone guard the larger of its default and n + 1.
@@ -19,13 +19,13 @@ from .errors import ParameterError
 # Perfection test inspects all induced subgraphs: 2^n of them.
 DEFAULT_PERFECT_LIMIT = 12
 
-# Face enumeration works in the (n+1)-dimensional cone.
+# The face oracle walks faces of the (n+1)-dimensional cone.
 DEFAULT_CONE_DIM_LIMIT = 9
 
 # `verify` enumerates graphs up to isomorphism by vertex augmentation and
-# checks the 1105 perfect graphs on 7 vertices in 10-13 s, in flat
+# checks the 1105 perfect graphs on 7 vertices in 6-7 s, in flat
 # memory since the faces live for one `classify` call.  A run to 8
-# vertices (9992 perfect graphs) takes about 4 minutes, so 8 needs the
+# vertices (9992 perfect graphs) takes about 3 minutes, so 8 needs the
 # environment override.
 DEFAULT_VERIFY_LIMIT = 7
 

@@ -19,13 +19,17 @@ never uses the purity criterion or the faces.
 m-primariness and the trace height come from the faces of the cone: the
 trace misses a face iff the ring localised at the face's prime is not
 Gorenstein, which an integer linear system over the facets through the
-face decides (`_local_height`).  Neither needs module generators.
+face decides (`_gorenstein`, which reduces only the tight clique rows).
+Those faces form a down-set, so only the faces spanned by non-Gorenstein
+rays are listed, bottom-up from those rays (`_faces_within`), and the
+cone's face lattice is never built (`_local_height`).  Neither needs
+module generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .config import cone_dim_limit
@@ -201,53 +205,55 @@ def _in_trace(fs: FacetSystem, a, q: int) -> bool:
     can satisfy every clique, so the degrees in that range are all tried.
 
     For each d the vertices are assigned in order, carrying each clique's
-    partial sum.  A value of vertex v is skipped when some clique C through
-    v cannot land in its interval even if each of C's later vertices takes
-    its least value 1 or its largest value a_i + 1.  Those bounds only
-    prune: at a clique's last vertex there are no later vertices and the
-    test is the clique's own interval, so every full assignment reached is
-    a witness and no witness is skipped.
+    partial sums of w and of a.  A value of vertex v is skipped when some
+    clique C through v cannot land in its interval even if each of C's
+    later vertices takes its least value 1 or its largest value a_i + 1;
+    the number of those later vertices is read from `_tables(fs).rows`,
+    so nothing is rebuilt per call.  Those bounds only prune: at a
+    clique's last vertex there are no later vertices and the test is the
+    clique's own interval, so every full assignment reached is a witness
+    and no witness is skipped.
     """
     t = _tables(fs)
-    cliques = t.cliques
+    rows = t.rows
     n = fs.n
-    # per vertex v, for each clique C through it: (clique index, low,
-    # count), where count is the number of C's vertices after v and low is
-    # cs_C(a) minus the largest sum those can take, which is a's sum over
-    # C's vertices up to v minus count
-    rows = [[] for _ in range(n)]
-    for ci, c in enumerate(cliques):
-        low, count = 0, len(c)
-        for v in c:
-            low += a[v]
-            count -= 1
-            rows[v].append((ci, low - count, count))
-    part = [0] * len(cliques)
+    part = [0] * len(t.cliques)   # sum of w over each clique's assigned vertices
+    done = [0] * len(t.cliques)   # sum of a over the same vertices
 
     def place(v: int, hi: int, slack: int) -> bool:
+        # with count later vertices in C, each between 1 and a_i + 1:
         # x >= cs_C(a) - slack - part_C - (largest sum of C's later vertices)
-        # x <= hi - part_C - (number of C's later vertices)
-        x_lo, x_hi = 1, a[v] + 1
-        for ci, low, count in rows[v]:
+        #    = done_C + a_v - count - slack - part_C
+        # x <= hi - part_C - count
+        av = a[v]
+        x_lo, x_hi = 1, av + 1
+        row = rows[v]
+        for ci, count in row:
             p = part[ci]
-            if low - p - slack > x_lo:
-                x_lo = low - p - slack
-            if hi - p - count < x_hi:
-                x_hi = hi - p - count
+            low = done[ci] + av - count - slack - p
+            if low > x_lo:
+                x_lo = low
+            high = hi - p - count
+            if high < x_hi:
+                x_hi = high
         if x_lo > x_hi:
             return False
         if v + 1 == n:
             return True
-        row = rows[v]
+        for ci, _ in row:
+            done[ci] += av
+        found = False
         for x in range(x_lo, x_hi + 1):
-            for ci, _, _ in row:
+            for ci, _ in row:
                 part[ci] += x
             found = place(v + 1, hi, slack)
-            for ci, _, _ in row:
+            for ci, _ in row:
                 part[ci] -= x
             if found:
-                return True
-        return False
+                break
+        for ci, _ in row:
+            done[ci] -= av
+        return found
 
     # hi = d - 1 is the top of every clique's interval; slack = q - d + 1
     return any(place(0, d - 1, q - d + 1) for d in range(t.top + 1, q + 2 + t.bottom))
@@ -358,7 +364,8 @@ class _Tables(NamedTuple):
     points: tuple    # the degree-one points (stable sets), `_slice(fs, 0, 1)`
     masks: tuple     # their `_zero_masks`; bit k of a face is points[k]
     full: int        # the bitset of every point
-    forms: tuple     # per `_slack` entry, its linear form on Z^(n+1)
+    rows: tuple      # per vertex v, (clique index, later count) for each
+                     # clique C through v, later count = |{i in C: i > v}|
 
 
 def _clique_index(fs: FacetSystem) -> tuple[tuple, tuple]:
@@ -376,19 +383,18 @@ def _clique_index(fs: FacetSystem) -> tuple[tuple, tuple]:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _tables(fs: FacetSystem) -> _Tables:
-    """The `_Tables` of `fs`, built once per facet system.
-
-    The forms are the `_slack` entries as functions of (a, q): x_i for
-    each vertex i, then q - sum_{i in C} x_i for each clique C."""
-    n = fs.n
+    """The `_Tables` of `fs`, built once per facet system."""
     cliques, by_vertex = _clique_index(fs)
     points = tuple(_walk(fs, 0, 1, by_vertex))
     masks = tuple(_zero_masks(fs, points))
     full = (1 << len(points)) - 1
-    forms = [(*(int(i == j) for i in range(n)), 0) for j in range(n)]
-    forms += [(*(-int(i in c) for i in range(n)), 1) for c in cliques]
+    rows = [[] for _ in range(fs.n)]
+    for ci, c in enumerate(cliques):
+        for later, v in enumerate(reversed(c)):
+            rows[v].append((ci, later))
+    rows = tuple(map(tuple, rows))
     sizes = [len(c) for c in cliques]
-    return _Tables(cliques, max(sizes), min(sizes), points, masks, full, tuple(forms))
+    return _Tables(cliques, max(sizes), min(sizes), points, masks, full, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -417,49 +423,6 @@ def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
 # ---------------------------------------------------------------------------
 # faces of the cone
 
-def _face_lattice(fs: FacetSystem) -> dict[int, int]:
-    """All faces of the cone over the stable set polytope, as a dict from
-    each face to its dimension.
-
-    Because the polytope has 0/1 vertices, each face is spanned by its
-    degree-one lattice points, so a face is identified by the bitset of
-    those points (bit k for `_tables(fs).points[k]`) and an intersection
-    of faces by the AND of their bitsets, the facets being the
-    `_zero_masks`.  An inequality is
-    tight on a face iff the face's points all lie on that facet, a subset
-    test of the two bitsets.
-
-    Dimensions come from the grading of the face lattice.  The full cone
-    has dimension n + 1.  Every proper intersection G = F & facet of a face
-    F is a face of dimension at most dim F - 1, with equality when G is a
-    facet of F, and every facet of F arises this way.  So dim G is the
-    least dim F - 1 over the faces F it is cut from, and visiting faces by
-    decreasing point count settles each dimension before it is passed on.
-    The apex is the face with no points, of dimension 0.
-    """
-    limit = cone_dim_limit()
-    if fs.n + 1 > limit:
-        raise SizeGuardError(
-            f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
-    t = _tables(fs)
-    dims = {t.full: fs.n + 1}
-    by_size = [[] for _ in t.points] + [[t.full]]
-    for bucket in reversed(by_size):
-        for face in bucket:
-            below = dims[face] - 1
-            for f in t.masks:
-                sub = face & f
-                if sub == face:
-                    continue
-                known = dims.get(sub)
-                if known is None:
-                    by_size[sub.bit_count()].append(sub)
-                    dims[sub] = below
-                elif known > below:
-                    dims[sub] = below
-    return dims
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(x, y, d) with x*a + y*b = d, where |d| = gcd(a, b) and a, b are
     not both 0."""
@@ -480,28 +443,40 @@ def _gorenstein(t: _Tables, face: int) -> bool:
     generate; its facets are the facets of the cone that contain the face.
     A normal semigroup ring is Gorenstein iff some lattice point c has
     value 1 on every primitive facet form (Bruns-Herzog, Cohen-Macaulay
-    Rings, Thm 6.3.5).  The forms of `t.forms` are primitive, so the
-    answer is whether those whose mask contains `face` are all 1 at some
-    integer c.
+    Rings, Thm 6.3.5).  The forms are the `_slack` entries as functions of
+    c = (c_1..c_n, c_q): x_j for each vertex j and q - sum_{i in C} x_i
+    for each clique C, all primitive.  So the answer is whether those
+    whose mask contains `face` are all 1 at some integer c.
 
-    Decided by unimodular column reduction: the integer points on which
-    the forms seen so far are 1 are c plus the integer span of `basis`.  A
-    new form takes some value on each basis vector; extended-gcd steps,
-    each an invertible integer change of two basis vectors, gather those
-    values into one vector `pivot` with value their gcd and leave every
-    other vector at value 0, so those span the new solution set's
-    directions.  The form can be made 1 iff that gcd divides 1 minus the
-    form's value at c.
+    A tight vertex form x_j is the unit vector e_j, so x_j = 1 just fixes
+    c_j = 1: those coordinates are set up front and e_j leaves the basis.
+    Only the tight clique rows are then reduced, and the value of a vector
+    u on the row of clique C is u_q - sum_{i in C} u_i, read off C's
+    vertices alone.  The reduction is unimodular column reduction: the
+    integer points on which the rows seen so far are 1 are c plus the
+    integer span of `basis`.  A new row takes some value on each basis
+    vector; extended-gcd steps, each an invertible integer change of two
+    basis vectors, gather those values into one vector `pivot` with value
+    their gcd and leave every other vector at value 0, so those span the
+    new solution set's directions.  The row can be made 1 iff that gcd
+    divides 1 minus the row's value at c.
     """
-    width = len(t.forms[0])
-    c = [0] * width
-    basis = [[int(i == j) for i in range(width)] for j in range(width)]
-    for form, mask in zip(t.forms, t.masks):
+    masks = t.masks
+    n = len(t.rows)
+    c = [0] * (n + 1)
+    basis = []
+    for j in range(n):
+        if face & masks[j] == face:
+            c[j] = 1
+        else:
+            basis.append([int(i == j) for i in range(n + 1)])
+    basis.append([0] * n + [1])
+    for clique, mask in zip(t.cliques, masks[n:]):
         if face & mask != face:
             continue
         pivot, value, rest = None, 0, []
         for u in basis:
-            g = sum(a * b for a, b in zip(form, u))
+            g = u[n] - sum([u[i] for i in clique])
             if not g:
                 rest.append(u)
             elif pivot is None:
@@ -510,16 +485,58 @@ def _gorenstein(t: _Tables, face: int) -> bool:
                 x, y, d = _ext_gcd(value, g)
                 rest.append([g // d * a - value // d * b for a, b in zip(pivot, u)])
                 pivot, value = [x * a + y * b for a, b in zip(pivot, u)], d
-        need = 1 - sum(a * b for a, b in zip(form, c))
+        need = 1 - c[n] + sum([c[i] for i in clique])
         if pivot is None:
             if need:
                 return False
         elif need % value:
             return False
         else:
-            c = [a + need // value * b for a, b in zip(c, pivot)]
+            k = need // value
+            c = [a + k * b for a, b in zip(c, pivot)]
         basis = rest
     return True
+
+
+def _faces_within(t: _Tables, rays: list[int]) -> dict[int, int]:
+    """Every face of the cone other than the apex whose degree-one points
+    all lie on `rays` (one-point bitsets), as a dict from face bitset to
+    dimension.
+
+    Walked bottom-up from the rays, which have dimension 1, by increasing
+    point count: each face F is joined with each ray r outside it, the
+    join being the smallest face holding both, the AND of the masks that
+    contain F | r, and a join with a point off `rays` is dropped.  Every
+    such face G above a ray is reached: a facet F of G has its points on
+    `rays` too, and G is its join with any point of G outside F.  Since a
+    facet has fewer points than G, all of G's facets come before G, and
+    G's dimension is the largest dim F + 1 over the faces F it is joined
+    from: a facet gives exactly dim G, any smaller face less.
+    """
+    within = sum(rays)
+    dims = dict.fromkeys(rays, 1)
+    by_size = [[] for _ in range(len(t.points) + 1)]
+    by_size[1] = list(rays)
+    for bucket in by_size:
+        for face in bucket:
+            dim = dims[face]
+            tight = [m for m in t.masks if face & m == face]
+            for r in rays:
+                if face & r:
+                    continue
+                join = t.full
+                for m in tight:
+                    if m & r:
+                        join &= m
+                if join & within != join:
+                    continue
+                known = dims.get(join)
+                if known is None:
+                    dims[join] = dim + 1
+                    by_size[join.bit_count()].append(join)
+                elif known <= dim:
+                    dims[join] = dim + 1
+    return dims
 
 
 def _local_height(fs: FacetSystem) -> object:
@@ -534,32 +551,32 @@ def _local_height(fs: FacetSystem) -> object:
 
     A larger face has a smaller prime, whose localisation is a further
     localisation, and a localisation of a Gorenstein ring is Gorenstein:
-    non-Gorenstein faces are closed downwards.  So:
+    the non-Gorenstein faces form a down-set.  So:
     - if the apex, whose prime is the maximal ideal, is Gorenstein, the
       ring is, and the trace is UNIT;
     - every other face contains a ray, spanned by one degree-one point,
       so if every ray is Gorenstein the apex is the only non-Gorenstein
-      face and the height is n + 1;
-    - otherwise the largest non-Gorenstein face has all its points on
-      non-Gorenstein rays, so only such faces are tested, largest first.
-    Each face is decided once per call.
+      face and the height is n + 1; a GPS graph stops here;
+    - otherwise a non-Gorenstein face has all its points on the
+      non-Gorenstein rays.  Only those faces are listed
+      (`_faces_within`), and they are solved largest first, down to the
+      first non-Gorenstein one; a ray is known to be one.
 
-    The faces are enumerated first, so that the size guard of
-    `_face_lattice` fires before anything is solved.
+    The cone-dimension guard fires before anything is built or solved.
     """
-    dims = _face_lattice(fs)
+    limit = cone_dim_limit()
+    if fs.n + 1 > limit:
+        raise SizeGuardError(
+            f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
     t = _tables(fs)
-    gorenstein = cache(lambda face: _gorenstein(t, face))
-    if gorenstein(0):
+    if _gorenstein(t, 0):
         return UNIT
-    bad = 0
-    for k in range(len(t.points)):
-        if not gorenstein(1 << k):
-            bad |= 1 << k
-    if not bad:
+    rays = [1 << k for k in range(len(t.points)) if not _gorenstein(t, 1 << k)]
+    if not rays:
         return fs.n + 1
-    faces = sorted((face for face in dims if face & bad == face), key=dims.get, reverse=True)
-    return fs.n + 1 - next(dims[face] for face in faces if not gorenstein(face))
+    dims = _faces_within(t, rays)
+    return fs.n + 1 - next(dims[face] for face in sorted(dims, key=dims.get, reverse=True)
+                           if dims[face] == 1 or not _gorenstein(t, face))
 
 
 def is_m_primary(g: Graph) -> bool:

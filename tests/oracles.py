@@ -3,8 +3,9 @@
 Each one takes a route the library does not: the canonical and
 anticanonical generators by a drop test over whole degree slices, the
 trace height from those generators, the trace ideal's minimal generators
-by reducing the pairwise canonical-plus-anticanonical sums, the faces of
-the cone as objects with their tight inequalities and points, the
+by reducing the pairwise canonical-plus-anticanonical sums, the whole
+face lattice of the cone graded top-down, the faces as objects with
+their tight inequalities and points, the
 anticanonical ideal by its defining property, and near-Gorensteinness by
 testing every degree-one monomial for trace membership.
 """
@@ -12,12 +13,13 @@ testing every degree-one monomial for trace membership.
 from dataclasses import dataclass
 from functools import lru_cache
 
+from gstab.config import cone_dim_limit
+from gstab.errors import SizeGuardError
 from gstab.graphs import maximal_cliques
 from gstab.toric import (
     UNIT,
     FacetSystem,
     Monomial,
-    _face_lattice,
     _in_trace,
     _slack,
     _slice,
@@ -42,6 +44,53 @@ def face_of(masks, full, pattern):
         face &= masks[low.bit_length() - 1]
         pattern ^= low
     return face
+
+
+def face_lattice(fs):
+    """All faces of the cone over the stable set polytope, as a dict from
+    each face to its dimension.
+
+    Because the polytope has 0/1 vertices, each face is spanned by its
+    degree-one lattice points, so a face is identified by the bitset of
+    those points (bit k for `_tables(fs).points[k]`) and an intersection
+    of faces by the AND of their bitsets, the facets being the
+    `_zero_masks`.  An inequality is
+    tight on a face iff the face's points all lie on that facet, a subset
+    test of the two bitsets.
+
+    Dimensions come from the grading of the face lattice.  The full cone
+    has dimension n + 1.  Every proper intersection G = F & facet of a face
+    F is a face of dimension at most dim F - 1, with equality when G is a
+    facet of F, and every facet of F arises this way.  So dim G is the
+    least dim F - 1 over the faces F it is cut from, and visiting faces by
+    decreasing point count settles each dimension before it is passed on.
+    The apex is the face with no points, of dimension 0.
+
+    This is the top-down reference for the library's bottom-up join walk
+    (`_faces_within`); it keeps the cone-dimension guard of that walk's
+    caller.
+    """
+    limit = cone_dim_limit()
+    if fs.n + 1 > limit:
+        raise SizeGuardError(
+            f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
+    t = _tables(fs)
+    dims = {t.full: fs.n + 1}
+    by_size = [[] for _ in t.points] + [[t.full]]
+    for bucket in reversed(by_size):
+        for face in bucket:
+            below = dims[face] - 1
+            for f in t.masks:
+                sub = face & f
+                if sub == face:
+                    continue
+                known = dims.get(sub)
+                if known is None:
+                    by_size[sub.bit_count()].append(sub)
+                    dims[sub] = below
+                elif known > below:
+                    dims[sub] = below
+    return dims
 
 
 def drop_splitter(fs, theta):
@@ -138,7 +187,7 @@ def generator_trace_height(g):
     is.
     """
     fs = FacetSystem.from_graph(g)
-    dims = _face_lattice(fs)
+    dims = face_lattice(fs)
     omega = tight_patterns(fs, omega_generators(g), 1)
     anti = tight_patterns(fs, anticanonical_generators(g), -1)
     t = _tables(fs)
@@ -189,10 +238,10 @@ class Face:
 
 def cone_faces(fs: FacetSystem) -> tuple[Face, ...]:
     """All faces of the cone over the stable set polytope, ordered by
-    dimension and then by their points (see `_face_lattice`)."""
+    dimension and then by their points (see `face_lattice`)."""
     t = _tables(fs)
     faces = []
-    for face, dim in _face_lattice(fs).items():
+    for face, dim in face_lattice(fs).items():
         tight = [j for j, f in enumerate(t.masks) if face & f == face]
         bits = bin(face)[:1:-1]   # bit k of the face at index k
         faces.append(Face(frozenset(j + 1 for j in tight if j < fs.n),

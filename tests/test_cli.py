@@ -20,6 +20,7 @@ from gstab.cli import (
     EXIT_PARAMS,
     EXIT_PARSE,
     EXIT_SIZE_GUARD,
+    MAX_JSON_INDENT,
     main,
 )
 
@@ -290,10 +291,41 @@ def test_report_bytes_pinned(capsys, monkeypatch, argv, digest):
 
 def test_json_indent_flag(capsys, graph_file):
     path = graph_file("k1.json", 1, [])
-    code = main(["--json-indent", "0", "graph", "analyze", path])
-    out = capsys.readouterr().out
-    assert code == EXIT_OK
-    json.loads(out)
+    for indent in (0, MAX_JSON_INDENT):
+        code = main(["--json-indent", str(indent), "graph", "analyze", path])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        json.loads(out)
+
+
+@pytest.mark.parametrize("indent", [-1, MAX_JSON_INDENT + 1])
+def test_json_indent_out_of_range_is_a_parameter_error(capsys, graph_file, monkeypatch, indent):
+    """An indent outside 0..16 is refused before the command runs, so
+    nothing is computed or dumped."""
+    runs = []
+    monkeypatch.setattr("gstab.cli.classify", lambda *a, **k: runs.append(1))
+    path = graph_file("k1.json", 1, [])
+    code, payload, err = run_cli(capsys, "--json-indent", str(indent), "graph", "analyze", path)
+    assert code == EXIT_PARAMS
+    assert payload is None
+    assert "ParameterError" in err and "--json-indent" in err
+    assert runs == []
+
+
+def test_graph_analyze_oracle_cone_guard_before_any_solve(capsys, graph_file, monkeypatch):
+    """The library height route's cone guard surfaces as exit 4, and no
+    system is solved first."""
+    from gstab import toric
+
+    solves = []
+    gorenstein = toric._gorenstein
+    monkeypatch.setattr(toric, "_gorenstein", lambda *a: solves.append(1) or gorenstein(*a))
+    path = graph_file("e9.json", 9, [])
+    code, payload, err = run_cli(capsys, "graph", "analyze", path, "--oracle")
+    assert code == EXIT_SIZE_GUARD
+    assert payload is None
+    assert "SizeGuardError" in err
+    assert solves == []
 
 
 def test_mismatch_exit_code_is_distinct():

@@ -12,6 +12,7 @@ import gc
 import hashlib
 import pickle
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -39,10 +40,10 @@ from gstab.toric import (
     FacetSystem,
     Monomial,
     OracleCheck,
-    _face_lattice,
     _gorenstein,
     _in_trace,
     _local_height,
+    _faces_within,
     _slack,
     _slice,
     _tables,
@@ -65,6 +66,7 @@ from oracles import (
     anticanonical_generators,
     bits,
     cone_faces,
+    face_lattice,
     face_of,
     generator_trace_height,
     in_anticanonical_definitional,
@@ -155,7 +157,7 @@ def face_walk_missed(fs, faces, gens):
 
 
 def missed_faces(fs, dims, gens):
-    """The faces of `dims` (a `_face_lattice` result) on which no
+    """The faces of `dims` (a `face_lattice` result) on which no
     generator lies, as a dict from face bitset to dimension.
 
     A ring point lies on a face F iff its slack (`_slack`) is 0 at every
@@ -226,7 +228,7 @@ def test_reference_oracles_live_only_in_tests():
     gone = ["Face", "cone_faces", "monomial_on_face", "in_anticanonical_definitional",
             "trace_contains_maximal_ideal", "trace_generators", "trace_is_unit",
             "chromatic_number", "clique_number", "omega_generators",
-            "anticanonical_generators", "InconclusiveError"]
+            "anticanonical_generators", "InconclusiveError", "_face_lattice"]
     for module in (gstab, toric, graphs, errors):
         assert [name for name in gone if hasattr(module, name)] == [], module.__name__
 
@@ -596,7 +598,7 @@ def test_missed_faces_match_face_walk(kernel_faces_and_gens):
         # each walked face as its bitset of degree-one points, with its dim
         index = {p: k for k, p in enumerate(_tables(fs).points)}
         walked = {sum(1 << index[p] for p in f.points): f.dim for f in missed}
-        assert missed_faces(fs, _face_lattice(fs), gens) == walked, name
+        assert missed_faces(fs, face_lattice(fs), gens) == walked, name
 
 
 def test_face_oracles_match_minimal_generator_route(kernel_faces_and_gens):
@@ -608,7 +610,7 @@ def test_face_oracles_match_minimal_generator_route(kernel_faces_and_gens):
     for name, g, fs, faces, gens in kernel_faces_and_gens:
         height = _local_height(fs)
         assert (height is UNIT) == any(m.degree == 0 for m in gens), name
-        missed = missed_faces(fs, _face_lattice(fs), gens)
+        missed = missed_faces(fs, face_lattice(fs), gens)
         if height is not UNIT:
             assert height == g.n + 1 - max(missed.values()), name
         assert all(dim < 1 for dim in missed.values()) == \
@@ -701,6 +703,143 @@ def test_local_height_matches_generator_route(corpus):
     assert len(graphs) == 69 + 199 + 20
     for name, g in graphs:
         assert _local_height(fs_of(g)) == generator_trace_height(g), name
+
+
+def test_faces_within_match_face_lattice():
+    """The bottom-up join walk against the top-down face lattice.  From
+    every ray it lists the whole lattice but the apex; from the
+    non-Gorenstein rays, exactly the lattice faces whose points all lie
+    on them, each with the lattice's dimension.  The height is n + 1
+    minus the largest lattice dimension of a non-Gorenstein face, as the
+    generator route says."""
+    for name, g in perfect_graphs_up_to(6) + oracle_large_graphs():
+        fs = fs_of(g)
+        t = _tables(fs)
+        dims = face_lattice(fs)
+        everything = [1 << k for k in range(len(t.points))]
+        assert _faces_within(t, everything) == {f: d for f, d in dims.items() if f}, name
+        bad = [r for r in everything if not _gorenstein(t, r)]
+        within = sum(bad)
+        assert _faces_within(t, bad) == \
+            {f: d for f, d in dims.items() if f and f & within == f}, name
+        height = _local_height(fs)
+        missed = [d for f, d in dims.items() if not _gorenstein(t, f)]
+        assert (height is UNIT) == (missed == []), name
+        if missed:
+            assert height == g.n + 1 - max(missed), name
+        assert height == generator_trace_height(g), name
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts `_gorenstein` calls, the systems the height route solves."""
+    count = [0]
+    gorenstein = toric._gorenstein
+
+    def counted(t, face):
+        count[0] += 1
+        return gorenstein(t, face)
+
+    monkeypatch.setattr(toric, "_gorenstein", counted)
+    return count
+
+
+def test_height_solve_counts(solves, monkeypatch):
+    """The work of the height route, pinned.  A Gorenstein ring needs the
+    apex alone.  A GPS non-Gorenstein ring needs the apex and one solve
+    per degree-one point, and lists no face beyond them.  hmp(4,9) lists
+    the faces on its non-Gorenstein rays and solves them largest first."""
+    from gstab.posets import comparability_graph, hmp_poset
+
+    walks = []
+    faces_within = toric._faces_within
+    monkeypatch.setattr(toric, "_faces_within", lambda *a: walks.append(1) or faces_within(*a))
+    for g in (K1, K2, K3, P3, disjoint_union(K2, K2)):
+        solves[0] = 0
+        assert trace_height(g) is UNIT
+        assert solves[0] == 1
+    k5p3 = disjoint_union(complete_graph(5), path_graph(3))
+    for g in (K2K1, K3K1, k5p3):
+        solves[0] = 0
+        assert trace_height(g) == g.n + 1
+        assert solves[0] == 1 + len(_tables(fs_of(g)).points)
+    # so K5+P3 takes 31 solves
+    assert len(_tables(fs_of(k5p3)).points) == 30
+    assert walks == []
+    solves[0] = 0
+    assert trace_height(comparability_graph(hmp_poset(4, 9))) == 4
+    # the apex, 11 rays and one listed face
+    assert solves[0] == 13
+    assert walks == [1]
+
+
+def test_trace_height_guard_fires_before_any_solve(solves):
+    """The cone-dimension guard of the library route fires before a
+    system is solved."""
+    with pytest.raises(SizeGuardError, match="cone dimension 9, got 10"):
+        trace_height(empty_graph(9))
+    assert solves[0] == 0
+
+
+def rational_solvable(rows):
+    """Is the system of (coefficients, right-hand side) rows solvable over
+    Q?  Gauss-Jordan elimination in `Fraction`s: inconsistent iff some row
+    ends as 0 = nonzero."""
+    rows = [[Fraction(x) for x in coefficients] + [Fraction(rhs)] for coefficients, rhs in rows]
+    for col in range(len(rows[0]) - 1 if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] if r[col] else r
+                for r in rows]
+    return not any(r[-1] for r in rows)
+
+
+def test_integer_and_rational_solvability_agree():
+    """On every face of every perfect graph on at most six vertices, the
+    integer system `_gorenstein` decides is solvable iff it is solvable
+    over Q, so a rank test would give the same heights there.
+
+    The tight vertex rows x_j = 1 fix c_j = 1 over Z and Q alike, so the
+    rational system here is the tight clique rows with those coordinates
+    substituted, over all n + 1 coordinates.  Equal systems are solved
+    once."""
+    memo = {}
+    faces = bad = 0
+    for name, g in perfect_graphs_up_to(6):
+        fs = fs_of(g)
+        t = _tables(fs)
+        n = g.n
+        for face in face_lattice(fs):
+            fixed = [face & t.masks[j] == face for j in range(n)]
+            rows = tuple(sorted(
+                ((*(-int(i in c and not fixed[i]) for i in range(n)), 1),
+                 1 + sum(fixed[i] for i in c))
+                for c, mask in zip(t.cliques, t.masks[n:]) if face & mask == face))
+            if rows not in memo:
+                memo[rows] = rational_solvable(rows)
+            assert _gorenstein(t, face) == memo[rows], (name, face)
+            faces += 1
+            bad += not memo[rows]
+    assert (faces, bad) == (53398, 973)
+
+
+def test_gorenstein_is_an_integer_test():
+    """A system solvable over Q but not over Z, built by hand, so that the
+    divisibility test of `_gorenstein` is exercised: no face of a perfect
+    graph on at most six vertices separates the two.  Vertex 1 is fixed
+    (its mask holds the face), the others are free, and the rows are
+    q - sum_{i in C} c_i = 1 for the sets C below.  With c_1 = 1 the row of
+    (1,) gives q = 2, so the other three rows say c_0 + c_3, c_0 + c_2 and
+    c_2 + c_3 are all 1: 2(c_0 + c_2 + c_3) = 3, solved by halves only."""
+    cliques = ((0, 3), (0, 2), (1,), (2, 3))
+    # the face is bit 0; the masks of vertex 1 and of every set hold it
+    t = toric._Tables(cliques, 0, 0, (), (0, 1, 0, 0) + (1,) * 4, 1, ((),) * 4)
+    rows = [((*(-int(i in c and i != 1) for i in range(4)), 1), 1 + (1 in c))
+            for c in cliques]
+    assert rational_solvable(rows)
+    assert not _gorenstein(t, 1)
 
 
 def test_ray_gorenstein_closed_form():
