@@ -97,9 +97,17 @@ def _graph_payload(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
+def _vertex_limit(args) -> int | None:
+    """The analysis commands' `--max-n`, which must be at least 1 if given."""
+    if args.max_n is not None and args.max_n < 1:
+        raise ParameterError("--max-n must be at least 1")
+    return args.max_n
+
+
 def cmd_graph_analyze(args) -> tuple[dict, int]:
+    limit = _vertex_limit(args)
     g = load_graph(args.file)
-    report = classify(g, oracle=args.oracle, vertex_limit=args.max_n)
+    report = classify(g, oracle=args.oracle, vertex_limit=limit)
     payload = {
         **_header("graph analyze"),
         "input": {"path": args.file, **_graph_payload(g)},
@@ -117,9 +125,10 @@ def _poset_payload(p: Poset) -> dict:
 
 
 def cmd_poset_analyze(args) -> tuple[dict, int]:
+    limit = _vertex_limit(args)
     p = load_poset(args.file)
     g = comparability_graph(p)
-    report = classify(g, oracle=args.oracle, vertex_limit=args.max_n)
+    report = classify(g, oracle=args.oracle, vertex_limit=limit)
     payload = {
         **_header("poset analyze"),
         "input": {"path": args.file, **_poset_payload(p)},

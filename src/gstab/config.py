@@ -16,16 +16,17 @@ import os
 
 from .errors import ParameterError
 
-# Perfection test inspects all induced subgraphs: 2^n of them.
+# The perfection test (Lovasz's criterion) runs two clique searches on
+# each of the 2^n induced subgraphs.
 DEFAULT_PERFECT_LIMIT = 12
 
 # The face oracle walks faces of the (n+1)-dimensional cone.
 DEFAULT_CONE_DIM_LIMIT = 9
 
 # `verify` enumerates graphs up to isomorphism by vertex augmentation and
-# checks the 1105 perfect graphs on 7 vertices in 6-7 s, in flat
+# checks the 1105 perfect graphs on 7 vertices in about 4 s, in flat
 # memory since the faces live for one `classify` call.  A run to 8
-# vertices (9992 perfect graphs) takes about 3 minutes, so 8 needs the
+# vertices (9992 perfect graphs) takes about 2 minutes, so 8 needs the
 # environment override.
 DEFAULT_VERIFY_LIMIT = 7
 

@@ -2,9 +2,9 @@
 
 Vertices are labeled 1..n.  Edges are unordered pairs.  All values are
 immutable and all operations are pure functions, so everything here is safe
-to share across threads.  The perfection test is the textbook exponential
-one (every induced subgraph must have chromatic number equal to its clique
-number) and is guarded by a vertex limit.
+to share across threads.  Perfection is decided by Lovasz's criterion
+(omega(H) * alpha(H) >= |V(H)| on every induced subgraph H), exponential
+in the vertex count and so guarded by a vertex limit.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from .config import perfect_limit
 from .errors import FormatError, SizeGuardError
 
 # Entries in each cache keyed on one graph (or a value built from it).  One
-# `classify` call looks up the graph, its complement and its components, and
-# a sweep such as `verify` moves to a new graph after each call, so a small
-# bound keeps the hits within a call while memory stays flat over the sweep.
+# `classify` call looks up the graph and its components, and a sweep such as
+# `verify` moves to a new graph after each call, so a small bound keeps the
+# hits within a call while memory stays flat over the sweep.
 GRAPH_CACHE_SIZE = 32
 
 
@@ -227,30 +227,6 @@ def _max_clique_size(adj: tuple[int, ...], subset: int) -> int:
     return best
 
 
-def _colorable(adj: tuple[int, ...], vertices: list[int], k: int) -> bool:
-    """Backtracking k-colorability; vertices come pre-sorted by degree."""
-    color = {}
-
-    def assign(idx: int, used: int) -> bool:
-        if idx == len(vertices):
-            return True
-        v = vertices[idx]
-        taken = {color[u] for u in color if adj[v] >> u & 1}
-        # allowing one fresh color caps the search at k while breaking
-        # color-permutation symmetry
-        limit = min(k, used + 1)
-        for c in range(limit):
-            if c in taken:
-                continue
-            color[v] = c
-            if assign(idx + 1, max(used, c + 1)):
-                return True
-            del color[v]
-        return False
-
-    return assign(0, 0)
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -337,57 +313,28 @@ def stable_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def has_odd_hole(g: Graph) -> bool:
-    """Induced odd cycle of length >= 5 present?"""
-    adj = _adjacency_masks(g)
-    for size in range(5, g.n + 1, 2):
-        for subset in combinations(range(g.n), size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            if all((adj[v] & mask).bit_count() == 2 for v in subset):
-                # 2-regular induced subgraph: a cycle iff connected
-                start = subset[0]
-                reach = 1 << start
-                frontier = [start]
-                while frontier:
-                    v = frontier.pop()
-                    for w in _bits(adj[v] & mask & ~reach):
-                        reach |= 1 << w
-                        frontier.append(w)
-                if reach == mask:
-                    return True
-    return False
-
-
 def is_perfect(g: Graph, limit: int | None = None) -> bool:
-    """Every induced subgraph has chromatic number equal to clique number.
+    """Is the graph perfect?
 
-    An independent route (no odd hole in the graph or its complement) is
-    evaluated as well; the two must agree, and a mismatch is a bug, not a
-    result.
+    Decided by Lovasz's criterion (1972): a graph is perfect iff
+    omega(H) * alpha(H) >= |V(H)| for every induced subgraph H.  All 2^n
+    induced subgraphs are tested, so `limit` (default: the perfection
+    guard of `config`) caps the vertex count.
     """
     limit = perfect_limit() if limit is None else limit
     if g.n > limit:
         raise SizeGuardError(f"perfection test limited to {limit} vertices, got {g.n}")
-    result = _perfect_by_coloring(g)
-    via_holes = not (has_odd_hole(g) or has_odd_hole(complement(g)))
-    if result != via_holes:
-        raise RuntimeError("perfection routes disagree; this is a bug")
-    return result
+    return _perfect(g)
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _perfect_by_coloring(g: Graph) -> bool:
+def _perfect(g: Graph) -> bool:
     adj = _adjacency_masks(g)
-    for mask in range(1, 1 << g.n):
-        omega = _max_clique_size(adj, mask)
-        vertices = sorted(_bits(mask), key=lambda v: -(adj[v] & mask).bit_count())
-        sub_adj = tuple(a & mask for a in adj)
-        if not _colorable(sub_adj, vertices, omega):
-            return False
-    return True
+    full = (1 << g.n) - 1
+    # the complement's adjacency: alpha(H) is its clique number on H
+    co_adj = tuple(full & ~a & ~(1 << v) for v, a in enumerate(adj))
+    return all(_max_clique_size(adj, h) * _max_clique_size(co_adj, h) >= h.bit_count()
+               for h in range(1, full + 1))
 
 
 # ---------------------------------------------------------------------------

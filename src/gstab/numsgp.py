@@ -40,6 +40,17 @@ class NumericalSemigroup:
         return small + list(range(self.conductor, max(self.conductor, bound)))
 
 
+def _table_size(lo: int, hi: int) -> int:
+    """Entries of the membership table for smallest generator `lo` and
+    largest `hi`; past TABLE_LIMIT a SizeGuardError."""
+    size = 2 * lo * hi + 1
+    if size > TABLE_LIMIT:
+        raise SizeGuardError(
+            f"membership table for generators {lo}..{hi} needs "
+            f"{size} entries, limit {TABLE_LIMIT}")
+    return size
+
+
 def semigroup(generators) -> NumericalSemigroup:
     gens = tuple(sorted(set(int(g) for g in generators)))
     if not gens or any(g <= 0 for g in gens):
@@ -49,16 +60,12 @@ def semigroup(generators) -> NumericalSemigroup:
         g = gcd(g, x)
     if g != 1:
         raise FormatError(f"gcd of generators is {g}, complement would be infinite")
-    limit = 2 * gens[0] * gens[-1]
-    if limit + 1 > TABLE_LIMIT:
-        raise SizeGuardError(
-            f"membership table for generators {gens[0]}..{gens[-1]} needs "
-            f"{limit + 1} entries, limit {TABLE_LIMIT}")
-    member = [False] * (limit + 1)
+    size = _table_size(gens[0], gens[-1])
+    member = [False] * size
     member[0] = True
-    for x in range(1, limit + 1):
+    for x in range(1, size):
         member[x] = any(x >= gen and member[x - gen] for gen in gens)
-    gaps = [x for x in range(1, limit + 1) if not member[x]]
+    gaps = [x for x in range(1, size) if not member[x]]
     frobenius = gaps[-1] if gaps else -1
     conductor = frobenius + 1
     below = frozenset(x for x in range(conductor) if member[x])
@@ -200,5 +207,7 @@ def family(a: int, b: int) -> NumericalSemigroup:
     if a < 2 or b < 1:
         raise ParameterError(f"need a >= 2 and b >= 1, got a={a}, b={b}")
     step = a + 1
+    # the guard of `semigroup`, checked before the a + 1 generators exist
+    _table_size(step, b * step + a)
     gens = (step,) + tuple(b * step + k for k in range(1, a + 1))
     return semigroup(gens)

@@ -687,13 +687,12 @@ def verify_equivalence(max_n: int) -> dict:
                 continue
             perfect_count += 1
             report = classify(g, oracle=True)
-            fast_gps = report.classification != "NotGPS"
-            if not (fast_gps == report.oracle.trace_power == report.oracle.m_primary
-                    and report.oracle.agreement):
+            # agreement implies fast == trace_power == m_primary (see classify)
+            if not report.oracle.agreement:
                 disagreements.append({
                     "n": n,
                     "edges": g.sorted_edges(),
-                    "fast": fast_gps,
+                    "fast": report.classification != "NotGPS",
                     "trace_power": report.oracle.trace_power,
                     "m_primary": report.oracle.m_primary,
                 })

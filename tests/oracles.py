@@ -6,16 +6,25 @@ trace height from those generators, the trace ideal's minimal generators
 by reducing the pairwise canonical-plus-anticanonical sums, the whole
 face lattice of the cone graded top-down, the faces as objects with
 their tight inequalities and points, the
-anticanonical ideal by its defining property, and near-Gorensteinness by
-testing every degree-one monomial for trace membership.
+anticanonical ideal by its defining property, near-Gorensteinness by
+testing every degree-one monomial for trace membership, and perfection by
+its definition (colouring every induced subgraph) and by the Strong
+Perfect Graph Theorem (no odd hole in the graph or its complement).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from gstab.config import cone_dim_limit
 from gstab.errors import SizeGuardError
-from gstab.graphs import maximal_cliques
+from gstab.graphs import (
+    _adjacency_masks,
+    _bits,
+    _maximal_clique_masks,
+    complement,
+    maximal_cliques,
+)
 from gstab.toric import (
     UNIT,
     FacetSystem,
@@ -272,3 +281,72 @@ def trace_contains_maximal_ideal(g) -> bool:
     """Oracle for near-Gorensteinness: every degree-one monomial in the trace."""
     fs = FacetSystem.from_graph(g)
     return all(_in_trace(fs, a, 1) for a in _slice(fs, 0, 1))
+
+
+def colorable(adj, vertices, k):
+    """Backtracking k-colourability of the graph `adj` induced on
+    `vertices`, which come sorted by decreasing degree."""
+    color = {}
+
+    def assign(idx, used):
+        if idx == len(vertices):
+            return True
+        v = vertices[idx]
+        taken = {color[u] for u in color if adj[v] >> u & 1}
+        # allowing one fresh colour caps the search at k while breaking
+        # colour-permutation symmetry
+        for c in range(min(k, used + 1)):
+            if c in taken:
+                continue
+            color[v] = c
+            if assign(idx + 1, max(used, c + 1)):
+                return True
+            del color[v]
+        return False
+
+    return assign(0, 0)
+
+
+def perfect_by_coloring(g):
+    """Perfection by definition: every induced subgraph H has a colouring
+    with omega(H) colours.  Every clique of H lies in a maximal clique of
+    the graph (Bron-Kerbosch), so omega(H) is the largest part of H in
+    one of them."""
+    adj = _adjacency_masks(g)
+    full = (1 << g.n) - 1
+    cliques = _maximal_clique_masks(adj, full)
+    for mask in range(1, full + 1):
+        omega = max((c & mask).bit_count() for c in cliques)
+        vertices = sorted(_bits(mask), key=lambda v: -(adj[v] & mask).bit_count())
+        if not colorable(adj, vertices, omega):
+            return False
+    return True
+
+
+def has_odd_hole(g):
+    """Induced odd cycle of length >= 5 present?"""
+    adj = _adjacency_masks(g)
+    for size in range(5, g.n + 1, 2):
+        for subset in combinations(range(g.n), size):
+            mask = 0
+            for v in subset:
+                mask |= 1 << v
+            if all((adj[v] & mask).bit_count() == 2 for v in subset):
+                # 2-regular induced subgraph: a cycle iff connected
+                reach = 1 << subset[0]
+                frontier = [subset[0]]
+                while frontier:
+                    v = frontier.pop()
+                    for w in _bits(adj[v] & mask & ~reach):
+                        reach |= 1 << w
+                        frontier.append(w)
+                if reach == mask:
+                    return True
+    return False
+
+
+def perfect_by_holes(g):
+    """Perfection by the Strong Perfect Graph Theorem (Chudnovsky,
+    Robertson, Seymour and Thomas, 2006): no odd hole in the graph or its
+    complement."""
+    return not (has_odd_hole(g) or has_odd_hole(complement(g)))

@@ -245,6 +245,26 @@ def test_size_limit_env_leaves_perfection_guard_at_default(capsys, graph_file, m
     assert payload["classification"] == "Gorenstein"
 
 
+@pytest.mark.parametrize("command", ["graph", "poset"])
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_analyze_max_n_below_one_is_parameter_error(capsys, tmp_path, command, max_n):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[1, 2]]} if command == "graph" else
+                               {"elements": ["a", "b"], "covers": [["a", "b"]]}))
+    code, payload, err = run_cli(capsys, command, "analyze", str(path), "--max-n", max_n)
+    assert code == EXIT_PARAMS
+    assert payload is None
+    assert "--max-n must be at least 1" in err
+
+
+def test_analyze_max_n_still_guards_perfection(capsys, graph_file):
+    path = graph_file("k2k1.json", 3, [[1, 2]])
+    code, payload, err = run_cli(capsys, "graph", "analyze", path, "--max-n", "2")
+    assert code == EXIT_SIZE_GUARD
+    assert payload is None
+    assert "perfection test limited to 2 vertices" in err
+
+
 @pytest.mark.parametrize("raw", ["abc", "-3"])
 def test_malformed_size_limit_env(capsys, graph_file, monkeypatch, raw):
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", raw)

@@ -1,9 +1,11 @@
 """Graph layer: cliques, components, purity, perfection, stable sets."""
 
+import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import pytest
+from oracles import perfect_by_coloring, perfect_by_holes
 
 from gstab.errors import FormatError, SizeGuardError
 from gstab.graphs import (
@@ -15,7 +17,6 @@ from gstab.graphs import (
     disjoint_union,
     empty_graph,
     graphs_up_to_iso,
-    has_odd_hole,
     is_perfect,
     is_pure,
     maximal_cliques,
@@ -146,11 +147,23 @@ def test_c4_perfect():
     assert is_perfect(cycle_graph(4))
 
 
-def test_perfection_routes_agree_up_to_five_vertices():
-    for n in range(1, 6):
-        for g in graphs_up_to_iso(n):
-            via_holes = not (has_odd_hole(g) or has_odd_hole(complement(g)))
-            assert is_perfect(g) == via_holes
+def test_perfection_agrees_with_hole_and_coloring_oracles():
+    """Lovasz's criterion, the Strong Perfect Graph Theorem and the
+    definition agree on every graph with at most seven vertices and on
+    seeded random graphs on eight to ten vertices."""
+    graphs = [g for n in range(1, 8) for g in graphs_up_to_iso(n)]
+    assert len(graphs) == 1252
+    rng = random.Random(1972)
+    for n in range(8, 11):
+        for _ in range(10):
+            p = rng.uniform(0.2, 0.8)
+            graphs.append(Graph.from_edges(
+                n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]))
+    verdicts = [(is_perfect(g), perfect_by_holes(g), perfect_by_coloring(g)) for g in graphs]
+    assert all(a == b == c for a, b, c in verdicts)
+    # the perfect graphs on at most seven vertices, as `verify --max-n 7` counts them
+    assert sum(a for a, _, _ in verdicts[:1252]) == 1105
+    assert {a for a, _, _ in verdicts[1252:]} == {True, False}
 
 
 def test_perfection_self_complementary():

@@ -1,7 +1,12 @@
 """Numerical semigroup layer: gaps, pseudo-Frobenius set, type, canonical
 ideal, duality, trace, residue, and the prescribed type/residue family."""
 
+import tracemalloc
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gstab.errors import FormatError, ParameterError, SizeGuardError
 from gstab.numsgp import (
@@ -86,6 +91,17 @@ def test_semigroup_table_size_guard():
     with pytest.raises(SizeGuardError):
         semigroup([1000, 1001])   # 2002001 entries
     assert 2 * 61 * 2500 + 1 <= TABLE_LIMIT   # family(60, 40)
+
+
+def test_family_size_guard_before_building_generators():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="membership table"):
+            family(10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- pseudo-Frobenius and type ----------------------------------------------------
@@ -240,6 +256,20 @@ def test_ideal_sum_shifts():
     hh = ideal_sum(semigroup_as_ideal(h), semigroup_as_ideal(h))
     for z in range(0, 12):
         assert hh.contains(z) == h.contains(z)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(st.lists(st.integers(2, 25), min_size=1, max_size=4), st.data())
+def test_redundant_generator_changes_no_invariant(gens, data):
+    assume(gcd(*gens) == 1)
+    i = data.draw(st.integers(0, len(gens) - 1))
+    j = data.draw(st.integers(0, len(gens) - 1))
+    h = semigroup(gens)
+    k = semigroup(gens + [gens[i] + gens[j]])
+    assert k.gaps == h.gaps
+    assert pseudo_frobenius(k) == pseudo_frobenius(h)
+    assert cm_type(k) == cm_type(h)
+    assert residue(k) == residue(h)
 
 
 # -- the prescribed type/residue family ---------------------------------------------------

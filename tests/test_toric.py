@@ -228,7 +228,8 @@ def test_reference_oracles_live_only_in_tests():
     gone = ["Face", "cone_faces", "monomial_on_face", "in_anticanonical_definitional",
             "trace_contains_maximal_ideal", "trace_generators", "trace_is_unit",
             "chromatic_number", "clique_number", "omega_generators",
-            "anticanonical_generators", "InconclusiveError", "_face_lattice"]
+            "anticanonical_generators", "InconclusiveError", "_face_lattice",
+            "_colorable", "_perfect_by_coloring", "has_odd_hole"]
     for module in (gstab, toric, graphs, errors):
         assert [name for name in gone if hasattr(module, name)] == [], module.__name__
 
