@@ -35,7 +35,6 @@ from .errors import (
 from .graphs import Graph, connected_components, load_graph
 from .numsgp import (
     canonical_ideal,
-    cm_type,
     family,
     pseudo_frobenius,
     residue,
@@ -190,7 +189,7 @@ def cmd_numsgp(args) -> tuple[dict, int]:
         "frobenius": h.frobenius,
         "conductor": h.conductor,
         "pseudo_frobenius": list(pf),
-        "type": cm_type(h),
+        "type": len(pf),
         "residue": residue(h),
         "canonical_ideal_window": sorted(k.window),
         "trace_min": tr.min,

@@ -1,13 +1,13 @@
 """Size guards for the exponential-time steps.
 
 The defaults are 12 vertices for the perfection test, cone dimension 9
-for the face oracle and 7 vertices for `verify`.  The environment
+for the face oracle and 8 vertices for `verify`.  The environment
 variable GSTAB_SIZE_LIMIT (an integer n) raises all of them at once and
 never lowers one: the perfection and verify guards become the larger of
 their default and n, the cone guard the larger of its default and n + 1.
-So `GSTAB_SIZE_LIMIT=8`, which lets `verify` reach 8 vertices, leaves the
-perfection test at 12.  A value that is not a nonnegative integer is a
-ParameterError.  `classify(vertex_limit=...)` (the CLI's `--max-n`) and
+So `GSTAB_SIZE_LIMIT=9`, which lets `verify` reach 9 vertices (and the
+face oracle cone dimension 10), leaves the perfection test at 12.  A
+value that is not a nonnegative integer is a ParameterError.  `classify(vertex_limit=...)` (the CLI's `--max-n`) and
 `is_perfect(limit=...)` take an explicit vertex limit, which replaces the
 perfection guard, up or down.
 """
@@ -24,11 +24,11 @@ DEFAULT_PERFECT_LIMIT = 12
 DEFAULT_CONE_DIM_LIMIT = 9
 
 # `verify` enumerates graphs up to isomorphism by vertex augmentation and
-# checks the 1105 perfect graphs on 7 vertices in about 4 s, in flat
-# memory since the faces live for one `classify` call.  A run to 8
-# vertices (9992 perfect graphs) takes about 2 minutes, so 8 needs the
-# environment override.
-DEFAULT_VERIFY_LIMIT = 7
+# checks the 9992 perfect graphs on 8 vertices in about 2 minutes, in flat
+# memory (about 27 MB peak RSS) since the faces live for one `classify`
+# call.  There are 274668 graphs on 9 vertices, 22 times as many as on 8,
+# so 9 needs the environment override.
+DEFAULT_VERIFY_LIMIT = 8
 
 _ENV_VAR = "GSTAB_SIZE_LIMIT"
 

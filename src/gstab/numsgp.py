@@ -1,22 +1,24 @@
 """Numerical semigroups and the trace of their canonical ideal.
 
-A numerical semigroup is handled through an explicit membership table: the
-largest gap is below min(gens) * max(gens), so a table of twice that size
-always pins down the conductor.  Fractional ideals are integer sets closed
-under adding semigroup elements; each is stored as its minimum plus a
-membership window of conductor length, beyond which everything belongs.
+Fractional ideals are integer sets closed under adding semigroup elements,
+stored as their minimum plus a membership window of conductor length,
+beyond which everything belongs.  All arithmetic runs on Apery vectors
+with respect to m = min(gens): ap[r] is the least member in residue class
+r mod m, and a set closed under adding m holds x iff x >= ap[x % m].  The
+semigroup's vector comes from the round-robin algorithm (Boecker and
+Liptak, Algorithmica 2007); ideal sums and quotients take O(m^2) steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 
 from .errors import FormatError, ParameterError, SizeGuardError
 
-# Entries of the membership table, 2 * min(gens) * max(gens) + 1.  Past
-# this a table takes seconds and tens of megabytes to fill; family(60, 40)
-# needs about 3 * 10**5.
+# Bound on 2 * min(gens) * max(gens) + 1.  The conductor is at most
+# (min(gens) - 1) * (max(gens) - 1), so this caps the gaps and every
+# conductor-length window; family(60, 40) needs about 3 * 10**5.
 TABLE_LIMIT = 2_000_000
 
 
@@ -29,11 +31,7 @@ class NumericalSemigroup:
     conductor: int
 
     def contains(self, x: int) -> bool:
-        if x < 0:
-            return False
-        if x >= self.conductor:
-            return True
-        return x in self.members_below_conductor
+        return x >= self.conductor or x in self.members_below_conductor
 
     def members_upto(self, bound: int) -> list[int]:
         small = [m for m in sorted(self.members_below_conductor) if m < bound]
@@ -55,34 +53,54 @@ def semigroup(generators) -> NumericalSemigroup:
     gens = tuple(sorted(set(int(g) for g in generators)))
     if not gens or any(g <= 0 for g in gens):
         raise FormatError("generators must be positive integers")
-    g = 0
-    for x in gens:
-        g = gcd(g, x)
+    g = gcd(*gens)
     if g != 1:
         raise FormatError(f"gcd of generators is {g}, complement would be infinite")
-    size = _table_size(gens[0], gens[-1])
-    member = [False] * size
-    member[0] = True
-    for x in range(1, size):
-        member[x] = any(x >= gen and member[x - gen] for gen in gens)
-    gaps = [x for x in range(1, size) if not member[x]]
-    frobenius = gaps[-1] if gaps else -1
-    conductor = frobenius + 1
-    below = frozenset(x for x in range(conductor) if member[x])
-    return NumericalSemigroup(gens, below, tuple(gaps), frobenius, conductor)
+    _table_size(gens[0], gens[-1])
+    # round robin: generator a goes once round each cycle r, r + a, ... of
+    # residues mod m, from the cycle's least entry, which a cannot lower
+    m = gens[0]
+    ap = [0] + [inf] * (m - 1)
+    for a in gens[1:]:
+        d = gcd(a, m)
+        for p in range(d):
+            n = min(ap[p::d])
+            if n < inf:
+                for _ in range(m // d - 1):
+                    n = min(n + a, ap[(n + a) % m])
+                    ap[n % m] = n
+    conductor = max(ap) - m + 1
+    gaps = tuple(x for x in range(1, conductor) if x < ap[x % m])
+    below = frozenset(x for x in range(conductor) if x >= ap[x % m])
+    return NumericalSemigroup(gens, below, gaps, conductor - 1, conductor)
+
+
+def _vector(h: NumericalSemigroup, least: int, window) -> list[int]:
+    """Apery vector of the ideal with minimum `least` and window `window`."""
+    m, top = h.generators[0], least + h.conductor
+    ap = [top + (r - top) % m for r in range(m)]
+    for z in window:
+        ap[z % m] = min(ap[z % m], z)
+    return ap
+
+
+def _ideal(h: NumericalSemigroup, ap: list[int]) -> IntegerIdeal:
+    m, least = len(ap), min(ap)
+    window = frozenset(z for z in range(least, least + h.conductor) if z >= ap[z % m])
+    return IntegerIdeal(h, least, window)
 
 
 def pseudo_frobenius(h: NumericalSemigroup) -> tuple[int, ...]:
     """Integers x outside the semigroup with x + m inside it for every
     nonzero member m.
 
-    Checking the generators suffices: any nonzero element is a generator
-    plus an element, and membership is closed under addition.  Only the
-    positive gaps can qualify, except that -1 does when there are no gaps
-    at all.
+    Checking the generators suffices, as every nonzero member is a generator
+    plus a member.  Each such x is a nonzero Apery element minus min(gens);
+    with no gaps at all, only -1 qualifies.
     """
-    candidates = h.gaps if h.gaps else (-1,)
-    return tuple(x for x in candidates
+    m = h.generators[0]
+    candidates = sorted(w - m for w in _vector(h, 0, h.members_below_conductor)[1:])
+    return tuple(x for x in candidates or (-1,)
                  if all(h.contains(x + g) for g in h.generators))
 
 
@@ -115,56 +133,32 @@ class IntegerIdeal:
                     raise FormatError("ideal not closed under semigroup addition")
 
     def contains(self, z: int) -> bool:
-        if z < self.min:
-            return False
-        if z >= self.min + self.semigroup.conductor:
-            return True
-        return z in self.window
-
-    def members_upto(self, bound: int) -> list[int]:
-        top = self.min + self.semigroup.conductor
-        small = [z for z in sorted(self.window) if z < bound]
-        return small + list(range(top, max(top, bound)))
-
-
-def _ideal_from_test(h: NumericalSemigroup, test, lo: int, hi: int) -> IntegerIdeal:
-    """Materialize {z : test(z)} as an IntegerIdeal; its minimum is known to
-    lie in [lo, hi]."""
-    mn = None
-    for z in range(lo, hi + 1):
-        if test(z):
-            mn = z
-            break
-    if mn is None:
-        raise RuntimeError("ideal unexpectedly empty on the scan range")
-    window = frozenset(z for z in range(mn, mn + h.conductor) if test(z))
-    return IntegerIdeal(h, mn, window)
+        return z >= self.min + self.semigroup.conductor or z in self.window
 
 
 def semigroup_as_ideal(h: NumericalSemigroup) -> IntegerIdeal:
-    return _ideal_from_test(h, h.contains, 0, 0)
+    return _ideal(h, _vector(h, 0, h.members_below_conductor))
 
 
 def canonical_ideal(h: NumericalSemigroup) -> IntegerIdeal:
-    """K = {z : frobenius - z is not in the semigroup}; its minimum is 0."""
-    return _ideal_from_test(h, lambda z: not h.contains(h.frobenius - z), 0, 0)
+    """K = {z : frobenius - z is not in the semigroup}; its minimum is 0.
+
+    Class r of K starts at F + m - ap[(F - r) % m], one step of m above
+    the largest z in the class with F - z in the semigroup."""
+    ap, f = _vector(h, 0, h.members_below_conductor), h.frobenius
+    m = len(ap)
+    return _ideal(h, [f + m - ap[(f - r) % m] for r in range(m)])
 
 
 def ideal_quotient(target: IntegerIdeal, ideal: IntegerIdeal) -> IntegerIdeal:
     """{z : z + ideal inside target}.
 
-    Only ideal members below target.min + conductor - z need checking;
-    beyond that the sum is past the target's guaranteed tail anyway.
-    """
+    For z in class r mod m and each class start e of the ideal, z + e is
+    in the target iff z >= t[(r + e) % m] - e, a bound itself in class r."""
     h = target.semigroup
-    top = target.min + h.conductor
-
-    def test(z: int) -> bool:
-        return all(target.contains(z + e)
-                   for e in ideal.members_upto(max(ideal.min, top - z)))
-
-    # z = target.min + conductor - ideal.min always works
-    return _ideal_from_test(h, test, target.min - ideal.min, top - ideal.min)
+    t, es = _vector(h, target.min, target.window), _vector(h, ideal.min, ideal.window)
+    m = len(t)
+    return _ideal(h, [max(t[(r + e) % m] - e for e in es) for r in range(m)])
 
 
 def ideal_dual(h: NumericalSemigroup, ideal: IntegerIdeal) -> IntegerIdeal:
@@ -173,13 +167,12 @@ def ideal_dual(h: NumericalSemigroup, ideal: IntegerIdeal) -> IntegerIdeal:
 
 
 def ideal_sum(a: IntegerIdeal, b: IntegerIdeal) -> IntegerIdeal:
-    """Elementwise sums {x + y}."""
+    """Elementwise sums {x + y}: the least in class r adds a class start x
+    of a to b's start in class r - x."""
     h = a.semigroup
-
-    def test(z: int) -> bool:
-        return any(b.contains(z - x) for x in a.members_upto(z - b.min + 1))
-
-    return _ideal_from_test(h, test, a.min + b.min, a.min + b.min)
+    xs, ys = _vector(h, a.min, a.window), _vector(h, b.min, b.window)
+    m = len(xs)
+    return _ideal(h, [min(x + ys[(r - x) % m] for x in xs) for r in range(m)])
 
 
 def trace_ideal(h: NumericalSemigroup) -> IntegerIdeal:
@@ -191,11 +184,12 @@ def trace_ideal(h: NumericalSemigroup) -> IntegerIdeal:
 def residue(h: NumericalSemigroup) -> int:
     """Number of semigroup elements missing from the trace.
 
-    Always computed from the sets themselves, never from a formula.
+    Counted class by class: the trace lies inside the semigroup, so in
+    class r it misses the (tr[r] - ap[r]) / m members from ap[r] up.
     """
     tr = trace_ideal(h)
-    bound = max(h.conductor, tr.min + h.conductor)
-    return sum(1 for x in h.members_upto(bound) if not tr.contains(x))
+    ap = _vector(h, 0, h.members_below_conductor)
+    return sum(t - a for t, a in zip(_vector(h, tr.min, tr.window), ap)) // len(ap)
 
 
 def family(a: int, b: int) -> NumericalSemigroup:

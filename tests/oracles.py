@@ -7,9 +7,11 @@ by reducing the pairwise canonical-plus-anticanonical sums, the whole
 face lattice of the cone graded top-down, the faces as objects with
 their tight inequalities and points, the
 anticanonical ideal by its defining property, near-Gorensteinness by
-testing every degree-one monomial for trace membership, and perfection by
+testing every degree-one monomial for trace membership, perfection by
 its definition (colouring every induced subgraph) and by the Strong
-Perfect Graph Theorem (no odd hole in the graph or its complement).
+Perfect Graph Theorem (no odd hole in the graph or its complement), and
+numerical semigroups by a membership table with ideals scanned over a
+window, one membership test at a time.
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,7 @@ from gstab.graphs import (
     complement,
     maximal_cliques,
 )
+from gstab.numsgp import IntegerIdeal, NumericalSemigroup, _table_size
 from gstab.toric import (
     UNIT,
     FacetSystem,
@@ -350,3 +353,74 @@ def perfect_by_holes(g):
     Robertson, Seymour and Thomas, 2006): no odd hole in the graph or its
     complement."""
     return not (has_odd_hole(g) or has_odd_hole(complement(g)))
+
+
+# -- numerical semigroups -------------------------------------------------------
+
+def table_semigroup(generators):
+    """The semigroup from a membership table of 2 * min * max + 1 entries:
+    the largest gap is below min(gens) * max(gens)."""
+    gens = tuple(sorted(set(generators)))
+    size = _table_size(gens[0], gens[-1])
+    member = [False] * size
+    member[0] = True
+    for x in range(1, size):
+        member[x] = any(x >= gen and member[x - gen] for gen in gens)
+    gaps = [x for x in range(1, size) if not member[x]]
+    frobenius = gaps[-1] if gaps else -1
+    conductor = frobenius + 1
+    below = frozenset(x for x in range(conductor) if member[x])
+    return NumericalSemigroup(gens, below, tuple(gaps), frobenius, conductor)
+
+
+def ideal_members_upto(ideal, bound):
+    """The members of an IntegerIdeal below `bound`, ascending."""
+    top = ideal.min + ideal.semigroup.conductor
+    small = [z for z in sorted(ideal.window) if z < bound]
+    return small + list(range(top, max(top, bound)))
+
+
+def ideal_from_test(h, test, lo, hi):
+    """{z : test(z)} as an IntegerIdeal whose minimum lies in [lo, hi]."""
+    mn = next(z for z in range(lo, hi + 1) if test(z))
+    window = frozenset(z for z in range(mn, mn + h.conductor) if test(z))
+    return IntegerIdeal(h, mn, window)
+
+
+def scan_canonical_ideal(h):
+    return ideal_from_test(h, lambda z: not h.contains(h.frobenius - z), 0, 0)
+
+
+def scan_quotient(target, ideal):
+    """{z : z + ideal inside target}, testing the ideal members below
+    target.min + conductor - z; past them z + e is in the target's tail."""
+    h = target.semigroup
+    top = target.min + h.conductor
+
+    def test(z):
+        return all(target.contains(z + e)
+                   for e in ideal_members_upto(ideal, max(ideal.min, top - z)))
+
+    # z = target.min + conductor - ideal.min always works
+    return ideal_from_test(h, test, target.min - ideal.min, top - ideal.min)
+
+
+def scan_sum(a, b):
+    """{x + y}: z is a sum iff z - x is in b for some member x of a."""
+    def test(z):
+        return any(b.contains(z - x) for x in ideal_members_upto(a, z - b.min + 1))
+
+    return ideal_from_test(a.semigroup, test, a.min + b.min, a.min + b.min)
+
+
+def scan_trace_ideal(h):
+    k = scan_canonical_ideal(h)
+    semigroup = ideal_from_test(h, h.contains, 0, 0)
+    return scan_sum(k, scan_quotient(semigroup, k))
+
+
+def scan_residue(h):
+    """Semigroup members missing from the trace, counted one by one."""
+    tr = scan_trace_ideal(h)
+    bound = max(h.conductor, tr.min + h.conductor)
+    return sum(1 for x in h.members_upto(bound) if not tr.contains(x))

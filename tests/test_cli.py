@@ -225,19 +225,19 @@ def test_verify_size_guard(capsys):
     assert "SizeGuardError" in err
 
 
-def test_verify_default_limit_is_seven(capsys, monkeypatch):
-    # 7 is the default (a run takes 12-19 s, too long for this suite);
-    # 8 still needs GSTAB_SIZE_LIMIT
+def test_verify_default_limit_is_eight(capsys, monkeypatch):
+    # 8 is the default (a run takes about 2 minutes, too long for this
+    # suite); 9 still needs GSTAB_SIZE_LIMIT
     monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
-    code, payload, err = run_cli(capsys, "verify", "--max-n", "8")
+    code, payload, err = run_cli(capsys, "verify", "--max-n", "9")
     assert code == EXIT_SIZE_GUARD
     assert payload is None
-    assert "limited to 7 vertices" in err
+    assert "limited to 8 vertices" in err
 
 
 def test_size_limit_env_leaves_perfection_guard_at_default(capsys, graph_file, monkeypatch):
-    # the override that lets verify reach 8 vertices must not lower the
-    # perfection guard from 12 to 8
+    # an override of 8 vertices must not lower the perfection guard from
+    # 12 to 8
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "8")
     path = graph_file("p12.json", 12, [[i, i + 1] for i in range(1, 12)])
     code, payload, err = run_cli(capsys, "graph", "analyze", path)

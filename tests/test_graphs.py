@@ -1,5 +1,6 @@
 """Graph layer: cliques, components, purity, perfection, stable sets."""
 
+import json
 import random
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -7,6 +8,7 @@ from itertools import combinations, permutations
 import pytest
 from oracles import perfect_by_coloring, perfect_by_holes
 
+from gstab.cli import _graph_payload
 from gstab.errors import FormatError, SizeGuardError
 from gstab.graphs import (
     Graph,
@@ -224,6 +226,16 @@ def test_graph_rejects_loops_and_bad_range():
 def test_parse_graph_json_roundtrip():
     g = parse_graph_json('{"n": 3, "edges": [[1, 2], [2, 3]]}')
     assert g == path_graph(3)
+
+
+def test_graph_payload_roundtrips_through_parser():
+    # the "input" block of a report parses back to the graph it describes
+    rng = random.Random(1001)
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        g = Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2)
+                                 if rng.random() < 0.4])
+        assert parse_graph_json(json.dumps(_graph_payload(g))) == g
 
 
 def test_parse_graph_json_rejects_duplicates():

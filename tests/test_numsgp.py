@@ -7,10 +7,19 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import (
+    scan_canonical_ideal,
+    scan_quotient,
+    scan_residue,
+    scan_sum,
+    scan_trace_ideal,
+    table_semigroup,
+)
 
 from gstab.errors import FormatError, ParameterError, SizeGuardError
 from gstab.numsgp import (
     TABLE_LIMIT,
+    IntegerIdeal,
     canonical_ideal,
     cm_type,
     family,
@@ -87,10 +96,17 @@ def test_semigroup_rejects_bad_input():
 
 def test_semigroup_table_size_guard():
     with pytest.raises(SizeGuardError):
-        semigroup([1000003, 1000004])
-    with pytest.raises(SizeGuardError):
         semigroup([1000, 1001])   # 2002001 entries
     assert 2 * 61 * 2500 + 1 <= TABLE_LIMIT   # family(60, 40)
+    # the guard fires before any list of length min(gens) exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="membership table"):
+            semigroup([1000003, 1000004])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_family_size_guard_before_building_generators():
@@ -270,6 +286,43 @@ def test_redundant_generator_changes_no_invariant(gens, data):
     assert pseudo_frobenius(k) == pseudo_frobenius(h)
     assert cm_type(k) == cm_type(h)
     assert residue(k) == residue(h)
+
+
+# -- the Apery route against the table and window-scan oracles -------------------------
+
+def _window(ideal):
+    return ideal.min, ideal.window
+
+
+def assert_matches_scan_oracles(gens):
+    h = semigroup(gens)
+    ref = table_semigroup(gens)
+    assert (h.gaps, h.frobenius, h.conductor) == (ref.gaps, ref.frobenius, ref.conductor)
+    assert h == ref
+    k = canonical_ideal(h)
+    assert _window(k) == _window(scan_canonical_ideal(h))
+    whole = semigroup_as_ideal(h)
+    dual = ideal_dual(h, k)
+    assert _window(dual) == _window(scan_quotient(whole, k))
+    # a shift below zero puts ideal minima in negative residue classes
+    low = IntegerIdeal(h, k.min - 7, frozenset(z - 7 for z in k.window))
+    for a, b in [(k, dual), (dual, k), (low, k), (k, low), (whole, low)]:
+        assert _window(ideal_sum(a, b)) == _window(scan_sum(a, b)), gens
+        assert _window(ideal_quotient(a, b)) == _window(scan_quotient(a, b)), gens
+    assert _window(trace_ideal(h)) == _window(scan_trace_ideal(h))
+    assert residue(h) == scan_residue(h)
+
+
+def test_apery_route_matches_scan_oracles():
+    for gens in ASSORTED:
+        assert_matches_scan_oracles(gens)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.lists(st.integers(2, 40), min_size=1, max_size=4))
+def test_apery_route_matches_scan_oracles_random(gens):
+    assume(gcd(*gens) == 1)
+    assert_matches_scan_oracles(gens)
 
 
 # -- the prescribed type/residue family ---------------------------------------------------

@@ -1,10 +1,13 @@
 """Poset layer: comparability graphs, the X pattern, the two-block family,
 antichains, and polytope point counts."""
 
+import json
+import random
 from itertools import combinations, product
 
 import pytest
 
+from gstab.cli import _poset_payload
 from gstab.errors import FormatError, ParameterError
 from gstab.graphs import complete_graph, empty_graph, maximal_cliques, stable_sets
 from gstab.posets import (
@@ -306,3 +309,18 @@ def test_maximal_chains_hmp45():
 def test_point_count_rejects_bad_kind():
     with pytest.raises(ParameterError):
         polytope_point_count(chain(2), "cube", 1)
+
+
+def test_poset_payload_roundtrips_for_string_labels():
+    # labels are written with str(), so string-labelled posets come back equal
+    rng = random.Random(1002)
+    posets = [x_poset(), chain(4, labels=["d", "c", "b", "a"]), antichain(3, labels=["p", "q", "r"])]
+    for _ in range(40):
+        n = rng.randint(0, 7)
+        labels = [f"v{i}" for i in rng.sample(range(20), n)]
+        # relations follow a random linear order, so they never form a cycle
+        order = rng.sample(labels, n)
+        covers = [(a, b) for a, b in combinations(order, 2) if rng.random() < 0.3]
+        posets.append(poset_from_covers(labels, covers))
+    for p in posets:
+        assert parse_poset_json(json.dumps(_poset_payload(p))) == p

@@ -11,6 +11,7 @@ import dataclasses
 import gc
 import hashlib
 import pickle
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -970,7 +971,7 @@ def test_size_limit_env_override(monkeypatch):
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "8")
     assert (perfect_limit(), cone_dim_limit(), verify_limit()) == (12, 9, 8)
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "4")
-    assert (perfect_limit(), cone_dim_limit(), verify_limit()) == (12, 9, 7)
+    assert (perfect_limit(), cone_dim_limit(), verify_limit()) == (12, 9, 8)
     assert classify(path_graph(5)).gorenstein
     with pytest.raises(SizeGuardError):
         classify(path_graph(5), vertex_limit=4)
@@ -1031,6 +1032,22 @@ def test_classify_invariant_under_relabelling(pair):
 def test_classify_invariant_under_relabelling_on_seven_vertices(pair):
     g, h = pair
     assert classify(h, oracle=True) == classify(g, oracle=True)
+
+
+def test_trace_height_invariant_under_relabelling_up_to_six_vertices():
+    rng = random.Random(1003)
+    for n in range(1, 7):
+        for g in graphs_up_to_iso(n):
+            if not is_perfect(g):
+                continue
+            perm = rng.sample(range(1, n + 1), n)
+            h = Graph.from_edges(n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
+            assert trace_height(h) == trace_height(g), g
+
+
+def test_trace_height_ignores_union_order():
+    for a, b in [(PAW, K3), (P3, K2), (cycle_graph(4), PAW), (K3K1, path_graph(4))]:
+        assert trace_height(disjoint_union(a, b)) == trace_height(disjoint_union(b, a))
 
 
 def test_component_order_ignores_labels():
