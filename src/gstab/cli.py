@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import __version__
-from .config import verify_limit
+from .config import perfect_limit, verify_limit
 from .errors import (
     FormatError,
     GstabError,
@@ -141,6 +141,11 @@ def cmd_poset_analyze(args) -> tuple[dict, int]:
 
 
 def cmd_family_hmp(args) -> tuple[dict, int]:
+    # the poset has b - 1 elements; refuse before building it
+    guard = perfect_limit()
+    if args.b - 1 > guard:
+        raise SizeGuardError(
+            f"family hmp limited to {guard} vertices, got {args.b - 1}")
     p = hmp_poset(args.a, args.b)
     g = comparability_graph(p)
     payload = {

@@ -33,10 +33,6 @@ class NumericalSemigroup:
     def contains(self, x: int) -> bool:
         return x >= self.conductor or x in self.members_below_conductor
 
-    def members_upto(self, bound: int) -> list[int]:
-        small = [m for m in sorted(self.members_below_conductor) if m < bound]
-        return small + list(range(self.conductor, max(self.conductor, bound)))
-
 
 def _table_size(lo: int, hi: int) -> int:
     """Entries of the membership table for smallest generator `lo` and

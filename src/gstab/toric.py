@@ -14,7 +14,10 @@ which the fast combinatorial classification is checked.  `in_trace` is an
 exhaustive pruned search for a canonical summand: it covers every degree
 split and every summand the definition allows, and its bounds only skip
 values that no completion of a partial summand can make valid, so it
-never uses the purity criterion or the faces.
+never uses the purity criterion or the faces.  The trace-power test
+(`_trace_equals_power`) runs that search on one ring point per orbit of
+twin swaps, which are graph automorphisms and so map the trace onto
+itself (`_twin_floors`).
 
 m-primariness and the trace height come from the faces of the cone: the
 trace misses a face iff the ring localised at the face's prime is not
@@ -37,6 +40,7 @@ from .errors import NotPerfectError, ParameterError, SizeGuardError
 from .graphs import (
     GRAPH_CACHE_SIZE,
     Graph,
+    _twin_masks,
     connected_components,
     graphs_up_to_iso,
     is_perfect,
@@ -262,29 +266,35 @@ def _in_trace(fs: FacetSystem, a, q: int) -> bool:
 # ---------------------------------------------------------------------------
 # degree slices
 
-def _walk(fs: FacetSystem, theta: int, degree: int, by_vertex) -> list[tuple[int, ...]]:
-    """The exponent vectors of the theta-module slice at the given degree,
-    in ascending lexicographic order.
+def _walk(fs: FacetSystem, theta: int, degree: int, by_vertex, floors) -> list[tuple[int, ...]]:
+    """The exponent vectors of the theta-module slice at the given degree
+    whose value at each vertex v is at least the value at `floors[v]`
+    (no bound where that is -1), in ascending lexicographic order.
 
     `by_vertex` holds per vertex the indices of the cliques through it
     (`_clique_index`).  The walk assigns the vertices in order, each value
     shifted down by theta, and carries what is left of each clique's cap.
+    With every floor -1 it yields the whole slice; with the previous twin
+    of each vertex (`_twin_floors`) it yields one point per twin orbit,
+    the one that is non-decreasing along each twin class.
     """
     n = fs.n
     caps = [degree - theta * (len(c) + 1) for c in fs.cliques]
     if any(cap < 0 for cap in caps):
         return []
     out: list[tuple[int, ...]] = []
-    shifted = [0] * n
+    # shifted[-1] stays 0: the start of a vertex whose floor is -1
+    shifted = [0] * (n + 1)
 
     def assign(v: int):
         cliques = by_vertex[v]
         room = min(caps[ci] for ci in cliques)
+        lo = shifted[floors[v]]
         if v + 1 == n:
             prefix = tuple(x + theta for x in shifted[:v])
-            out.extend((*prefix, b + theta) for b in range(room + 1))
+            out.extend((*prefix, b + theta) for b in range(lo, room + 1))
             return
-        for b in range(room + 1):
+        for b in range(lo, room + 1):
             shifted[v] = b
             for ci in cliques:
                 caps[ci] -= b
@@ -299,7 +309,7 @@ def _walk(fs: FacetSystem, theta: int, degree: int, by_vertex) -> list[tuple[int
 def _slice(fs: FacetSystem, theta: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors in the theta-module at the given degree,
     in ascending lexicographic order."""
-    return tuple(_walk(fs, theta, degree, _clique_index(fs)[1]))
+    return tuple(_walk(fs, theta, degree, _clique_index(fs)[1], (-1,) * fs.n))
 
 
 def degree_monomials(fs: FacetSystem, q: int) -> list[Monomial]:
@@ -381,11 +391,30 @@ def _clique_index(fs: FacetSystem) -> tuple[tuple, tuple]:
     return cliques, tuple(map(tuple, by_vertex))
 
 
+def _twin_floors(fs: FacetSystem) -> tuple[int, ...]:
+    """Per vertex v, its previous twin: the largest u < v with
+    N(u) - {v} = N(v) - {u}, or -1 if there is none.
+
+    Twins are an equivalence relation (`_twin_masks`), read here off the
+    adjacency of `fs.cliques`: two vertices are adjacent iff a maximal
+    clique holds both.  Swapping two twins is an automorphism of the
+    graph, so it permutes the maximal cliques and maps the ring, the
+    canonical module, its inverse and the trace onto themselves.
+    """
+    adj = [0] * fs.n
+    for c in fs.cliques:
+        mask = sum(1 << (i - 1) for i in c)
+        for i in c:
+            adj[i - 1] |= mask & ~(1 << (i - 1))
+    return tuple((t & ((1 << v) - 1)).bit_length() - 1
+                 for v, t in enumerate(_twin_masks(adj)))
+
+
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _tables(fs: FacetSystem) -> _Tables:
     """The `_Tables` of `fs`, built once per facet system."""
     cliques, by_vertex = _clique_index(fs)
-    points = tuple(_walk(fs, 0, 1, by_vertex))
+    points = tuple(_walk(fs, 0, 1, by_vertex, (-1,) * fs.n))
     masks = tuple(_zero_masks(fs, points))
     full = (1 << len(points)) - 1
     rows = [[] for _ in range(fs.n)]
@@ -414,10 +443,23 @@ def trace_equals_power(g: Graph, power: int) -> bool:
 
 
 def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
+    """`trace_equals_power` on the facet system `fs`, one point per orbit.
+
+    Swapping twins maps the trace onto itself (`_twin_floors`), so a ring
+    point is in the trace iff every point of its orbit under the twin
+    swaps is.  Each orbit holds exactly one point that is non-decreasing
+    along every twin class, and `_walk` with the twin floors yields just
+    those, so both tests run on them alone.  Membership is still decided
+    by `_in_trace` from the definition; neither the faces nor the purity
+    criterion is read.  `full_trace_equals_power` in the tests is the
+    loop over every point.
+    """
+    by_vertex = _clique_index(fs)[1]
+    floors = _twin_floors(fs)
     for q in range(power):
-        if any(_in_trace(fs, a, q) for a in _slice(fs, 0, q)):
+        if any(_in_trace(fs, a, q) for a in _walk(fs, 0, q, by_vertex, floors)):
             return False
-    return all(_in_trace(fs, a, power) for a in _slice(fs, 0, power))
+    return all(_in_trace(fs, a, power) for a in _walk(fs, 0, power, by_vertex, floors))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ anticanonical generators by a drop test over whole degree slices, the
 trace height from those generators, the trace ideal's minimal generators
 by reducing the pairwise canonical-plus-anticanonical sums, the whole
 face lattice of the cone graded top-down, the faces as objects with
-their tight inequalities and points, the
-anticanonical ideal by its defining property, near-Gorensteinness by
-testing every degree-one monomial for trace membership, perfection by
-its definition (colouring every induced subgraph) and by the Strong
-Perfect Graph Theorem (no odd hole in the graph or its complement), and
-numerical semigroups by a membership table with ideals scanned over a
-window, one membership test at a time.
+their tight inequalities and points, the anticanonical ideal by its
+defining property, near-Gorensteinness by testing every degree-one
+monomial for trace membership, the trace power by searching every ring
+point instead of one per twin orbit, perfection by its definition
+(colouring every induced subgraph) and by the Strong Perfect Graph
+Theorem (no odd hole in the graph or its complement), and numerical
+semigroups by a membership table with ideals scanned over a window, one
+membership test at a time.
 """
 
 from dataclasses import dataclass
@@ -280,6 +281,16 @@ def in_anticanonical_definitional(g, m: Monomial) -> bool:
     return all(in_ring(fs, m + w) for w in omega_generators(g))
 
 
+def full_trace_equals_power(fs, power):
+    """The trace-power test one `_in_trace` search per ring point: no point
+    of degree below `power` is in the trace and every point of degree
+    `power` is.  The library searches one point per twin orbit."""
+    for q in range(power):
+        if any(_in_trace(fs, a, q) for a in _slice(fs, 0, q)):
+            return False
+    return all(_in_trace(fs, a, power) for a in _slice(fs, 0, power))
+
+
 def trace_contains_maximal_ideal(g) -> bool:
     """Oracle for near-Gorensteinness: every degree-one monomial in the trace."""
     fs = FacetSystem.from_graph(g)
@@ -373,6 +384,12 @@ def table_semigroup(generators):
     return NumericalSemigroup(gens, below, tuple(gaps), frobenius, conductor)
 
 
+def members_upto(h, bound):
+    """The members of the semigroup `h` below `bound`, ascending."""
+    small = [m for m in sorted(h.members_below_conductor) if m < bound]
+    return small + list(range(h.conductor, max(h.conductor, bound)))
+
+
 def ideal_members_upto(ideal, bound):
     """The members of an IntegerIdeal below `bound`, ascending."""
     top = ideal.min + ideal.semigroup.conductor
@@ -423,4 +440,4 @@ def scan_residue(h):
     """Semigroup members missing from the trace, counted one by one."""
     tr = scan_trace_ideal(h)
     bound = max(h.conductor, tr.min + h.conductor)
-    return sum(1 for x in h.members_upto(bound) if not tr.contains(x))
+    return sum(1 for x in members_upto(h, bound) if not tr.contains(x))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,28 @@ def test_family_hmp_oracle_size_guard(capsys):
     assert code == EXIT_SIZE_GUARD
     assert payload is None
     assert "SizeGuardError" in err
+
+
+def test_family_hmp_size_guard(capsys, monkeypatch):
+    """b - 1 poset elements above the perfection guard are refused before
+    the poset is built; GSTAB_SIZE_LIMIT raises the guard."""
+    monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
+    tracemalloc.start()
+    try:
+        code, payload, err = run_cli(capsys, "family", "hmp", "--a", "4", "--b", "1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_SIZE_GUARD
+    assert payload is None
+    assert "limited to 12 vertices, got 999999" in err
+    assert peak < 2**20
+    code, _, _ = run_cli(capsys, "family", "hmp", "--a", "4", "--b", "14")
+    assert code == EXIT_SIZE_GUARD
+    monkeypatch.setenv("GSTAB_SIZE_LIMIT", "13")
+    code, payload, _ = run_cli(capsys, "family", "hmp", "--a", "4", "--b", "14")
+    assert code == EXIT_OK
+    assert payload["dim"] == 14
 
 
 def test_numsgp_gens(capsys):
