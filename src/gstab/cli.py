@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import __version__
-from .config import perfect_limit, verify_limit
+from .config import cone_dim_limit, perfect_limit
 from .errors import (
     FormatError,
     GstabError,
@@ -41,7 +41,8 @@ from .numsgp import (
     semigroup,
     trace_ideal,
 )
-from .posets import Poset, antichains, comparability_graph, has_x_subposet, hmp_poset, load_poset
+from .posets import (Poset, _decode_poset_json, antichains, comparability_graph,
+                     has_x_subposet, hmp_poset, poset_from_covers)
 from .toric import UNIT, TraceReport, classify, trace_height, verify_equivalence
 
 EXIT_OK = 0
@@ -96,6 +97,12 @@ def _graph_payload(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
+def _size_guard(what: str, limit: int, n: int) -> None:
+    """Refuse n vertices above limit before anything is built."""
+    if n > limit:
+        raise SizeGuardError(f"{what} limited to {limit} vertices, got {n}")
+
+
 def _vertex_limit(args) -> int | None:
     """The analysis commands' `--max-n`, which must be at least 1 if given."""
     if args.max_n is not None and args.max_n < 1:
@@ -125,7 +132,13 @@ def _poset_payload(p: Poset) -> dict:
 
 def cmd_poset_analyze(args) -> tuple[dict, int]:
     limit = _vertex_limit(args)
-    p = load_poset(args.file)
+    with open(args.file, "r", encoding="utf-8") as fh:
+        elements, covers = _decode_poset_json(fh.read())
+    # the comparability graph has one vertex per element; refuse before
+    # closing the relation, with the perfection guard classify would apply
+    _size_guard("perfection test", perfect_limit() if limit is None else limit,
+                len(elements))
+    p = poset_from_covers(elements, covers)
     g = comparability_graph(p)
     report = classify(g, oracle=args.oracle, vertex_limit=limit)
     payload = {
@@ -142,10 +155,7 @@ def cmd_poset_analyze(args) -> tuple[dict, int]:
 
 def cmd_family_hmp(args) -> tuple[dict, int]:
     # the poset has b - 1 elements; refuse before building it
-    guard = perfect_limit()
-    if args.b - 1 > guard:
-        raise SizeGuardError(
-            f"family hmp limited to {guard} vertices, got {args.b - 1}")
+    _size_guard("family hmp", perfect_limit(), args.b - 1)
     p = hmp_poset(args.a, args.b)
     g = comparability_graph(p)
     payload = {
@@ -217,10 +227,9 @@ def cmd_numsgp(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    guard = verify_limit()
-    if args.max_n > guard:
-        raise SizeGuardError(
-            f"verify limited to {guard} vertices, got {args.max_n}")
+    # refuse up front what the cone guard would refuse once the smaller
+    # layers had run: the face oracle's cone has dimension max_n + 1
+    _size_guard("verify", cone_dim_limit() - 1, args.max_n)
     if args.max_n < 1:
         raise ParameterError("--max-n must be at least 1")
     result = verify_equivalence(args.max_n)

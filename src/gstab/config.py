@@ -1,13 +1,15 @@
 """Size guards for the exponential-time steps.
 
-The defaults are 12 vertices for the perfection test, cone dimension 9
-for the face oracle and 8 vertices for `verify`.  The environment
-variable GSTAB_SIZE_LIMIT (an integer n) raises all of them at once and
-never lowers one: the perfection and verify guards become the larger of
-their default and n, the cone guard the larger of its default and n + 1.
-So `GSTAB_SIZE_LIMIT=9`, which lets `verify` reach 9 vertices (and the
-face oracle cone dimension 10), leaves the perfection test at 12.  A
-value that is not a nonnegative integer is a ParameterError.  `classify(vertex_limit=...)` (the CLI's `--max-n`) and
+The defaults are 12 vertices for the perfection test and cone dimension
+9 for the face oracle.  `verify` checks every graph's face oracle, so it
+reaches one vertex below the cone guard: 8 by default.  The environment
+variable GSTAB_SIZE_LIMIT (an integer n) raises both guards at once and
+never lowers one: the perfection guard becomes the larger of its default
+and n, the cone guard the larger of its default and n + 1.  So
+`GSTAB_SIZE_LIMIT=9`, which lets `verify` reach 9 vertices (and the face
+oracle cone dimension 10), leaves the perfection test at 12.  A value
+that is not a nonnegative integer is a ParameterError.
+`classify(vertex_limit=...)` (the CLI's `--max-n`) and
 `is_perfect(limit=...)` take an explicit vertex limit, which replaces the
 perfection guard, up or down.
 """
@@ -20,15 +22,12 @@ from .errors import ParameterError
 # each of the 2^n induced subgraphs.
 DEFAULT_PERFECT_LIMIT = 12
 
-# The face oracle walks faces of the (n+1)-dimensional cone.
+# The face oracle walks faces of the (n+1)-dimensional cone.  At the
+# default, `verify` checks the 9992 perfect graphs on 8 vertices in about
+# 2 minutes, in flat memory (about 27 MB peak RSS) since the faces live for
+# one `classify` call.  There are 274668 graphs on 9 vertices, 22 times as
+# many as on 8, so 9 needs the environment override.
 DEFAULT_CONE_DIM_LIMIT = 9
-
-# `verify` enumerates graphs up to isomorphism by vertex augmentation and
-# checks the 9992 perfect graphs on 8 vertices in about 2 minutes, in flat
-# memory (about 27 MB peak RSS) since the faces live for one `classify`
-# call.  There are 274668 graphs on 9 vertices, 22 times as many as on 8,
-# so 9 needs the environment override.
-DEFAULT_VERIFY_LIMIT = 8
 
 _ENV_VAR = "GSTAB_SIZE_LIMIT"
 
@@ -59,7 +58,3 @@ def perfect_limit() -> int:
 
 def cone_dim_limit() -> int:
     return _raised(DEFAULT_CONE_DIM_LIMIT, 1)
-
-
-def verify_limit() -> int:
-    return _raised(DEFAULT_VERIFY_LIMIT)

@@ -1,12 +1,14 @@
 """Finite posets, comparability graphs, and polytope point counts.
 
-A poset is stored by its strict-order relation (transitive closure); cover
-relations are recomputed as the transitive reduction.  Element labels are
-arbitrary strings or ints; positions in the element list fix the vertex
-numbering of the comparability graph.  The chain polytope of a poset is
-the stable set polytope of its comparability graph (Stanley, "Two poset
-polytopes", 1986): its maximal chains are the graph's maximal cliques and
-its antichains the graph's stable sets, so both are read off the graph.
+A poset is stored by its strict-order relation, transitively closed:
+`poset_from_covers` closes generating relations in one Warshall pass, and
+`ordinal_sum` combines closed relations directly.  Cover relations are
+read back only for reports, as the transitive reduction.  Positions in
+the element list fix the vertex numbering of the comparability graph.
+The chain polytope of a poset is the stable set polytope of its
+comparability graph (Stanley, "Two poset polytopes", 1986): its maximal
+chains are the graph's maximal cliques and its antichains the graph's
+stable sets, so both are read off the graph.
 """
 
 from __future__ import annotations
@@ -80,31 +82,24 @@ def poset_from_covers(elements, covers) -> Poset:
         if not _hashable(e):
             raise FormatError(f"poset label {e!r} is not hashable")
     index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    below = [set() for _ in range(n)]  # below[i]: direct successors
+    above = [set() for _ in elements]
     for a, b in covers:
         if not (_hashable(a) and _hashable(b) and a in index and b in index):
             raise FormatError(f"cover ({a!r}, {b!r}) uses unknown label")
-        below[index[a]].add(index[b])
-    # transitive closure by repeated sweep; n is tiny here
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            extra = set()
-            for j in below[i]:
-                extra |= below[j]
-            if not extra <= below[i]:
-                below[i] |= extra
-                changed = True
-    for i in range(n):
-        if i in below[i]:
-            raise FormatError("cover relations contain a cycle")
-    return Poset(elements, tuple(frozenset(s) for s in below))
+        above[index[a]].add(index[b])
+    # Warshall: after pivot k, i reaches j whenever a path from i to j
+    # passes only through pivots <= k
+    for k, above_k in enumerate(above):
+        for above_i in above:
+            if k in above_i:
+                above_i |= above_k
+    if any(i in above_i for i, above_i in enumerate(above)):
+        raise FormatError("cover relations contain a cycle")
+    return Poset(elements, tuple(frozenset(s) for s in above))
 
 
-def parse_poset_json(text: str) -> Poset:
-    """Parse {"elements": [...], "covers": [[a,b], ...]}."""
+def _decode_poset_json(text: str) -> tuple[list, list[tuple]]:
+    """Elements and cover pairs of a poset file, checked for shape only."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -117,7 +112,12 @@ def parse_poset_json(text: str) -> Poset:
     if not isinstance(covers, list) or not all(
             isinstance(c, list) and len(c) == 2 for c in covers):
         raise FormatError('"covers" must be a list of pairs')
-    return poset_from_covers(data["elements"], [tuple(c) for c in covers])
+    return data["elements"], [tuple(c) for c in covers]
+
+
+def parse_poset_json(text: str) -> Poset:
+    """Parse {"elements": [...], "covers": [[a,b], ...]}."""
+    return poset_from_covers(*_decode_poset_json(text))
 
 
 def load_poset(path: str) -> Poset:
@@ -146,32 +146,17 @@ def ordinal_sum(p1: Poset, p2: Poset) -> Poset:
     Colliding labels in p2 are freshened with trailing apostrophes.
     """
     used = set(p1.elements)
-    rename = {}
+    fresh = []
     for e in p2.elements:
-        new = e
-        while new in used:
-            new = f"{new}'"
-        rename[e] = new
-        used.add(new)
-    elements = p1.elements + tuple(rename[e] for e in p2.elements)
-    covers = list(p1.covers())
-    covers += [(rename[a], rename[b]) for a, b in p2.covers()]
-    maximal_p1 = [e for i, e in enumerate(p1.elements) if not p1.lt[i]]
-    minimal_p2 = [rename[e] for i, e in enumerate(p2.elements)
-                  if not any(i in ups for ups in p2.lt)]
-    covers += [(a, b) for a in maximal_p1 for b in minimal_p2]
-    return poset_from_covers(elements, covers)
-
-
-def with_new_minimum(p: Poset, label="m") -> Poset:
-    while label in p.elements:
-        label = f"{label}'"
-    elements = (label,) + p.elements
-    covers = list(p.covers())
-    minimal = [e for i, e in enumerate(p.elements)
-               if not any(i in ups for ups in p.lt)]
-    covers += [(label, e) for e in minimal]
-    return poset_from_covers(elements, covers)
+        while e in used:
+            e = f"{e}'"
+        fresh.append(e)
+        used.add(e)
+    n1 = len(p1)
+    top = frozenset(range(n1, n1 + len(p2)))
+    lt = tuple(ups | top for ups in p1.lt)
+    lt += tuple(frozenset(j + n1 for j in ups) for ups in p2.lt)
+    return Poset(p1.elements + tuple(fresh), lt)
 
 
 def hmp_poset(a: int, b: int) -> Poset:
@@ -188,7 +173,7 @@ def hmp_poset(a: int, b: int) -> Poset:
         ("p",) + tuple(f"c{i + 1}" for i in range(a - 2)),
         [(f"c{i + 1}", f"c{i + 2}") for i in range(a - 3)],
     )
-    return ordinal_sum(bottom, with_new_minimum(top, "m"))
+    return ordinal_sum(bottom, ordinal_sum(chain(1, ["m"]), top))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +224,14 @@ def polytope_point_count(p: Poset, kind: str, q: int) -> int:
         raise ParameterError("dilation factor must be nonnegative")
     n = len(p)
     if kind == "order":
-        # assign along a linear extension; each element needs at least the
-        # max of its already-assigned predecessors
-        order = _linear_extension(p)
+        # assign along a linear extension: an element has more elements
+        # below it than anything below it does.  Each element needs at
+        # least the max of its already-assigned predecessors
+        below = [0] * n
+        for ups in p.lt:
+            for j in ups:
+                below[j] += 1
+        order = sorted(range(n), key=below.__getitem__)
         count = 0
 
         def assign(idx, values):
@@ -270,19 +260,3 @@ def polytope_point_count(p: Poset, kind: str, q: int) -> int:
         return hilbert_function(fs, q)
     raise ParameterError(f"kind must be 'order' or 'chain', got {kind!r}")
 
-
-def _linear_extension(p: Poset) -> list[int]:
-    n = len(p)
-    indeg = [sum(1 for i in range(n) if j in p.lt[i]) for j in range(n)]
-    ready = sorted(j for j in range(n) if indeg[j] == 0)
-    out = []
-    while ready:
-        v = ready.pop(0)
-        out.append(v)
-        for j in sorted(p.lt[v]):
-            indeg[j] -= 1
-            # only release j once every predecessor is placed
-            if indeg[j] == 0 and j not in out and j not in ready:
-                ready.append(j)
-        ready.sort()
-    return out

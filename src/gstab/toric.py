@@ -326,14 +326,12 @@ def hilbert_function(fs: FacetSystem, q: int) -> int:
 
 
 def a_invariant(g: Graph) -> int:
-    """Minus the clique-complex dimension minus two.
+    """Minus the clique-complex dimension minus two: `classify`'s field.
 
     Equals minus the smallest degree of a canonical-module monomial; the
     tests verify that by enumeration.
     """
-    if not is_perfect(g):
-        raise NotPerfectError("a-invariant formula requires a perfect graph")
-    return -maximal_cliques(g).dim - 2
+    return classify(g).a_invariant
 
 
 def _slack(fs: FacetSystem, exps, degree: int) -> tuple[int, ...]:
@@ -647,14 +645,9 @@ def trace_height(g: Graph):
 # classification
 
 def is_nearly_gorenstein(g: Graph) -> bool:
-    """Every component pure with top and bottom dimensions within one."""
-    if not is_perfect(g):
-        raise NotPerfectError("classification requires a perfect graph")
-    comps = connected_components(g)
-    if not all(is_pure(c.graph) for c in comps):
-        return False
-    dims = [maximal_cliques(c.graph).dim for c in comps]
-    return dims[0] - dims[-1] <= 1
+    """Every component pure with top and bottom dimensions within one:
+    `classify`'s field."""
+    return classify(g).nearly_gorenstein
 
 
 def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) -> TraceReport:

@@ -130,6 +130,47 @@ def test_poset_analyze_unhashable_labels(capsys, tmp_path):
     assert "FormatError" in err
 
 
+def _chain_file(tmp_path, n):
+    path = tmp_path / f"chain{n}.json"
+    path.write_text(json.dumps({"elements": list(range(n)),
+                                "covers": [[i, i + 1] for i in range(n - 1)]}))
+    return str(path)
+
+
+def test_poset_analyze_size_guard_before_building(capsys, tmp_path, monkeypatch):
+    """More elements than the perfection guard are refused once the file
+    is decoded, before the relation is closed or the graph built."""
+    monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
+    path = _chain_file(tmp_path, 5000)
+    tracemalloc.start()
+    try:
+        code, payload, err = run_cli(capsys, "poset", "analyze", path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_SIZE_GUARD
+    assert payload is None
+    assert "perfection test limited to 12 vertices, got 5000" in err
+    # the decoded file is about 1 MB of Python objects; the closed relation
+    # alone would be hundreds of MB
+    assert peak < 4 * 2**20
+    code, _, err = run_cli(capsys, "poset", "analyze", _chain_file(tmp_path, 13))
+    assert code == EXIT_SIZE_GUARD
+    assert "perfection test limited to 12 vertices, got 13" in err
+
+
+def test_poset_analyze_max_n_raises_the_guard(capsys, tmp_path):
+    code, payload, err = run_cli(capsys, "poset", "analyze", _chain_file(tmp_path, 13),
+                                 "--max-n", "13")
+    assert code == EXIT_OK, err
+    assert payload["comparability_graph"]["n"] == 13
+    assert payload["classification"] == "Gorenstein"
+    code, _, err = run_cli(capsys, "poset", "analyze", _chain_file(tmp_path, 13),
+                           "--max-n", "12")
+    assert code == EXIT_SIZE_GUARD
+    assert "perfection test limited to 12 vertices, got 13" in err
+
+
 def test_family_hmp_45(capsys):
     code, payload, _ = run_cli(capsys, "family", "hmp", "--a", "4", "--b", "5",
                                "--oracle")
@@ -255,7 +296,21 @@ def test_verify_default_limit_is_eight(capsys, monkeypatch):
     code, payload, err = run_cli(capsys, "verify", "--max-n", "9")
     assert code == EXIT_SIZE_GUARD
     assert payload is None
-    assert "limited to 8 vertices" in err
+    assert "verify limited to 8 vertices, got 9" in err
+
+
+@pytest.mark.parametrize("raw, reach", [("4", 8), ("9", 9), ("13", 13)])
+def test_verify_limit_is_one_below_the_cone_guard(capsys, monkeypatch, raw, reach):
+    """`verify` reaches one vertex below the face oracle's cone guard, for
+    every value of GSTAB_SIZE_LIMIT."""
+    from gstab.config import cone_dim_limit
+
+    monkeypatch.setenv("GSTAB_SIZE_LIMIT", raw)
+    assert cone_dim_limit() - 1 == reach
+    code, payload, err = run_cli(capsys, "verify", "--max-n", str(reach + 1))
+    assert code == EXIT_SIZE_GUARD
+    assert payload is None
+    assert f"verify limited to {reach} vertices, got {reach + 1}" in err
 
 
 def test_size_limit_env_leaves_perfection_guard_at_default(capsys, graph_file, monkeypatch):

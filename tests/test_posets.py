@@ -86,6 +86,37 @@ def brute_chain_points(p, q):
     return count
 
 
+def brute_reach(n, pairs):
+    """For each i, the indices reachable from i along one or more pairs."""
+    succ = [[] for _ in range(n)]
+    for i, j in pairs:
+        succ[i].append(j)
+    reach = []
+    for i in range(n):
+        seen, stack = set(), list(succ[i])
+        while stack:
+            j = stack.pop()
+            if j not in seen:
+                seen.add(j)
+                stack.extend(succ[j])
+        reach.append(frozenset(seen))
+    return tuple(reach)
+
+
+def random_dag(rng, n):
+    """Index pairs along a random linear order of 0..n-1, in random order."""
+    order = rng.sample(range(n), n)
+    p = rng.random()
+    pairs = [(a, b) for a, b in combinations(order, 2) if rng.random() < p]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def random_poset(rng, n, prefix):
+    labels = [f"{prefix}{i}" for i in range(n)]
+    return poset_from_covers(labels, [(labels[a], labels[b]) for a, b in random_dag(rng, n)])
+
+
 # -- construction ------------------------------------------------------------
 
 def test_from_covers_closure():
@@ -98,6 +129,30 @@ def test_from_covers_closure():
 def test_from_covers_rejects_cycle():
     with pytest.raises(FormatError):
         poset_from_covers([1, 2], [(1, 2), (2, 1)])
+
+
+def test_from_covers_equals_reachability():
+    rng = random.Random(1701)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        pairs = random_dag(rng, n)
+        p = poset_from_covers(range(n), pairs)
+        assert p.lt == brute_reach(n, pairs), (n, pairs)
+
+
+def test_from_covers_rejects_random_cycles():
+    rng = random.Random(1702)
+    for _ in range(100):
+        n = rng.randint(2, 9)
+        pairs = random_dag(rng, n)
+        reach = brute_reach(n, pairs)
+        closing = [(j, i) for i in range(n) for j in reach[i]]
+        if not closing:
+            continue
+        pairs.append(rng.choice(closing))
+        rng.shuffle(pairs)
+        with pytest.raises(FormatError):
+            poset_from_covers(range(n), pairs)
 
 
 def test_parse_poset_json():
@@ -195,7 +250,31 @@ def test_ordinal_sum_chain1_antichain2():
 
 def test_ordinal_sum_relabels_collisions():
     p = ordinal_sum(chain(2), chain(2))
-    assert len(set(p.elements)) == 4
+    assert p.elements == ("c1", "c2", "c1'", "c2'")
+    # a freshened label skips every label already in use
+    p = ordinal_sum(antichain(2, ["a", "a'"]), antichain(2, ["a", "a'"]))
+    assert p.elements == ("a", "a'", "a''", "a'''")
+
+
+def test_ordinal_sum_keeps_parts_and_puts_p1_below_p2():
+    rng = random.Random(1703)
+    for _ in range(100):
+        p1 = random_poset(rng, rng.randint(0, 5), "x")
+        p2 = random_poset(rng, rng.randint(0, 5), "y")
+        s = ordinal_sum(p1, p2)
+        n1 = len(p1)
+        assert s.elements == p1.elements + p2.elements
+        for i in range(n1):
+            assert s.lt[i] == p1.lt[i] | set(range(n1, len(s)))
+        for j in range(len(p2)):
+            assert s.lt[n1 + j] == {k + n1 for k in p2.lt[j]}
+
+
+def test_ordinal_sum_is_associative():
+    rng = random.Random(1704)
+    for _ in range(60):
+        p1, p2, p3 = (random_poset(rng, rng.randint(0, 4), "v") for _ in range(3))
+        assert ordinal_sum(ordinal_sum(p1, p2), p3) == ordinal_sum(p1, ordinal_sum(p2, p3))
 
 
 # -- the two-block family ----------------------------------------------------
@@ -220,6 +299,20 @@ def test_hmp56_structure():
     assert len(p) == 5
     assert p.less("m", "p")
     assert p.less("m", "c1") and p.less("c1", "c2") and p.less("c2", "c3")
+
+
+def test_hmp_equals_its_explicit_covers():
+    """The bottom chain b1 < ... below the new minimum m, which lies below
+    the singleton p and the chain c1 < ... (the README example for (4, 5))."""
+    for a in range(4, 13):
+        for b in range(a + 1, 14):
+            bottom = [f"b{i + 1}" for i in range(b - a - 1)]
+            top = [f"c{i + 1}" for i in range(a - 2)]
+            covers = list(zip(bottom, bottom[1:] + ["m"])) + list(zip(top, top[1:]))
+            covers += [("m", "p"), ("m", "c1")]
+            explicit = poset_from_covers(bottom + ["m", "p"] + top, covers)
+            assert hmp_poset(a, b) == explicit, (a, b)
+            assert sorted(hmp_poset(a, b).covers()) == sorted(covers), (a, b)
 
 
 def test_hmp_parameter_bounds():
@@ -285,6 +378,16 @@ def test_point_counts_match_brute_force():
         for q in range(4):
             assert polytope_point_count(p, "order", q) == brute_order_points(p, q)
             assert polytope_point_count(p, "chain", q) == brute_chain_points(p, q)
+
+
+def test_order_count_matches_brute_force_on_random_posets():
+    # relations follow a random linear order, so the linear extension the
+    # count picks differs from the element order
+    rng = random.Random(1705)
+    for _ in range(40):
+        p = random_poset(rng, rng.randint(1, 5), "r")
+        for q in range(3):
+            assert polytope_point_count(p, "order", q) == brute_order_points(p, q)
 
 
 def test_chain_polytope_counts_ring_monomials():

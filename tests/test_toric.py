@@ -415,6 +415,16 @@ def test_a_invariant_rejects_imperfect():
         a_invariant(cycle_graph(5))
 
 
+@pytest.mark.parametrize("field", [a_invariant, is_nearly_gorenstein])
+def test_classify_fields_reject_what_classify_rejects(field):
+    """`a_invariant` and `is_nearly_gorenstein` read their field off
+    `classify`, so they refuse the same inputs."""
+    with pytest.raises(ParameterError):
+        field(Graph(0, frozenset()))
+    with pytest.raises(NotPerfectError):
+        field(cycle_graph(5))
+
+
 def test_minimal_canonical_degree_k3():
     fs = fs_of(K3)
     assert _slice(fs, 1, 3) == ()
@@ -1055,15 +1065,15 @@ def test_classify_vertex_limit_override():
 def test_size_limit_env_override(monkeypatch):
     """GSTAB_SIZE_LIMIT only ever raises a guard; an explicit vertex_limit
     replaces it, up or down."""
-    from gstab.config import cone_dim_limit, perfect_limit, verify_limit
+    from gstab.config import cone_dim_limit, perfect_limit
 
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "13")
     assert classify(empty_graph(13)).gorenstein
-    assert (perfect_limit(), cone_dim_limit(), verify_limit()) == (13, 14, 13)
+    assert (perfect_limit(), cone_dim_limit()) == (13, 14)
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "8")
-    assert (perfect_limit(), cone_dim_limit(), verify_limit()) == (12, 9, 8)
+    assert (perfect_limit(), cone_dim_limit()) == (12, 9)
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "4")
-    assert (perfect_limit(), cone_dim_limit(), verify_limit()) == (12, 9, 8)
+    assert (perfect_limit(), cone_dim_limit()) == (12, 9)
     assert classify(path_graph(5)).gorenstein
     with pytest.raises(SizeGuardError):
         classify(path_graph(5), vertex_limit=4)
@@ -1071,10 +1081,10 @@ def test_size_limit_env_override(monkeypatch):
 
 @pytest.mark.parametrize("raw", ["abc", "-3", ""])
 def test_malformed_size_limit_env(monkeypatch, raw):
-    from gstab.config import cone_dim_limit, perfect_limit, verify_limit
+    from gstab.config import cone_dim_limit, perfect_limit
 
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", raw)
-    for limit in (perfect_limit, cone_dim_limit, verify_limit):
+    for limit in (perfect_limit, cone_dim_limit):
         with pytest.raises(ParameterError):
             limit()
     with pytest.raises(ParameterError):
