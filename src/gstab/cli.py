@@ -34,10 +34,10 @@ from .errors import (
 )
 from .graphs import Graph, connected_components, load_graph
 from .numsgp import (
+    _residue,
     canonical_ideal,
     family,
     pseudo_frobenius,
-    residue,
     semigroup,
     trace_ideal,
 )
@@ -67,12 +67,11 @@ def _header(command: str) -> dict:
 
 
 def _classification_payload(report: TraceReport, g: Graph) -> dict:
-    comps = connected_components(g)
     payload = {
         "perfect": True,
         "components": [
-            {"vertices": list(c.vertices), "dim": d, "pure": p}
-            for c, d, p in zip(comps, report.component_dims, report.component_pure)
+            {"vertices": list(c.vertices), "dim": c.dim, "pure": c.pure}
+            for c in connected_components(g)
         ],
         "classification": report.classification,
         "classification_label": report.label(),
@@ -205,7 +204,7 @@ def cmd_numsgp(args) -> tuple[dict, int]:
         "conductor": h.conductor,
         "pseudo_frobenius": list(pf),
         "type": len(pf),
-        "residue": residue(h),
+        "residue": _residue(h, tr),
         "canonical_ideal_window": sorted(k.window),
         "trace_min": tr.min,
         "family": None,

@@ -4,6 +4,8 @@ Every failure mode the CLI distinguishes by exit code has its own class
 here, so library users can catch precisely what they care about.
 """
 
+import operator
+
 
 class GstabError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,3 +25,12 @@ class SizeGuardError(GstabError):
 
 class ParameterError(GstabError):
     """Family parameters outside their admissible range."""
+
+
+def _ints(values, error: type[GstabError], what: str) -> tuple[int, ...]:
+    """`values` as ints if they are integer-like (`operator.index`), else
+    `error` naming `what`: no float or string is truncated or compared."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise error(f"{what} must be integers, got {values!r}") from None

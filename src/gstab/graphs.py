@@ -10,6 +10,7 @@ in the vertex count and so guarded by a vertex limit.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -17,10 +18,11 @@ from itertools import combinations
 from .config import perfect_limit
 from .errors import FormatError, SizeGuardError
 
-# Entries in each cache keyed on one graph (or a value built from it).  One
-# `classify` call looks up the graph and its components, and a sweep such as
-# `verify` moves to a new graph after each call, so a small bound keeps the
-# hits within a call while memory stays flat over the sweep.
+# Entries in each cache keyed on one graph: `maximal_cliques` and
+# `_perfect`.  A sweep such as `verify` asks `is_perfect` and then
+# `classify`, which asks again and looks up the graph's cliques and its
+# components' cliques, before it moves to a new graph; so a small bound
+# keeps the hits within one graph while memory stays flat over the sweep.
 GRAPH_CACHE_SIZE = 32
 
 
@@ -28,33 +30,41 @@ GRAPH_CACHE_SIZE = 32
 class Graph:
     """A finite simple graph on vertices 1..n.
 
-    `edges` holds each edge once as a pair (i, j) with i < j.
+    `edges` holds each edge once as a pair (i, j) with i < j.  The count
+    and the labels may be any integer-like values (`operator.index`); they
+    are stored as ints.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n < 0:
+        index = operator.index
+        try:
+            n = index(self.n)
+            edges = frozenset([(index(i), index(j)) for i, j in self.edges])
+        except (TypeError, ValueError):
+            raise FormatError("need an integer vertex count and pairs of integer "
+                              f"labels, got n={self.n!r}, edges {self.edges!r}") from None
+        if n < 0:
             raise FormatError("vertex count must be nonnegative")
-        for e in self.edges:
-            if len(e) != 2:
-                raise FormatError(f"not an edge pair: {e!r}")
-            i, j = e
+        for i, j in edges:
             if i == j:
                 raise FormatError(f"loop at vertex {i}")
-            if not (1 <= i < j <= self.n):
-                raise FormatError(f"edge {e!r} out of range or not normalized")
+            if not (1 <= i < j <= n):
+                raise FormatError(f"edge {(i, j)!r} out of range or not normalized")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         """Build a graph, normalizing each pair to (min, max)."""
-        normalized = set()
-        for i, j in edges:
-            if i == j:
-                raise FormatError(f"loop at vertex {i}")
-            normalized.add((min(i, j), max(i, j)))
-        return Graph(n, frozenset(normalized))
+        try:
+            normalized = {(i, j) if i < j else (j, i) for i, j in edges}
+        except (TypeError, ValueError):
+            raise FormatError(
+                f"edges must be pairs of integer labels, got {edges!r}") from None
+        return Graph(n, normalized)
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -81,6 +91,8 @@ class Component:
 
     graph: Graph
     vertices: tuple[int, ...]
+    dim: int     # the clique-complex dimension of `graph`
+    pure: bool   # whether `graph` is pure (`is_pure`)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +181,6 @@ def load_graph(path: str) -> Graph:
 # ---------------------------------------------------------------------------
 # bitmask internals (vertices 0..n-1 inside, labels 1..n outside)
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _adjacency_masks(g: Graph) -> tuple[int, ...]:
     adj = [0] * g.n
     for i, j in g.edges:
@@ -250,9 +261,9 @@ def is_pure(g: Graph) -> bool:
     return len(sizes) <= 1
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def connected_components(g: Graph) -> tuple[Component, ...]:
-    """Vertex-induced components, each relabeled 1..n_i.
+    """Vertex-induced components, each relabeled 1..n_i, with their
+    clique-complex dimension and purity.
 
     Sorted by descending clique-complex dimension, impure before pure
     within a dimension, then by smallest original vertex label.  The
@@ -260,57 +271,40 @@ def connected_components(g: Graph) -> tuple[Component, ...]:
     of the graph.
     """
     adj = _adjacency_masks(g)
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack, group = [start], []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            group.append(v)
-            for w in _bits(adj[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(group))
-
     built = []
-    for group in comps:
-        relabel = {orig: new + 1 for new, orig in enumerate(group)}
-        edges = [(relabel[i - 1], relabel[j - 1]) for i, j in g.edges
-                 if (i - 1) in relabel and (j - 1) in relabel]
-        sub = Graph.from_edges(len(group), edges)
-        built.append(Component(sub, tuple(v + 1 for v in group)))
-    built.sort(key=lambda c: (-maximal_cliques(c.graph).dim, is_pure(c.graph),
-                              c.vertices[0]))
+    left = (1 << g.n) - 1
+    while left:
+        # from the lowest vertex left, add the neighbours of the newest layer
+        comp = layer = left & -left
+        while layer:
+            reach = 0
+            for v in _bits(layer):
+                reach |= adj[v]
+            layer = reach & ~comp
+            comp |= layer
+        left &= ~comp
+        vertices = tuple(v + 1 for v in _bits(comp))
+        relabel = {orig: new for new, orig in enumerate(vertices, 1)}
+        sub = Graph.from_edges(len(vertices), [(relabel[i], relabel[j])
+                                               for i, j in g.edges if i in relabel])
+        built.append(Component(sub, vertices, maximal_cliques(sub).dim, is_pure(sub)))
+    built.sort(key=lambda c: (-c.dim, c.pure, c.vertices[0]))
     return tuple(built)
 
 
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def stable_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All stable (independent) vertex sets, the empty set included.
 
     Ordered by size then lexicographically.  These index the degree-one
-    generators of the stable set ring.
+    generators of the stable set ring.  Built vertex by vertex: each set
+    found so far is kept, and extended by the vertex if it holds none of
+    the vertex's neighbours.
     """
-    adj = _adjacency_masks(g)
-    out = []
-    for mask in range(1 << g.n):
-        ok = True
-        m = mask
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            if adj[v] & mask:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            out.append(tuple(v + 1 for v in _bits(mask)))
-    out.sort(key=lambda s: (len(s), s))
-    return tuple(out)
+    masks = [0]
+    for v, a in enumerate(_adjacency_masks(g)):
+        masks += [m | 1 << v for m in masks if not m & a]
+    return tuple(sorted((tuple(v + 1 for v in _bits(m)) for m in masks),
+                        key=lambda s: (len(s), s)))
 
 
 def is_perfect(g: Graph, limit: int | None = None) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, inf
 
-from .errors import FormatError, ParameterError, SizeGuardError
+from .errors import FormatError, ParameterError, SizeGuardError, _ints
 
 # Bound on 2 * min(gens) * max(gens) + 1.  The conductor is at most
 # (min(gens) - 1) * (max(gens) - 1), so this caps the gaps and every
@@ -46,7 +46,9 @@ def _table_size(lo: int, hi: int) -> int:
 
 
 def semigroup(generators) -> NumericalSemigroup:
-    gens = tuple(sorted(set(int(g) for g in generators)))
+    """The semigroup generated by `generators`: positive integer-like values
+    (`operator.index`) with gcd 1."""
+    gens = tuple(sorted(set(_ints(generators, FormatError, "generators"))))
     if not gens or any(g <= 0 for g in gens):
         raise FormatError("generators must be positive integers")
     g = gcd(*gens)
@@ -178,12 +180,16 @@ def trace_ideal(h: NumericalSemigroup) -> IntegerIdeal:
 
 
 def residue(h: NumericalSemigroup) -> int:
-    """Number of semigroup elements missing from the trace.
+    """Number of semigroup elements missing from the trace."""
+    return _residue(h, trace_ideal(h))
+
+
+def _residue(h: NumericalSemigroup, tr: IntegerIdeal) -> int:
+    """`residue` of `h`, given its trace ideal `tr`.
 
     Counted class by class: the trace lies inside the semigroup, so in
     class r it misses the (tr[r] - ap[r]) / m members from ap[r] up.
     """
-    tr = trace_ideal(h)
     ap = _vector(h, 0, h.members_below_conductor)
     return sum(t - a for t, a in zip(_vector(h, tr.min, tr.window), ap)) // len(ap)
 
@@ -194,6 +200,7 @@ def family(a: int, b: int) -> NumericalSemigroup:
     Its elements below the conductor b(a+1) are exactly the multiples
     i(a+1) with 0 <= i < b.
     """
+    a, b = _ints((a, b), ParameterError, "a and b")
     if a < 2 or b < 1:
         raise ParameterError(f"need a >= 2 and b >= 1, got a={a}, b={b}")
     step = a + 1

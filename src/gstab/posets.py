@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _ints
 from .graphs import Graph, stable_sets
 from .toric import FacetSystem, hilbert_function
 
@@ -166,6 +166,7 @@ def hmp_poset(a: int, b: int) -> Poset:
     to a chain with a-2 elements, with one new minimum adjoined below both.
     Total size is b-1.  Requires 4 <= a < b.
     """
+    a, b = _ints((a, b), ParameterError, "a and b")
     if not (4 <= a < b):
         raise ParameterError(f"need 4 <= a < b, got a={a}, b={b}")
     bottom = chain(b - a - 1, [f"b{i + 1}" for i in range(b - a - 1)])

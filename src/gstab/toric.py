@@ -17,7 +17,8 @@ values that no completion of a partial summand can make valid, so it
 never uses the purity criterion or the faces.  The trace-power test
 (`_trace_equals_power`) runs that search on one ring point per orbit of
 twin swaps, which are graph automorphisms and so map the trace onto
-itself (`_twin_floors`).
+itself (`_Tables.floors`).  What the searches read off a facet system is
+built once, on first use, and kept on it (`FacetSystem.tables`).
 
 m-primariness and the trace height come from the faces of the cone: the
 trace misses a face iff the ring localised at the face's prime is not
@@ -32,19 +33,17 @@ module generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 from .config import cone_dim_limit
 from .errors import NotPerfectError, ParameterError, SizeGuardError
 from .graphs import (
-    GRAPH_CACHE_SIZE,
     Graph,
     _twin_masks,
     connected_components,
     graphs_up_to_iso,
     is_perfect,
-    is_pure,
     maximal_cliques,
 )
 
@@ -85,6 +84,21 @@ class Monomial:
         )
 
 
+class _Tables(NamedTuple):
+    """Everything the searches of this module read off one facet system
+    (`FacetSystem.tables`)."""
+
+    cliques: tuple   # the cliques as ascending 0-based vertex tuples
+    bottom: int      # the smallest clique size
+    points: tuple    # the degree-one points (stable sets), `_slice(fs, 0, 1)`
+    masks: tuple     # their `_zero_masks`; bit k of a face is points[k]
+    full: int        # the bitset of every point
+    rows: tuple      # per vertex v, (clique index, later count) for each
+                     # clique C through v, later count = |{i in C: i > v}|
+    floors: tuple    # per vertex v, its previous twin: the largest u < v
+                     # with N(u) - {v} = N(v) - {u}, or -1 if there is none
+
+
 @dataclass(frozen=True)
 class FacetSystem:
     """Nonnegativity plus maximal-clique inequalities of a perfect graph.
@@ -107,6 +121,32 @@ class FacetSystem:
             raise NotPerfectError("graph is not perfect")
         cx = maximal_cliques(g)
         return FacetSystem(g.n, cx.maximal_cliques, cx.dim + 1)
+
+    def __reduce__(self):
+        # the fields alone: `tables` is rebuilt on first use
+        return FacetSystem, (self.n, self.cliques, self.delta)
+
+    @cached_property
+    def tables(self) -> _Tables:
+        """The `_Tables` of this system, built on first use and kept on
+        it; equality, hashing, repr and pickling see the fields alone.
+        Twins (`_twin_masks`) are read off the cliques: two vertices are
+        adjacent iff a maximal clique holds both."""
+        n = self.n
+        cliques = tuple(tuple(sorted(i - 1 for i in c)) for c in self.cliques)
+        points = tuple(_walk(self, 0, 1, (-1,) * n))
+        rows = [[] for _ in range(n)]
+        adj = [0] * n
+        for ci, c in enumerate(cliques):
+            mask = sum(1 << v for v in c)
+            for later, v in enumerate(reversed(c)):
+                rows[v].append((ci, later))
+                adj[v] |= mask & ~(1 << v)
+        floors = tuple((t & ((1 << v) - 1)).bit_length() - 1
+                       for v, t in enumerate(_twin_masks(adj)))
+        return _Tables(cliques, min(map(len, cliques)), points,
+                       tuple(_zero_masks(self, points)), (1 << len(points)) - 1,
+                       tuple(map(tuple, rows)), floors)
 
 
 @dataclass(frozen=True)
@@ -212,13 +252,13 @@ def _in_trace(fs: FacetSystem, a, q: int) -> bool:
     partial sums of w and of a.  A value of vertex v is skipped when some
     clique C through v cannot land in its interval even if each of C's
     later vertices takes its least value 1 or its largest value a_i + 1;
-    the number of those later vertices is read from `_tables(fs).rows`,
+    the number of those later vertices is read from `fs.tables.rows`,
     so nothing is rebuilt per call.  Those bounds only prune: at a
     clique's last vertex there are no later vertices and the test is the
     clique's own interval, so every full assignment reached is a witness
     and no witness is skipped.
     """
-    t = _tables(fs)
+    t = fs.tables
     rows = t.rows
     n = fs.n
     part = [0] * len(t.cliques)   # sum of w over each clique's assigned vertices
@@ -260,28 +300,31 @@ def _in_trace(fs: FacetSystem, a, q: int) -> bool:
         return found
 
     # hi = d - 1 is the top of every clique's interval; slack = q - d + 1
-    return any(place(0, d - 1, q - d + 1) for d in range(t.top + 1, q + 2 + t.bottom))
+    return any(place(0, d - 1, q - d + 1) for d in range(fs.delta + 1, q + 2 + t.bottom))
 
 
 # ---------------------------------------------------------------------------
 # degree slices
 
-def _walk(fs: FacetSystem, theta: int, degree: int, by_vertex, floors) -> list[tuple[int, ...]]:
+def _walk(fs: FacetSystem, theta: int, degree: int, floors) -> list[tuple[int, ...]]:
     """The exponent vectors of the theta-module slice at the given degree
     whose value at each vertex v is at least the value at `floors[v]`
     (no bound where that is -1), in ascending lexicographic order.
 
-    `by_vertex` holds per vertex the indices of the cliques through it
-    (`_clique_index`).  The walk assigns the vertices in order, each value
-    shifted down by theta, and carries what is left of each clique's cap.
-    With every floor -1 it yields the whole slice; with the previous twin
-    of each vertex (`_twin_floors`) it yields one point per twin orbit,
-    the one that is non-decreasing along each twin class.
+    The walk assigns the vertices in order, each value shifted down by
+    theta, and carries what is left of the cap of each clique through the
+    vertex.  With every floor -1 it yields the whole slice; with the
+    previous twin of each vertex (`_Tables.floors`) it yields one point
+    per twin orbit, the one that is non-decreasing along each twin class.
     """
     n = fs.n
     caps = [degree - theta * (len(c) + 1) for c in fs.cliques]
     if any(cap < 0 for cap in caps):
         return []
+    by_vertex = [[] for _ in range(n)]
+    for ci, c in enumerate(fs.cliques):
+        for i in c:
+            by_vertex[i - 1].append(ci)
     out: list[tuple[int, ...]] = []
     # shifted[-1] stays 0: the start of a vertex whose floor is -1
     shifted = [0] * (n + 1)
@@ -309,7 +352,7 @@ def _walk(fs: FacetSystem, theta: int, degree: int, by_vertex, floors) -> list[t
 def _slice(fs: FacetSystem, theta: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors in the theta-module at the given degree,
     in ascending lexicographic order."""
-    return tuple(_walk(fs, theta, degree, _clique_index(fs)[1], (-1,) * fs.n))
+    return tuple(_walk(fs, theta, degree, (-1,) * fs.n))
 
 
 def degree_monomials(fs: FacetSystem, q: int) -> list[Monomial]:
@@ -361,70 +404,6 @@ def _zero_masks(fs: FacetSystem, points) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# tables read off one facet system
-
-class _Tables(NamedTuple):
-    """Everything the searches of this module read off one facet system."""
-
-    cliques: tuple   # the cliques as ascending 0-based vertex tuples
-    top: int         # the largest clique size
-    bottom: int      # the smallest clique size
-    points: tuple    # the degree-one points (stable sets), `_slice(fs, 0, 1)`
-    masks: tuple     # their `_zero_masks`; bit k of a face is points[k]
-    full: int        # the bitset of every point
-    rows: tuple      # per vertex v, (clique index, later count) for each
-                     # clique C through v, later count = |{i in C: i > v}|
-
-
-def _clique_index(fs: FacetSystem) -> tuple[tuple, tuple]:
-    """The cliques of `fs` as ascending 0-based vertex tuples, and per
-    vertex the indices of the cliques through it, which `_walk` reads.
-    Uncached: it costs one pass over the cliques, and `_slice` needs
-    nothing else of `_tables`."""
-    cliques = tuple(tuple(sorted(i - 1 for i in c)) for c in fs.cliques)
-    by_vertex = [[] for _ in range(fs.n)]
-    for ci, c in enumerate(cliques):
-        for v in c:
-            by_vertex[v].append(ci)
-    return cliques, tuple(map(tuple, by_vertex))
-
-
-def _twin_floors(fs: FacetSystem) -> tuple[int, ...]:
-    """Per vertex v, its previous twin: the largest u < v with
-    N(u) - {v} = N(v) - {u}, or -1 if there is none.
-
-    Twins are an equivalence relation (`_twin_masks`), read here off the
-    adjacency of `fs.cliques`: two vertices are adjacent iff a maximal
-    clique holds both.  Swapping two twins is an automorphism of the
-    graph, so it permutes the maximal cliques and maps the ring, the
-    canonical module, its inverse and the trace onto themselves.
-    """
-    adj = [0] * fs.n
-    for c in fs.cliques:
-        mask = sum(1 << (i - 1) for i in c)
-        for i in c:
-            adj[i - 1] |= mask & ~(1 << (i - 1))
-    return tuple((t & ((1 << v) - 1)).bit_length() - 1
-                 for v, t in enumerate(_twin_masks(adj)))
-
-
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _tables(fs: FacetSystem) -> _Tables:
-    """The `_Tables` of `fs`, built once per facet system."""
-    cliques, by_vertex = _clique_index(fs)
-    points = tuple(_walk(fs, 0, 1, by_vertex, (-1,) * fs.n))
-    masks = tuple(_zero_masks(fs, points))
-    full = (1 << len(points)) - 1
-    rows = [[] for _ in range(fs.n)]
-    for ci, c in enumerate(cliques):
-        for later, v in enumerate(reversed(c)):
-            rows[v].append((ci, later))
-    rows = tuple(map(tuple, rows))
-    sizes = [len(c) for c in cliques]
-    return _Tables(cliques, max(sizes), min(sizes), points, masks, full, rows)
-
-
-# ---------------------------------------------------------------------------
 # trace as a power of the maximal ideal (brute-force route)
 
 def trace_equals_power(g: Graph, power: int) -> bool:
@@ -443,21 +422,21 @@ def trace_equals_power(g: Graph, power: int) -> bool:
 def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
     """`trace_equals_power` on the facet system `fs`, one point per orbit.
 
-    Swapping twins maps the trace onto itself (`_twin_floors`), so a ring
-    point is in the trace iff every point of its orbit under the twin
-    swaps is.  Each orbit holds exactly one point that is non-decreasing
-    along every twin class, and `_walk` with the twin floors yields just
-    those, so both tests run on them alone.  Membership is still decided
-    by `_in_trace` from the definition; neither the faces nor the purity
-    criterion is read.  `full_trace_equals_power` in the tests is the
-    loop over every point.
+    Swapping two twins (`_Tables.floors`) is an automorphism of the graph,
+    so it permutes the maximal cliques and maps the ring and the trace
+    onto themselves: a ring point is in the trace iff every point of its
+    orbit under the twin swaps is.  Each orbit holds exactly one point
+    that is non-decreasing along every twin class, and `_walk` with the
+    twin floors yields just those, so both tests run on them alone.
+    Membership is still decided by `_in_trace` from the definition;
+    neither the faces nor the purity criterion is read.
+    `full_trace_equals_power` in the tests is the loop over every point.
     """
-    by_vertex = _clique_index(fs)[1]
-    floors = _twin_floors(fs)
+    floors = fs.tables.floors
     for q in range(power):
-        if any(_in_trace(fs, a, q) for a in _walk(fs, 0, q, by_vertex, floors)):
+        if any(_in_trace(fs, a, q) for a in _walk(fs, 0, q, floors)):
             return False
-    return all(_in_trace(fs, a, power) for a in _walk(fs, 0, power, by_vertex, floors))
+    return all(_in_trace(fs, a, power) for a in _walk(fs, 0, power, floors))
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +587,7 @@ def _local_height(fs: FacetSystem) -> object:
     if fs.n + 1 > limit:
         raise SizeGuardError(
             f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
-    t = _tables(fs)
+    t = fs.tables
     if _gorenstein(t, 0):
         return UNIT
     rays = [1 << k for k in range(len(t.points)) if not _gorenstein(t, 1 << k)]
@@ -662,8 +641,8 @@ def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) ->
     if not is_perfect(g, vertex_limit):
         raise NotPerfectError("classification requires a perfect graph")
     comps = connected_components(g)
-    dims = tuple(maximal_cliques(c.graph).dim for c in comps)
-    pure = tuple(is_pure(c.graph) for c in comps)
+    dims = tuple(c.dim for c in comps)
+    pure = tuple(c.pure for c in comps)
     all_pure = all(pure)
     spread = dims[0] - dims[-1]
     n_exp = spread if all_pure else None
@@ -699,7 +678,8 @@ def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) ->
         nearly_gorenstein=nearly,
         gorenstein=gorenstein,
         dim=g.n + 1,
-        a_invariant=-maximal_cliques(g).dim - 2,
+        # the largest clique of the graph is one of the first component's
+        a_invariant=-dims[0] - 2,
         component_dims=dims,
         component_pure=pure,
         oracle=check,

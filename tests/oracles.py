@@ -36,7 +36,6 @@ from gstab.toric import (
     _in_trace,
     _slack,
     _slice,
-    _tables,
     _zero_masks,
     in_ring,
 )
@@ -65,7 +64,7 @@ def face_lattice(fs):
 
     Because the polytope has 0/1 vertices, each face is spanned by its
     degree-one lattice points, so a face is identified by the bitset of
-    those points (bit k for `_tables(fs).points[k]`) and an intersection
+    those points (bit k for `fs.tables.points[k]`) and an intersection
     of faces by the AND of their bitsets, the facets being the
     `_zero_masks`.  An inequality is
     tight on a face iff the face's points all lie on that facet, a subset
@@ -87,7 +86,7 @@ def face_lattice(fs):
     if fs.n + 1 > limit:
         raise SizeGuardError(
             f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
-    t = _tables(fs)
+    t = fs.tables
     dims = {t.full: fs.n + 1}
     by_size = [[] for _ in t.points] + [[t.full]]
     for bucket in reversed(by_size):
@@ -203,7 +202,7 @@ def generator_trace_height(g):
     dims = face_lattice(fs)
     omega = tight_patterns(fs, omega_generators(g), 1)
     anti = tight_patterns(fs, anticanonical_generators(g), -1)
-    t = _tables(fs)
+    t = fs.tables
     cuts = {face_of(t.masks, t.full, w & v) for w in omega for v in anti}
     if 0 in cuts:
         return UNIT
@@ -252,7 +251,7 @@ class Face:
 def cone_faces(fs: FacetSystem) -> tuple[Face, ...]:
     """All faces of the cone over the stable set polytope, ordered by
     dimension and then by their points (see `face_lattice`)."""
-    t = _tables(fs)
+    t = fs.tables
     faces = []
     for face, dim in face_lattice(fs).items():
         tight = [j for j, f in enumerate(t.masks) if face & f == face]
@@ -319,6 +318,15 @@ def colorable(adj, vertices, k):
         return False
 
     return assign(0, 0)
+
+
+def stable_sets_by_scan(g):
+    """The stable sets by scanning all 2^n vertex masks, ordered by size
+    then lexicographically, as `stable_sets` orders them."""
+    adj = _adjacency_masks(g)
+    out = [tuple(v + 1 for v in _bits(mask)) for mask in range(1 << g.n)
+           if not any(adj[v] & mask for v in _bits(mask))]
+    return tuple(sorted(out, key=lambda s: (len(s), s)))
 
 
 def perfect_by_coloring(g):

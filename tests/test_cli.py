@@ -245,6 +245,20 @@ def test_numsgp_family(capsys):
     assert payload["family"]["residue_match"] is True
 
 
+def test_numsgp_builds_the_trace_once(capsys, monkeypatch):
+    """The report builds five ideals: the canonical ideal, and the trace
+    from a second canonical ideal, the semigroup, its quotient and the
+    sum.  The residue reads the trace already built."""
+    from gstab import numsgp
+
+    built = []
+    ideal = numsgp._ideal
+    monkeypatch.setattr(numsgp, "_ideal", lambda *args: built.append(1) or ideal(*args))
+    code, payload, _ = run_cli(capsys, "numsgp", "--family", "6", "4")
+    assert code == EXIT_OK and payload["residue"] == 4
+    assert len(built) == 5
+
+
 def test_numsgp_gcd_error(capsys):
     code, payload, err = run_cli(capsys, "numsgp", "--gens", "2,4")
     assert code == EXIT_PARSE

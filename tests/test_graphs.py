@@ -5,8 +5,9 @@ import random
 from functools import lru_cache
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
-from oracles import perfect_by_coloring, perfect_by_holes
+from oracles import perfect_by_coloring, perfect_by_holes, stable_sets_by_scan
 
 from gstab.cli import _graph_payload
 from gstab.errors import FormatError, SizeGuardError
@@ -117,6 +118,17 @@ def test_components_sorted_by_dim():
     assert comps[0].vertices == (2, 3)
 
 
+def test_components_carry_their_dim_and_purity(union_corpus):
+    """`Component.dim` and `Component.pure` are the clique-complex
+    dimension and the purity of the component's own graph, on every
+    perfect graph with at most six vertices and on the union corpus."""
+    graphs = [g for n in range(1, 7) for g in graphs_up_to_iso(n) if is_perfect(g)]
+    graphs += [g for _, g in union_corpus]
+    for g in graphs:
+        for c in connected_components(g):
+            assert (c.dim, c.pure) == (maximal_cliques(c.graph).dim, is_pure(c.graph)), g
+
+
 def test_component_relabeling_preserves_edges():
     g = Graph.from_edges(5, [(2, 4), (1, 5)])
     for comp in connected_components(g):
@@ -200,6 +212,20 @@ def test_stable_sets_match_brute():
             assert list(stable_sets(g)) == brute_stable_sets(g)
 
 
+def test_stable_sets_match_scan_of_every_mask():
+    """The vertex-by-vertex build against the scan of all 2^n vertex
+    masks, tuple for tuple, on every graph with at most seven vertices and
+    on 200 seeded graphs with 8 to 12 vertices."""
+    graphs = [g for n in range(8) for g in graphs_up_to_iso(n)]
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randint(8, 12)
+        graphs.append(Graph.from_edges(n, [p for p in combinations(range(1, n + 1), 2)
+                                           if rng.random() < 0.3]))
+    for g in graphs:
+        assert stable_sets(g) == stable_sets_by_scan(g), g
+
+
 def test_stable_set_count_equals_complement_clique_count():
     for n in range(1, 6):
         for g in graphs_up_to_iso(n):
@@ -221,6 +247,29 @@ def test_graph_rejects_loops_and_bad_range():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(FormatError):
         Graph.from_edges(3, [(1, 4)])
+
+
+def test_graph_rejects_non_integer_count_and_labels():
+    with pytest.raises(FormatError, match="integer labels"):
+        Graph.from_edges(3, [(1.5, 2)])
+    with pytest.raises(FormatError, match="integer labels"):
+        Graph(3, frozenset({(1.5, 2)}))
+    with pytest.raises(FormatError, match="integer vertex count"):
+        Graph(2.5, frozenset())
+    with pytest.raises(FormatError, match="integer labels"):
+        Graph.from_edges(3, [("1", 2)])
+    with pytest.raises(FormatError, match="integer labels"):
+        Graph.from_edges(3, [("1", "2")])
+    with pytest.raises(FormatError, match="pairs"):
+        Graph.from_edges(3, [(1, 2, 3)])
+
+
+def test_graph_accepts_integer_like_values_as_ints():
+    g = Graph.from_edges(np.int64(3), [(np.int64(2), np.int64(1)), (2, np.int32(3))])
+    assert g == path_graph(3)
+    assert type(g.n) is int
+    assert all(type(v) is int for e in g.edges for v in e)
+    assert Graph(np.int64(2), frozenset({(np.int64(1), 2)})) == complete_graph(2)
 
 
 def test_parse_graph_json_roundtrip():

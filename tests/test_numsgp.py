@@ -4,6 +4,7 @@ ideal, duality, trace, residue, and the prescribed type/residue family."""
 import tracemalloc
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,25 @@ def test_semigroup_rejects_bad_input():
         semigroup([0, 3])
     with pytest.raises(FormatError):
         semigroup([])
+
+
+def test_semigroup_rejects_non_integer_generators():
+    with pytest.raises(FormatError, match="generators must be integers"):
+        semigroup([2.5, 3])
+    with pytest.raises(FormatError, match="generators must be integers"):
+        semigroup(["2", 3])
+
+
+def test_family_rejects_non_integer_parameters():
+    with pytest.raises(ParameterError, match="must be integers"):
+        family(4, 1.5)
+    with pytest.raises(ParameterError, match="must be integers"):
+        family(4.0, 2)
+
+
+def test_integer_like_generators_and_parameters_still_work():
+    assert semigroup([np.int64(3), 4, np.int32(5)]) == semigroup([3, 4, 5])
+    assert family(np.int64(4), np.int64(2)) == family(4, 2)
 
 
 def test_semigroup_table_size_guard():

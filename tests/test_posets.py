@@ -324,6 +324,13 @@ def test_hmp_parameter_bounds():
         hmp_poset(5, 4)
 
 
+def test_hmp_rejects_non_integer_parameters():
+    with pytest.raises(ParameterError, match="must be integers"):
+        hmp_poset(4.5, 7)
+    with pytest.raises(ParameterError, match="must be integers"):
+        hmp_poset(4, "7")
+
+
 # -- antichains --------------------------------------------------------------
 
 def test_antichains_chain():

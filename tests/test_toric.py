@@ -47,9 +47,7 @@ from gstab.toric import (
     _faces_within,
     _slack,
     _slice,
-    _tables,
     _trace_equals_power,
-    _twin_floors,
     a_invariant,
     classify,
     degree_monomials,
@@ -169,7 +167,7 @@ def missed_faces(fs, dims, gens):
     inequalities where it has slack 0 cut out the smallest face containing
     it (`face_of`), so it lies on F iff that face is a subset of F.
     """
-    t = _tables(fs)
+    t = fs.tables
     cuts = {face_of(t.masks, t.full, bits(x == 0 for x in _slack(fs, m.exponents, m.degree)))
             for m in gens}
     return {face: dim for face, dim in dims.items()
@@ -457,7 +455,8 @@ def test_anticanonical_generators_against_sieve(corpus):
 
 def test_tables_built_once_per_facet_system(monkeypatch):
     """`classify(oracle=True)` builds the incidence table once, for the
-    graph's own facet system, connected or not."""
+    graph's own facet system, connected or not: the power test and the
+    height read the same `FacetSystem.tables`."""
     from gstab.posets import comparability_graph, hmp_poset
 
     builds = []
@@ -466,7 +465,6 @@ def test_tables_built_once_per_facet_system(monkeypatch):
                         lambda *args: builds.append(1) or zero_masks(*args))
     for g, expected in ((comparability_graph(hmp_poset(5, 6)), 1),
                         (disjoint_union(complete_graph(4), P3), 1)):
-        _tables.cache_clear()
         builds.clear()
         assert classify(g, oracle=True).oracle.agreement
         assert len(builds) == expected
@@ -529,6 +527,22 @@ def test_trace_power_rejects_negative():
         trace_equals_power(K2, -1)
 
 
+def test_tables_are_no_part_of_the_facet_system_value():
+    """Reading `FacetSystem.tables` keeps them on the system but leaves its
+    equality, hash, repr and pickled form as they were; a copy or an
+    unpickled system builds its own tables when asked."""
+    for g in (K3K1, PAW, disjoint_union(complete_graph(4), P3)):
+        fs, fresh = fs_of(g), fs_of(g)
+        before = (hash(fs), repr(fs), pickle.dumps(fs))
+        t = fs.tables
+        assert fs.tables is t
+        assert (hash(fs), repr(fs), pickle.dumps(fs)) == before
+        assert fs == fresh and hash(fs) == hash(fresh) and "tables" not in vars(fresh)
+        for other in (pickle.loads(pickle.dumps(fs)), copy.copy(fs), copy.deepcopy(fs)):
+            assert other == fs and "tables" not in vars(other)
+            assert other.tables == t
+
+
 def test_twin_floors_are_the_clique_preserving_swaps():
     """On every perfect graph with at most six vertices, two vertices are
     linked by the twin floors (following floors from each reaches the
@@ -542,7 +556,7 @@ def test_twin_floors_are_the_clique_preserving_swaps():
             tau = {u + 1: v + 1, v + 1: u + 1}
             return {frozenset(tau.get(i, i) for i in c) for c in cliques} == cliques
 
-        floors = _twin_floors(fs)
+        floors = fs.tables.floors
         root = list(range(g.n))
         for v, f in enumerate(floors):
             if f >= 0:
@@ -559,7 +573,7 @@ def test_twin_walk_yields_one_point_per_orbit():
     one point per orbit of the twin swaps."""
     for name, g in perfect_graphs_up_to(5) + [("K4+P3", disjoint_union(complete_graph(4), P3))]:
         fs = fs_of(g)
-        floors = _twin_floors(fs)
+        floors = fs.tables.floors
         classes = []
         for v, f in enumerate(floors):
             if f < 0:
@@ -574,10 +588,9 @@ def test_twin_walk_yields_one_point_per_orbit():
                     out[v] = x
             return tuple(out)
 
-        by_vertex = toric._clique_index(fs)[1]
         for theta, degrees in ((0, range(4)), (1, range(fs.delta + 1, fs.delta + 4))):
             for q in degrees:
-                walked = toric._walk(fs, theta, q, by_vertex, floors)
+                walked = toric._walk(fs, theta, q, floors)
                 assert walked == sorted(set(map(sort_classes, _slice(fs, theta, q)))), \
                     (name, theta, q)
 
@@ -700,7 +713,7 @@ def test_missed_faces_match_face_walk(kernel_faces_and_gens):
     for name, g, fs, faces, gens in kernel_faces_and_gens:
         missed = face_walk_missed(fs, faces, gens)
         # each walked face as its bitset of degree-one points, with its dim
-        index = {p: k for k, p in enumerate(_tables(fs).points)}
+        index = {p: k for k, p in enumerate(fs.tables.points)}
         walked = {sum(1 << index[p] for p in f.points): f.dim for f in missed}
         assert missed_faces(fs, face_lattice(fs), gens) == walked, name
 
@@ -722,16 +735,17 @@ def test_face_oracles_match_minimal_generator_route(kernel_faces_and_gens):
 
 
 def test_slices_build_no_incidence_table(monkeypatch):
-    """On a facet system not seen before, `hilbert_function`,
-    `degree_monomials` and the chain count of `polytope_point_count` walk
-    with the clique index alone and build no `_zero_masks`."""
+    """On a new facet system, `hilbert_function`, `degree_monomials` and
+    the chain count of `polytope_point_count` walk the cliques alone and
+    build no `_zero_masks`."""
     from gstab.posets import hmp_poset, polytope_point_count
 
     builds = []
     zero_masks = toric._zero_masks
     monkeypatch.setattr(toric, "_zero_masks", lambda *args: builds.append(1) or zero_masks(*args))
-    _tables.cache_clear()
-    assert hilbert_function(fs_of(empty_graph(12)), 1) == 2 ** 12
+    fs = fs_of(empty_graph(12))
+    assert hilbert_function(fs, 1) == 2 ** 12
+    assert "tables" not in vars(fs)
     # a1 + a2 <= 2 and a2 + a3 <= 2: 9 + 4 + 1 points by a2
     assert len(degree_monomials(fs_of(P3), 2)) == 14
     # the chain and order polytopes of a poset have the same Ehrhart
@@ -818,7 +832,7 @@ def test_faces_within_match_face_lattice():
     generator route says."""
     for name, g in perfect_graphs_up_to(6) + oracle_large_graphs():
         fs = fs_of(g)
-        t = _tables(fs)
+        t = fs.tables
         dims = face_lattice(fs)
         everything = [1 << k for k in range(len(t.points))]
         assert _faces_within(t, everything) == {f: d for f, d in dims.items() if f}, name
@@ -866,9 +880,9 @@ def test_height_solve_counts(solves, monkeypatch):
     for g in (K2K1, K3K1, k5p3):
         solves[0] = 0
         assert trace_height(g) == g.n + 1
-        assert solves[0] == 1 + len(_tables(fs_of(g)).points)
+        assert solves[0] == 1 + len(fs_of(g).tables.points)
     # so K5+P3 takes 31 solves
-    assert len(_tables(fs_of(k5p3)).points) == 30
+    assert len(fs_of(k5p3).tables.points) == 30
     assert walks == []
     solves[0] = 0
     assert trace_height(comparability_graph(hmp_poset(4, 9))) == 4
@@ -913,7 +927,7 @@ def test_integer_and_rational_solvability_agree():
     faces = bad = 0
     for name, g in perfect_graphs_up_to(6):
         fs = fs_of(g)
-        t = _tables(fs)
+        t = fs.tables
         n = g.n
         for face in face_lattice(fs):
             fixed = [face & t.masks[j] == face for j in range(n)]
@@ -939,7 +953,8 @@ def test_gorenstein_is_an_integer_test():
     c_2 + c_3 are all 1: 2(c_0 + c_2 + c_3) = 3, solved by halves only."""
     cliques = ((0, 3), (0, 2), (1,), (2, 3))
     # the face is bit 0; the masks of vertex 1 and of every set hold it
-    t = toric._Tables(cliques, 0, 0, (), (0, 1, 0, 0) + (1,) * 4, 1, ((),) * 4)
+    t = toric._Tables(cliques=cliques, bottom=0, points=(), masks=(0, 1, 0, 0) + (1,) * 4,
+                      full=1, rows=((),) * 4, floors=())
     rows = [((*(-int(i in c and i != 1) for i in range(4)), 1), 1 + (1 in c))
             for c in cliques]
     assert rational_solvable(rows)
@@ -958,7 +973,7 @@ def test_ray_gorenstein_closed_form():
     the solver against a rule it does not use."""
     rays = 0
     for name, g in perfect_graphs_up_to(6):
-        t = _tables(fs_of(g))
+        t = fs_of(g).tables
         sizes = [{len(c) for c in t.cliques if v in c} for v in range(g.n)]
         for k, point in enumerate(t.points):
             one_size = all(len(sizes[v]) == 1 for v in range(g.n) if point[v])
