@@ -11,6 +11,7 @@ Liptak, Algorithmica 2007); ideal sums and quotients take O(m^2) steps.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd, inf
 
@@ -84,8 +85,8 @@ def _vector(h: NumericalSemigroup, least: int, window) -> list[int]:
 
 def _ideal(h: NumericalSemigroup, ap: list[int]) -> IntegerIdeal:
     m, least = len(ap), min(ap)
-    window = frozenset(z for z in range(least, least + h.conductor) if z >= ap[z % m])
-    return IntegerIdeal(h, least, window)
+    # the constructor collects the window into its frozenset, in one pass
+    return IntegerIdeal(h, least, (z for z in range(least, least + h.conductor) if z >= ap[z % m]))
 
 
 def pseudo_frobenius(h: NumericalSemigroup) -> tuple[int, ...]:
@@ -112,7 +113,10 @@ class IntegerIdeal:
     """A fractional-ideal exponent set: closed under adding semigroup
     elements, bounded below, containing everything from min + conductor on.
 
-    `window` lists the members m with min <= m < min + conductor.
+    `window` lists the members m with min <= m < min + conductor.  The
+    minimum and the members may be any integer-like values
+    (`operator.index`), the members in any iterable; they are stored as
+    an int and a frozenset of ints.
     """
 
     semigroup: NumericalSemigroup
@@ -120,14 +124,24 @@ class IntegerIdeal:
     window: frozenset[int]
 
     def __post_init__(self):
+        index = operator.index
+        try:
+            least = index(self.min)
+            window = frozenset(map(index, self.window))
+        except TypeError:
+            raise FormatError("ideal minimum and window members must be integers") from None
+        object.__setattr__(self, "min", least)
+        object.__setattr__(self, "window", window)
         c = self.semigroup.conductor
-        if c > 0 and self.min not in self.window:
+        if c > 0 and least not in window:
             raise FormatError("minimum must belong to the ideal")
-        for z in self.window:
-            if not self.min <= z < self.min + c:
+        top = least + c
+        gens, contains = self.semigroup.generators, self.contains
+        for z in window:
+            if not least <= z < top:
                 raise FormatError("window element out of range")
-            for g in self.semigroup.generators:
-                if not self.contains(z + g):
+            for g in gens:
+                if not contains(z + g):
                     raise FormatError("ideal not closed under semigroup addition")
 
     def contains(self, z: int) -> bool:

@@ -23,11 +23,16 @@ built once, on first use, and kept on it (`FacetSystem.tables`).
 m-primariness and the trace height come from the faces of the cone: the
 trace misses a face iff the ring localised at the face's prime is not
 Gorenstein, which an integer linear system over the facets through the
-face decides (`_gorenstein`, which reduces only the tight clique rows).
-Those faces form a down-set, so only the faces spanned by non-Gorenstein
-rays are listed, bottom-up from those rays (`_faces_within`), and the
-cone's face lattice is never built (`_local_height`).  Neither needs
-module generators.
+face decides (`_gorenstein`: the tight vertices are fixed, and the tight
+clique rows, kept as sparse dicts over the free columns, are reduced in
+order by Euclid steps on their columns).  Those faces form a down-set,
+so only the faces spanned by non-Gorenstein rays are listed, bottom-up
+from those rays (`_faces_within`), and the cone's face lattice is never
+built (`_local_height`).  A face is a bitset of the degree-one points
+(stable sets) on it, each facet one such bitset (`_zero_masks`, read off
+the stable sets' vertex bitsets), and the walk names each face by the
+bitset of the facets through it, so the join of a face with a ray is
+one AND of two facet bitsets.  Neither needs module generators.
 """
 
 from __future__ import annotations
@@ -377,29 +382,31 @@ def a_invariant(g: Graph) -> int:
     return classify(g).a_invariant
 
 
-def _slack(fs: FacetSystem, exps, degree: int) -> tuple[int, ...]:
-    """Slack of x^a t^q in each ring inequality: a_1..a_n, then
-    q - sum_{i in C} a_i for each maximal clique C, in the order of
-    `fs.cliques`.  The point is in the ring iff every entry is >= 0."""
-    return (*exps, *(degree - s for s in _clique_sums(fs, exps)))
-
-
 def _zero_masks(fs: FacetSystem, points) -> list[int]:
-    """For each entry of `_slack`, the bitset of the degree-one points
-    (bit k for `points[k]`) with slack 0 there.
+    """For each facet of the cone, the bitset of the degree-one points
+    (bit k for `points[k]`, each the 0/1 vector of a stable set) on it.
 
-    Entry j is a facet of the cone: the degree-one points on it are the
-    stable sets avoiding vertex j + 1 (j < n) or meeting clique j - n
-    (j >= n).  A face is the intersection of the facets containing it and
-    is spanned by its degree-one points, so ANDs of these bitsets name
-    every face.
+    Facet j < n is x_{j+1} = 0, which holds the stable sets avoiding
+    vertex j + 1; facet n + i is q = sum_{v in C} x_v for the i-th clique C
+    of `fs.cliques`, which holds the stable sets meeting C, since a stable
+    set meets a clique at most once.  So both are read off one bitset per
+    vertex, the points containing it.  A face is the intersection of the
+    facets containing it and is spanned by its degree-one points, so ANDs
+    of these bitsets name every face.
     """
-    masks = [0] * (fs.n + len(fs.cliques))
+    holding = [0] * fs.n
     for k, p in enumerate(points):
         bit = 1 << k
-        for j, x in enumerate(_slack(fs, p, 1)):
-            if not x:
-                masks[j] |= bit
+        for v, x in enumerate(p):
+            if x:
+                holding[v] |= bit
+    full = (1 << len(points)) - 1
+    masks = [full ^ h for h in holding]
+    for c in fs.cliques:
+        meet = 0
+        for v in c:
+            meet |= holding[v - 1]
+        masks.append(meet)
     return masks
 
 
@@ -442,18 +449,6 @@ def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
 # ---------------------------------------------------------------------------
 # faces of the cone
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(x, y, d) with x*a + y*b = d, where |d| = gcd(a, b) and a, b are
-    not both 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        k = a // b
-        a, b = b, a - k * b
-        x0, x1 = x1, x0 - k * x1
-        y0, y1 = y1, y0 - k * y1
-    return x0, y0, a
-
-
 def _gorenstein(t: _Tables, face: int) -> bool:
     """Is the ring localised at the prime of `face` Gorenstein?
 
@@ -462,58 +457,70 @@ def _gorenstein(t: _Tables, face: int) -> bool:
     generate; its facets are the facets of the cone that contain the face.
     A normal semigroup ring is Gorenstein iff some lattice point c has
     value 1 on every primitive facet form (Bruns-Herzog, Cohen-Macaulay
-    Rings, Thm 6.3.5).  The forms are the `_slack` entries as functions of
-    c = (c_1..c_n, c_q): x_j for each vertex j and q - sum_{i in C} x_i
-    for each clique C, all primitive.  So the answer is whether those
-    whose mask contains `face` are all 1 at some integer c.
+    Rings, Thm 6.3.5).  The forms are, as functions of
+    c = (c_1..c_n, c_q), x_j for each vertex j and q - sum_{i in C} x_i
+    for each clique C, all primitive, in the order of `t.masks`.  So the
+    answer is whether those whose mask contains `face` are all 1 at some
+    integer c.
 
-    A tight vertex form x_j is the unit vector e_j, so x_j = 1 just fixes
-    c_j = 1: those coordinates are set up front and e_j leaves the basis.
-    Only the tight clique rows are then reduced, and the value of a vector
-    u on the row of clique C is u_q - sum_{i in C} u_i, read off C's
-    vertices alone.  The reduction is unimodular column reduction: the
-    integer points on which the rows seen so far are 1 are c plus the
-    integer span of `basis`.  A new row takes some value on each basis
-    vector; extended-gcd steps, each an invertible integer change of two
-    basis vectors, gather those values into one vector `pivot` with value
-    their gcd and leave every other vector at value 0, so those span the
-    new solution set's directions.  The row can be made 1 iff that gcd
-    divides 1 minus the row's value at c.
+    A tight vertex form fixes c_j = 1, so those coordinates move to the
+    right-hand side up front: each tight clique row becomes a sparse dict
+    over the free columns (the other vertices and q) with right-hand side
+    1 plus the number of its tight vertices.  The rows are then reduced in
+    order by unimodular column changes: Euclid steps on a row's smallest
+    coefficient, each subtracting a multiple of its column from another
+    and applied to the later rows alone, until one coefficient a is left.
+    The row then fixes that column's value: it is solvable iff a divides
+    its right-hand side, and the value is substituted into the later rows.
+    The other columns stay free, and the earlier rows no longer read them.
     """
     masks = t.masks
     n = len(t.rows)
-    c = [0] * (n + 1)
-    basis = []
-    for j in range(n):
-        if face & masks[j] == face:
-            c[j] = 1
-        else:
-            basis.append([int(i == j) for i in range(n + 1)])
-    basis.append([0] * n + [1])
+    rows, rhs = [], []
     for clique, mask in zip(t.cliques, masks[n:]):
-        if face & mask != face:
-            continue
-        pivot, value, rest = None, 0, []
-        for u in basis:
-            g = u[n] - sum([u[i] for i in clique])
-            if not g:
-                rest.append(u)
-            elif pivot is None:
-                pivot, value = u, g
-            else:
-                x, y, d = _ext_gcd(value, g)
-                rest.append([g // d * a - value // d * b for a, b in zip(pivot, u)])
-                pivot, value = [x * a + y * b for a, b in zip(pivot, u)], d
-        need = 1 - c[n] + sum([c[i] for i in clique])
-        if pivot is None:
-            if need:
+        if face & mask == face:
+            row = {n: 1}
+            b = 1
+            for i in clique:
+                if face & masks[i] == face:
+                    b += 1
+                else:
+                    row[i] = -1
+            rows.append(row)
+            rhs.append(b)
+    for r, row in enumerate(rows):
+        later = rows[r + 1:]
+        while len(row) > 1:
+            p = min(row, key=lambda j: abs(row[j]))
+            a = row.pop(p)
+            for j in list(row):
+                k, rem = divmod(row[j], a)
+                if rem:
+                    row[j] = rem
+                else:
+                    del row[j]
+                # column j minus k times column p, in every later row
+                for other in later:
+                    x = other.get(p)
+                    if x:
+                        y = other.get(j, 0) - k * x
+                        if y:
+                            other[j] = y
+                        else:
+                            del other[j]
+            row[p] = a
+        if not row:
+            if rhs[r]:
                 return False
-        elif need % value:
+            continue
+        (p, a), = row.items()
+        value, rest = divmod(rhs[r], a)
+        if rest:
             return False
-        else:
-            k = need // value
-            c = [a + k * b for a, b in zip(c, pivot)]
-        basis = rest
+        for s, other in enumerate(later, r + 1):
+            x = other.pop(p, 0)
+            if x:
+                rhs[s] -= x * value
     return True
 
 
@@ -524,37 +531,51 @@ def _faces_within(t: _Tables, rays: list[int]) -> dict[int, int]:
 
     Walked bottom-up from the rays, which have dimension 1, by increasing
     point count: each face F is joined with each ray r outside it, the
-    join being the smallest face holding both, the AND of the masks that
-    contain F | r, and a join with a point off `rays` is dropped.  Every
-    such face G above a ray is reached: a facet F of G has its points on
-    `rays` too, and G is its join with any point of G outside F.  Since a
-    facet has fewer points than G, all of G's facets come before G, and
-    G's dimension is the largest dim F + 1 over the faces F it is joined
-    from: a facet gives exactly dim G, any smaller face less.
+    join being the smallest face holding both, and a join with a point off
+    `rays` is dropped.  Every such face G above a ray is reached: a facet
+    F of G has its points on `rays` too, and G is its join with any point
+    of G outside F.  Since a facet has fewer points than G, all of G's
+    facets come before G, and G's dimension is the largest dim F + 1 over
+    the faces F it is joined from: a facet gives exactly dim G, any
+    smaller face less.
+
+    Each face carries the bitset of the facets through it (bit j for
+    `t.masks[j]`).  The facets through the join are those through both F
+    and r, `facets(F) & facets(r)`, which is `facets(F)` itself iff r lies
+    on F, and the join is the AND of their masks.  A face is the
+    intersection of its facets, so that key names the join: the masks are
+    ANDed once per key, and `joins` keeps the join's points, or 0 for a
+    join off `rays`, for every later pair with that key.
     """
+    masks = t.masks
     within = sum(rays)
+    throughs = [sum(1 << j for j, m in enumerate(masks) if m & r) for r in rays]
     dims = dict.fromkeys(rays, 1)
     by_size = [[] for _ in range(len(t.points) + 1)]
-    by_size[1] = list(rays)
+    by_size[1] = list(zip(rays, throughs))
+    joins = {}
     for bucket in by_size:
-        for face in bucket:
-            dim = dims[face]
-            tight = [m for m in t.masks if face & m == face]
-            for r in rays:
-                if face & r:
+        for face, facets in bucket:
+            dim = dims[face] + 1
+            for through in throughs:
+                key = facets & through
+                if key == facets:
                     continue
-                join = t.full
-                for m in tight:
-                    if m & r:
-                        join &= m
-                if join & within != join:
-                    continue
-                known = dims.get(join)
-                if known is None:
-                    dims[join] = dim + 1
-                    by_size[join.bit_count()].append(join)
-                elif known <= dim:
-                    dims[join] = dim + 1
+                join = joins.get(key)
+                if join is None:
+                    join, rest = t.full, key
+                    while rest:
+                        low = rest & -rest
+                        join &= masks[low.bit_length() - 1]
+                        rest ^= low
+                    if join & within != join:
+                        join = 0
+                    joins[key] = join
+                    if join:
+                        dims[join] = dim
+                        by_size[join.bit_count()].append((join, key))
+                elif join and dims[join] < dim:
+                    dims[join] = dim
     return dims
 
 

@@ -8,7 +8,9 @@ face lattice of the cone graded top-down, the faces as objects with
 their tight inequalities and points, the anticanonical ideal by its
 defining property, near-Gorensteinness by testing every degree-one
 monomial for trace membership, the trace power by searching every ring
-point instead of one per twin orbit, perfection by its definition
+point instead of one per twin orbit, the facet bitsets one slack tuple
+per point, the Gorenstein test of a face by carrying basis vectors
+instead of reducing sparse rows, perfection by its definition
 (colouring every induced subgraph) and by the Strong Perfect Graph
 Theorem (no odd hole in the graph or its complement), and numerical
 semigroups by a membership table with ideals scanned over a window, one
@@ -33,12 +35,97 @@ from gstab.toric import (
     UNIT,
     FacetSystem,
     Monomial,
+    _clique_sums,
     _in_trace,
-    _slack,
     _slice,
     _zero_masks,
     in_ring,
 )
+
+
+def slack(fs, exps, degree):
+    """Slack of x^a t^q in each ring inequality: a_1..a_n, then
+    q - sum_{i in C} a_i for each maximal clique C, in the order of
+    `fs.cliques`.  The point is in the ring iff every entry is >= 0, and
+    entry j is 0 on the j-th facet of `fs.tables.masks`."""
+    return (*exps, *(degree - s for s in _clique_sums(fs, exps)))
+
+
+def zero_masks_by_slack(fs, points):
+    """`_zero_masks` one `slack` tuple per point: for each entry, the
+    bitset of the degree-one points (bit k for `points[k]`) with slack 0
+    there.  The library reads the same bitsets off the stable sets'
+    vertex bitsets."""
+    masks = [0] * (fs.n + len(fs.cliques))
+    for k, p in enumerate(points):
+        bit = 1 << k
+        for j, x in enumerate(slack(fs, p, 1)):
+            if not x:
+                masks[j] |= bit
+    return masks
+
+
+def _ext_gcd(a, b):
+    """(x, y, d) with x*a + y*b = d, where |d| = gcd(a, b) and a, b are
+    not both 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b = b, a - k * b
+        x0, x1 = x1, x0 - k * x1
+        y0, y1 = y1, y0 - k * y1
+    return x0, y0, a
+
+
+def gorenstein_by_basis(t, face):
+    """`_gorenstein` by carrying a basis of the solution directions.
+
+    The tight vertex coordinates are fixed to 1 up front and every other
+    coordinate, q included, starts as a unit basis vector of length n + 1.
+    The integer points on which the tight clique rows seen so far are 1
+    are c plus the integer span of `basis`.  A new row takes some value on
+    each basis vector; extended-gcd steps, each an invertible integer
+    change of two basis vectors, gather those values into one vector
+    `pivot` with value their gcd and leave every other vector at value 0,
+    so those span the new solution set's directions.  The row can be made
+    1 iff that gcd divides 1 minus the row's value at c.  The library
+    reduces sparse rows instead and builds no basis vector.
+    """
+    masks = t.masks
+    n = len(t.rows)
+    c = [0] * (n + 1)
+    basis = []
+    for j in range(n):
+        if face & masks[j] == face:
+            c[j] = 1
+        else:
+            basis.append([int(i == j) for i in range(n + 1)])
+    basis.append([0] * n + [1])
+    for clique, mask in zip(t.cliques, masks[n:]):
+        if face & mask != face:
+            continue
+        pivot, value, rest = None, 0, []
+        for u in basis:
+            g = u[n] - sum([u[i] for i in clique])
+            if not g:
+                rest.append(u)
+            elif pivot is None:
+                pivot, value = u, g
+            else:
+                x, y, d = _ext_gcd(value, g)
+                rest.append([g // d * a - value // d * b for a, b in zip(pivot, u)])
+                pivot, value = [x * a + y * b for a, b in zip(pivot, u)], d
+        need = 1 - c[n] + sum([c[i] for i in clique])
+        if pivot is None:
+            if need:
+                return False
+        elif need % value:
+            return False
+        else:
+            k = need // value
+            c = [a + k * b for a, b in zip(c, pivot)]
+        basis = rest
+    return True
 
 
 def bits(flags):
@@ -48,7 +135,7 @@ def bits(flags):
 
 def face_of(masks, full, pattern):
     """The face cut out by a zero-slack pattern (bit j set where entry j of
-    `_slack` is 0), as the bitset of its degree-one points; `full` has a
+    `slack` is 0), as the bitset of its degree-one points; `full` has a
     bit for every point.  The apex, the face without points, is 0."""
     face = full
     while pattern:
@@ -174,9 +261,9 @@ def anticanonical_generators(g):
 
 
 def tight_patterns(fs, gens, value):
-    """The distinct bitsets, one per generator, of the `_slack` entries
+    """The distinct bitsets, one per generator, of the `slack` entries
     equal to `value` (bit j for entry j)."""
-    return {bits(x == value for x in _slack(fs, m.exponents, m.degree)) for m in gens}
+    return {bits(x == value for x in slack(fs, m.exponents, m.degree)) for m in gens}
 
 
 def generator_trace_height(g):

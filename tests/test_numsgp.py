@@ -103,6 +103,46 @@ def test_semigroup_rejects_non_integer_generators():
         semigroup(["2", 3])
 
 
+def test_integer_ideal_rejects_non_integers():
+    """A float or string minimum or member is refused, never stored to
+    fail later inside the ideal arithmetic."""
+    h = semigroup([2, 3])
+    with pytest.raises(FormatError, match="must be integers"):
+        IntegerIdeal(h, 0.5, frozenset({0.5}))
+    with pytest.raises(FormatError, match="must be integers"):
+        IntegerIdeal(h, 0, frozenset({0, 1.0}))
+    with pytest.raises(FormatError, match="must be integers"):
+        IntegerIdeal(h, "0", frozenset({"0"}))
+
+
+def test_integer_ideal_stores_integer_like_values_as_ints():
+    h = semigroup([3, 5])
+    k = canonical_ideal(h)
+    ideal = IntegerIdeal(h, np.int64(k.min), frozenset(map(np.int16, k.window)))
+    assert type(ideal.min) is int
+    assert {type(z) for z in ideal.window} == {int}
+    assert ideal == k
+    assert ideal_sum(ideal, ideal) == ideal_sum(k, k)
+
+
+def test_integer_ideal_refuses_sets_that_are_no_ideal():
+    """Each check of the constructor on its own.  Below the conductor 8
+    of <3, 5> the members are 0, 3, 5 and 6."""
+    h = semigroup([3, 5])
+    assert h.conductor == 8
+    assert IntegerIdeal(h, 0, frozenset({0, 3, 5, 6})) == semigroup_as_ideal(h)
+    with pytest.raises(FormatError, match="minimum must belong"):
+        IntegerIdeal(h, 0, frozenset({3, 5, 6}))
+    with pytest.raises(FormatError, match="out of range"):
+        IntegerIdeal(h, 0, frozenset({0, 3, 5, 6, 8}))
+    # 0 + 3 is missing: not closed under adding m = 3
+    with pytest.raises(FormatError, match="not closed"):
+        IntegerIdeal(h, 0, frozenset({0, 5, 6}))
+    # closed under adding 3, but 0 + 5 is missing
+    with pytest.raises(FormatError, match="not closed"):
+        IntegerIdeal(h, 0, frozenset({0, 3, 6}))
+
+
 def test_family_rejects_non_integer_parameters():
     with pytest.raises(ParameterError, match="must be integers"):
         family(4, 1.5)

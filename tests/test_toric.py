@@ -45,7 +45,6 @@ from gstab.toric import (
     _in_trace,
     _local_height,
     _faces_within,
-    _slack,
     _slice,
     _trace_equals_power,
     a_invariant,
@@ -71,10 +70,13 @@ from oracles import (
     face_of,
     full_trace_equals_power,
     generator_trace_height,
+    gorenstein_by_basis,
     in_anticanonical_definitional,
     monomial_on_face,
     omega_generators,
     pairwise_trace_generators,
+    slack,
+    zero_masks_by_slack,
 )
 
 K1 = complete_graph(1)
@@ -162,13 +164,13 @@ def missed_faces(fs, dims, gens):
     """The faces of `dims` (a `face_lattice` result) on which no
     generator lies, as a dict from face bitset to dimension.
 
-    A ring point lies on a face F iff its slack (`_slack`) is 0 at every
+    A ring point lies on a face F iff its slack (`slack`) is 0 at every
     inequality tight on F, which is `monomial_on_face` verbatim.  The
     inequalities where it has slack 0 cut out the smallest face containing
     it (`face_of`), so it lies on F iff that face is a subset of F.
     """
     t = fs.tables
-    cuts = {face_of(t.masks, t.full, bits(x == 0 for x in _slack(fs, m.exponents, m.degree)))
+    cuts = {face_of(t.masks, t.full, bits(x == 0 for x in slack(fs, m.exponents, m.degree)))
             for m in gens}
     return {face: dim for face, dim in dims.items()
             if not any(cut & face == cut for cut in cuts)}
@@ -232,7 +234,7 @@ def test_reference_oracles_live_only_in_tests():
             "chromatic_number", "clique_number", "omega_generators",
             "anticanonical_generators", "InconclusiveError", "_face_lattice",
             "_colorable", "_perfect_by_coloring", "has_odd_hole",
-            "full_trace_equals_power", "members_upto"]
+            "full_trace_equals_power", "members_upto", "_slack", "_ext_gcd"]
     for module in (gstab, toric, graphs, errors, numsgp, numsgp.NumericalSemigroup):
         assert [name for name in gone if hasattr(module, name)] == [], module.__name__
 
@@ -468,6 +470,18 @@ def test_tables_built_once_per_facet_system(monkeypatch):
         builds.clear()
         assert classify(g, oracle=True).oracle.agreement
         assert len(builds) == expected
+
+
+def test_zero_masks_match_slack_route():
+    """The facet bitsets read off the stable sets' vertex bitsets against
+    the zero entries of one `slack` tuple per point, on every perfect
+    graph with at most seven vertices."""
+    graphs = perfect_graphs_up_to(7)
+    assert len(graphs) == 1105
+    for name, g in graphs:
+        fs = fs_of(g)
+        t = fs.tables
+        assert t.masks == tuple(zero_masks_by_slack(fs, t.points)), name
 
 
 def test_trace_generators_against_sieve():
@@ -891,6 +905,32 @@ def test_height_solve_counts(solves, monkeypatch):
     assert walks == [1]
 
 
+def test_height_found_above_the_rays(solves, monkeypatch):
+    """A graph whose height is decided on a listed face above the rays.
+
+    For this 7-vertex graph the two-clique bound on the height is 5, yet
+    the height is 4: the stable sets {1,3}, {2,4}, {1,3,6} and {2,4,7}
+    span a 4-dimensional face on which the cliques {1,2,5}, {2,3}, {3,4}
+    and {1,4} and the vertex 5 are tight, and the alternating sum of those
+    four clique rows leaves 0 = -1.  The height, the solves and the listed
+    faces are pinned."""
+    listed = []
+    faces_within = toric._faces_within
+    monkeypatch.setattr(toric, "_faces_within",
+                        lambda *a: listed.append(faces_within(*a)) or listed[-1])
+    g = Graph(7, frozenset({(1, 2), (1, 4), (1, 5), (1, 7), (2, 3), (2, 5), (2, 6), (3, 4)}))
+    assert trace_height(g) == 4
+    assert solves[0] == 66
+    [dims] = listed
+    assert len(dims) == 99
+    t = fs_of(g).tables
+    span = {(1, 3), (2, 4), (1, 3, 6), (2, 4, 7)}
+    face = sum(1 << k for k, p in enumerate(t.points)
+               if tuple(v + 1 for v, x in enumerate(p) if x) in span)
+    assert dims[face] == 4
+    assert not _gorenstein(t, face)
+
+
 def test_trace_height_guard_fires_before_any_solve(solves):
     """The cone-dimension guard of the library route fires before a
     system is solved."""
@@ -944,21 +984,48 @@ def test_integer_and_rational_solvability_agree():
 
 
 def test_gorenstein_is_an_integer_test():
-    """A system solvable over Q but not over Z, built by hand, so that the
+    """Systems solvable over Q but not over Z, built by hand, so that the
     divisibility test of `_gorenstein` is exercised: no face of a perfect
-    graph on at most six vertices separates the two.  Vertex 1 is fixed
-    (its mask holds the face), the others are free, and the rows are
-    q - sum_{i in C} c_i = 1 for the sets C below.  With c_1 = 1 the row of
-    (1,) gives q = 2, so the other three rows say c_0 + c_3, c_0 + c_2 and
-    c_2 + c_3 are all 1: 2(c_0 + c_2 + c_3) = 3, solved by halves only."""
-    cliques = ((0, 3), (0, 2), (1,), (2, 3))
-    # the face is bit 0; the masks of vertex 1 and of every set hold it
-    t = toric._Tables(cliques=cliques, bottom=0, points=(), masks=(0, 1, 0, 0) + (1,) * 4,
-                      full=1, rows=((),) * 4, floors=())
-    rows = [((*(-int(i in c and i != 1) for i in range(4)), 1), 1 + (1 in c))
-            for c in cliques]
-    assert rational_solvable(rows)
-    assert not _gorenstein(t, 1)
+    graph on at most six vertices separates the two, and none of those
+    faces or of the oracle_large graphs needs a Euclid step on a pivot
+    that is no unit.  One vertex is fixed (its mask holds the face, bit
+    0), the others are free, and the rows are q - sum_{i in C} c_i = 1 for
+    the sets C below.
+    - Vertex 1 fixed: the row of (1,) gives q = 2, so the other three rows
+      say c_0 + c_3, c_0 + c_2 and c_2 + c_3 are all 1:
+      2(c_0 + c_2 + c_3) = 3, solved by halves only.
+    - Vertex 4 fixed: the fifth row reaches the coefficients -2 and -3, so
+      a Euclid step leaves a remainder, and the sixth row then ends as
+      6y = -5 in the changed coordinates."""
+    for fixed, cliques in ((1, ((0, 3), (0, 2), (1,), (2, 3))),
+                           (4, ((0, 1, 3, 4), (0, 2, 4), (0, 5), (1,), (1, 2, 3, 4, 5), (5,)))):
+        n = max(map(max, cliques)) + 1
+        t = toric._Tables(cliques=cliques, bottom=0, points=(),
+                          masks=tuple(int(v == fixed) for v in range(n)) + (1,) * len(cliques),
+                          full=1, rows=((),) * n, floors=())
+        rows = [((*(-int(i in c and i != fixed) for i in range(n)), 1), 1 + (fixed in c))
+                for c in cliques]
+        assert rational_solvable(rows)
+        assert not _gorenstein(t, 1)
+        assert not gorenstein_by_basis(t, 1)
+
+
+def test_gorenstein_matches_basis_route():
+    """The sparse row elimination of `_gorenstein` against the route that
+    carries basis vectors of length n + 1, on every face of every perfect
+    graph with at most six vertices and of the oracle_large graphs."""
+    def check(graphs):
+        faces = 0
+        for name, g in graphs:
+            fs = fs_of(g)
+            t = fs.tables
+            for face in face_lattice(fs):
+                assert _gorenstein(t, face) == gorenstein_by_basis(t, face), (name, face)
+                faces += 1
+        return faces
+
+    assert check(perfect_graphs_up_to(6)) == 53398
+    check(oracle_large_graphs())
 
 
 def test_ray_gorenstein_closed_form():
