@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import __version__
-from .config import cone_dim_limit, perfect_limit
+from .config import perfect_limit
 from .errors import (
     FormatError,
     GstabError,
@@ -226,11 +226,6 @@ def cmd_numsgp(args) -> tuple[dict, int]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    # refuse up front what the cone guard would refuse once the smaller
-    # layers had run: the face oracle's cone has dimension max_n + 1
-    _size_guard("verify", cone_dim_limit() - 1, args.max_n)
-    if args.max_n < 1:
-        raise ParameterError("--max-n must be at least 1")
     result = verify_equivalence(args.max_n)
     payload = {
         **_header("verify"),

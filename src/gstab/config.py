@@ -2,7 +2,10 @@
 
 The defaults are 12 vertices for the perfection test and cone dimension
 9 for the face oracle.  `verify` checks every graph's face oracle, so it
-reaches one vertex below the cone guard: 8 by default.  The environment
+reaches one vertex below the cone guard: 8 by default.  Enumeration up to
+isomorphism (`graphs_up_to_iso`) builds and keeps every layer below the
+one asked for, so it reaches the cone guard itself: 9 by default.  Both
+refuse more before any layer is built.  The environment
 variable GSTAB_SIZE_LIMIT (an integer n) raises both guards at once and
 never lowers one: the perfection guard becomes the larger of its default
 and n, the cone guard the larger of its default and n + 1.  So
@@ -11,7 +14,8 @@ oracle cone dimension 10), leaves the perfection test at 12.  A value
 that is not a nonnegative integer is a ParameterError.
 `classify(vertex_limit=...)` (the CLI's `--max-n`) and
 `is_perfect(limit=...)` take an explicit vertex limit, which replaces the
-perfection guard, up or down.
+perfection guard, up or down; it must be an integer (a ParameterError
+otherwise).
 """
 
 import os
@@ -19,7 +23,8 @@ import os
 from .errors import ParameterError
 
 # The perfection test (Lovasz's criterion) runs two clique searches on
-# each of the 2^n induced subgraphs.
+# each induced subgraph inside one connected component: all 2^n of them
+# for a connected graph.
 DEFAULT_PERFECT_LIMIT = 12
 
 # The face oracle walks faces of the (n+1)-dimensional cone.  At the

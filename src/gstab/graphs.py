@@ -3,8 +3,10 @@
 Vertices are labeled 1..n.  Edges are unordered pairs.  All values are
 immutable and all operations are pure functions, so everything here is safe
 to share across threads.  Perfection is decided by Lovasz's criterion
-(omega(H) * alpha(H) >= |V(H)| on every induced subgraph H), exponential
-in the vertex count and so guarded by a vertex limit.
+(omega(H) * alpha(H) >= |V(H)| on every induced subgraph H), tested on the
+induced subgraphs inside one connected component: exponential in the
+largest component's size, and guarded by a vertex limit.  Enumeration up
+to isomorphism is guarded by the cone-dimension limit.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .config import perfect_limit
-from .errors import FormatError, SizeGuardError
+from .config import cone_dim_limit, perfect_limit
+from .errors import FormatError, ParameterError, SizeGuardError, _ints
 
 # Entries in each cache keyed on one graph: `maximal_cliques` and
 # `_perfect`.  A sweep such as `verify` asks `is_perfect` and then
@@ -98,19 +100,26 @@ class Component:
 # ---------------------------------------------------------------------------
 # constructors
 
+def _vertex_count(n) -> int:
+    return _ints((n,), FormatError, "vertex counts")[0]
+
+
 def complete_graph(n: int) -> Graph:
+    n = _vertex_count(n)
     return Graph.from_edges(n, combinations(range(1, n + 1), 2))
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, frozenset())
+    return Graph(_vertex_count(n), frozenset())
 
 
 def path_graph(n: int) -> Graph:
+    n = _vertex_count(n)
     return Graph.from_edges(n, ((i, i + 1) for i in range(1, n)))
 
 
 def cycle_graph(n: int) -> Graph:
+    n = _vertex_count(n)
     if n < 3:
         raise FormatError("a cycle needs at least 3 vertices")
     edges = [(i, i + 1) for i in range(1, n)] + [(1, n)]
@@ -217,6 +226,24 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _component_masks(adj: tuple[int, ...]) -> list[int]:
+    """The vertex mask of each connected component, by lowest vertex."""
+    comps = []
+    left = (1 << len(adj)) - 1
+    while left:
+        # from the lowest vertex left, add the neighbours of the newest layer
+        comp = layer = left & -left
+        while layer:
+            reach = 0
+            for v in _bits(layer):
+                reach |= adj[v]
+            layer = reach & ~comp
+            comp |= layer
+        left &= ~comp
+        comps.append(comp)
+    return comps
+
+
 def _max_clique_size(adj: tuple[int, ...], subset: int) -> int:
     best = 0
 
@@ -270,19 +297,8 @@ def connected_components(g: Graph) -> tuple[Component, ...]:
     (dimension, purity) sequence is therefore the same for every labelling
     of the graph.
     """
-    adj = _adjacency_masks(g)
     built = []
-    left = (1 << g.n) - 1
-    while left:
-        # from the lowest vertex left, add the neighbours of the newest layer
-        comp = layer = left & -left
-        while layer:
-            reach = 0
-            for v in _bits(layer):
-                reach |= adj[v]
-            layer = reach & ~comp
-            comp |= layer
-        left &= ~comp
+    for comp in _component_masks(_adjacency_masks(g)):
         vertices = tuple(v + 1 for v in _bits(comp))
         relabel = {orig: new for new, orig in enumerate(vertices, 1)}
         sub = Graph.from_edges(len(vertices), [(relabel[i], relabel[j])
@@ -311,11 +327,20 @@ def is_perfect(g: Graph, limit: int | None = None) -> bool:
     """Is the graph perfect?
 
     Decided by Lovasz's criterion (1972): a graph is perfect iff
-    omega(H) * alpha(H) >= |V(H)| for every induced subgraph H.  All 2^n
-    induced subgraphs are tested, so `limit` (default: the perfection
-    guard of `config`) caps the vertex count.
+    omega(H) * alpha(H) >= |V(H)| for every induced subgraph H.  Only the
+    subgraphs inside one connected component are tested: if H splits into
+    parts H1, H2 with no edge between them, omega(H) is the larger of
+    omega(H1), omega(H2) and alpha(H) = alpha(H1) + alpha(H2), so
+    omega(H) * alpha(H) >= omega(H1) * alpha(H1) + omega(H2) * alpha(H2),
+    and H passes when its parts do.  That is sum 2^|C| subsets over the
+    components C, all 2^n for a connected graph, so `limit` (default: the
+    perfection guard of `config`; an integer, else a ParameterError) caps
+    the vertex count.
     """
-    limit = perfect_limit() if limit is None else limit
+    if limit is None:
+        limit = perfect_limit()
+    else:
+        limit = _ints((limit,), ParameterError, "vertex limits")[0]
     if g.n > limit:
         raise SizeGuardError(f"perfection test limited to {limit} vertices, got {g.n}")
     return _perfect(g)
@@ -327,8 +352,13 @@ def _perfect(g: Graph) -> bool:
     full = (1 << g.n) - 1
     # the complement's adjacency: alpha(H) is its clique number on H
     co_adj = tuple(full & ~a & ~(1 << v) for v, a in enumerate(adj))
-    return all(_max_clique_size(adj, h) * _max_clique_size(co_adj, h) >= h.bit_count()
-               for h in range(1, full + 1))
+    for comp in _component_masks(adj):
+        # the nonempty subsets of comp in ascending order
+        h = 0
+        while h := (h - comp) & comp:
+            if _max_clique_size(adj, h) * _max_clique_size(co_adj, h) < h.bit_count():
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +471,16 @@ def _canonical_masks(n: int) -> tuple[int, ...]:
 
 def graphs_up_to_iso(n: int):
     """Yield one representative per isomorphism class of graphs on n vertices,
-    the graph with the smallest pair mask in each class, by ascending mask."""
+    the graph with the smallest pair mask in each class, by ascending mask.
+
+    Every layer below n is built and kept, so n above the cone-dimension
+    guard of `config` is a SizeGuardError, and a non-integer n a
+    ParameterError, raised at the first `next()` before any layer is built.
+    """
+    n = _ints((n,), ParameterError, "vertex counts")[0]
+    limit = cone_dim_limit()
+    if n > limit:
+        raise SizeGuardError(f"enumeration limited to {limit} vertices, got {n}")
     pairs = _vertex_pairs(n)
     for mask in _canonical_masks(n):
         edges = [(i + 1, j + 1) for k, (i, j) in enumerate(pairs) if mask >> k & 1]

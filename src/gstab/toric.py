@@ -748,8 +748,17 @@ def verify_equivalence(max_n: int) -> dict:
     """Run the purity criterion against both oracles over all graphs up to
     max_n vertices (one representative per isomorphism class).
 
-    Returns counts plus a list of any disagreements (expected empty).
+    Returns counts plus a list of any disagreements (expected empty).  The
+    face oracle's cone has dimension n + 1, so a max_n above the cone guard
+    minus one is a SizeGuardError, and a max_n below 1 or not an integer a
+    ParameterError, both raised before any graph is built.
     """
+    max_n = _ints((max_n,), ParameterError, "vertex counts")[0]
+    limit = cone_dim_limit() - 1
+    if max_n > limit:
+        raise SizeGuardError(f"verify limited to {limit} vertices, got {max_n}")
+    if max_n < 1:
+        raise ParameterError(f"max_n must be at least 1, got {max_n}")
     checked = 0
     perfect_count = 0
     disagreements = []

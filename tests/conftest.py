@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from gstab import graphs
 from gstab.graphs import (
     complete_graph,
     disjoint_union,
@@ -44,3 +45,14 @@ def corpus():
 @pytest.fixture(scope="session")
 def union_corpus():
     return [(name, g) for name, g in build_corpus() if "+" in name]
+
+
+@pytest.fixture
+def no_layer_built(monkeypatch):
+    """Replaces the enumeration's layer builder (`_canonical_masks`) by one
+    that fails the test if called, so a size guard that fires late fails
+    at once instead of building layers without end."""
+    def refuse(n):
+        raise AssertionError(f"enumeration layer {n} built")
+
+    monkeypatch.setattr(graphs, "_canonical_masks", refuse)

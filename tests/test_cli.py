@@ -313,6 +313,14 @@ def test_verify_default_limit_is_eight(capsys, monkeypatch):
     assert "verify limited to 8 vertices, got 9" in err
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_verify_max_n_below_one_is_parameter_error(capsys, max_n):
+    code, payload, err = run_cli(capsys, "verify", "--max-n", max_n)
+    assert code == EXIT_PARAMS
+    assert payload is None
+    assert "max_n must be at least 1" in err
+
+
 @pytest.mark.parametrize("raw, reach", [("4", 8), ("9", 9), ("13", 13)])
 def test_verify_limit_is_one_below_the_cone_guard(capsys, monkeypatch, raw, reach):
     """`verify` reaches one vertex below the face oracle's cone guard, for

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from oracles import perfect_by_coloring, perfect_by_holes, stable_sets_by_scan
 
+from gstab import graphs as graphs_module
 from gstab.cli import _graph_payload
-from gstab.errors import FormatError, SizeGuardError
+from gstab.errors import FormatError, ParameterError, SizeGuardError
 from gstab.graphs import (
     Graph,
     complement,
@@ -161,10 +162,34 @@ def test_c4_perfect():
     assert is_perfect(cycle_graph(4))
 
 
+def union(*parts: Graph) -> Graph:
+    g = parts[0]
+    for h in parts[1:]:
+        g = disjoint_union(g, h)
+    return g
+
+
+def relabel(g: Graph, rng: random.Random) -> Graph:
+    """g with its labels shuffled, so that components interleave."""
+    perm = list(range(1, g.n + 1))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges])
+
+
+def wheel(k: int) -> Graph:
+    """A k-cycle and one vertex adjacent to all of it: for odd k >= 5 it
+    is imperfect, but omega * alpha >= |V| holds on the whole wheel."""
+    return Graph.from_edges(k + 1, list(cycle_graph(k).edges)
+                            + [(i, k + 1) for i in range(1, k + 1)])
+
+
 def test_perfection_agrees_with_hole_and_coloring_oracles():
     """Lovasz's criterion, the Strong Perfect Graph Theorem and the
-    definition agree on every graph with at most seven vertices and on
-    seeded random graphs on eight to ten vertices."""
+    definition agree on every graph with at most seven vertices, on seeded
+    random graphs on eight to ten vertices, and on disjoint unions on
+    eight to twelve vertices whose imperfect part, if any, is often not
+    the first component, nor the whole of its component, nor labelled
+    apart from the others."""
     graphs = [g for n in range(1, 8) for g in graphs_up_to_iso(n)]
     assert len(graphs) == 1252
     rng = random.Random(1972)
@@ -173,11 +198,56 @@ def test_perfection_agrees_with_hole_and_coloring_oracles():
             p = rng.uniform(0.2, 0.8)
             graphs.append(Graph.from_edges(
                 n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]))
+    c5, c7 = cycle_graph(5), cycle_graph(7)
+    unions = [
+        union(complete_graph(3), c5),
+        union(path_graph(4), c7),
+        union(complete_graph(2), path_graph(3), c5),
+        union(cycle_graph(4), complete_graph(1), c7),
+        union(complete_graph(2), empty_graph(1), complement(c7)),
+        union(path_graph(3), wheel(5), complete_graph(2)),
+        # C5 with a pendant vertex: omega * alpha = 6 on the whole component
+        union(complete_graph(4), Graph.from_edges(6, list(c5.edges) + [(5, 6)])),
+        union(complete_graph(5), path_graph(3)),
+    ]
+    pieces = [c5, c7, complement(c7), wheel(5), complete_graph(3), path_graph(4),
+              cycle_graph(4), cycle_graph(6), empty_graph(2), paw_graph()]
+    while len(unions) < 32:
+        parts = [rng.choice(pieces) for _ in range(rng.randint(2, 3))]
+        g = union(*parts)
+        if 8 <= g.n <= 12:
+            unions.append(relabel(g, rng))
+    graphs += unions
     verdicts = [(is_perfect(g), perfect_by_holes(g), perfect_by_coloring(g)) for g in graphs]
     assert all(a == b == c for a, b, c in verdicts)
     # the perfect graphs on at most seven vertices, as `verify --max-n 7` counts them
     assert sum(a for a, _, _ in verdicts[:1252]) == 1105
-    assert {a for a, _, _ in verdicts[1252:]} == {True, False}
+    assert {a for a, _, _ in verdicts[1252:1282]} == {True, False}
+    assert [a for a, _, _ in verdicts[1282:1290]] == [False] * 7 + [True]
+    assert {a for a, _, _ in verdicts[1290:]} == {True, False}
+
+
+@pytest.mark.parametrize("g, calls", [
+    (union(complete_graph(5), path_graph(3)), 76),                  # 2^n: 510
+    (union(complete_graph(3), complete_graph(3), complete_graph(1)), 30),  # 254
+    (union(complete_graph(3), cycle_graph(5)), 76),                 # imperfect; 496
+    (path_graph(7), 254),                                           # connected
+])
+def test_perfection_searches_within_components(monkeypatch, g, calls):
+    """Two clique searches per nonempty vertex subset of one component, in
+    ascending order up to the first violation, where every subset of the
+    graph would take 2 * (2^n - 1)."""
+    counted = []
+    search = graphs_module._max_clique_size
+
+    def counting(adj, subset):
+        counted.append(subset)
+        return search(adj, subset)
+
+    monkeypatch.setattr(graphs_module, "_max_clique_size", counting)
+    # the undecorated test, so that no cached verdict hides the searches
+    graphs_module._perfect.__wrapped__(g)
+    assert len(counted) == calls
 
 
 def test_perfection_self_complementary():
@@ -190,6 +260,13 @@ def test_perfection_size_guard():
     with pytest.raises(SizeGuardError):
         is_perfect(empty_graph(13))
     assert is_perfect(empty_graph(13), limit=13)
+
+
+@pytest.mark.parametrize("limit", [2.5, "9", 9.0])
+def test_perfection_limit_must_be_an_integer(limit):
+    with pytest.raises(ParameterError, match="vertex limits must be integers"):
+        is_perfect(complete_graph(3), limit=limit)
+    assert is_perfect(complete_graph(3), limit=np.int64(3))
 
 
 # -- stable sets -------------------------------------------------------------
@@ -262,6 +339,14 @@ def test_graph_rejects_non_integer_count_and_labels():
         Graph.from_edges(3, [("1", "2")])
     with pytest.raises(FormatError, match="pairs"):
         Graph.from_edges(3, [(1, 2, 3)])
+
+
+@pytest.mark.parametrize("build", [complete_graph, empty_graph, path_graph, cycle_graph])
+@pytest.mark.parametrize("n", [2.5, 3.5, "4"])
+def test_constructors_refuse_non_integer_counts(build, n):
+    with pytest.raises(FormatError, match="vertex counts must be integers"):
+        build(n)
+    assert build(np.int64(4)) == build(4)
 
 
 def test_graph_accepts_integer_like_values_as_ints():
@@ -354,6 +439,22 @@ def test_enumeration_edge_cases():
     negative = graphs_up_to_iso(-1)   # lazy: nothing is checked until iterated
     with pytest.raises(FormatError):
         next(negative)
+
+
+def test_enumeration_size_guard(monkeypatch, no_layer_built):
+    """Above the cone guard (9 by default) nothing is built: 40 would
+    otherwise build and keep every layer below it, without end."""
+    monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
+    with pytest.raises(SizeGuardError, match="enumeration limited to 9 vertices, got 10"):
+        next(graphs_up_to_iso(10))
+    with pytest.raises(SizeGuardError, match="got 40"):
+        next(graphs_up_to_iso(40))
+
+
+@pytest.mark.parametrize("n", [2.5, "3"])
+def test_enumeration_refuses_non_integer_counts(no_layer_built, n):
+    with pytest.raises(ParameterError, match="vertex counts must be integers"):
+        next(graphs_up_to_iso(n))
 
 
 def test_only_c5_imperfect_on_five_vertices():

@@ -1214,6 +1214,11 @@ def test_classify_vertex_limit_override():
     assert report.classification == "Gorenstein"
 
 
+def test_classify_vertex_limit_must_be_an_integer():
+    with pytest.raises(ParameterError, match="vertex limits must be integers"):
+        classify(path_graph(3), vertex_limit=2.5)
+
+
 def test_size_limit_env_override(monkeypatch):
     """GSTAB_SIZE_LIMIT only ever raises a guard; an explicit vertex_limit
     replaces it, up or down."""
@@ -1356,6 +1361,28 @@ def test_verify_equivalence_small():
     assert result["graphs_checked"] == 7
     assert result["perfect"] == 7
     assert result["disagreements"] == 0
+
+
+@pytest.mark.parametrize("max_n", [9, 40])
+def test_verify_equivalence_size_guard(monkeypatch, no_layer_built, max_n):
+    """The face oracle's cone has dimension n + 1, so verify stops one
+    vertex below the cone guard, and refuses more before any layer is built
+    (9 would otherwise enumerate 274668 classes first)."""
+    monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
+    with pytest.raises(SizeGuardError, match=f"verify limited to 8 vertices, got {max_n}"):
+        verify_equivalence(max_n)
+
+
+@pytest.mark.parametrize("max_n", [0, -1])
+def test_verify_equivalence_refuses_max_n_below_one(no_layer_built, max_n):
+    with pytest.raises(ParameterError, match="max_n must be at least 1"):
+        verify_equivalence(max_n)
+
+
+@pytest.mark.parametrize("max_n", [2.5, "3"])
+def test_verify_equivalence_refuses_non_integer_max_n(no_layer_built, max_n):
+    with pytest.raises(ParameterError, match="vertex counts must be integers"):
+        verify_equivalence(max_n)
 
 
 def test_purity_matches_gps_per_component(corpus):
