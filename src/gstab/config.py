@@ -29,8 +29,8 @@ DEFAULT_PERFECT_LIMIT = 12
 
 # The face oracle walks faces of the (n+1)-dimensional cone.  At the
 # default, `verify` checks the 9992 perfect graphs on 8 vertices in about
-# 2 minutes, in flat memory (about 27 MB peak RSS) since the faces live for
-# one `classify` call.  There are 274668 graphs on 9 vertices, 22 times as
+# 40 s, in flat memory (about 19 MB peak RSS) since the faces live for one
+# `classify` call.  There are 274668 graphs on 9 vertices, 22 times as
 # many as on 8, so 9 needs the environment override.
 DEFAULT_CONE_DIM_LIMIT = 9
 

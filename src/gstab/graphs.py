@@ -201,22 +201,28 @@ def _adjacency_masks(g: Graph) -> tuple[int, ...]:
 def _maximal_clique_masks(adj: tuple[int, ...], subset: int) -> list[int]:
     """Bron-Kerbosch with pivoting, restricted to the vertices in `subset`."""
     cliques: list[int] = []
-
-    def extend(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            cliques.append(r)
-            return
-        piv_pool = p | x
-        # pivot: vertex of p|x with the most neighbours inside p
-        pivot = max(_bits(piv_pool), key=lambda v: (p & adj[v]).bit_count())
-        for v in _bits(p & ~adj[pivot]):
-            bit = 1 << v
-            extend(r | bit, p & adj[v] & subset, x & adj[v] & subset)
-            p &= ~bit
-            x |= bit
-
-    extend(0, subset, 0)
+    _extend_clique(adj, 0, subset, 0, cliques)
     return cliques
+
+
+def _extend_clique(adj: tuple[int, ...], r: int, p: int, x: int, cliques: list[int]):
+    """Append to `cliques` every maximal clique that holds the clique `r`,
+    draws its other vertices from `p` and none from `x`.  Module-level,
+    like `_grow_clique`, so that no call leaves a reference cycle.  Every
+    later `p` and `x` stays inside the first call's `p`, since `x` only
+    gains vertices of `p`.
+    """
+    if p == 0 and x == 0:
+        cliques.append(r)
+        return
+    piv_pool = p | x
+    # pivot: vertex of p|x with the most neighbours inside p
+    pivot = max(_bits(piv_pool), key=lambda v: (p & adj[v]).bit_count())
+    for v in _bits(p & ~adj[pivot]):
+        bit = 1 << v
+        _extend_clique(adj, r | bit, p & adj[v], x & adj[v], cliques)
+        p &= ~bit
+        x |= bit
 
 
 def _bits(mask: int):
@@ -245,23 +251,32 @@ def _component_masks(adj: tuple[int, ...]) -> list[int]:
 
 
 def _max_clique_size(adj: tuple[int, ...], subset: int) -> int:
-    best = 0
+    """The clique number of the subgraph induced on `subset`."""
+    return _grow_clique(adj, 0, subset, 0)
 
-    def grow(cur_size: int, candidates: int):
-        nonlocal best
-        if cur_size + candidates.bit_count() <= best:
-            return
-        if candidates == 0:
-            best = max(best, cur_size)
-            return
-        for v in _bits(candidates):
-            bit = 1 << v
-            grow(cur_size + 1, candidates & adj[v])
-            candidates &= ~bit
-            if cur_size + candidates.bit_count() <= best:
-                return
 
-    grow(0, subset)
+def _grow_clique(adj: tuple[int, ...], size: int, candidates: int, best: int) -> int:
+    """The larger of `best` and the largest clique that adds vertices of
+    `candidates` (each adjacent to every chosen vertex) to the `size`
+    vertices chosen so far.
+
+    Branch and bound: each candidate v in turn is chosen, with its
+    neighbours among the candidates left as the next candidates, and then
+    dropped; a branch stops once its size plus its candidate count cannot
+    exceed `best`.  It is module-level and hands `best` back as its value,
+    since a nested recursive function refers to itself through its
+    closure: a reference cycle for the cyclic collector on each of the two
+    searches per subset of `_perfect`.
+    """
+    if size + candidates.bit_count() <= best:
+        return best
+    if candidates == 0:
+        return size
+    for v in _bits(candidates):
+        best = _grow_clique(adj, size + 1, candidates & adj[v], best)
+        candidates &= ~(1 << v)
+        if size + candidates.bit_count() <= best:
+            return best
     return best
 
 

@@ -277,61 +277,67 @@ def _trace_miss(fs: FacetSystem, points, q: int, want: bool):
     Those bounds only prune: at a clique's last vertex there are no later
     vertices and the test is the clique's own interval, so every full
     assignment reached is a witness and no witness is skipped.  The
-    search, its buffers and its degrees are set up once per slice; each
-    point only rebinds `a`.
+    buffers and degrees are set up once per slice and handed, with each
+    point, to the search `_complete_summand`.
     """
     t = fs.tables
     rows = t.rows
-    n = fs.n
     part = [0] * len(t.cliques)   # sum of w over each clique's assigned vertices
     done = [0] * len(t.cliques)   # sum of a over the same vertices
-
-    def place(v: int, hi: int, slack: int) -> bool:
-        # with count later vertices in C, each between 1 and a_i + 1:
-        # x >= cs_C(a) - slack - part_C - (largest sum of C's later vertices)
-        #    = done_C + a_v - count - slack - part_C
-        # x <= hi - part_C - count
-        av = a[v]
-        x_lo, x_hi = 1, av + 1
-        row = rows[v]
-        for ci, count in row:
-            p = part[ci]
-            low = done[ci] + av - count - slack - p
-            if low > x_lo:
-                x_lo = low
-            high = hi - p - count
-            if high < x_hi:
-                x_hi = high
-        if x_lo > x_hi:
-            return False
-        if v + 1 == n:
-            return True
-        for ci, _ in row:
-            done[ci] += av
-        found = False
-        for x in range(x_lo, x_hi + 1):
-            for ci, _ in row:
-                part[ci] += x
-            found = place(v + 1, hi, slack)
-            for ci, _ in row:
-                part[ci] -= x
-            if found:
-                break
-        for ci, _ in row:
-            done[ci] -= av
-        return found
-
     # hi = d - 1 is the top of every clique's interval; slack = q - d + 1
     splits = [(d - 1, q - d + 1) for d in range(fs.delta + 1, q + 2 + t.bottom)]
     for a in points:
         found = False
         for hi, slack in splits:
-            if place(0, hi, slack):
+            if _complete_summand(a, rows, part, done, 0, hi, slack):
                 found = True
                 break
         if found != want:
             return a
     return None
+
+
+def _complete_summand(a, rows, part, done, v: int, hi: int, slack: int) -> bool:
+    """Can vertices v, v + 1, ... of a canonical summand w of the point
+    `a` be given values, on top of the clique sums `part` of w and `done`
+    of `a` over the vertices before v, so that every clique lands in its
+    interval (`_trace_miss`)?  `part` and `done` are restored on return.
+    Module-level with its state in arguments, so that no call leaves a
+    reference cycle (see `graphs._grow_clique`).
+    """
+    # with count later vertices in C, each between 1 and a_i + 1:
+    # x >= cs_C(a) - slack - part_C - (largest sum of C's later vertices)
+    #    = done_C + a_v - count - slack - part_C
+    # x <= hi - part_C - count
+    av = a[v]
+    x_lo, x_hi = 1, av + 1
+    row = rows[v]
+    for ci, count in row:
+        p = part[ci]
+        low = done[ci] + av - count - slack - p
+        if low > x_lo:
+            x_lo = low
+        high = hi - p - count
+        if high < x_hi:
+            x_hi = high
+    if x_lo > x_hi:
+        return False
+    if v + 1 == len(rows):
+        return True
+    for ci, _ in row:
+        done[ci] += av
+    found = False
+    for x in range(x_lo, x_hi + 1):
+        for ci, _ in row:
+            part[ci] += x
+        found = _complete_summand(a, rows, part, done, v + 1, hi, slack)
+        for ci, _ in row:
+            part[ci] -= x
+        if found:
+            break
+    for ci, _ in row:
+        done[ci] -= av
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -358,26 +364,29 @@ def _walk(fs: FacetSystem, theta: int, degree: int, floors) -> list[tuple[int, .
             by_vertex[i - 1].append(ci)
     out: list[tuple[int, ...]] = []
     # shifted[-1] stays 0: the start of a vertex whose floor is -1
-    shifted = [0] * (n + 1)
-
-    def assign(v: int):
-        cliques = by_vertex[v]
-        room = min(caps[ci] for ci in cliques)
-        lo = shifted[floors[v]]
-        if v + 1 == n:
-            prefix = tuple(x + theta for x in shifted[:v])
-            out.extend((*prefix, b + theta) for b in range(lo, room + 1))
-            return
-        for b in range(lo, room + 1):
-            shifted[v] = b
-            for ci in cliques:
-                caps[ci] -= b
-            assign(v + 1)
-            for ci in cliques:
-                caps[ci] += b
-
-    assign(0)
+    _walk_from(0, theta, by_vertex, floors, caps, [0] * (n + 1), out)
     return out
+
+
+def _walk_from(v: int, theta: int, by_vertex, floors, caps, shifted, out):
+    """Append to `out` every completion of the shifted values
+    `shifted[:v]` of `_walk`, with `caps` what is left of each clique's
+    cap; `caps` is restored on return.  Module-level, like
+    `_complete_summand`, so that no call leaves a reference cycle."""
+    cliques = by_vertex[v]
+    room = min(caps[ci] for ci in cliques)
+    lo = shifted[floors[v]]
+    if v + 1 == len(by_vertex):
+        prefix = tuple(x + theta for x in shifted[:v])
+        out.extend((*prefix, b + theta) for b in range(lo, room + 1))
+        return
+    for b in range(lo, room + 1):
+        shifted[v] = b
+        for ci in cliques:
+            caps[ci] -= b
+        _walk_from(v + 1, theta, by_vertex, floors, caps, shifted, out)
+        for ci in cliques:
+            caps[ci] += b
 
 
 def _slice(fs: FacetSystem, theta: int, degree: int) -> tuple[tuple[int, ...], ...]:

@@ -5,6 +5,7 @@ import json
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from gstab.cli import _poset_payload
@@ -419,6 +420,21 @@ def test_maximal_chains_hmp45():
 def test_point_count_rejects_bad_kind():
     with pytest.raises(ParameterError):
         polytope_point_count(chain(2), "cube", 1)
+
+
+@pytest.mark.parametrize("kind", ["order", "chain"])
+@pytest.mark.parametrize("q", [2.5, "3", 3.0])
+def test_point_count_refuses_non_integer_dilation(kind, q):
+    # 2.5 reached `range` (order) and "3" the comparison with 0: TypeErrors
+    with pytest.raises(ParameterError, match="dilation factors must be integers"):
+        polytope_point_count(chain(2), kind, q)
+
+
+def test_point_count_takes_integer_like_dilation():
+    assert polytope_point_count(chain(2), "order", np.int64(2)) == 6
+    assert polytope_point_count(chain(2), "chain", np.int64(2)) == 6
+    with pytest.raises(ParameterError, match="nonnegative"):
+        polytope_point_count(chain(2), "order", -1)
 
 
 def test_poset_payload_roundtrips_for_string_labels():

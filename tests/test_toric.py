@@ -1356,6 +1356,38 @@ def test_classify_holds_no_memory_per_graph(corpus):
     assert grown < 16 * 1024
 
 
+def test_hot_paths_leave_no_cyclic_garbage():
+    """The recursive searches (clique search, slice walk, trace search,
+    order-polytope count) are module-level functions, so no call leaves a
+    reference cycle behind: with the cyclic collector off, the graph,
+    toric, poset and semigroup paths leave nothing for it to free.  A
+    nested recursive function refers to itself through its closure, and
+    one classification pass over the graphs on six vertices left about
+    100000 such objects."""
+    rng = random.Random(23)
+    ten = Graph.from_edges(10, [e for e in combinations(range(1, 11), 2)
+                                if rng.random() < 0.5])
+    hmp = posets.hmp_poset(4, 7)
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(1, 7):
+            for g in graphs_up_to_iso(n):
+                if is_perfect(g):
+                    classify(g, oracle=True)
+        is_perfect(ten)
+        trace_height(posets.comparability_graph(hmp))
+        verify_equivalence(4)
+        for kind in ("order", "chain"):
+            posets.polytope_point_count(hmp, kind, 3)
+        h = numsgp.semigroup([5, 7, 9])
+        numsgp.residue(h)
+        numsgp.trace_ideal(h)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_verify_equivalence_small():
     result = verify_equivalence(3)
     assert result["graphs_checked"] == 7
