@@ -1,18 +1,23 @@
 """Numerical semigroups and the trace of their canonical ideal.
 
+A semigroup stores its generators alone.  Its Apery vector with respect
+to m = min(gens), ap[r] the least member in residue class r mod m, comes
+from the round-robin algorithm (Boecker and Liptak, Algorithmica 2007);
+that vector, the conductor, the Frobenius number and the gaps are derived
+on first use and kept on the object.  A set closed under adding m holds
+x iff x >= ap[x % m], so membership is one comparison.
+
 Fractional ideals are integer sets closed under adding semigroup elements,
 stored as their minimum plus a membership window of conductor length,
-beyond which everything belongs.  All arithmetic runs on Apery vectors
-with respect to m = min(gens): ap[r] is the least member in residue class
-r mod m, and a set closed under adding m holds x iff x >= ap[x % m].  The
-semigroup's vector comes from the round-robin algorithm (Boecker and
-Liptak, Algorithmica 2007); ideal sums and quotients take O(m^2) steps.
+beyond which everything belongs.  All arithmetic runs on Apery vectors;
+ideal sums and quotients take O(m^2) steps.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, inf
 
 from .errors import FormatError, ParameterError, SizeGuardError, _ints
@@ -23,62 +28,82 @@ from .errors import FormatError, ParameterError, SizeGuardError, _ints
 TABLE_LIMIT = 2_000_000
 
 
+def _check_table_size(lo: int, hi: int) -> None:
+    """A SizeGuardError if the membership table for smallest generator `lo`
+    and largest `hi`, 2 * lo * hi + 1 entries, passes TABLE_LIMIT."""
+    if 2 * lo * hi + 1 > TABLE_LIMIT:
+        raise SizeGuardError(f"membership table for generators {lo}..{hi} needs "
+                             f"{2 * lo * hi + 1} entries, limit {TABLE_LIMIT}")
+
+
 @dataclass(frozen=True)
 class NumericalSemigroup:
+    """The semigroup generated by `generators`: positive integer-like values
+    (`operator.index`) with gcd 1, stored sorted and without repeats.
+
+    The generators are the whole value: equality, hashing, repr, copying
+    and pickling see them alone.  The Apery vector, conductor, Frobenius
+    number and gaps are derived from them on first use and kept on the
+    object.
+    """
+
     generators: tuple[int, ...]
-    members_below_conductor: frozenset[int]
-    gaps: tuple[int, ...]
-    frobenius: int
-    conductor: int
+
+    def __post_init__(self):
+        gens = tuple(sorted(set(_ints(self.generators, FormatError, "generators"))))
+        if not gens or gens[0] <= 0:
+            raise FormatError("generators must be positive integers")
+        if gcd(*gens) != 1:
+            raise FormatError(f"gcd of generators is {gcd(*gens)}, complement would be infinite")
+        _check_table_size(gens[0], gens[-1])
+        object.__setattr__(self, "generators", gens)
+
+    def __reduce__(self):
+        # the generators alone: the derived values are rebuilt on first use
+        return NumericalSemigroup, (self.generators,)
+
+    @cached_property
+    def apery(self) -> tuple[int, ...]:
+        """ap[r]: the least member congruent to r mod m = min(generators)."""
+        # round robin: generator a goes once round each cycle r, r + a, ... of
+        # residues mod m, from the cycle's least entry, which a cannot lower
+        m = self.generators[0]
+        ap = [0] + [inf] * (m - 1)
+        for a in self.generators[1:]:
+            d = gcd(a, m)
+            for p in range(d):
+                n = min(ap[p::d])
+                if n < inf:
+                    for _ in range(m // d - 1):
+                        n = min(n + a, ap[(n + a) % m])
+                        ap[n % m] = n
+        return tuple(ap)
+
+    @cached_property
+    def conductor(self) -> int:
+        return max(self.apery) - self.generators[0] + 1
+
+    @cached_property
+    def frobenius(self) -> int:
+        return self.conductor - 1
+
+    @cached_property
+    def gaps(self) -> tuple[int, ...]:
+        return tuple(x for x in range(1, self.conductor) if not self.contains(x))
 
     def contains(self, x: int) -> bool:
-        return x >= self.conductor or x in self.members_below_conductor
+        return x >= self.apery[x % self.generators[0]]
 
 
-def _table_size(lo: int, hi: int) -> int:
-    """Entries of the membership table for smallest generator `lo` and
-    largest `hi`; past TABLE_LIMIT a SizeGuardError."""
-    size = 2 * lo * hi + 1
-    if size > TABLE_LIMIT:
-        raise SizeGuardError(
-            f"membership table for generators {lo}..{hi} needs "
-            f"{size} entries, limit {TABLE_LIMIT}")
-    return size
+# the constructor under the name the command line and older callers use
+semigroup = NumericalSemigroup
 
 
-def semigroup(generators) -> NumericalSemigroup:
-    """The semigroup generated by `generators`: positive integer-like values
-    (`operator.index`) with gcd 1."""
-    gens = tuple(sorted(set(_ints(generators, FormatError, "generators"))))
-    if not gens or any(g <= 0 for g in gens):
-        raise FormatError("generators must be positive integers")
-    g = gcd(*gens)
-    if g != 1:
-        raise FormatError(f"gcd of generators is {g}, complement would be infinite")
-    _table_size(gens[0], gens[-1])
-    # round robin: generator a goes once round each cycle r, r + a, ... of
-    # residues mod m, from the cycle's least entry, which a cannot lower
-    m = gens[0]
-    ap = [0] + [inf] * (m - 1)
-    for a in gens[1:]:
-        d = gcd(a, m)
-        for p in range(d):
-            n = min(ap[p::d])
-            if n < inf:
-                for _ in range(m // d - 1):
-                    n = min(n + a, ap[(n + a) % m])
-                    ap[n % m] = n
-    conductor = max(ap) - m + 1
-    gaps = tuple(x for x in range(1, conductor) if x < ap[x % m])
-    below = frozenset(x for x in range(conductor) if x >= ap[x % m])
-    return NumericalSemigroup(gens, below, gaps, conductor - 1, conductor)
-
-
-def _vector(h: NumericalSemigroup, least: int, window) -> list[int]:
-    """Apery vector of the ideal with minimum `least` and window `window`."""
-    m, top = h.generators[0], least + h.conductor
+def _vector(ideal: IntegerIdeal) -> list[int]:
+    """Apery vector of `ideal`, read off its window."""
+    m, top = ideal.semigroup.generators[0], ideal.min + ideal.semigroup.conductor
     ap = [top + (r - top) % m for r in range(m)]
-    for z in window:
+    for z in ideal.window:
         ap[z % m] = min(ap[z % m], z)
     return ap
 
@@ -97,10 +122,8 @@ def pseudo_frobenius(h: NumericalSemigroup) -> tuple[int, ...]:
     plus a member.  Each such x is a nonzero Apery element minus min(gens);
     with no gaps at all, only -1 qualifies.
     """
-    m = h.generators[0]
-    candidates = sorted(w - m for w in _vector(h, 0, h.members_below_conductor)[1:])
-    return tuple(x for x in candidates or (-1,)
-                 if all(h.contains(x + g) for g in h.generators))
+    candidates = sorted(w - h.generators[0] for w in h.apery[1:])
+    return tuple(x for x in candidates or (-1,) if all(h.contains(x + g) for g in h.generators))
 
 
 def cm_type(h: NumericalSemigroup) -> int:
@@ -149,7 +172,7 @@ class IntegerIdeal:
 
 
 def semigroup_as_ideal(h: NumericalSemigroup) -> IntegerIdeal:
-    return _ideal(h, _vector(h, 0, h.members_below_conductor))
+    return _ideal(h, h.apery)
 
 
 def canonical_ideal(h: NumericalSemigroup) -> IntegerIdeal:
@@ -157,8 +180,7 @@ def canonical_ideal(h: NumericalSemigroup) -> IntegerIdeal:
 
     Class r of K starts at F + m - ap[(F - r) % m], one step of m above
     the largest z in the class with F - z in the semigroup."""
-    ap, f = _vector(h, 0, h.members_below_conductor), h.frobenius
-    m = len(ap)
+    ap, f, m = h.apery, h.frobenius, h.generators[0]
     return _ideal(h, [f + m - ap[(f - r) % m] for r in range(m)])
 
 
@@ -167,10 +189,9 @@ def ideal_quotient(target: IntegerIdeal, ideal: IntegerIdeal) -> IntegerIdeal:
 
     For z in class r mod m and each class start e of the ideal, z + e is
     in the target iff z >= t[(r + e) % m] - e, a bound itself in class r."""
-    h = target.semigroup
-    t, es = _vector(h, target.min, target.window), _vector(h, ideal.min, ideal.window)
+    t, es = _vector(target), _vector(ideal)
     m = len(t)
-    return _ideal(h, [max(t[(r + e) % m] - e for e in es) for r in range(m)])
+    return _ideal(target.semigroup, [max(t[(r + e) % m] - e for e in es) for r in range(m)])
 
 
 def ideal_dual(h: NumericalSemigroup, ideal: IntegerIdeal) -> IntegerIdeal:
@@ -181,10 +202,9 @@ def ideal_dual(h: NumericalSemigroup, ideal: IntegerIdeal) -> IntegerIdeal:
 def ideal_sum(a: IntegerIdeal, b: IntegerIdeal) -> IntegerIdeal:
     """Elementwise sums {x + y}: the least in class r adds a class start x
     of a to b's start in class r - x."""
-    h = a.semigroup
-    xs, ys = _vector(h, a.min, a.window), _vector(h, b.min, b.window)
+    xs, ys = _vector(a), _vector(b)
     m = len(xs)
-    return _ideal(h, [min(x + ys[(r - x) % m] for x in xs) for r in range(m)])
+    return _ideal(a.semigroup, [min(x + ys[(r - x) % m] for x in xs) for r in range(m)])
 
 
 def trace_ideal(h: NumericalSemigroup) -> IntegerIdeal:
@@ -204,8 +224,7 @@ def _residue(h: NumericalSemigroup, tr: IntegerIdeal) -> int:
     Counted class by class: the trace lies inside the semigroup, so in
     class r it misses the (tr[r] - ap[r]) / m members from ap[r] up.
     """
-    ap = _vector(h, 0, h.members_below_conductor)
-    return sum(t - a for t, a in zip(_vector(h, tr.min, tr.window), ap)) // len(ap)
+    return sum(map(operator.sub, _vector(tr), h.apery)) // h.generators[0]
 
 
 def family(a: int, b: int) -> NumericalSemigroup:
@@ -218,7 +237,6 @@ def family(a: int, b: int) -> NumericalSemigroup:
     if a < 2 or b < 1:
         raise ParameterError(f"need a >= 2 and b >= 1, got a={a}, b={b}")
     step = a + 1
-    # the guard of `semigroup`, checked before the a + 1 generators exist
-    _table_size(step, b * step + a)
-    gens = (step,) + tuple(b * step + k for k in range(1, a + 1))
-    return semigroup(gens)
+    # the guard of `NumericalSemigroup`, checked before the a + 1 generators exist
+    _check_table_size(step, b * step + a)
+    return NumericalSemigroup((step, *range(b * step + 1, b * step + a + 1)))

@@ -128,16 +128,26 @@ def load_poset(path: str) -> Poset:
 # ---------------------------------------------------------------------------
 # constructors
 
-def chain(k: int, labels=None) -> Poset:
-    labels = tuple(labels) if labels is not None else tuple(f"c{i + 1}" for i in range(k))
+def _labels(k, labels, prefix: str) -> tuple:
+    """The k labels of a chain or antichain: `labels`, else prefix + 1..k.
+    A size k that is negative or not integer-like, or a label count other
+    than k, is a ParameterError."""
+    k = _ints((k,), ParameterError, "sizes")[0]
+    if k < 0:
+        raise ParameterError(f"size must be nonnegative, got {k}")
+    labels = tuple(labels) if labels is not None else tuple(f"{prefix}{i + 1}" for i in range(k))
     if len(labels) != k:
-        raise ParameterError("label count must match chain length")
-    return poset_from_covers(labels, [(labels[i], labels[i + 1]) for i in range(k - 1)])
+        raise ParameterError(f"label count {len(labels)} must match size {k}")
+    return labels
+
+
+def chain(k: int, labels=None) -> Poset:
+    labels = _labels(k, labels, "c")
+    return poset_from_covers(labels, list(zip(labels, labels[1:])))
 
 
 def antichain(k: int, labels=None) -> Poset:
-    labels = tuple(labels) if labels is not None else tuple(f"a{i + 1}" for i in range(k))
-    return poset_from_covers(labels, [])
+    return poset_from_covers(_labels(k, labels, "a"), [])
 
 
 def ordinal_sum(p1: Poset, p2: Poset) -> Poset:

@@ -119,24 +119,59 @@ class FacetSystem:
     ring (theta=0), the canonical module (theta=1), or the anticanonical
     ideal (theta=-1): exponents at least theta, clique sums at most
     degree - theta.
+
+    The vertex count n and the cliques, tuples of vertices 1..n, are the
+    whole value, stored as ints; `delta`, the largest clique size, is
+    read off them.  A count below 1 or not integer-like is a
+    ParameterError.  A FormatError refuses a vertex that is not
+    integer-like, repeated in its clique or outside 1..n, an empty clique,
+    a vertex in no clique and a clique inside another, as no list of the
+    maximal cliques of a graph holds any of these.
     """
 
     n: int
     cliques: tuple[tuple[int, ...], ...]
-    delta: int
+
+    def __post_init__(self):
+        n = _ints((self.n,), ParameterError, "vertex counts")[0]
+        if n < 1:
+            raise ParameterError("need at least one vertex")
+        cliques = tuple(_ints(c, FormatError, "clique vertices") for c in self.cliques)
+        # through[v]: bit i set iff clique i holds vertex v (1-based)
+        through = [0] * (n + 1)
+        for i, c in enumerate(cliques):
+            if not c:
+                raise FormatError("a clique is empty")
+            for v in c:
+                if not 0 < v <= n or through[v] >> i & 1:
+                    raise FormatError(f"clique {c} repeats a vertex or leaves 1..{n}")
+                through[v] |= 1 << i
+        if not all(through[1:]):
+            raise FormatError(f"vertex {through.index(0, 1)} lies in no clique")
+        for i, c in enumerate(cliques):
+            # the cliques holding all of c: c itself, unless c lies inside another
+            common = -1
+            for v in c:
+                common &= through[v]
+            if common != 1 << i:
+                raise FormatError(f"clique {c} lies inside another clique")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cliques", cliques)
 
     @staticmethod
     def from_graph(g: Graph, check: bool = True) -> "FacetSystem":
-        if g.n == 0:
-            raise ParameterError("need at least one vertex")
         if check and not is_perfect(g):
             raise NotPerfectError("graph is not perfect")
-        cx = maximal_cliques(g)
-        return FacetSystem(g.n, cx.maximal_cliques, cx.dim + 1)
+        return FacetSystem(g.n, maximal_cliques(g).maximal_cliques)
 
     def __reduce__(self):
         # the fields alone: `tables` is rebuilt on first use
-        return FacetSystem, (self.n, self.cliques, self.delta)
+        return FacetSystem, (self.n, self.cliques)
+
+    @property
+    def delta(self) -> int:
+        """The largest clique size."""
+        return max(map(len, self.cliques))
 
     @cached_property
     def tables(self) -> _Tables:

@@ -20,6 +20,7 @@ membership test at a time.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from gstab.config import cone_dim_limit
 from gstab.errors import SizeGuardError
@@ -30,7 +31,7 @@ from gstab.graphs import (
     complement,
     maximal_cliques,
 )
-from gstab.numsgp import IntegerIdeal, NumericalSemigroup, _table_size
+from gstab.numsgp import IntegerIdeal, _check_table_size
 from gstab.toric import (
     UNIT,
     FacetSystem,
@@ -461,11 +462,24 @@ def perfect_by_holes(g):
 
 # -- numerical semigroups -------------------------------------------------------
 
+class TableSemigroup(NamedTuple):
+    """A numerical semigroup as read off its membership table
+    (`table_semigroup`), to compare field by field with the library's."""
+
+    generators: tuple   # sorted, without repeats
+    gaps: tuple
+    frobenius: int
+    conductor: int
+    members: frozenset  # the members below the conductor
+    apery: tuple        # per residue r mod min(generators), its least member
+
+
 def table_semigroup(generators):
     """The semigroup from a membership table of 2 * min * max + 1 entries:
     the largest gap is below min(gens) * max(gens)."""
     gens = tuple(sorted(set(generators)))
-    size = _table_size(gens[0], gens[-1])
+    _check_table_size(gens[0], gens[-1])
+    size = 2 * gens[0] * gens[-1] + 1
     member = [False] * size
     member[0] = True
     for x in range(1, size):
@@ -473,14 +487,15 @@ def table_semigroup(generators):
     gaps = [x for x in range(1, size) if not member[x]]
     frobenius = gaps[-1] if gaps else -1
     conductor = frobenius + 1
+    m = gens[0]
+    apery = tuple(next(x for x in range(r, size, m) if member[x]) for r in range(m))
     below = frozenset(x for x in range(conductor) if member[x])
-    return NumericalSemigroup(gens, below, tuple(gaps), frobenius, conductor)
+    return TableSemigroup(gens, tuple(gaps), frobenius, conductor, below, apery)
 
 
 def members_upto(h, bound):
     """The members of the semigroup `h` below `bound`, ascending."""
-    small = [m for m in sorted(h.members_below_conductor) if m < bound]
-    return small + list(range(h.conductor, max(h.conductor, bound)))
+    return [x for x in range(bound) if h.contains(x)]
 
 
 def ideal_members_upto(ideal, bound):

@@ -401,6 +401,11 @@ def test_report_header(capsys, tmp_path, command, argv):
      "993020e51a9ce876efdbe7603c468d199814b5ca92e79994d437550e8faf67f3"),
     (["numsgp", "--family", "5", "3"],
      "d1b7c5dfd8d962276a79d94254eaae9ce1986ef8e7534c87d22bd823a049fc85"),
+    (["numsgp", "--gens", "3,4,5"],
+     "d593d15fb0d59a5b453f910d1f848b1551a688f12d2b0f7892891bd358b0bb32"),
+    # four generators, conductor 493
+    (["numsgp", "--gens", "47,53,59,61"],
+     "8ef0c34ab948349ccea5270b0d67235f17286c0a146f052b1cccf80b490b2f08"),
 ])
 def test_report_bytes_pinned(capsys, monkeypatch, argv, digest):
     monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)

@@ -1,6 +1,9 @@
 """Numerical semigroup layer: gaps, pseudo-Frobenius set, type, canonical
 ideal, duality, trace, residue, and the prescribed type/residue family."""
 
+import copy
+import dataclasses
+import pickle
 import tracemalloc
 from math import gcd
 
@@ -22,6 +25,7 @@ from gstab.errors import FormatError, ParameterError, SizeGuardError
 from gstab.numsgp import (
     TABLE_LIMIT,
     IntegerIdeal,
+    NumericalSemigroup,
     canonical_ideal,
     cm_type,
     family,
@@ -90,10 +94,45 @@ def test_semigroup_whole_naturals():
 def test_semigroup_rejects_bad_input():
     with pytest.raises(FormatError):
         semigroup([2, 4])
+    with pytest.raises(FormatError, match="gcd of generators is 2"):
+        NumericalSemigroup((4, 6))
     with pytest.raises(FormatError):
         semigroup([0, 3])
     with pytest.raises(FormatError):
         semigroup([])
+
+
+def test_semigroup_is_its_generators():
+    """The generators are the only field; derived values cannot be passed
+    in, so a wrong type or residue cannot be smuggled in with them."""
+    assert [f.name for f in dataclasses.fields(NumericalSemigroup)] == ["generators"]
+    assert semigroup is NumericalSemigroup
+    with pytest.raises(TypeError):
+        NumericalSemigroup((3, 5), frozenset({0, 3, 5, 6}), (1, 2, 4), 4, 5)
+    h = NumericalSemigroup([5, 3, 5])
+    assert h.generators == (3, 5)
+    assert (cm_type(h), residue(h)) == (1, 0)
+
+
+def test_derived_values_are_no_part_of_the_semigroup_value():
+    """Reading the Apery vector, conductor, Frobenius number and gaps keeps
+    them on the semigroup, computed once, but leaves its equality, hash,
+    repr and pickled form as they were; a copy or an unpickled semigroup
+    derives its own values when asked and answers the same."""
+    derived = ("apery", "conductor", "frobenius", "gaps")
+    for gens in ASSORTED:
+        h, fresh = semigroup(gens), semigroup(gens)
+        before = (hash(h), repr(h), pickle.dumps(h))
+        values = tuple(getattr(h, name) for name in derived)
+        assert set(vars(h)) == {"generators", *derived}
+        assert all(getattr(h, name) is v for name, v in zip(derived, values))
+        assert (hash(h), repr(h), pickle.dumps(h)) == before
+        assert h == fresh and hash(h) == hash(fresh) and set(vars(fresh)) == {"generators"}
+        for other in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
+            assert other == h and set(vars(other)) == {"generators"}
+            assert tuple(getattr(other, name) for name in derived) == values
+            assert pseudo_frobenius(other) == pseudo_frobenius(h)
+            assert residue(other) == residue(h)
 
 
 def test_semigroup_rejects_non_integer_generators():
@@ -152,6 +191,8 @@ def test_family_rejects_non_integer_parameters():
 
 def test_integer_like_generators_and_parameters_still_work():
     assert semigroup([np.int64(3), 4, np.int32(5)]) == semigroup([3, 4, 5])
+    h = NumericalSemigroup((np.int64(5), np.int32(3), np.uint8(7)))
+    assert h.generators == (3, 5, 7) and {type(g) for g in h.generators} == {int}
     assert family(np.int64(4), np.int64(2)) == family(4, 2)
 
 
@@ -358,8 +399,9 @@ def _window(ideal):
 def assert_matches_scan_oracles(gens):
     h = semigroup(gens)
     ref = table_semigroup(gens)
-    assert (h.gaps, h.frobenius, h.conductor) == (ref.gaps, ref.frobenius, ref.conductor)
-    assert h == ref
+    for name in ("generators", "gaps", "frobenius", "conductor", "apery"):
+        assert getattr(h, name) == getattr(ref, name), (gens, name)
+    assert {x for x in range(h.conductor) if h.contains(x)} == ref.members, gens
     k = canonical_ideal(h)
     assert _window(k) == _window(scan_canonical_ideal(h))
     whole = semigroup_as_ideal(h)
@@ -408,7 +450,7 @@ def test_family_membership_shape():
             h = family(a, b)
             step = a + 1
             expected = {i * step for i in range(b)}
-            assert set(h.members_below_conductor) == expected
+            assert {x for x in range(h.conductor) if h.contains(x)} == expected
             assert h.conductor == b * step
 
 

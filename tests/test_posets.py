@@ -184,6 +184,23 @@ def test_comparability_antichain_is_empty():
     assert comparability_graph(antichain(3)) == empty_graph(3)
 
 
+@pytest.mark.parametrize("make", [chain, antichain])
+def test_chain_and_antichain_check_size_and_labels(make):
+    """Both constructors take an integer-like size k >= 0 and exactly k
+    labels; anything else is a ParameterError."""
+    assert len(make(np.int64(3))) == 3
+    assert len(make(0)) == 0
+    assert make(2, ["x", "y"]).elements == ("x", "y")
+    for k in (2.5, "3", None):
+        with pytest.raises(ParameterError, match="must be integers"):
+            make(k)
+    with pytest.raises(ParameterError, match="nonnegative"):
+        make(-1)
+    for k, labels in ((3, ["a"]), (1, ["a", "b"]), (0, ["a"])):
+        with pytest.raises(ParameterError, match="label count"):
+            make(k, labels)
+
+
 def test_comparability_hmp45_is_triangle_plus_pendant():
     g = comparability_graph(hmp_poset(4, 5))
     # elements (m, p, c1, c2): triangle on {m, c1, c2}, pendant edge {m, p}

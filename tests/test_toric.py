@@ -596,6 +596,43 @@ def test_tables_are_no_part_of_the_facet_system_value():
             assert other.tables == t
 
 
+def test_facet_system_is_its_vertex_count_and_cliques():
+    """`n` and `cliques` are the only fields, stored as ints; `delta` is
+    the largest clique size, read off the cliques."""
+    assert [f.name for f in dataclasses.fields(FacetSystem)] == ["n", "cliques"]
+    for g in SMALL + [disjoint_union(complete_graph(4), P3)]:
+        fs = fs_of(g)
+        assert fs.delta == maximal_cliques(g).dim + 1
+        assert "tables" not in vars(fs)
+    fs = FacetSystem(np.int64(3), ((np.int32(1), 2), [2, np.int8(3)]))
+    assert fs == fs_of(P3) and fs.cliques == ((1, 2), (2, 3))
+    assert {type(v) for c in fs.cliques for v in c} == {type(fs.n)} == {int}
+
+
+@pytest.mark.parametrize("n, cliques, error, match", [
+    (0, (), ParameterError, "at least one vertex"),
+    (-1, (), ParameterError, "at least one vertex"),
+    (2.0, ((1, 2),), ParameterError, "must be integers"),
+    (2, ((1, 1.5),), FormatError, "must be integers"),
+    (2, ((1, "2"),), FormatError, "must be integers"),
+    (2, ((1, 2), ()), FormatError, "empty"),
+    (2, ((1, 3),), FormatError, "leaves 1..2"),
+    (2, ((0, 1, 2),), FormatError, "leaves 1..2"),
+    (2, ((1, 1, 2),), FormatError, "repeats a vertex"),
+    (2, ((1,),), FormatError, "vertex 2 lies in no clique"),
+    (2, ((1, 2), (1,)), FormatError, "inside another"),
+    (2, ((1, 2), (2, 1)), FormatError, "inside another"),
+    (3, ((1, 2, 3), (2, 3)), FormatError, "inside another"),
+])
+def test_facet_system_refuses_malformed_input(n, cliques, error, match):
+    """Each refusal on its own.  Unchecked, (1, 3) on two vertices ends in
+    an IndexError, zero vertices or a vertex in no clique in a ValueError
+    from min(), and the non-maximal clique (1,) beside K2's (1, 2) turns
+    the anticanonical point x_1^2 x_2^-1 into a non-member."""
+    with pytest.raises(error, match=match):
+        FacetSystem(n, cliques)
+
+
 def test_twin_floors_are_the_clique_preserving_swaps():
     """On every perfect graph with at most six vertices, two vertices are
     linked by the twin floors (following floors from each reaches the
