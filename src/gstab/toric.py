@@ -17,10 +17,9 @@ values that no completion of a partial summand can make valid, so it
 never uses the purity criterion or the faces.  The trace-power test
 (`_trace_equals_power`) runs that search on one ring point per orbit of
 twin swaps, which are graph automorphisms and so map the trace onto
-itself (`_Tables.floors`), one slice per search (`_trace_miss`): the top
+itself (`_twin_floors`), one slice per search (`_trace_miss`): the top
 degree first, in descending order, so a point outside the trace ends the
-test early.  What the searches read off a facet system is built once, on
-first use, and kept on it (`FacetSystem.tables`).
+test early.
 
 m-primariness and the trace height come from the faces of the cone: the
 trace misses a face iff the ring localised at the face's prime is not
@@ -35,18 +34,23 @@ built (`_local_height`).  A face is a bitset of the degree-one points
 the stable sets' vertex bitsets), and the walk names each face by the
 bitset of the facets through it, so the join of a face with a ray is
 one AND of two facet bitsets.  Neither needs module generators.
+
+A facet system is its vertex count and cliques alone.  Each oracle
+derives what it reads from them once per call, after its own guard, and
+hands it on as arguments: the trace searches read the per-vertex clique
+rows (`_clique_rows`) and the twin floors, small tables, and only the
+height route grows the exponentially many stable sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 from .config import cone_dim_limit
 from .errors import FormatError, NotPerfectError, ParameterError, SizeGuardError, _ints
 from .graphs import (
     Graph,
+    _maximal_clique_masks,
     _twin_masks,
     connected_components,
     graphs_up_to_iso,
@@ -96,21 +100,6 @@ class Monomial:
         )
 
 
-class _Tables(NamedTuple):
-    """Everything the searches of this module read off one facet system
-    (`FacetSystem.tables`)."""
-
-    cliques: tuple   # the cliques as ascending 0-based vertex tuples
-    bottom: int      # the smallest clique size
-    points: tuple    # the degree-one points (stable sets), `_slice(fs, 0, 1)`
-    masks: tuple     # their `_zero_masks`; bit k of a face is points[k]
-    full: int        # the bitset of every point
-    rows: tuple      # per vertex v, (clique index, later count) for each
-                     # clique C through v, later count = |{i in C: i > v}|
-    floors: tuple    # per vertex v, its previous twin: the largest u < v
-                     # with N(u) - {v} = N(v) - {u}, or -1 if there is none
-
-
 @dataclass(frozen=True)
 class FacetSystem:
     """Nonnegativity plus maximal-clique inequalities of a perfect graph.
@@ -124,9 +113,11 @@ class FacetSystem:
     whole value, stored as ints; `delta`, the largest clique size, is
     read off them.  A count below 1 or not integer-like is a
     ParameterError.  A FormatError refuses a vertex that is not
-    integer-like, repeated in its clique or outside 1..n, an empty clique,
-    a vertex in no clique and a clique inside another, as no list of the
-    maximal cliques of a graph holds any of these.
+    integer-like, repeated in its clique or outside 1..n, and a list that
+    is not exactly the maximal cliques of the graph it spans (two vertices
+    adjacent iff a clique holds both): so an empty, repeated or nested
+    clique, a vertex in no clique, and (1, 2), (2, 3), (1, 3), which span
+    a triangle.
     """
 
     n: int
@@ -137,24 +128,13 @@ class FacetSystem:
         if n < 1:
             raise ParameterError("need at least one vertex")
         cliques = tuple(_ints(c, FormatError, "clique vertices") for c in self.cliques)
-        # through[v]: bit i set iff clique i holds vertex v (1-based)
-        through = [0] * (n + 1)
-        for i, c in enumerate(cliques):
-            if not c:
-                raise FormatError("a clique is empty")
-            for v in c:
-                if not 0 < v <= n or through[v] >> i & 1:
-                    raise FormatError(f"clique {c} repeats a vertex or leaves 1..{n}")
-                through[v] |= 1 << i
-        if not all(through[1:]):
-            raise FormatError(f"vertex {through.index(0, 1)} lies in no clique")
-        for i, c in enumerate(cliques):
-            # the cliques holding all of c: c itself, unless c lies inside another
-            common = -1
-            for v in c:
-                common &= through[v]
-            if common != 1 << i:
-                raise FormatError(f"clique {c} lies inside another clique")
+        for c in cliques:
+            if len(set(c)) < len(c) or not all(0 < v <= n for v in c):
+                raise FormatError(f"clique {c} repeats a vertex or leaves 1..{n}")
+        spanned = _maximal_clique_masks(_adjacency(n, cliques), (1 << n) - 1)
+        if sorted(spanned) != sorted(sum(1 << (v - 1) for v in c) for c in cliques):
+            raise FormatError(
+                f"cliques {cliques} are not the maximal cliques of the graph they span")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "cliques", cliques)
 
@@ -164,42 +144,22 @@ class FacetSystem:
             raise NotPerfectError("graph is not perfect")
         return FacetSystem(g.n, maximal_cliques(g).maximal_cliques)
 
-    def __reduce__(self):
-        # the fields alone: `tables` is rebuilt on first use
-        return FacetSystem, (self.n, self.cliques)
-
     @property
     def delta(self) -> int:
         """The largest clique size."""
         return max(map(len, self.cliques))
 
-    @cached_property
-    def tables(self) -> _Tables:
-        """The `_Tables` of this system, built on first use and kept on
-        it; equality, hashing, repr and pickling see the fields alone.
-        Twins (`_twin_masks`) are read off the cliques: two vertices are
-        adjacent iff a maximal clique holds both.  The stable sets are
-        grown from the last vertex down: those holding v follow those that
-        do not, so their 0/1 vectors come in ascending lexicographic order,
-        that of `_slice(fs, 0, 1)`."""
-        n = self.n
-        cliques = tuple(tuple(sorted(i - 1 for i in c)) for c in self.cliques)
-        rows = [[] for _ in range(n)]
-        adj = [0] * n
-        for ci, c in enumerate(cliques):
-            mask = sum(1 << v for v in c)
-            for later, v in enumerate(reversed(c)):
-                rows[v].append((ci, later))
-                adj[v] |= mask & ~(1 << v)
-        sets = [0]
-        for v in reversed(range(n)):
-            sets += [s | 1 << v for s in sets if not s & adj[v]]
-        floors = tuple((t & ((1 << v) - 1)).bit_length() - 1
-                       for v, t in enumerate(_twin_masks(adj)))
-        return _Tables(cliques, min(map(len, cliques)),
-                       tuple(tuple(s >> v & 1 for v in range(n)) for s in sets),
-                       tuple(_zero_masks(self, sets)), (1 << len(sets)) - 1,
-                       tuple(map(tuple, rows)), floors)
+
+def _adjacency(n: int, cliques) -> list[int]:
+    """The vertex adjacency bitsets (bit u - 1 for vertex u, 0-based
+    entries) of the graph that the cliques, tuples of vertices 1..n, span:
+    two vertices are adjacent iff a clique holds both."""
+    adj = [0] * n
+    for c in cliques:
+        mask = sum(1 << (v - 1) for v in c)
+        for v in c:
+            adj[v - 1] |= mask & ~(1 << (v - 1))
+    return adj
 
 
 @dataclass(frozen=True)
@@ -287,10 +247,21 @@ def in_trace(fs: FacetSystem, m: Monomial) -> bool:
     a, q = m.exponents, m.degree
     if not _in_module(fs, a, q, 0):
         return False
-    return _trace_miss(fs, (a,), q, False) is not None
+    return _trace_miss(fs, _clique_rows(fs), (a,), q, False) is not None
 
 
-def _trace_miss(fs: FacetSystem, points, q: int, want: bool):
+def _clique_rows(fs: FacetSystem) -> list[list[tuple[int, int]]]:
+    """Per vertex v (0-based), a (clique index, later count) pair for each
+    clique C through v, in the order of `fs.cliques`, where the later
+    count is the number of C's vertices above v."""
+    rows = [[] for _ in range(fs.n)]
+    for ci, c in enumerate(fs.cliques):
+        for later, v in enumerate(sorted(c, reverse=True)):
+            rows[v - 1].append((ci, later))
+    return rows
+
+
+def _trace_miss(fs: FacetSystem, rows, points, q: int, want: bool):
     """The first of `points`, exponent vectors a of ring points x^a t^q,
     taken in the order given, whose trace membership is not `want`, or
     None if every one's is.
@@ -308,19 +279,19 @@ def _trace_miss(fs: FacetSystem, points, q: int, want: bool):
     partial sums of w and of a.  A value of vertex v is skipped when some
     clique C through v cannot land in its interval even if each of C's
     later vertices takes its least value 1 or its largest value a_i + 1;
-    the number of those later vertices is read from `fs.tables.rows`.
+    the number of those later vertices is read from `rows`, the
+    `_clique_rows` of `fs`.
     Those bounds only prune: at a clique's last vertex there are no later
     vertices and the test is the clique's own interval, so every full
     assignment reached is a witness and no witness is skipped.  The
     buffers and degrees are set up once per slice and handed, with each
     point, to the search `_complete_summand`.
     """
-    t = fs.tables
-    rows = t.rows
-    part = [0] * len(t.cliques)   # sum of w over each clique's assigned vertices
-    done = [0] * len(t.cliques)   # sum of a over the same vertices
+    part = [0] * len(fs.cliques)   # sum of w over each clique's assigned vertices
+    done = [0] * len(fs.cliques)   # sum of a over the same vertices
     # hi = d - 1 is the top of every clique's interval; slack = q - d + 1
-    splits = [(d - 1, q - d + 1) for d in range(fs.delta + 1, q + 2 + t.bottom)]
+    bottom = min(map(len, fs.cliques))
+    splits = [(d - 1, q - d + 1) for d in range(fs.delta + 1, q + 2 + bottom)]
     for a in points:
         found = False
         for hi, slack in splits:
@@ -386,7 +357,7 @@ def _walk(fs: FacetSystem, theta: int, degree: int, floors) -> list[tuple[int, .
     The walk assigns the vertices in order, each value shifted down by
     theta, and carries what is left of the cap of each clique through the
     vertex.  With every floor -1 it yields the whole slice; with the
-    previous twin of each vertex (`_Tables.floors`) it yields one point
+    previous twin of each vertex (`_twin_floors`) it yields one point
     per twin orbit, the one that is non-decreasing along each twin class.
     """
     n = fs.n
@@ -454,9 +425,14 @@ def a_invariant(g: Graph) -> int:
     return classify(g).a_invariant
 
 
-def _zero_masks(fs: FacetSystem, sets) -> list[int]:
-    """For each facet of the cone, the bitset of the degree-one points
-    (bit k for `sets[k]`, the vertex bitset of a stable set) on it.
+def _zero_masks(fs: FacetSystem) -> tuple[list[int], int]:
+    """For each facet of the cone, the bitset of the degree-one points on
+    it, and the bitset `full` of every point.
+
+    The degree-one points are the stable sets of the graph the cliques
+    span (`_adjacency`), grown from the last vertex down: those holding v
+    follow those that do not, so bit k is the k-th point of
+    `_slice(fs, 0, 1)`, in ascending lexicographic order.
 
     Facet j < n is x_{j+1} = 0, which holds the stable sets avoiding
     vertex j + 1; facet n + i is q = sum_{v in C} x_v for the i-th clique C
@@ -466,6 +442,10 @@ def _zero_masks(fs: FacetSystem, sets) -> list[int]:
     facets containing it and is spanned by its degree-one points, so ANDs
     of these bitsets name every face.
     """
+    adj = _adjacency(fs.n, fs.cliques)
+    sets = [0]
+    for v in reversed(range(fs.n)):
+        sets += [s | 1 << v for s in sets if not s & adj[v]]
     holding = [0] * fs.n
     for k, s in enumerate(sets):
         bit = 1 << k
@@ -480,7 +460,7 @@ def _zero_masks(fs: FacetSystem, sets) -> list[int]:
         for v in c:
             meet |= holding[v - 1]
         masks.append(meet)
-    return masks
+    return masks, full
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +483,7 @@ def trace_equals_power(g: Graph, power: int) -> bool:
 def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
     """`trace_equals_power` on the facet system `fs`, one point per orbit.
 
-    Swapping two twins (`_Tables.floors`) is an automorphism of the graph,
+    Swapping two twins (`_twin_floors`) is an automorphism of the graph,
     so it permutes the maximal cliques and maps the ring and the trace
     onto themselves: a ring point is in the trace iff every point of its
     orbit under the twin swaps is.  Each orbit holds exactly one point
@@ -518,19 +498,27 @@ def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
     most six vertices, against 1366 absence first.  Membership is still
     decided by `_trace_miss` from the definition; neither the faces nor
     the purity criterion is read.  `full_trace_equals_power` in the tests
-    is the loop over every point.
+    is the loop over every point.  The clique rows and the twin floors are
+    derived once and read by every search and walk.
     """
-    floors = fs.tables.floors
-    if _trace_miss(fs, _walk(fs, 0, power, floors)[::-1], power, True) is not None:
+    rows, floors = _clique_rows(fs), _twin_floors(fs)
+    if _trace_miss(fs, rows, _walk(fs, 0, power, floors)[::-1], power, True) is not None:
         return False
-    return all(_trace_miss(fs, _walk(fs, 0, q, floors), q, False) is None
+    return all(_trace_miss(fs, rows, _walk(fs, 0, q, floors), q, False) is None
                for q in range(power))
+
+
+def _twin_floors(fs: FacetSystem) -> tuple[int, ...]:
+    """Per vertex v (0-based), its previous twin: the largest u < v with
+    N(u) - {v} = N(v) - {u} (`_twin_masks`), or -1 if there is none."""
+    return tuple((t & ((1 << v) - 1)).bit_length() - 1
+                 for v, t in enumerate(_twin_masks(_adjacency(fs.n, fs.cliques))))
 
 
 # ---------------------------------------------------------------------------
 # faces of the cone
 
-def _gorenstein(t: _Tables, face: int) -> bool:
+def _gorenstein(cliques, masks, face: int) -> bool:
     """Is the ring localised at the prime of `face` Gorenstein?
 
     That localisation is the semigroup ring of the cone plus the span of
@@ -540,7 +528,8 @@ def _gorenstein(t: _Tables, face: int) -> bool:
     value 1 on every primitive facet form (Bruns-Herzog, Cohen-Macaulay
     Rings, Thm 6.3.5).  The forms are, as functions of
     c = (c_1..c_n, c_q), x_j for each vertex j and q - sum_{i in C} x_i
-    for each clique C, all primitive, in the order of `t.masks`.  So the
+    for each clique C (tuples of vertices 1..n, as in `FacetSystem`), all
+    primitive, in the order of `masks` (`_zero_masks`).  So the
     answer is whether those whose mask contains `face` are all 1 at some
     integer c.
 
@@ -555,18 +544,17 @@ def _gorenstein(t: _Tables, face: int) -> bool:
     its right-hand side, and the value is substituted into the later rows.
     The other columns stay free, and the earlier rows no longer read them.
     """
-    masks = t.masks
-    n = len(t.rows)
+    n = len(masks) - len(cliques)
     rows, rhs = [], []
-    for clique, mask in zip(t.cliques, masks[n:]):
+    for clique, mask in zip(cliques, masks[n:]):
         if face & mask == face:
             row = {n: 1}
             b = 1
             for i in clique:
-                if face & masks[i] == face:
+                if face & masks[i - 1] == face:
                     b += 1
                 else:
-                    row[i] = -1
+                    row[i - 1] = -1
             rows.append(row)
             rhs.append(b)
     for r, row in enumerate(rows):
@@ -605,10 +593,10 @@ def _gorenstein(t: _Tables, face: int) -> bool:
     return True
 
 
-def _faces_within(t: _Tables, rays: list[int]) -> dict[int, int]:
+def _faces_within(masks, full: int, rays: list[int]) -> dict[int, int]:
     """Every face of the cone other than the apex whose degree-one points
     all lie on `rays` (one-point bitsets), as a dict from face bitset to
-    dimension.
+    dimension; `masks` and `full` are the `_zero_masks` of the system.
 
     Walked bottom-up from the rays, which have dimension 1, by increasing
     point count: each face F is joined with each ray r outside it, the
@@ -621,18 +609,17 @@ def _faces_within(t: _Tables, rays: list[int]) -> dict[int, int]:
     smaller face less.
 
     Each face carries the bitset of the facets through it (bit j for
-    `t.masks[j]`).  The facets through the join are those through both F
+    `masks[j]`).  The facets through the join are those through both F
     and r, `facets(F) & facets(r)`, which is `facets(F)` itself iff r lies
     on F, and the join is the AND of their masks.  A face is the
     intersection of its facets, so that key names the join: the masks are
     ANDed once per key, and `joins` keeps the join's points, or 0 for a
     join off `rays`, for every later pair with that key.
     """
-    masks = t.masks
     within = sum(rays)
     throughs = [sum(1 << j for j, m in enumerate(masks) if m & r) for r in rays]
     dims = dict.fromkeys(rays, 1)
-    by_size = [[] for _ in range(len(t.points) + 1)]
+    by_size = [[] for _ in range(full.bit_count() + 1)]
     by_size[1] = list(zip(rays, throughs))
     joins = {}
     for bucket in by_size:
@@ -644,7 +631,7 @@ def _faces_within(t: _Tables, rays: list[int]) -> dict[int, int]:
                     continue
                 join = joins.get(key)
                 if join is None:
-                    join, rest = t.full, key
+                    join, rest = full, key
                     while rest:
                         low = rest & -rest
                         join &= masks[low.bit_length() - 1]
@@ -683,21 +670,24 @@ def _local_height(fs: FacetSystem) -> object:
       (`_faces_within`), and they are solved largest first, down to the
       first non-Gorenstein one; a ray is known to be one.
 
-    The cone-dimension guard fires before anything is built or solved.
+    The cone-dimension guard fires first.  Only then are the stable sets
+    grown and the facet bitsets built (`_zero_masks`), once, and handed to
+    every solve and to the walk.
     """
     limit = cone_dim_limit()
     if fs.n + 1 > limit:
         raise SizeGuardError(
             f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
-    t = fs.tables
-    if _gorenstein(t, 0):
+    cliques = fs.cliques
+    masks, full = _zero_masks(fs)
+    if _gorenstein(cliques, masks, 0):
         return UNIT
-    rays = [1 << k for k in range(len(t.points)) if not _gorenstein(t, 1 << k)]
+    rays = [1 << k for k in range(full.bit_length()) if not _gorenstein(cliques, masks, 1 << k)]
     if not rays:
         return fs.n + 1
-    dims = _faces_within(t, rays)
+    dims = _faces_within(masks, full, rays)
     return fs.n + 1 - next(dims[face] for face in sorted(dims, key=dims.get, reverse=True)
-                           if dims[face] == 1 or not _gorenstein(t, face))
+                           if dims[face] == 1 or not _gorenstein(cliques, masks, face))
 
 
 def is_m_primary(g: Graph) -> bool:
@@ -735,8 +725,10 @@ def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) ->
     """Classify the non-Gorenstein locus of the stable set ring.
 
     Fast path: component dimensions and purity.  With `oracle=True` the
-    brute-force power test and the face-by-face height (`_local_height`)
-    run as well, and the report records whether everything agrees.
+    face-by-face height (`_local_height`) and the brute-force power test
+    run as well, in that order, so that the height's cone guard fires
+    before any oracle work, and the report records whether everything
+    agrees.
     """
     if g.n == 0:
         raise ParameterError("need at least one vertex")
@@ -763,8 +755,8 @@ def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) ->
     if oracle:
         # perfection is checked above, once
         fs = FacetSystem.from_graph(g, check=False)
-        power_ok = _trace_equals_power(fs, spread)
         height = _local_height(fs)
+        power_ok = _trace_equals_power(fs, spread)
         # see is_m_primary
         m_prim = height is UNIT or height == g.n + 1
         if all_pure:

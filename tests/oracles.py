@@ -36,9 +36,11 @@ from gstab.toric import (
     UNIT,
     FacetSystem,
     Monomial,
+    _clique_rows,
     _clique_sums,
     _slice,
     _trace_miss,
+    _zero_masks,
     in_ring,
 )
 
@@ -47,7 +49,7 @@ def slack(fs, exps, degree):
     """Slack of x^a t^q in each ring inequality: a_1..a_n, then
     q - sum_{i in C} a_i for each maximal clique C, in the order of
     `fs.cliques`.  The point is in the ring iff every entry is >= 0, and
-    entry j is 0 on the j-th facet of `fs.tables.masks`."""
+    entry j is 0 on the j-th facet of the `_zero_masks` of `fs`."""
     return (*exps, *(degree - s for s in _clique_sums(fs, exps)))
 
 
@@ -77,7 +79,7 @@ def _ext_gcd(a, b):
     return x0, y0, a
 
 
-def gorenstein_by_basis(t, face):
+def gorenstein_by_basis(cliques, masks, face):
     """`_gorenstein` by carrying a basis of the solution directions.
 
     The tight vertex coordinates are fixed to 1 up front and every other
@@ -91,8 +93,7 @@ def gorenstein_by_basis(t, face):
     1 iff that gcd divides 1 minus the row's value at c.  The library
     reduces sparse rows instead and builds no basis vector.
     """
-    masks = t.masks
-    n = len(t.rows)
+    n = len(masks) - len(cliques)
     c = [0] * (n + 1)
     basis = []
     for j in range(n):
@@ -101,12 +102,12 @@ def gorenstein_by_basis(t, face):
         else:
             basis.append([int(i == j) for i in range(n + 1)])
     basis.append([0] * n + [1])
-    for clique, mask in zip(t.cliques, masks[n:]):
+    for clique, mask in zip(cliques, masks[n:]):
         if face & mask != face:
             continue
         pivot, value, rest = None, 0, []
         for u in basis:
-            g = u[n] - sum([u[i] for i in clique])
+            g = u[n] - sum([u[i - 1] for i in clique])
             if not g:
                 rest.append(u)
             elif pivot is None:
@@ -115,7 +116,7 @@ def gorenstein_by_basis(t, face):
                 x, y, d = _ext_gcd(value, g)
                 rest.append([g // d * a - value // d * b for a, b in zip(pivot, u)])
                 pivot, value = [x * a + y * b for a, b in zip(pivot, u)], d
-        need = 1 - c[n] + sum([c[i] for i in clique])
+        need = 1 - c[n] + sum([c[i - 1] for i in clique])
         if pivot is None:
             if need:
                 return False
@@ -151,11 +152,10 @@ def face_lattice(fs):
 
     Because the polytope has 0/1 vertices, each face is spanned by its
     degree-one lattice points, so a face is identified by the bitset of
-    those points (bit k for `fs.tables.points[k]`) and an intersection
-    of faces by the AND of their bitsets, the facets being the
-    `_zero_masks`.  An inequality is
-    tight on a face iff the face's points all lie on that facet, a subset
-    test of the two bitsets.
+    those points (bit k for the k-th point of `_slice(fs, 0, 1)`) and an
+    intersection of faces by the AND of their bitsets, the facets being
+    the `_zero_masks`.  An inequality is tight on a face iff the face's
+    points all lie on that facet, a subset test of the two bitsets.
 
     Dimensions come from the grading of the face lattice.  The full cone
     has dimension n + 1.  Every proper intersection G = F & facet of a face
@@ -173,13 +173,13 @@ def face_lattice(fs):
     if fs.n + 1 > limit:
         raise SizeGuardError(
             f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
-    t = fs.tables
-    dims = {t.full: fs.n + 1}
-    by_size = [[] for _ in t.points] + [[t.full]]
+    masks, full = _zero_masks(fs)
+    dims = {full: fs.n + 1}
+    by_size = [[] for _ in range(full.bit_count())] + [[full]]
     for bucket in reversed(by_size):
         for face in bucket:
             below = dims[face] - 1
-            for f in t.masks:
+            for f in masks:
                 sub = face & f
                 if sub == face:
                     continue
@@ -206,7 +206,7 @@ def drop_splitter(fs, theta):
     pattern.
     """
     cliques = [tuple(i - 1 for i in c) for c in fs.cliques]
-    masks, full = fs.tables.masks, fs.tables.full
+    masks, full = _zero_masks(fs)
     memo = {}
 
     def split(points, degree):
@@ -287,8 +287,8 @@ def generator_trace_height(g):
     dims = face_lattice(fs)
     omega = tight_patterns(fs, omega_generators(g), 1)
     anti = tight_patterns(fs, anticanonical_generators(g), -1)
-    t = fs.tables
-    cuts = {face_of(t.masks, t.full, w & v) for w in omega for v in anti}
+    masks, full = _zero_masks(fs)
+    cuts = {face_of(masks, full, w & v) for w in omega for v in anti}
     if 0 in cuts:
         return UNIT
     return fs.n + 1 - max(dim for face, dim in dims.items()
@@ -336,14 +336,15 @@ class Face:
 def cone_faces(fs: FacetSystem) -> tuple[Face, ...]:
     """All faces of the cone over the stable set polytope, ordered by
     dimension and then by their points (see `face_lattice`)."""
-    t = fs.tables
+    masks = _zero_masks(fs)[0]
+    points = _slice(fs, 0, 1)
     faces = []
     for face, dim in face_lattice(fs).items():
-        tight = [j for j, f in enumerate(t.masks) if face & f == face]
+        tight = [j for j, f in enumerate(masks) if face & f == face]
         bits = bin(face)[:1:-1]   # bit k of the face at index k
         faces.append(Face(frozenset(j + 1 for j in tight if j < fs.n),
                           frozenset(j - fs.n for j in tight if j >= fs.n),
-                          tuple(t.points[k] for k, b in enumerate(bits) if b == "1"),
+                          tuple(points[k] for k, b in enumerate(bits) if b == "1"),
                           dim))
     faces.sort(key=lambda f: (f.dim, f.points))
     return tuple(faces)
@@ -370,16 +371,17 @@ def full_trace_equals_power(fs, power):
     point of degree below `power` is in the trace and every point of
     degree `power` is.  The library searches one point per twin orbit,
     degree `power` first and descending."""
+    rows = _clique_rows(fs)
     for q in range(power):
-        if any(_trace_miss(fs, [a], q, False) is not None for a in _slice(fs, 0, q)):
+        if any(_trace_miss(fs, rows, [a], q, False) is not None for a in _slice(fs, 0, q)):
             return False
-    return all(_trace_miss(fs, [a], power, True) is None for a in _slice(fs, 0, power))
+    return all(_trace_miss(fs, rows, [a], power, True) is None for a in _slice(fs, 0, power))
 
 
 def trace_contains_maximal_ideal(g) -> bool:
     """Oracle for near-Gorensteinness: every degree-one monomial in the trace."""
     fs = FacetSystem.from_graph(g)
-    return _trace_miss(fs, _slice(fs, 0, 1), 1, True) is None
+    return _trace_miss(fs, _clique_rows(fs), _slice(fs, 0, 1), 1, True) is None
 
 
 def colorable(adj, vertices, k):

@@ -42,12 +42,15 @@ from gstab.toric import (
     FacetSystem,
     Monomial,
     OracleCheck,
+    _clique_rows,
     _gorenstein,
     _local_height,
     _faces_within,
     _slice,
     _trace_equals_power,
     _trace_miss,
+    _twin_floors,
+    _zero_masks,
     a_invariant,
     classify,
     degree_monomials,
@@ -170,8 +173,8 @@ def missed_faces(fs, dims, gens):
     inequalities where it has slack 0 cut out the smallest face containing
     it (`face_of`), so it lies on F iff that face is a subset of F.
     """
-    t = fs.tables
-    cuts = {face_of(t.masks, t.full, bits(x == 0 for x in slack(fs, m.exponents, m.degree)))
+    masks, full = _zero_masks(fs)
+    cuts = {face_of(masks, full, bits(x == 0 for x in slack(fs, m.exponents, m.degree)))
             for m in gens}
     return {face: dim for face, dim in dims.items()
             if not any(cut & face == cut for cut in cuts)}
@@ -353,7 +356,8 @@ def test_in_trace_matches_box_scan(corpus):
                     if not in_ring(fs, Monomial(m.exponents, 1))]
         for m in outside:
             assert not in_trace(fs, m) and not in_trace_box(fs, m), (name, m)
-            assert _trace_miss(fs, [m.exponents], m.degree, False) is None, (name, m)
+            assert _trace_miss(fs, _clique_rows(fs), [m.exponents], m.degree, False) is None, \
+                (name, m)
 
 
 def test_in_trace_implies_in_ring():
@@ -480,8 +484,8 @@ def test_anticanonical_generators_against_sieve(corpus):
 
 def test_tables_built_once_per_facet_system(monkeypatch):
     """`classify(oracle=True)` builds the incidence table once, for the
-    graph's own facet system, connected or not: the power test and the
-    height read the same `FacetSystem.tables`."""
+    graph's own facet system, connected or not: the height route builds
+    it and the power test reads none."""
     from gstab.posets import comparability_graph, hmp_poset
 
     builds = []
@@ -495,6 +499,20 @@ def test_tables_built_once_per_facet_system(monkeypatch):
         assert len(builds) == expected
 
 
+def test_classify_oracle_guard_fires_before_any_oracle_work(monkeypatch):
+    """`classify(oracle=True)` runs the height route first, so on a
+    9-vertex perfect graph its cone guard fires before the power test
+    runs or a facet bitset is built."""
+    calls = []
+    monkeypatch.setattr(toric, "_trace_equals_power", lambda *args: calls.append(args))
+    monkeypatch.setattr(toric, "_zero_masks", lambda *args: calls.append(args))
+    g = disjoint_union(complete_graph(5), path_graph(4))
+    assert is_perfect(g) and g.n == 9
+    with pytest.raises(SizeGuardError, match="cone dimension 9, got 10"):
+        classify(g, oracle=True)
+    assert calls == []
+
+
 def test_zero_masks_match_slack_route():
     """The facet bitsets read off the stable sets' vertex bitsets against
     the zero entries of one `slack` tuple per point, on every perfect
@@ -504,9 +522,10 @@ def test_zero_masks_match_slack_route():
     assert len(graphs) == 1105
     for name, g in graphs:
         fs = fs_of(g)
-        t = fs.tables
-        assert t.points == _slice(fs, 0, 1), name
-        assert t.masks == tuple(zero_masks_by_slack(fs, t.points)), name
+        points = _slice(fs, 0, 1)
+        masks, full = _zero_masks(fs)
+        assert full == (1 << len(points)) - 1, name
+        assert masks == zero_masks_by_slack(fs, points), name
 
 
 def test_trace_generators_against_sieve():
@@ -581,19 +600,24 @@ def test_powers_and_degrees_must_be_integers():
 
 
 def test_tables_are_no_part_of_the_facet_system_value():
-    """Reading `FacetSystem.tables` keeps them on the system but leaves its
-    equality, hash, repr and pickled form as they were; a copy or an
-    unpickled system builds its own tables when asked."""
+    """The oracles' tables are derived per call and never stored: after
+    every oracle has run on a system, its attributes are its two fields,
+    and its equality, hash, repr and pickled form are as they were.  A
+    copy or an unpickled system is equal and derives the same tables."""
+    assert not hasattr(FacetSystem, "tables") and "__reduce__" not in vars(FacetSystem)
     for g in (K3K1, PAW, disjoint_union(complete_graph(4), P3)):
         fs, fresh = fs_of(g), fs_of(g)
         before = (hash(fs), repr(fs), pickle.dumps(fs))
-        t = fs.tables
-        assert fs.tables is t
+        _local_height(fs)
+        _trace_equals_power(fs, 1)
+        in_trace(fs, Monomial((1,) * g.n, 2))
         assert (hash(fs), repr(fs), pickle.dumps(fs)) == before
-        assert fs == fresh and hash(fs) == hash(fresh) and "tables" not in vars(fresh)
+        assert vars(fs) == {"n": g.n, "cliques": fs.cliques}
+        assert fs == fresh and hash(fs) == hash(fresh)
         for other in (pickle.loads(pickle.dumps(fs)), copy.copy(fs), copy.deepcopy(fs)):
-            assert other == fs and "tables" not in vars(other)
-            assert other.tables == t
+            assert other == fs and hash(other) == hash(fs) and vars(other) == vars(fs)
+            assert (_zero_masks(other), _clique_rows(other), _twin_floors(other)) == \
+                (_zero_masks(fs), _clique_rows(fs), _twin_floors(fs))
 
 
 def test_facet_system_is_its_vertex_count_and_cliques():
@@ -603,10 +627,13 @@ def test_facet_system_is_its_vertex_count_and_cliques():
     for g in SMALL + [disjoint_union(complete_graph(4), P3)]:
         fs = fs_of(g)
         assert fs.delta == maximal_cliques(g).dim + 1
-        assert "tables" not in vars(fs)
+        assert set(vars(fs)) == {"n", "cliques"}
     fs = FacetSystem(np.int64(3), ((np.int32(1), 2), [2, np.int8(3)]))
     assert fs == fs_of(P3) and fs.cliques == ((1, 2), (2, 3))
     assert {type(v) for c in fs.cliques for v in c} == {type(fs.n)} == {int}
+
+
+NOT_MAXIMAL = "not the maximal cliques of the graph they span"
 
 
 @pytest.mark.parametrize("n, cliques, error, match", [
@@ -615,22 +642,36 @@ def test_facet_system_is_its_vertex_count_and_cliques():
     (2.0, ((1, 2),), ParameterError, "must be integers"),
     (2, ((1, 1.5),), FormatError, "must be integers"),
     (2, ((1, "2"),), FormatError, "must be integers"),
-    (2, ((1, 2), ()), FormatError, "empty"),
+    (2, ((1, 2), ()), FormatError, NOT_MAXIMAL),
     (2, ((1, 3),), FormatError, "leaves 1..2"),
     (2, ((0, 1, 2),), FormatError, "leaves 1..2"),
     (2, ((1, 1, 2),), FormatError, "repeats a vertex"),
-    (2, ((1,),), FormatError, "vertex 2 lies in no clique"),
-    (2, ((1, 2), (1,)), FormatError, "inside another"),
-    (2, ((1, 2), (2, 1)), FormatError, "inside another"),
-    (3, ((1, 2, 3), (2, 3)), FormatError, "inside another"),
+    (2, ((1,),), FormatError, NOT_MAXIMAL),
+    (2, ((1, 2), (1,)), FormatError, NOT_MAXIMAL),
+    (2, ((1, 2), (2, 1)), FormatError, NOT_MAXIMAL),
+    (3, ((1, 2, 3), (2, 3)), FormatError, NOT_MAXIMAL),
+    (3, ((1, 2), (2, 3), (1, 3)), FormatError, NOT_MAXIMAL),
 ])
 def test_facet_system_refuses_malformed_input(n, cliques, error, match):
     """Each refusal on its own.  Unchecked, (1, 3) on two vertices ends in
     an IndexError, zero vertices or a vertex in no clique in a ValueError
-    from min(), and the non-maximal clique (1,) beside K2's (1, 2) turns
-    the anticanonical point x_1^2 x_2^-1 into a non-member."""
+    from min(), the non-maximal clique (1,) beside K2's (1, 2) turns the
+    anticanonical point x_1^2 x_2^-1 into a non-member, and the three
+    edges of a triangle stand for the triangle's one clique (1, 2, 3)
+    while giving the ring other inequalities."""
     with pytest.raises(error, match=match):
         FacetSystem(n, cliques)
+
+
+def test_facet_system_accepts_every_graphs_maximal_cliques(union_corpus):
+    """`from_graph` builds the facet system of every perfect graph with at
+    most seven vertices and of every two-component union: the maximal
+    cliques pass the check that they are those of the graph they span,
+    and that graph, read off the cliques, is the graph itself."""
+    for name, g in perfect_graphs_up_to(7) + union_corpus:
+        fs = fs_of(g)
+        assert fs.cliques == maximal_cliques(g).maximal_cliques, name
+        assert toric._adjacency(g.n, fs.cliques) == list(graphs._adjacency_masks(g)), name
 
 
 def test_twin_floors_are_the_clique_preserving_swaps():
@@ -646,7 +687,7 @@ def test_twin_floors_are_the_clique_preserving_swaps():
             tau = {u + 1: v + 1, v + 1: u + 1}
             return {frozenset(tau.get(i, i) for i in c) for c in cliques} == cliques
 
-        floors = fs.tables.floors
+        floors = _twin_floors(fs)
         root = list(range(g.n))
         for v, f in enumerate(floors):
             if f >= 0:
@@ -663,7 +704,7 @@ def test_twin_walk_yields_one_point_per_orbit():
     one point per orbit of the twin swaps."""
     for name, g in perfect_graphs_up_to(5) + [("K4+P3", disjoint_union(complete_graph(4), P3))]:
         fs = fs_of(g)
-        floors = fs.tables.floors
+        floors = _twin_floors(fs)
         classes = []
         for v, f in enumerate(floors):
             if f < 0:
@@ -736,7 +777,7 @@ def test_trace_power_search_counts(monkeypatch):
             yield p
 
     monkeypatch.setattr(toric, "_trace_miss",
-                        lambda fs, points, q, want: search(fs, tally(points), q, want))
+                        lambda fs, rows, points, q, want: search(fs, rows, tally(points), q, want))
     for g, gps, searches in (
             (disjoint_union(complete_graph(5), K1), True, 105),
             (disjoint_union(complete_graph(5), K2), True, 63),
@@ -834,7 +875,7 @@ def test_missed_faces_match_face_walk(kernel_faces_and_gens):
     for name, g, fs, faces, gens in kernel_faces_and_gens:
         missed = face_walk_missed(fs, faces, gens)
         # each walked face as its bitset of degree-one points, with its dim
-        index = {p: k for k, p in enumerate(fs.tables.points)}
+        index = {p: k for k, p in enumerate(_slice(fs, 0, 1))}
         walked = {sum(1 << index[p] for p in f.points): f.dim for f in missed}
         assert missed_faces(fs, face_lattice(fs), gens) == walked, name
 
@@ -866,13 +907,29 @@ def test_slices_build_no_incidence_table(monkeypatch):
     monkeypatch.setattr(toric, "_zero_masks", lambda *args: builds.append(1) or zero_masks(*args))
     fs = fs_of(empty_graph(12))
     assert hilbert_function(fs, 1) == 2 ** 12
-    assert "tables" not in vars(fs)
     # a1 + a2 <= 2 and a2 + a3 <= 2: 9 + 4 + 1 points by a2
     assert len(degree_monomials(fs_of(P3), 2)) == 14
     # the chain and order polytopes of a poset have the same Ehrhart
     # polynomial (Stanley, "Two poset polytopes", 1986)
     p = hmp_poset(4, 6)
     assert polytope_point_count(p, "chain", 3) == polytope_point_count(p, "order", 3)
+    assert builds == []
+
+
+def test_trace_searches_build_no_incidence_table(monkeypatch):
+    """`in_trace` and `trace_equals_power` read the clique rows and the
+    twin floors alone and build no `_zero_masks`, so a trace point of the
+    edgeless graph on 18 vertices, whose 2^18 stable sets the height
+    route would grow, is found without them."""
+    from gstab.posets import comparability_graph, hmp_poset
+
+    builds = []
+    zero_masks = toric._zero_masks
+    monkeypatch.setattr(toric, "_zero_masks", lambda *args: builds.append(1) or zero_masks(*args))
+    assert in_trace(FacetSystem(18, tuple((v,) for v in range(1, 19))), Monomial((1,) * 18, 3))
+    assert not in_trace(fs_of(K3K1), Monomial((0, 0, 0, 1), 1))
+    assert trace_equals_power(K3K1, 2) and not trace_equals_power(K3K1, 1)
+    assert not trace_equals_power(comparability_graph(hmp_poset(4, 6)), 1)
     assert builds == []
 
 
@@ -953,16 +1010,16 @@ def test_faces_within_match_face_lattice():
     generator route says."""
     for name, g in perfect_graphs_up_to(6) + oracle_large_graphs():
         fs = fs_of(g)
-        t = fs.tables
+        masks, full = _zero_masks(fs)
         dims = face_lattice(fs)
-        everything = [1 << k for k in range(len(t.points))]
-        assert _faces_within(t, everything) == {f: d for f, d in dims.items() if f}, name
-        bad = [r for r in everything if not _gorenstein(t, r)]
+        everything = [1 << k for k in range(full.bit_length())]
+        assert _faces_within(masks, full, everything) == {f: d for f, d in dims.items() if f}, name
+        bad = [r for r in everything if not _gorenstein(fs.cliques, masks, r)]
         within = sum(bad)
-        assert _faces_within(t, bad) == \
+        assert _faces_within(masks, full, bad) == \
             {f: d for f, d in dims.items() if f and f & within == f}, name
         height = _local_height(fs)
-        missed = [d for f, d in dims.items() if not _gorenstein(t, f)]
+        missed = [d for f, d in dims.items() if not _gorenstein(fs.cliques, masks, f)]
         assert (height is UNIT) == (missed == []), name
         if missed:
             assert height == g.n + 1 - max(missed), name
@@ -975,9 +1032,9 @@ def solves(monkeypatch):
     count = [0]
     gorenstein = toric._gorenstein
 
-    def counted(t, face):
+    def counted(cliques, masks, face):
         count[0] += 1
-        return gorenstein(t, face)
+        return gorenstein(cliques, masks, face)
 
     monkeypatch.setattr(toric, "_gorenstein", counted)
     return count
@@ -1001,9 +1058,9 @@ def test_height_solve_counts(solves, monkeypatch):
     for g in (K2K1, K3K1, k5p3):
         solves[0] = 0
         assert trace_height(g) == g.n + 1
-        assert solves[0] == 1 + len(fs_of(g).tables.points)
+        assert solves[0] == 1 + hilbert_function(fs_of(g), 1)
     # so K5+P3 takes 31 solves
-    assert len(fs_of(k5p3).tables.points) == 30
+    assert hilbert_function(fs_of(k5p3), 1) == 30
     assert walks == []
     solves[0] = 0
     assert trace_height(comparability_graph(hmp_poset(4, 9))) == 4
@@ -1030,12 +1087,12 @@ def test_height_found_above_the_rays(solves, monkeypatch):
     assert solves[0] == 66
     [dims] = listed
     assert len(dims) == 99
-    t = fs_of(g).tables
+    fs = fs_of(g)
     span = {(1, 3), (2, 4), (1, 3, 6), (2, 4, 7)}
-    face = sum(1 << k for k, p in enumerate(t.points)
+    face = sum(1 << k for k, p in enumerate(_slice(fs, 0, 1))
                if tuple(v + 1 for v, x in enumerate(p) if x) in span)
     assert dims[face] == 4
-    assert not _gorenstein(t, face)
+    assert not _gorenstein(fs.cliques, _zero_masks(fs)[0], face)
 
 
 def test_trace_height_guard_fires_before_any_solve(solves):
@@ -1074,17 +1131,17 @@ def test_integer_and_rational_solvability_agree():
     faces = bad = 0
     for name, g in perfect_graphs_up_to(6):
         fs = fs_of(g)
-        t = fs.tables
+        masks = _zero_masks(fs)[0]
         n = g.n
         for face in face_lattice(fs):
-            fixed = [face & t.masks[j] == face for j in range(n)]
+            fixed = [face & masks[j] == face for j in range(n)]
             rows = tuple(sorted(
-                ((*(-int(i in c and not fixed[i]) for i in range(n)), 1),
-                 1 + sum(fixed[i] for i in c))
-                for c, mask in zip(t.cliques, t.masks[n:]) if face & mask == face))
+                ((*(-int(i + 1 in c and not fixed[i]) for i in range(n)), 1),
+                 1 + sum(fixed[i - 1] for i in c))
+                for c, mask in zip(fs.cliques, masks[n:]) if face & mask == face))
             if rows not in memo:
                 memo[rows] = rational_solvable(rows)
-            assert _gorenstein(t, face) == memo[rows], (name, face)
+            assert _gorenstein(fs.cliques, masks, face) == memo[rows], (name, face)
             faces += 1
             bad += not memo[rows]
     assert (faces, bad) == (53398, 973)
@@ -1097,24 +1154,24 @@ def test_gorenstein_is_an_integer_test():
     faces or of the oracle_large graphs needs a Euclid step on a pivot
     that is no unit.  One vertex is fixed (its mask holds the face, bit
     0), the others are free, and the rows are q - sum_{i in C} c_i = 1 for
-    the sets C below.
-    - Vertex 1 fixed: the row of (1,) gives q = 2, so the other three rows
-      say c_0 + c_3, c_0 + c_2 and c_2 + c_3 are all 1:
-      2(c_0 + c_2 + c_3) = 3, solved by halves only.
-    - Vertex 4 fixed: the fifth row reaches the coefficients -2 and -3, so
+    the sets C below, of vertices 1..n as in a facet system (no graph has
+    these as its maximal cliques, so they are passed to `_gorenstein`
+    directly, with the masks).
+    - Vertex 2 fixed: the row of (2,) gives q = 2, so the other three rows
+      say c_1 + c_4, c_1 + c_3 and c_3 + c_4 are all 1:
+      2(c_1 + c_3 + c_4) = 3, solved by halves only.
+    - Vertex 5 fixed: the fifth row reaches the coefficients -2 and -3, so
       a Euclid step leaves a remainder, and the sixth row then ends as
       6y = -5 in the changed coordinates."""
-    for fixed, cliques in ((1, ((0, 3), (0, 2), (1,), (2, 3))),
-                           (4, ((0, 1, 3, 4), (0, 2, 4), (0, 5), (1,), (1, 2, 3, 4, 5), (5,)))):
-        n = max(map(max, cliques)) + 1
-        t = toric._Tables(cliques=cliques, bottom=0, points=(),
-                          masks=tuple(int(v == fixed) for v in range(n)) + (1,) * len(cliques),
-                          full=1, rows=((),) * n, floors=())
-        rows = [((*(-int(i in c and i != fixed) for i in range(n)), 1), 1 + (fixed in c))
+    for fixed, cliques in ((2, ((1, 4), (1, 3), (2,), (3, 4))),
+                           (5, ((1, 2, 4, 5), (1, 3, 5), (1, 6), (2,), (2, 3, 4, 5, 6), (6,)))):
+        n = max(map(max, cliques))
+        masks = tuple(int(v == fixed) for v in range(1, n + 1)) + (1,) * len(cliques)
+        rows = [((*(-int(i in c and i != fixed) for i in range(1, n + 1)), 1), 1 + (fixed in c))
                 for c in cliques]
         assert rational_solvable(rows)
-        assert not _gorenstein(t, 1)
-        assert not gorenstein_by_basis(t, 1)
+        assert not _gorenstein(cliques, masks, 1)
+        assert not gorenstein_by_basis(cliques, masks, 1)
 
 
 def test_gorenstein_matches_basis_route():
@@ -1125,9 +1182,10 @@ def test_gorenstein_matches_basis_route():
         faces = 0
         for name, g in graphs:
             fs = fs_of(g)
-            t = fs.tables
+            masks = _zero_masks(fs)[0]
             for face in face_lattice(fs):
-                assert _gorenstein(t, face) == gorenstein_by_basis(t, face), (name, face)
+                assert _gorenstein(fs.cliques, masks, face) == \
+                    gorenstein_by_basis(fs.cliques, masks, face), (name, face)
                 faces += 1
         return faces
 
@@ -1147,11 +1205,12 @@ def test_ray_gorenstein_closed_form():
     the solver against a rule it does not use."""
     rays = 0
     for name, g in perfect_graphs_up_to(6):
-        t = fs_of(g).tables
-        sizes = [{len(c) for c in t.cliques if v in c} for v in range(g.n)]
-        for k, point in enumerate(t.points):
+        fs = fs_of(g)
+        masks = _zero_masks(fs)[0]
+        sizes = [{len(c) for c in fs.cliques if v + 1 in c} for v in range(g.n)]
+        for k, point in enumerate(_slice(fs, 0, 1)):
             one_size = all(len(sizes[v]) == 1 for v in range(g.n) if point[v])
-            assert _gorenstein(t, 1 << k) == one_size, (name, point)
+            assert _gorenstein(fs.cliques, masks, 1 << k) == one_size, (name, point)
             rays += 1
     assert rays == 3265
 
