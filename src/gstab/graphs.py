@@ -22,9 +22,10 @@ from .errors import FormatError, ParameterError, SizeGuardError, _ints
 
 # Entries in each cache keyed on one graph: `maximal_cliques` and
 # `_perfect`.  A sweep such as `verify` asks `is_perfect` and then
-# `classify`, which asks again and looks up the graph's cliques and its
-# components' cliques, before it moves to a new graph; so a small bound
-# keeps the hits within one graph while memory stays flat over the sweep.
+# `classify`, which asks again and looks up the graph's cliques (for its
+# components, then for the oracle's facet system) before it moves to a new
+# graph; so a small bound keeps the hits within one graph while memory
+# stays flat over the sweep.
 GRAPH_CACHE_SIZE = 32
 
 
@@ -86,15 +87,12 @@ class CliqueComplex:
 
 @dataclass(frozen=True)
 class Component:
-    """One connected component, relabeled to 1..n_i.
+    """One connected component: its vertex labels, ascending, and the
+    dimension and purity of its clique complex."""
 
-    `vertices[k]` is the original label of new vertex k+1.
-    """
-
-    graph: Graph
     vertices: tuple[int, ...]
-    dim: int     # the clique-complex dimension of `graph`
-    pure: bool   # whether `graph` is pure (`is_pure`)
+    dim: int     # its largest clique size minus one
+    pure: bool   # whether all its maximal cliques have one size
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +302,21 @@ def is_pure(g: Graph) -> bool:
 
 
 def connected_components(g: Graph) -> tuple[Component, ...]:
-    """Vertex-induced components, each relabeled 1..n_i, with their
-    clique-complex dimension and purity.
+    """Vertex-induced components, with their clique-complex dimension and
+    purity, read off the maximal cliques of `g`: each lies in exactly one
+    component.
 
     Sorted by descending clique-complex dimension, impure before pure
-    within a dimension, then by smallest original vertex label.  The
-    (dimension, purity) sequence is therefore the same for every labelling
-    of the graph.
+    within a dimension, then by smallest vertex label.  The (dimension,
+    purity) sequence is therefore the same for every labelling of the
+    graph.
     """
+    cliques = maximal_cliques(g).maximal_cliques
     built = []
     for comp in _component_masks(_adjacency_masks(g)):
-        vertices = tuple(v + 1 for v in _bits(comp))
-        relabel = {orig: new for new, orig in enumerate(vertices, 1)}
-        sub = Graph.from_edges(len(vertices), [(relabel[i], relabel[j])
-                                               for i, j in g.edges if i in relabel])
-        built.append(Component(sub, vertices, maximal_cliques(sub).dim, is_pure(sub)))
+        sizes = {len(c) for c in cliques if comp >> (c[0] - 1) & 1}
+        built.append(Component(tuple(v + 1 for v in _bits(comp)),
+                               max(sizes) - 1, len(sizes) == 1))
     built.sort(key=lambda c: (-c.dim, c.pure, c.vertices[0]))
     return tuple(built)
 
@@ -489,10 +487,13 @@ def graphs_up_to_iso(n: int):
     the graph with the smallest pair mask in each class, by ascending mask.
 
     Every layer below n is built and kept, so n above the cone-dimension
-    guard of `config` is a SizeGuardError, and a non-integer n a
-    ParameterError, raised at the first `next()` before any layer is built.
+    guard of `config` is a SizeGuardError, and a negative or non-integer n
+    a ParameterError, raised at the first `next()` before any layer is
+    built.
     """
     n = _ints((n,), ParameterError, "vertex counts")[0]
+    if n < 0:
+        raise ParameterError(f"vertex count must be nonnegative, got {n}")
     limit = cone_dim_limit()
     if n > limit:
         raise SizeGuardError(f"enumeration limited to {limit} vertices, got {n}")

@@ -1,4 +1,4 @@
-"""Finite posets, comparability graphs, and polytope point counts.
+"""Finite posets and their comparability graphs.
 
 A poset is stored by its strict-order relation, transitively closed:
 `poset_from_covers` closes generating relations in one Warshall pass, and
@@ -19,7 +19,6 @@ from itertools import combinations
 
 from .errors import FormatError, ParameterError, _ints
 from .graphs import Graph, stable_sets
-from .toric import FacetSystem, hilbert_function
 
 
 @dataclass(frozen=True)
@@ -223,56 +222,3 @@ def antichains(p: Poset) -> tuple[tuple, ...]:
     stable sets of the comparability graph."""
     return tuple(tuple(p.elements[v - 1] for v in s)
                  for s in stable_sets(comparability_graph(p)))
-
-
-def polytope_point_count(p: Poset, kind: str, q: int) -> int:
-    """Lattice points of the q-th dilate of the order or chain polytope.
-
-    order: 0 <= y_e <= q with y_e <= y_f whenever e < f.
-    chain: y >= 0 with sum over each maximal chain at most q.
-    The dilation q is a nonnegative integer-like value (`operator.index`),
-    else a ParameterError.
-    """
-    q = _ints((q,), ParameterError, "dilation factors")[0]
-    if q < 0:
-        raise ParameterError("dilation factor must be nonnegative")
-    n = len(p)
-    if kind == "order":
-        # assign along a linear extension: an element has more elements
-        # below it than anything below it does
-        below = [0] * n
-        for ups in p.lt:
-            for j in ups:
-                below[j] += 1
-        order = sorted(range(n), key=below.__getitem__)
-        return _order_points(p.lt, order, q, 0, [0] * n)
-    if kind == "chain":
-        # the q-th dilate holds the degree-q ring points of the comparability
-        # graph; the empty poset has only the origin (and no facet system)
-        if n == 0:
-            return 1
-        fs = FacetSystem.from_graph(comparability_graph(p), check=False)
-        return hilbert_function(fs, q)
-    raise ParameterError(f"kind must be 'order' or 'chain', got {kind!r}")
-
-
-def _order_points(lt, order, q: int, idx: int, values: list[int]) -> int:
-    """The number of ways to give the elements order[idx:] values up to q,
-    each at least the values of its predecessors, with `values` holding
-    those of order[:idx].  Each element needs at least the max of its
-    already-assigned predecessors.  Module-level and returning its count,
-    so that no call leaves a reference cycle (see `graphs._grow_clique`).
-    """
-    if idx == len(order):
-        return 1
-    e = order[idx]
-    lower = 0
-    for k in range(idx):
-        d = order[k]
-        if e in lt[d]:
-            lower = max(lower, values[d])
-    count = 0
-    for y in range(lower, q + 1):
-        values[e] = y
-        count += _order_points(lt, order, q, idx + 1, values)
-    return count

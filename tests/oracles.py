@@ -12,7 +12,11 @@ point instead of one per twin orbit, the facet bitsets one slack tuple
 per point, the Gorenstein test of a face by carrying basis vectors
 instead of reducing sparse rows, perfection by its definition
 (colouring every induced subgraph) and by the Strong Perfect Graph
-Theorem (no odd hole in the graph or its complement), and numerical
+Theorem (no odd hole in the graph or its complement), a connected
+component as its own relabelled graph (the library reads its dimension
+and purity off the whole graph's cliques), the lattice points of a
+poset's order and chain polytopes (the order count along a linear
+extension, so Stanley's identity checks it against the ring), and numerical
 semigroups by a membership table with ideals scanned over a window, one
 membership test at a time.
 """
@@ -23,8 +27,9 @@ from itertools import combinations
 from typing import NamedTuple
 
 from gstab.config import cone_dim_limit
-from gstab.errors import SizeGuardError
+from gstab.errors import ParameterError, SizeGuardError, _ints
 from gstab.graphs import (
+    Graph,
     _adjacency_masks,
     _bits,
     _maximal_clique_masks,
@@ -32,6 +37,7 @@ from gstab.graphs import (
     maximal_cliques,
 )
 from gstab.numsgp import IntegerIdeal, _check_table_size
+from gstab.posets import comparability_graph
 from gstab.toric import (
     UNIT,
     FacetSystem,
@@ -41,6 +47,7 @@ from gstab.toric import (
     _slice,
     _trace_miss,
     _zero_masks,
+    hilbert_function,
     in_ring,
 )
 
@@ -460,6 +467,64 @@ def perfect_by_holes(g):
     Robertson, Seymour and Thomas, 2006): no odd hole in the graph or its
     complement."""
     return not (has_odd_hole(g) or has_odd_hole(complement(g)))
+
+
+def component_graph(g, component):
+    """The subgraph of `g` induced on a `connected_components` entry,
+    relabelled 1..k in the order of `component.vertices`, so that the
+    component's dimension and purity can be read off its own cliques."""
+    relabel = {v: k for k, v in enumerate(component.vertices, 1)}
+    return Graph.from_edges(len(relabel), [(relabel[i], relabel[j])
+                                           for i, j in g.edges if i in relabel])
+
+
+# -- posets -------------------------------------------------------------------
+
+def polytope_point_count(p, kind, q):
+    """Lattice points of the q-th dilate of the order or chain polytope of
+    the poset `p`, whose counts agree (Stanley, "Two poset polytopes",
+    1986).
+
+    order: 0 <= y_e <= q with y_e <= y_f whenever e < f, counted along a
+    linear extension (`_order_points`).
+    chain: y >= 0 with sum over each maximal chain at most q, that is the
+    degree-q ring points of the comparability graph.
+    The dilation q is a nonnegative integer-like value, else a
+    ParameterError, and so is a kind other than these two.
+    """
+    q = _ints((q,), ParameterError, "dilation factors")[0]
+    if q < 0:
+        raise ParameterError("dilation factor must be nonnegative")
+    n = len(p)
+    if kind == "order":
+        # an element has more elements below it than anything below it does
+        below = [0] * n
+        for ups in p.lt:
+            for j in ups:
+                below[j] += 1
+        order = sorted(range(n), key=below.__getitem__)
+        return _order_points(p.lt, order, q, 0, [0] * n)
+    if kind == "chain":
+        # the empty poset has only the origin (and no facet system)
+        if n == 0:
+            return 1
+        return hilbert_function(FacetSystem.from_graph(comparability_graph(p), check=False), q)
+    raise ParameterError(f"kind must be 'order' or 'chain', got {kind!r}")
+
+
+def _order_points(lt, order, q, idx, values):
+    """The number of ways to give the elements order[idx:] values up to q,
+    each at least the values of its predecessors, with `values` holding
+    those of order[:idx]."""
+    if idx == len(order):
+        return 1
+    e = order[idx]
+    lower = max((values[d] for d in order[:idx] if e in lt[d]), default=0)
+    count = 0
+    for y in range(lower, q + 1):
+        values[e] = y
+        count += _order_points(lt, order, q, idx + 1, values)
+    return count
 
 
 # -- numerical semigroups -------------------------------------------------------

@@ -19,7 +19,7 @@ from gstab.graphs import (
     is_pure,
     maximal_cliques,
 )
-from gstab.posets import comparability_graph, hmp_poset, polytope_point_count, poset_from_covers
+from gstab.posets import comparability_graph, hmp_poset, poset_from_covers
 from gstab.toric import (
     FacetSystem,
     _slice,
@@ -30,16 +30,21 @@ from gstab.toric import (
     trace_height,
 )
 
-from oracles import omega_generators, trace_contains_maximal_ideal
+from oracles import (
+    component_graph,
+    omega_generators,
+    polytope_point_count,
+    trace_contains_maximal_ideal,
+)
 
 
 def dim_spread(g):
-    dims = [maximal_cliques(c.graph).dim for c in connected_components(g)]
+    dims = [maximal_cliques(component_graph(g, c)).dim for c in connected_components(g)]
     return dims[0] - dims[-1]
 
 
 def all_components_pure(g):
-    return all(is_pure(c.graph) for c in connected_components(g))
+    return all(is_pure(component_graph(g, c)) for c in connected_components(g))
 
 
 def report(num, ok, detail, elapsed, budget):
@@ -157,7 +162,7 @@ def test_criterion_7_segre_hilbert_identity(union_corpus):
     failures = []
     for name, g in union_corpus:
         fs = FacetSystem.from_graph(g)
-        comp_fs = [FacetSystem.from_graph(c.graph, check=False)
+        comp_fs = [FacetSystem.from_graph(component_graph(g, c), check=False)
                    for c in connected_components(g)]
         for q in range(7):
             expected = 1

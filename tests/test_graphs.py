@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from oracles import perfect_by_coloring, perfect_by_holes, stable_sets_by_scan
+from oracles import component_graph, perfect_by_coloring, perfect_by_holes, stable_sets_by_scan
 
 from gstab import graphs as graphs_module
 from gstab.cli import _graph_payload
@@ -99,8 +99,9 @@ def test_every_vertex_in_some_maximal_clique():
 # -- components --------------------------------------------------------------
 
 def test_components_k3_plus_k1():
-    comps = connected_components(disjoint_union(complete_graph(3), complete_graph(1)))
-    assert [c.graph.n for c in comps] == [3, 1]
+    g = disjoint_union(complete_graph(3), complete_graph(1))
+    comps = connected_components(g)
+    assert [component_graph(g, c).n for c in comps] == [3, 1]
     assert comps[0].vertices == (1, 2, 3)
     assert comps[1].vertices == (4,)
 
@@ -109,32 +110,61 @@ def test_components_connected_graph_is_itself():
     g = path_graph(4)
     comps = connected_components(g)
     assert len(comps) == 1
-    assert comps[0].graph == g
+    assert component_graph(g, comps[0]) == g
 
 
 def test_components_sorted_by_dim():
     # K1 u K2 must come back as [K2, K1] (dims 1 >= 0)
-    comps = connected_components(disjoint_union(complete_graph(1), complete_graph(2)))
-    assert [c.graph.n for c in comps] == [2, 1]
+    g = disjoint_union(complete_graph(1), complete_graph(2))
+    comps = connected_components(g)
+    assert [component_graph(g, c).n for c in comps] == [2, 1]
     assert comps[0].vertices == (2, 3)
 
 
 def test_components_carry_their_dim_and_purity(union_corpus):
-    """`Component.dim` and `Component.pure` are the clique-complex
-    dimension and the purity of the component's own graph, on every
-    perfect graph with at most six vertices and on the union corpus."""
-    graphs = [g for n in range(1, 7) for g in graphs_up_to_iso(n) if is_perfect(g)]
+    """`Component.dim` and `Component.pure`, read off the whole graph's
+    cliques, are the clique-complex dimension and the purity of the
+    component's own graph, on every graph with at most seven vertices,
+    perfect or not, and on the union corpus."""
+    graphs = [g for n in range(1, 8) for g in graphs_up_to_iso(n)]
+    assert len(graphs) == 1252
     graphs += [g for _, g in union_corpus]
     for g in graphs:
-        for c in connected_components(g):
-            assert (c.dim, c.pure) == (maximal_cliques(c.graph).dim, is_pure(c.graph)), g
+        comps = connected_components(g)
+        assert sorted(v for c in comps for v in c.vertices) == list(range(1, g.n + 1)), g
+        for c in comps:
+            sub = component_graph(g, c)
+            assert (c.dim, c.pure) == (maximal_cliques(sub).dim, is_pure(sub)), g
 
 
 def test_component_relabeling_preserves_edges():
     g = Graph.from_edges(5, [(2, 4), (1, 5)])
     for comp in connected_components(g):
-        for i, j in comp.graph.edges:
+        for i, j in component_graph(g, comp).edges:
             assert g.has_edge(comp.vertices[i - 1], comp.vertices[j - 1])
+
+
+def test_components_and_facet_system_share_one_clique_search(monkeypatch):
+    """The components read the graph's own cached cliques, so a facet
+    system built after them runs no second Bron-Kerbosch search in the
+    graph layer."""
+    from gstab.toric import FacetSystem
+
+    calls = []
+    search = graphs_module._maximal_clique_masks
+
+    def counting(adj, subset):
+        calls.append(subset)
+        return search(adj, subset)
+
+    monkeypatch.setattr(graphs_module, "_maximal_clique_masks", counting)
+    maximal_cliques.cache_clear()
+    g = disjoint_union(complete_graph(5), path_graph(3))
+    comps = connected_components(g)
+    assert [(c.vertices, c.dim, c.pure) for c in comps] == \
+        [((1, 2, 3, 4, 5), 4, True), ((6, 7, 8), 1, True)]
+    FacetSystem.from_graph(g)
+    assert len(calls) == 1
 
 
 # -- purity ------------------------------------------------------------------
@@ -434,11 +464,12 @@ def test_enumeration_matches_brute_force_canonical_masks():
         assert got == list(brute_graphs_up_to_iso(n)), n
 
 
-def test_enumeration_edge_cases():
-    assert list(graphs_up_to_iso(0)) == [Graph(0, frozenset())]
+def test_enumeration_edge_cases(monkeypatch, no_layer_built):
     negative = graphs_up_to_iso(-1)   # lazy: nothing is checked until iterated
-    with pytest.raises(FormatError):
+    with pytest.raises(ParameterError, match="nonnegative, got -1"):
         next(negative)
+    monkeypatch.undo()   # lets the empty graph's layer be built
+    assert list(graphs_up_to_iso(0)) == [Graph(0, frozenset())]
 
 
 def test_enumeration_size_guard(monkeypatch, no_layer_built):

@@ -1,5 +1,5 @@
 """Poset layer: comparability graphs, the X pattern, the two-block family,
-antichains, and polytope point counts."""
+antichains, and the polytope point counts of the test oracle."""
 
 import json
 import random
@@ -21,10 +21,11 @@ from gstab.posets import (
     load_poset,
     ordinal_sum,
     parse_poset_json,
-    polytope_point_count,
     poset_from_covers,
 )
 from gstab.toric import FacetSystem, hilbert_function
+
+from oracles import polytope_point_count
 
 
 def x_poset():

@@ -69,6 +69,7 @@ from gstab.toric import (
 from oracles import (
     anticanonical_generators,
     bits,
+    component_graph,
     cone_faces,
     face_lattice,
     face_of,
@@ -79,6 +80,7 @@ from oracles import (
     monomial_on_face,
     omega_generators,
     pairwise_trace_generators,
+    polytope_point_count,
     slack,
     zero_masks_by_slack,
 )
@@ -238,8 +240,9 @@ def test_reference_oracles_live_only_in_tests():
             "chromatic_number", "clique_number", "omega_generators",
             "anticanonical_generators", "InconclusiveError", "_face_lattice",
             "_colorable", "_perfect_by_coloring", "has_odd_hole",
-            "full_trace_equals_power", "members_upto", "_slack", "_ext_gcd"]
-    for module in (gstab, toric, graphs, errors, numsgp, numsgp.NumericalSemigroup):
+            "full_trace_equals_power", "members_upto", "_slack", "_ext_gcd",
+            "polytope_point_count", "_order_points", "component_graph"]
+    for module in (gstab, toric, graphs, errors, numsgp, numsgp.NumericalSemigroup, posets):
         assert [name for name in gone if hasattr(module, name)] == [], module.__name__
 
 
@@ -732,7 +735,7 @@ def test_trace_equals_power_matches_full_search(union_corpus):
     plus one."""
     for name, g in perfect_graphs_up_to(6) + union_corpus:
         fs = fs_of(g)
-        dims = [maximal_cliques(c.graph).dim for c in connected_components(g)]
+        dims = [maximal_cliques(component_graph(g, c)).dim for c in connected_components(g)]
         for power in range(dims[0] - dims[-1] + 2):
             assert _trace_equals_power(fs, power) == full_trace_equals_power(fs, power), \
                 (name, power)
@@ -898,9 +901,9 @@ def test_face_oracles_match_minimal_generator_route(kernel_faces_and_gens):
 
 def test_slices_build_no_incidence_table(monkeypatch):
     """On a new facet system, `hilbert_function`, `degree_monomials` and
-    the chain count of `polytope_point_count` walk the cliques alone and
-    build no `_zero_masks`."""
-    from gstab.posets import hmp_poset, polytope_point_count
+    the chain count of the oracle `polytope_point_count` walk the cliques
+    alone and build no `_zero_masks`."""
+    from gstab.posets import hmp_poset
 
     builds = []
     zero_masks = toric._zero_masks
@@ -1227,7 +1230,7 @@ def test_trace_height_prescribed_family_extra_pairs():
 def test_classify_oracle_matches_separate_calls(oracle_reports):
     # agreement is True: the criterion holds on every graph of the corpus
     for name, g, report in oracle_reports:
-        dims = [maximal_cliques(c.graph).dim for c in connected_components(g)]
+        dims = [maximal_cliques(component_graph(g, c)).dim for c in connected_components(g)]
         separate = OracleCheck(trace_equals_power(g, dims[0] - dims[-1]),
                                is_m_primary(g), trace_height(g), True)
         assert report.oracle == separate, name
@@ -1453,10 +1456,10 @@ def test_classify_holds_no_memory_per_graph(corpus):
 
 
 def test_hot_paths_leave_no_cyclic_garbage():
-    """The recursive searches (clique search, slice walk, trace search,
-    order-polytope count) are module-level functions, so no call leaves a
-    reference cycle behind: with the cyclic collector off, the graph,
-    toric, poset and semigroup paths leave nothing for it to free.  A
+    """The recursive searches (clique search, slice walk, trace search)
+    are module-level functions, so no call leaves a reference cycle
+    behind: with the cyclic collector off, the graph, toric, poset and
+    semigroup paths leave nothing for it to free.  A
     nested recursive function refers to itself through its closure, and
     one classification pass over the graphs on six vertices left about
     100000 such objects."""
@@ -1474,8 +1477,6 @@ def test_hot_paths_leave_no_cyclic_garbage():
         is_perfect(ten)
         trace_height(posets.comparability_graph(hmp))
         verify_equivalence(4)
-        for kind in ("order", "chain"):
-            posets.polytope_point_count(hmp, kind, 3)
         h = numsgp.semigroup([5, 7, 9])
         numsgp.residue(h)
         numsgp.trace_ideal(h)
@@ -1517,6 +1518,6 @@ def test_purity_matches_gps_per_component(corpus):
     from gstab.graphs import connected_components, is_pure
 
     for name, g in corpus:
-        all_pure = all(is_pure(c.graph) for c in connected_components(g))
+        all_pure = all(is_pure(component_graph(g, c)) for c in connected_components(g))
         r = classify(g)
         assert all_pure == (r.classification != "NotGPS"), name
