@@ -264,15 +264,18 @@ def _grow_clique(adj: tuple[int, ...], size: int, candidates: int, best: int) ->
     exceed `best`.  It is module-level and hands `best` back as its value,
     since a nested recursive function refers to itself through its
     closure: a reference cycle for the cyclic collector on each of the two
-    searches per subset of `_perfect`.
+    searches per subset of `_perfect`.  The candidates are taken lowest
+    bit first by an inline loop, not the `_bits` generator, which would
+    cost a generator object per call.
     """
     if size + candidates.bit_count() <= best:
         return best
     if candidates == 0:
         return size
-    for v in _bits(candidates):
-        best = _grow_clique(adj, size + 1, candidates & adj[v], best)
-        candidates &= ~(1 << v)
+    while candidates:
+        low = candidates & -candidates
+        best = _grow_clique(adj, size + 1, candidates & adj[low.bit_length() - 1], best)
+        candidates ^= low
         if size + candidates.bit_count() <= best:
             return best
     return best
@@ -293,12 +296,6 @@ def maximal_cliques(g: Graph) -> CliqueComplex:
     cliques = sorted(tuple(v + 1 for v in _bits(m)) for m in masks)
     dim = max((len(c) for c in cliques), default=0) - 1
     return CliqueComplex(tuple(cliques), dim)
-
-
-def is_pure(g: Graph) -> bool:
-    """True when every maximal clique has the same number of vertices."""
-    sizes = {len(c) for c in maximal_cliques(g).maximal_cliques}
-    return len(sizes) <= 1
 
 
 def connected_components(g: Graph) -> tuple[Component, ...]:

@@ -27,9 +27,10 @@ Gorenstein, which an integer linear system over the facets through the
 face decides (`_gorenstein`: the tight vertices are fixed, and the tight
 clique rows, kept as sparse dicts over the free columns, are reduced in
 order by Euclid steps on their columns).  Those faces form a down-set,
-so only the faces spanned by non-Gorenstein rays are listed, bottom-up
-from those rays (`_faces_within`), and the cone's face lattice is never
-built (`_local_height`).  A face is a bitset of the degree-one points
+so the apex and the rays decide m-primariness (`_ray_stage`), and for
+the height only the faces spanned by non-Gorenstein rays are listed,
+bottom-up from those rays (`_faces_within`); the cone's face lattice is
+never built (`_local_height`).  A face is a bitset of the degree-one points
 (stable sets) on it, each facet one such bitset (`_zero_masks`, read off
 the stable sets' vertex bitsets), and the walk names each face by the
 bitset of the facets through it, so the join of a face with a ray is
@@ -44,7 +45,7 @@ height route grows the exponentially many stable sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import cone_dim_limit
 from .errors import FormatError, NotPerfectError, ParameterError, SizeGuardError, _ints
@@ -647,32 +648,30 @@ def _faces_within(masks, full: int, rays: list[int]) -> dict[int, int]:
     return dims
 
 
-def _local_height(fs: FacetSystem) -> object:
-    """Height of the trace ideal, or UNIT, from the facet system `fs`.
+def _ray_stage(fs: FacetSystem):
+    """The apex and the rays of the cone: what they decide of the trace
+    height, and what the walk above them needs.
 
     The trace of the canonical module cuts out the non-Gorenstein locus
     (Herzog-Hibi-Stamate, "The trace of the canonical module", 2019), so
     the trace lies in the prime of a face iff the ring localised there is
-    not Gorenstein (`_gorenstein`).  The radical of the monomial ideal is
-    the intersection of those face primes, and the prime of a face has
-    height n + 1 minus the face's dimension.
-
-    A larger face has a smaller prime, whose localisation is a further
-    localisation, and a localisation of a Gorenstein ring is Gorenstein:
-    the non-Gorenstein faces form a down-set.  So:
+    not Gorenstein (`_gorenstein`), and the prime of a face has height
+    n + 1 minus the face's dimension.  A larger face has a smaller prime,
+    whose localisation is a further localisation, and a localisation of a
+    Gorenstein ring is Gorenstein: the non-Gorenstein faces form a
+    down-set.  So:
     - if the apex, whose prime is the maximal ideal, is Gorenstein, the
       ring is, and the trace is UNIT;
     - every other face contains a ray, spanned by one degree-one point,
       so if every ray is Gorenstein the apex is the only non-Gorenstein
-      face and the height is n + 1; a GPS graph stops here;
-    - otherwise a non-Gorenstein face has all its points on the
-      non-Gorenstein rays.  Only those faces are listed
-      (`_faces_within`), and they are solved largest first, down to the
-      first non-Gorenstein one; a ray is known to be one.
+      face and the height is n + 1: the trace is m-primary;
+    - otherwise the height is below n + 1, and the trace is not m-primary.
 
-    The cone-dimension guard fires first.  Only then are the stable sets
-    grown and the facet bitsets built (`_zero_masks`), once, and handed to
-    every solve and to the walk.
+    Returns (height, masks, full, rays): the height UNIT, n + 1, or None
+    for "below n + 1"; the `_zero_masks` of `fs`; and the bitsets of the
+    non-Gorenstein rays.  The cone-dimension guard fires first.  Only then
+    are the stable sets grown and the facet bitsets built, once, and
+    handed to every solve.
     """
     limit = cone_dim_limit()
     if fs.n + 1 > limit:
@@ -681,13 +680,26 @@ def _local_height(fs: FacetSystem) -> object:
     cliques = fs.cliques
     masks, full = _zero_masks(fs)
     if _gorenstein(cliques, masks, 0):
-        return UNIT
+        return UNIT, masks, full, []
     rays = [1 << k for k in range(full.bit_length()) if not _gorenstein(cliques, masks, 1 << k)]
-    if not rays:
-        return fs.n + 1
+    return (None if rays else fs.n + 1), masks, full, rays
+
+
+def _local_height(fs: FacetSystem) -> object:
+    """Height of the trace ideal, or UNIT, from the facet system `fs`.
+
+    The apex and the rays come first (`_ray_stage`), and settle UNIT and
+    n + 1; a GPS graph stops there.  Otherwise a non-Gorenstein face has
+    all its points on the non-Gorenstein rays.  Only those faces are
+    listed (`_faces_within`), and they are solved largest first, down to
+    the first non-Gorenstein one; a ray is known to be one.
+    """
+    height, masks, full, rays = _ray_stage(fs)
+    if height is not None:
+        return height
     dims = _faces_within(masks, full, rays)
     return fs.n + 1 - next(dims[face] for face in sorted(dims, key=dims.get, reverse=True)
-                           if dims[face] == 1 or not _gorenstein(cliques, masks, face))
+                           if dims[face] == 1 or not _gorenstein(fs.cliques, masks, face))
 
 
 def is_m_primary(g: Graph) -> bool:
@@ -696,18 +708,19 @@ def is_m_primary(g: Graph) -> bool:
     True iff the trace lies in no face prime but the maximal ideal, the
     prime of the apex; a unit trace (Gorenstein ring) counts as m-primary.
     So the trace is m-primary iff its height is UNIT or the cone dimension
-    n + 1.
+    n + 1, which the apex and the rays decide (`_ray_stage`): no face
+    above a ray is listed.
     """
-    height = trace_height(g)
-    return height is UNIT or height == g.n + 1
+    return _ray_stage(FacetSystem.from_graph(g))[0] is not None
 
 
 def trace_height(g: Graph):
     """Height of the trace ideal, or UNIT when the trace is the whole ring.
 
     Decided face by face from the facet system by the Gorenstein
-    localisation criterion (`_local_height`); no module generator is
-    computed.
+    localisation criterion (`_local_height`): the apex and the rays, then,
+    below n + 1, the faces on the non-Gorenstein rays.  No module
+    generator is computed.
     """
     return _local_height(FacetSystem.from_graph(g))
 
@@ -728,7 +741,7 @@ def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) ->
     face-by-face height (`_local_height`) and the brute-force power test
     run as well, in that order, so that the height's cone guard fires
     before any oracle work, and the report records whether everything
-    agrees.
+    agrees (`_oracle_check`).
     """
     if g.n == 0:
         raise ParameterError("need at least one vertex")
@@ -751,22 +764,7 @@ def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) ->
     else:
         classification = "NotGPS"
 
-    check = None
-    if oracle:
-        # perfection is checked above, once
-        fs = FacetSystem.from_graph(g, check=False)
-        height = _local_height(fs)
-        power_ok = _trace_equals_power(fs, spread)
-        # see is_m_primary
-        m_prim = height is UNIT or height == g.n + 1
-        if all_pure:
-            height_ok = (height is UNIT) if spread == 0 else (height == g.n + 1)
-            agreement = power_ok and height_ok
-        else:
-            agreement = not power_ok and not m_prim
-        check = OracleCheck(power_ok, m_prim, height, agreement)
-
-    return TraceReport(
+    report = TraceReport(
         classification=classification,
         N=n_exp,
         nearly_gorenstein=nearly,
@@ -776,13 +774,44 @@ def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) ->
         a_invariant=-dims[0] - 2,
         component_dims=dims,
         component_pure=pure,
-        oracle=check,
     )
+    if not oracle:
+        return report
+    # perfection is checked above, once
+    fs = FacetSystem.from_graph(g, check=False)
+    return replace(report, oracle=_oracle_check(fs, report, _local_height(fs)))
+
+
+def _oracle_check(fs: FacetSystem, report: TraceReport, height) -> OracleCheck:
+    """Both oracles against the fast `report` on the facet system `fs`.
+
+    `height` is the face oracle's answer: the trace height or UNIT, or
+    the ray stage's UNIT, n + 1 or None (below n + 1), since the rule
+    reads no more than that.  The trace-power test runs here.  The fast
+    criterion says GPS iff every component is pure, and Gorenstein iff
+    moreover their dimensions agree; the oracles agree with it iff the
+    trace is the power m^spread (spread the gap between the largest and
+    smallest component dimension) exactly when the graph is GPS, is
+    m-primary exactly when it is GPS, and is UNIT exactly when it is
+    Gorenstein.
+    """
+    dims = report.component_dims
+    power_ok = _trace_equals_power(fs, dims[0] - dims[-1])
+    # see is_m_primary
+    m_prim = height is UNIT or height == fs.n + 1
+    gps = report.classification != "NotGPS"
+    agreement = power_ok == gps and m_prim == gps and (height is UNIT) == report.gorenstein
+    return OracleCheck(power_ok, m_prim, height, agreement)
 
 
 def verify_equivalence(max_n: int) -> dict:
     """Run the purity criterion against both oracles over all graphs up to
     max_n vertices (one representative per isomorphism class).
+
+    The agreement rule (`_oracle_check`) reads of the face oracle only
+    whether the trace is UNIT, of height n + 1, or of smaller height, so
+    each graph solves the apex and the rays (`_ray_stage`) and lists no
+    face above them; the heights come from `classify(oracle=True)`.
 
     Returns counts plus a list of any disagreements (expected empty).  The
     face oracle's cone has dimension n + 1, so a max_n above the cone guard
@@ -804,15 +833,18 @@ def verify_equivalence(max_n: int) -> dict:
             if not is_perfect(g):
                 continue
             perfect_count += 1
-            report = classify(g, oracle=True)
-            # agreement implies fast == trace_power == m_primary (see classify)
-            if not report.oracle.agreement:
+            report = classify(g)
+            # perfection is checked above, once
+            fs = FacetSystem.from_graph(g, check=False)
+            check = _oracle_check(fs, report, _ray_stage(fs)[0])
+            # agreement implies fast == trace_power == m_primary
+            if not check.agreement:
                 disagreements.append({
                     "n": n,
                     "edges": g.sorted_edges(),
                     "fast": report.classification != "NotGPS",
-                    "trace_power": report.oracle.trace_power,
-                    "m_primary": report.oracle.m_primary,
+                    "trace_power": check.trace_power,
+                    "m_primary": check.m_primary,
                 })
     return {
         "graphs_checked": checked,

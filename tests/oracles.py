@@ -13,8 +13,9 @@ per point, the Gorenstein test of a face by carrying basis vectors
 instead of reducing sparse rows, perfection by its definition
 (colouring every induced subgraph) and by the Strong Perfect Graph
 Theorem (no odd hole in the graph or its complement), a connected
-component as its own relabelled graph (the library reads its dimension
-and purity off the whole graph's cliques), the lattice points of a
+component as its own relabelled graph, with the purity of a graph's own
+cliques (the library reads a component's dimension and purity off the
+whole graph's cliques), the lattice points of a
 poset's order and chain polytopes (the order count along a linear
 extension, so Stanley's identity checks it against the ring), and numerical
 semigroups by a membership table with ideals scanned over a window, one
@@ -476,6 +477,14 @@ def component_graph(g, component):
     relabel = {v: k for k, v in enumerate(component.vertices, 1)}
     return Graph.from_edges(len(relabel), [(relabel[i], relabel[j])
                                            for i, j in g.edges if i in relabel])
+
+
+def is_pure(g):
+    """True when every maximal clique of `g` has the same number of
+    vertices: with `component_graph`, the purity of one component, which
+    the library reads off the whole graph's cliques instead."""
+    sizes = {len(c) for c in maximal_cliques(g).maximal_cliques}
+    return len(sizes) <= 1
 
 
 # -- posets -------------------------------------------------------------------

@@ -16,7 +16,6 @@ from gstab.graphs import (
     complete_graph,
     connected_components,
     disjoint_union,
-    is_pure,
     maximal_cliques,
 )
 from gstab.posets import comparability_graph, hmp_poset, poset_from_covers
@@ -32,6 +31,7 @@ from gstab.toric import (
 
 from oracles import (
     component_graph,
+    is_pure,
     omega_generators,
     polytope_point_count,
     trace_contains_maximal_ideal,

@@ -7,7 +7,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from oracles import component_graph, perfect_by_coloring, perfect_by_holes, stable_sets_by_scan
+from oracles import (
+    component_graph,
+    is_pure,
+    perfect_by_coloring,
+    perfect_by_holes,
+    stable_sets_by_scan,
+)
 
 from gstab import graphs as graphs_module
 from gstab.cli import _graph_payload
@@ -22,7 +28,6 @@ from gstab.graphs import (
     empty_graph,
     graphs_up_to_iso,
     is_perfect,
-    is_pure,
     maximal_cliques,
     parse_graph_json,
     path_graph,
@@ -278,6 +283,39 @@ def test_perfection_searches_within_components(monkeypatch, g, calls):
     # the undecorated test, so that no cached verdict hides the searches
     graphs_module._perfect.__wrapped__(g)
     assert len(counted) == calls
+
+
+def seeded_comparability_graph() -> Graph:
+    """The comparability graph of a seeded poset on 12 elements, generated
+    by relations i < j each taken with probability 1/4: connected, with 27
+    edges."""
+    from gstab.posets import comparability_graph, poset_from_covers
+
+    rng = random.Random(1972)
+    pairs = [p for p in combinations(range(12), 2) if rng.random() < 0.25]
+    return comparability_graph(poset_from_covers(range(12), pairs))
+
+
+@pytest.mark.parametrize("g, frames", [
+    (path_graph(7), 988),
+    (union(complete_graph(5), path_graph(3)), 229),
+    (seeded_comparability_graph(), 55674),
+])
+def test_clique_search_frames_pinned(monkeypatch, g, frames):
+    """The branch and bound of `_grow_clique`, pinned by the number of its
+    frames over one perfection test: the candidates are taken lowest bit
+    first and the bound is tested before each branch and after each
+    drop, so a change of branching order or bound moves the count."""
+    counted = [0]
+    grow = graphs_module._grow_clique
+
+    def counting(*args):
+        counted[0] += 1
+        return grow(*args)
+
+    monkeypatch.setattr(graphs_module, "_grow_clique", counting)
+    assert graphs_module._perfect.__wrapped__(g)
+    assert counted[0] == frames
 
 
 def test_perfection_self_complementary():

@@ -14,7 +14,7 @@ import pickle
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -44,8 +44,9 @@ from gstab.toric import (
     OracleCheck,
     _clique_rows,
     _gorenstein,
-    _local_height,
     _faces_within,
+    _local_height,
+    _ray_stage,
     _slice,
     _trace_equals_power,
     _trace_miss,
@@ -77,6 +78,7 @@ from oracles import (
     generator_trace_height,
     gorenstein_by_basis,
     in_anticanonical_definitional,
+    is_pure,
     monomial_on_face,
     omega_generators,
     pairwise_trace_generators,
@@ -241,7 +243,7 @@ def test_reference_oracles_live_only_in_tests():
             "anticanonical_generators", "InconclusiveError", "_face_lattice",
             "_colorable", "_perfect_by_coloring", "has_odd_hole",
             "full_trace_equals_power", "members_upto", "_slack", "_ext_gcd",
-            "polytope_point_count", "_order_points", "component_graph"]
+            "polytope_point_count", "_order_points", "component_graph", "is_pure"]
     for module in (gstab, toric, graphs, errors, numsgp, numsgp.NumericalSemigroup, posets):
         assert [name for name in gone if hasattr(module, name)] == [], module.__name__
 
@@ -1072,6 +1074,61 @@ def test_height_solve_counts(solves, monkeypatch):
     assert walks == [1]
 
 
+def test_ray_stage_decides_m_primariness():
+    """The apex and the rays alone (`_ray_stage`) against the full
+    height: m-primary iff `trace_height` is UNIT or n + 1, and then the
+    same value, on every perfect graph with at most seven vertices and on
+    every 20th class on eight vertices; `is_m_primary` is that answer."""
+    eights = [(f"n8#{20 * k}", g)
+              for k, g in enumerate(islice(graphs_up_to_iso(8), 0, None, 20)) if is_perfect(g)]
+    assert len(eights) == 450
+    for name, g in perfect_graphs_up_to(7) + eights:
+        height = trace_height(g)
+        decided = _ray_stage(fs_of(g))[0]
+        assert (decided is not None) == (height is UNIT or height == g.n + 1), name
+        assert decided in (None, height), name
+        assert is_m_primary(g) == (decided is not None), name
+
+
+def test_m_primariness_lists_no_face(monkeypatch):
+    """`verify_equivalence` and `is_m_primary` solve the apex and the rays
+    and list no face above them, even for hmp(4,9), whose height is found
+    on a listed face (`test_height_solve_counts`)."""
+    from gstab.posets import comparability_graph, hmp_poset
+
+    walks = []
+    faces_within = toric._faces_within
+    monkeypatch.setattr(toric, "_faces_within", lambda *a: walks.append(1) or faces_within(*a))
+    assert verify_equivalence(6) == {"graphs_checked": 208, "perfect": 199,
+                                     "disagreements": 0, "details": []}
+    g = comparability_graph(hmp_poset(4, 9))
+    assert not is_m_primary(g)
+    assert walks == []
+    assert trace_height(g) == 4
+    assert walks == [1]
+
+
+def test_verify_equivalence_seven():
+    """Every graph on at most seven vertices: 1252 classes (OEIS A000088),
+    1105 perfect (A052431), and no disagreement."""
+    assert verify_equivalence(7) == {"graphs_checked": 1252, "perfect": 1105,
+                                     "disagreements": 0, "details": []}
+
+
+def test_verify_equivalence_reports_disagreements(monkeypatch):
+    """A trace-power oracle that always says no disagrees with the fast
+    criterion on each of the three graphs on at most two vertices, all
+    GPS and m-primary, and each is listed with the three verdicts."""
+    monkeypatch.setattr(toric, "_trace_equals_power", lambda fs, power: False)
+    result = verify_equivalence(2)
+    assert (result["graphs_checked"], result["perfect"], result["disagreements"]) == (3, 3, 3)
+    assert result["details"] == [
+        {"n": 1, "edges": [], "fast": True, "trace_power": False, "m_primary": True},
+        {"n": 2, "edges": [], "fast": True, "trace_power": False, "m_primary": True},
+        {"n": 2, "edges": [(1, 2)], "fast": True, "trace_power": False, "m_primary": True},
+    ]
+
+
 def test_height_found_above_the_rays(solves, monkeypatch):
     """A graph whose height is decided on a listed face above the rays.
 
@@ -1348,8 +1405,6 @@ def test_malformed_size_limit_env(monkeypatch, raw):
 
 
 def test_gorenstein_iff_graph_itself_pure(corpus):
-    from gstab.graphs import is_pure
-
     for name, g in corpus:
         assert classify(g).gorenstein == is_pure(g), name
 
@@ -1515,8 +1570,6 @@ def test_verify_equivalence_refuses_non_integer_max_n(no_layer_built, max_n):
 
 
 def test_purity_matches_gps_per_component(corpus):
-    from gstab.graphs import connected_components, is_pure
-
     for name, g in corpus:
         all_pure = all(is_pure(component_graph(g, c)) for c in connected_components(g))
         r = classify(g)
