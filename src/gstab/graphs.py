@@ -23,7 +23,7 @@ from .errors import FormatError, ParameterError, SizeGuardError, _ints
 # Entries in each cache keyed on one graph: `maximal_cliques` and
 # `_perfect`.  A sweep such as `verify` asks `is_perfect` and then
 # `classify`, which asks again and looks up the graph's cliques (for its
-# components, then for the oracle's facet system) before it moves to a new
+# components, then for the oracle's inequalities) before it moves to a new
 # graph; so a small bound keeps the hits within one graph while memory
 # stays flat over the sweep.
 GRAPH_CACHE_SIZE = 32

@@ -24,7 +24,8 @@ from .graphs import Graph, stable_sets
 @dataclass(frozen=True)
 class Poset:
     """elements: label list; lt: lt[i] is the frozenset of indices j with
-    element i strictly below element j (already transitively closed)."""
+    element i strictly below element j (already transitively closed), one
+    row per element."""
 
     elements: tuple
     lt: tuple[frozenset[int], ...]
@@ -33,6 +34,8 @@ class Poset:
         if len(set(self.elements)) != len(self.elements):
             raise FormatError("duplicate poset labels")
         n = len(self.elements)
+        if len(self.lt) != n:
+            raise FormatError(f"relation has {len(self.lt)} rows for {n} elements")
         for i, ups in enumerate(self.lt):
             if i in ups:
                 raise FormatError("strict order cannot be reflexive")

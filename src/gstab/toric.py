@@ -36,8 +36,13 @@ the stable sets' vertex bitsets), and the walk names each face by the
 bitset of the facets through it, so the join of a face with a ray is
 one AND of two facet bitsets.  Neither needs module generators.
 
-A facet system is its vertex count and cliques alone.  Each oracle
-derives what it reads from them once per call, after its own guard, and
+Every public function takes the graph itself.  For a perfect graph the
+nonnegativity inequalities and one inequality per maximal clique cut out
+the stable set polytope (Chvatal, "On certain polytopes associated with
+graphs", 1975), so the graph's cached maximal cliques (`_cliques`) are
+all the inequalities there are; the membership tests and slices read
+them for any graph, and the three oracles refuse an imperfect one.  Each
+oracle derives what it reads once per call, after its own guard, and
 hands it on as arguments: the trace searches read the per-vertex clique
 rows (`_clique_rows`) and the twin floors, small tables, and only the
 height route grows the exponentially many stable sets.
@@ -51,7 +56,7 @@ from .config import cone_dim_limit
 from .errors import FormatError, NotPerfectError, ParameterError, SizeGuardError, _ints
 from .graphs import (
     Graph,
-    _maximal_clique_masks,
+    _adjacency_masks,
     _twin_masks,
     connected_components,
     graphs_up_to_iso,
@@ -101,66 +106,18 @@ class Monomial:
         )
 
 
-@dataclass(frozen=True)
-class FacetSystem:
-    """Nonnegativity plus maximal-clique inequalities of a perfect graph.
-
-    A threshold theta turns the system into the membership test for the
-    ring (theta=0), the canonical module (theta=1), or the anticanonical
-    ideal (theta=-1): exponents at least theta, clique sums at most
-    degree - theta.
-
-    The vertex count n and the cliques, tuples of vertices 1..n, are the
-    whole value, stored as ints; `delta`, the largest clique size, is
-    read off them.  A count below 1 or not integer-like is a
-    ParameterError.  A FormatError refuses a vertex that is not
-    integer-like, repeated in its clique or outside 1..n, and a list that
-    is not exactly the maximal cliques of the graph it spans (two vertices
-    adjacent iff a clique holds both): so an empty, repeated or nested
-    clique, a vertex in no clique, and (1, 2), (2, 3), (1, 3), which span
-    a triangle.
-    """
-
-    n: int
-    cliques: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = _ints((self.n,), ParameterError, "vertex counts")[0]
-        if n < 1:
-            raise ParameterError("need at least one vertex")
-        cliques = tuple(_ints(c, FormatError, "clique vertices") for c in self.cliques)
-        for c in cliques:
-            if len(set(c)) < len(c) or not all(0 < v <= n for v in c):
-                raise FormatError(f"clique {c} repeats a vertex or leaves 1..{n}")
-        spanned = _maximal_clique_masks(_adjacency(n, cliques), (1 << n) - 1)
-        if sorted(spanned) != sorted(sum(1 << (v - 1) for v in c) for c in cliques):
-            raise FormatError(
-                f"cliques {cliques} are not the maximal cliques of the graph they span")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cliques", cliques)
-
-    @staticmethod
-    def from_graph(g: Graph, check: bool = True) -> "FacetSystem":
-        if check and not is_perfect(g):
-            raise NotPerfectError("graph is not perfect")
-        return FacetSystem(g.n, maximal_cliques(g).maximal_cliques)
-
-    @property
-    def delta(self) -> int:
-        """The largest clique size."""
-        return max(map(len, self.cliques))
+def _cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The maximal cliques of `g`, tuples of vertices 1..n, from the graph
+    layer's cache: with x_i >= 0, one inequality sum_{i in C} x_i <= q
+    per clique C.  A graph with no vertices is a ParameterError."""
+    if g.n == 0:
+        raise ParameterError("need at least one vertex")
+    return maximal_cliques(g).maximal_cliques
 
 
-def _adjacency(n: int, cliques) -> list[int]:
-    """The vertex adjacency bitsets (bit u - 1 for vertex u, 0-based
-    entries) of the graph that the cliques, tuples of vertices 1..n, span:
-    two vertices are adjacent iff a clique holds both."""
-    adj = [0] * n
-    for c in cliques:
-        mask = sum(1 << (v - 1) for v in c)
-        for v in c:
-            adj[v - 1] |= mask & ~(1 << (v - 1))
-    return adj
+def _check_perfect(g: Graph):
+    if not is_perfect(g):
+        raise NotPerfectError("graph is not perfect")
 
 
 @dataclass(frozen=True)
@@ -194,46 +151,50 @@ class TraceReport:
 # ---------------------------------------------------------------------------
 # membership tests
 
-def _check_length(fs: FacetSystem, m: Monomial):
-    if len(m.exponents) != fs.n:
+def _cliques_for(g: Graph, m: Monomial):
+    """The cliques of `g` (`_cliques`), once the point `m` has one
+    exponent per vertex."""
+    cliques = _cliques(g)
+    if len(m.exponents) != g.n:
         raise ParameterError(
-            f"exponent vector has length {len(m.exponents)}, expected {fs.n}")
+            f"exponent vector has length {len(m.exponents)}, expected {g.n}")
+    return cliques
 
 
-def _clique_sums(fs: FacetSystem, exps) -> list[int]:
-    return [sum(exps[i - 1] for i in c) for c in fs.cliques]
+def _clique_sums(cliques, exps) -> list[int]:
+    return [sum(exps[i - 1] for i in c) for c in cliques]
 
 
-def _in_module(fs: FacetSystem, exps, degree: int, theta: int) -> bool:
+def _in_module(cliques, exps, degree: int, theta: int) -> bool:
+    """Exponents at least theta, and sums over the `cliques` at most
+    degree - theta: theta = 0 tests the ring, 1 the canonical module and
+    -1 the anticanonical ideal."""
     if any(e < theta for e in exps):
         return False
     bound = degree - theta
-    return all(s <= bound for s in _clique_sums(fs, exps))
+    return all(s <= bound for s in _clique_sums(cliques, exps))
 
 
-def in_ring(fs: FacetSystem, m: Monomial) -> bool:
+def in_ring(g: Graph, m: Monomial) -> bool:
     """Exponents nonnegative, clique sums at most the degree."""
-    _check_length(fs, m)
-    return _in_module(fs, m.exponents, m.degree, 0)
+    return _in_module(_cliques_for(g, m), m.exponents, m.degree, 0)
 
 
-def in_canonical(fs: FacetSystem, m: Monomial) -> bool:
+def in_canonical(g: Graph, m: Monomial) -> bool:
     """Exponents at least 1, clique sums at most degree - 1."""
-    _check_length(fs, m)
-    return _in_module(fs, m.exponents, m.degree, 1)
+    return _in_module(_cliques_for(g, m), m.exponents, m.degree, 1)
 
 
-def in_anticanonical(fs: FacetSystem, m: Monomial) -> bool:
+def in_anticanonical(g: Graph, m: Monomial) -> bool:
     """Exponents at least -1, clique sums at most degree + 1.
 
     This is the facet-threshold route.  The test suite checks it against
     the defining property: m + w in the ring for every canonical generator w.
     """
-    _check_length(fs, m)
-    return _in_module(fs, m.exponents, m.degree, -1)
+    return _in_module(_cliques_for(g, m), m.exponents, m.degree, -1)
 
 
-def in_trace(fs: FacetSystem, m: Monomial) -> bool:
+def in_trace(g: Graph, m: Monomial) -> bool:
     """Is m a sum of a canonical-module point and an anticanonical point?
 
     Decided by an exhaustive pruned search over the canonical summand
@@ -244,25 +205,25 @@ def in_trace(fs: FacetSystem, m: Monomial) -> bool:
     clique's last vertex the test is the clique's exact inequality, so the
     bounds never decide an answer.
     """
-    _check_length(fs, m)
+    cliques = _cliques_for(g, m)
     a, q = m.exponents, m.degree
-    if not _in_module(fs, a, q, 0):
+    if not _in_module(cliques, a, q, 0):
         return False
-    return _trace_miss(fs, _clique_rows(fs), (a,), q, False) is not None
+    return _trace_miss(cliques, _clique_rows(g), (a,), q, False) is not None
 
 
-def _clique_rows(fs: FacetSystem) -> list[list[tuple[int, int]]]:
+def _clique_rows(g: Graph) -> list[list[tuple[int, int]]]:
     """Per vertex v (0-based), a (clique index, later count) pair for each
-    clique C through v, in the order of `fs.cliques`, where the later
-    count is the number of C's vertices above v."""
-    rows = [[] for _ in range(fs.n)]
-    for ci, c in enumerate(fs.cliques):
+    maximal clique C through v, in the order of `_cliques(g)`, where the
+    later count is the number of C's vertices above v."""
+    rows = [[] for _ in range(g.n)]
+    for ci, c in enumerate(_cliques(g)):
         for later, v in enumerate(sorted(c, reverse=True)):
             rows[v - 1].append((ci, later))
     return rows
 
 
-def _trace_miss(fs: FacetSystem, rows, points, q: int, want: bool):
+def _trace_miss(cliques, rows, points, q: int, want: bool):
     """The first of `points`, exponent vectors a of ring points x^a t^q,
     taken in the order given, whose trace membership is not `want`, or
     None if every one's is.
@@ -281,18 +242,18 @@ def _trace_miss(fs: FacetSystem, rows, points, q: int, want: bool):
     clique C through v cannot land in its interval even if each of C's
     later vertices takes its least value 1 or its largest value a_i + 1;
     the number of those later vertices is read from `rows`, the
-    `_clique_rows` of `fs`.
+    `_clique_rows` of their graph.
     Those bounds only prune: at a clique's last vertex there are no later
     vertices and the test is the clique's own interval, so every full
     assignment reached is a witness and no witness is skipped.  The
     buffers and degrees are set up once per slice and handed, with each
     point, to the search `_complete_summand`.
     """
-    part = [0] * len(fs.cliques)   # sum of w over each clique's assigned vertices
-    done = [0] * len(fs.cliques)   # sum of a over the same vertices
+    part = [0] * len(cliques)   # sum of w over each clique's assigned vertices
+    done = [0] * len(cliques)   # sum of a over the same vertices
     # hi = d - 1 is the top of every clique's interval; slack = q - d + 1
-    bottom = min(map(len, fs.cliques))
-    splits = [(d - 1, q - d + 1) for d in range(fs.delta + 1, q + 2 + bottom)]
+    sizes = list(map(len, cliques))
+    splits = [(d - 1, q - d + 1) for d in range(max(sizes) + 1, q + 2 + min(sizes))]
     for a in points:
         found = False
         for hi, slack in splits:
@@ -350,10 +311,11 @@ def _complete_summand(a, rows, part, done, v: int, hi: int, slack: int) -> bool:
 # ---------------------------------------------------------------------------
 # degree slices
 
-def _walk(fs: FacetSystem, theta: int, degree: int, floors) -> list[tuple[int, ...]]:
-    """The exponent vectors of the theta-module slice at the given degree
-    whose value at each vertex v is at least the value at `floors[v]`
-    (no bound where that is -1), in ascending lexicographic order.
+def _walk(cliques, theta: int, degree: int, floors) -> list[tuple[int, ...]]:
+    """The exponent vectors of the theta-module slice at the given degree,
+    for the maximal `cliques` of a graph on len(floors) vertices, whose
+    value at each vertex v is at least the value at `floors[v]` (no bound
+    where that is -1), in ascending lexicographic order.
 
     The walk assigns the vertices in order, each value shifted down by
     theta, and carries what is left of the cap of each clique through the
@@ -361,12 +323,12 @@ def _walk(fs: FacetSystem, theta: int, degree: int, floors) -> list[tuple[int, .
     previous twin of each vertex (`_twin_floors`) it yields one point
     per twin orbit, the one that is non-decreasing along each twin class.
     """
-    n = fs.n
-    caps = [degree - theta * (len(c) + 1) for c in fs.cliques]
+    n = len(floors)
+    caps = [degree - theta * (len(c) + 1) for c in cliques]
     if any(cap < 0 for cap in caps):
         return []
     by_vertex = [[] for _ in range(n)]
-    for ci, c in enumerate(fs.cliques):
+    for ci, c in enumerate(cliques):
         for i in c:
             by_vertex[i - 1].append(ci)
     out: list[tuple[int, ...]] = []
@@ -396,25 +358,22 @@ def _walk_from(v: int, theta: int, by_vertex, floors, caps, shifted, out):
             caps[ci] += b
 
 
-def _slice(fs: FacetSystem, theta: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors in the theta-module at the given degree,
+def _slice(g: Graph, theta: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """All exponent vectors in the theta-module of `g` at the given degree,
     in ascending lexicographic order."""
-    return tuple(_walk(fs, theta, degree, (-1,) * fs.n))
+    return tuple(_walk(_cliques(g), theta, degree, (-1,) * g.n))
 
 
-def degree_monomials(fs: FacetSystem, q: int) -> list[Monomial]:
-    """All ring monomials of degree exactly q, lexicographically ordered."""
+def degree_monomials(g: Graph, q: int) -> list[Monomial]:
+    """All ring monomials of degree exactly q, lexicographically ordered;
+    none below degree 0, where every clique's cap is negative."""
     q = _ints((q,), ParameterError, "degrees")[0]
-    if q < 0:
-        return []
-    return [Monomial(e, q) for e in _slice(fs, 0, q)]
+    return [Monomial(e, q) for e in _slice(g, 0, q)]
 
 
-def hilbert_function(fs: FacetSystem, q: int) -> int:
+def hilbert_function(g: Graph, q: int) -> int:
     q = _ints((q,), ParameterError, "degrees")[0]
-    if q < 0:
-        return 0
-    return len(_slice(fs, 0, q))
+    return len(_slice(g, 0, q))
 
 
 def a_invariant(g: Graph) -> int:
@@ -426,28 +385,27 @@ def a_invariant(g: Graph) -> int:
     return classify(g).a_invariant
 
 
-def _zero_masks(fs: FacetSystem) -> tuple[list[int], int]:
+def _zero_masks(g: Graph) -> tuple[list[int], int]:
     """For each facet of the cone, the bitset of the degree-one points on
     it, and the bitset `full` of every point.
 
-    The degree-one points are the stable sets of the graph the cliques
-    span (`_adjacency`), grown from the last vertex down: those holding v
-    follow those that do not, so bit k is the k-th point of
-    `_slice(fs, 0, 1)`, in ascending lexicographic order.
+    The degree-one points are the stable sets of `g`, grown from the last
+    vertex down: those holding v follow those that do not, so bit k is
+    the k-th point of `_slice(g, 0, 1)`, in ascending lexicographic order.
 
     Facet j < n is x_{j+1} = 0, which holds the stable sets avoiding
     vertex j + 1; facet n + i is q = sum_{v in C} x_v for the i-th clique C
-    of `fs.cliques`, which holds the stable sets meeting C, since a stable
+    of `_cliques(g)`, which holds the stable sets meeting C, since a stable
     set meets a clique at most once.  So both are read off one bitset per
     vertex, the points containing it.  A face is the intersection of the
     facets containing it and is spanned by its degree-one points, so ANDs
     of these bitsets name every face.
     """
-    adj = _adjacency(fs.n, fs.cliques)
+    adj = _adjacency_masks(g)
     sets = [0]
-    for v in reversed(range(fs.n)):
+    for v in reversed(range(g.n)):
         sets += [s | 1 << v for s in sets if not s & adj[v]]
-    holding = [0] * fs.n
+    holding = [0] * g.n
     for k, s in enumerate(sets):
         bit = 1 << k
         while s:
@@ -456,7 +414,7 @@ def _zero_masks(fs: FacetSystem) -> tuple[list[int], int]:
             s ^= low
     full = (1 << len(sets)) - 1
     masks = [full ^ h for h in holding]
-    for c in fs.cliques:
+    for c in _cliques(g):
         meet = 0
         for v in c:
             meet |= holding[v - 1]
@@ -478,11 +436,12 @@ def trace_equals_power(g: Graph, power: int) -> bool:
     power = _ints((power,), ParameterError, "powers")[0]
     if power < 0:
         raise ParameterError("power must be nonnegative")
-    return _trace_equals_power(FacetSystem.from_graph(g), power)
+    _check_perfect(g)
+    return _trace_equals_power(g, power)
 
 
-def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
-    """`trace_equals_power` on the facet system `fs`, one point per orbit.
+def _trace_equals_power(g: Graph, power: int) -> bool:
+    """`trace_equals_power` on the perfect graph `g`, one point per orbit.
 
     Swapping two twins (`_twin_floors`) is an automorphism of the graph,
     so it permutes the maximal cliques and maps the ring and the trace
@@ -502,18 +461,19 @@ def _trace_equals_power(fs: FacetSystem, power: int) -> bool:
     is the loop over every point.  The clique rows and the twin floors are
     derived once and read by every search and walk.
     """
-    rows, floors = _clique_rows(fs), _twin_floors(fs)
-    if _trace_miss(fs, rows, _walk(fs, 0, power, floors)[::-1], power, True) is not None:
+    cliques, rows, floors = _cliques(g), _clique_rows(g), _twin_floors(g)
+    top = _walk(cliques, 0, power, floors)[::-1]
+    if _trace_miss(cliques, rows, top, power, True) is not None:
         return False
-    return all(_trace_miss(fs, rows, _walk(fs, 0, q, floors), q, False) is None
+    return all(_trace_miss(cliques, rows, _walk(cliques, 0, q, floors), q, False) is None
                for q in range(power))
 
 
-def _twin_floors(fs: FacetSystem) -> tuple[int, ...]:
+def _twin_floors(g: Graph) -> tuple[int, ...]:
     """Per vertex v (0-based), its previous twin: the largest u < v with
     N(u) - {v} = N(v) - {u} (`_twin_masks`), or -1 if there is none."""
     return tuple((t & ((1 << v) - 1)).bit_length() - 1
-                 for v, t in enumerate(_twin_masks(_adjacency(fs.n, fs.cliques))))
+                 for v, t in enumerate(_twin_masks(_adjacency_masks(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +489,7 @@ def _gorenstein(cliques, masks, face: int) -> bool:
     value 1 on every primitive facet form (Bruns-Herzog, Cohen-Macaulay
     Rings, Thm 6.3.5).  The forms are, as functions of
     c = (c_1..c_n, c_q), x_j for each vertex j and q - sum_{i in C} x_i
-    for each clique C (tuples of vertices 1..n, as in `FacetSystem`), all
+    for each clique C (tuples of vertices 1..n, as in `_cliques`), all
     primitive, in the order of `masks` (`_zero_masks`).  So the
     answer is whether those whose mask contains `face` are all 1 at some
     integer c.
@@ -648,7 +608,7 @@ def _faces_within(masks, full: int, rays: list[int]) -> dict[int, int]:
     return dims
 
 
-def _ray_stage(fs: FacetSystem):
+def _ray_stage(g: Graph):
     """The apex and the rays of the cone: what they decide of the trace
     height, and what the walk above them needs.
 
@@ -668,25 +628,25 @@ def _ray_stage(fs: FacetSystem):
     - otherwise the height is below n + 1, and the trace is not m-primary.
 
     Returns (height, masks, full, rays): the height UNIT, n + 1, or None
-    for "below n + 1"; the `_zero_masks` of `fs`; and the bitsets of the
+    for "below n + 1"; the `_zero_masks` of `g`; and the bitsets of the
     non-Gorenstein rays.  The cone-dimension guard fires first.  Only then
     are the stable sets grown and the facet bitsets built, once, and
     handed to every solve.
     """
     limit = cone_dim_limit()
-    if fs.n + 1 > limit:
+    if g.n + 1 > limit:
         raise SizeGuardError(
-            f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
-    cliques = fs.cliques
-    masks, full = _zero_masks(fs)
+            f"face enumeration limited to cone dimension {limit}, got {g.n + 1}")
+    cliques = _cliques(g)
+    masks, full = _zero_masks(g)
     if _gorenstein(cliques, masks, 0):
         return UNIT, masks, full, []
     rays = [1 << k for k in range(full.bit_length()) if not _gorenstein(cliques, masks, 1 << k)]
-    return (None if rays else fs.n + 1), masks, full, rays
+    return (None if rays else g.n + 1), masks, full, rays
 
 
-def _local_height(fs: FacetSystem) -> object:
-    """Height of the trace ideal, or UNIT, from the facet system `fs`.
+def _local_height(g: Graph) -> object:
+    """Height of the trace ideal, or UNIT, of the perfect graph `g`.
 
     The apex and the rays come first (`_ray_stage`), and settle UNIT and
     n + 1; a GPS graph stops there.  Otherwise a non-Gorenstein face has
@@ -694,12 +654,13 @@ def _local_height(fs: FacetSystem) -> object:
     listed (`_faces_within`), and they are solved largest first, down to
     the first non-Gorenstein one; a ray is known to be one.
     """
-    height, masks, full, rays = _ray_stage(fs)
+    height, masks, full, rays = _ray_stage(g)
     if height is not None:
         return height
     dims = _faces_within(masks, full, rays)
-    return fs.n + 1 - next(dims[face] for face in sorted(dims, key=dims.get, reverse=True)
-                           if dims[face] == 1 or not _gorenstein(fs.cliques, masks, face))
+    cliques = _cliques(g)
+    return g.n + 1 - next(dims[face] for face in sorted(dims, key=dims.get, reverse=True)
+                          if dims[face] == 1 or not _gorenstein(cliques, masks, face))
 
 
 def is_m_primary(g: Graph) -> bool:
@@ -711,18 +672,20 @@ def is_m_primary(g: Graph) -> bool:
     n + 1, which the apex and the rays decide (`_ray_stage`): no face
     above a ray is listed.
     """
-    return _ray_stage(FacetSystem.from_graph(g))[0] is not None
+    _check_perfect(g)
+    return _ray_stage(g)[0] is not None
 
 
 def trace_height(g: Graph):
     """Height of the trace ideal, or UNIT when the trace is the whole ring.
 
-    Decided face by face from the facet system by the Gorenstein
+    Decided face by face from the clique inequalities by the Gorenstein
     localisation criterion (`_local_height`): the apex and the rays, then,
     below n + 1, the faces on the non-Gorenstein rays.  No module
     generator is computed.
     """
-    return _local_height(FacetSystem.from_graph(g))
+    _check_perfect(g)
+    return _local_height(g)
 
 
 # ---------------------------------------------------------------------------
@@ -777,13 +740,11 @@ def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) ->
     )
     if not oracle:
         return report
-    # perfection is checked above, once
-    fs = FacetSystem.from_graph(g, check=False)
-    return replace(report, oracle=_oracle_check(fs, report, _local_height(fs)))
+    return replace(report, oracle=_oracle_check(g, report, _local_height(g)))
 
 
-def _oracle_check(fs: FacetSystem, report: TraceReport, height) -> OracleCheck:
-    """Both oracles against the fast `report` on the facet system `fs`.
+def _oracle_check(g: Graph, report: TraceReport, height) -> OracleCheck:
+    """Both oracles against the fast `report` on the perfect graph `g`.
 
     `height` is the face oracle's answer: the trace height or UNIT, or
     the ray stage's UNIT, n + 1 or None (below n + 1), since the rule
@@ -796,9 +757,9 @@ def _oracle_check(fs: FacetSystem, report: TraceReport, height) -> OracleCheck:
     Gorenstein.
     """
     dims = report.component_dims
-    power_ok = _trace_equals_power(fs, dims[0] - dims[-1])
+    power_ok = _trace_equals_power(g, dims[0] - dims[-1])
     # see is_m_primary
-    m_prim = height is UNIT or height == fs.n + 1
+    m_prim = height is UNIT or height == g.n + 1
     gps = report.classification != "NotGPS"
     agreement = power_ok == gps and m_prim == gps and (height is UNIT) == report.gorenstein
     return OracleCheck(power_ok, m_prim, height, agreement)
@@ -834,9 +795,7 @@ def verify_equivalence(max_n: int) -> dict:
                 continue
             perfect_count += 1
             report = classify(g)
-            # perfection is checked above, once
-            fs = FacetSystem.from_graph(g, check=False)
-            check = _oracle_check(fs, report, _ray_stage(fs)[0])
+            check = _oracle_check(g, report, _ray_stage(g)[0])
             # agreement implies fast == trace_power == m_primary
             if not check.agreement:
                 disagreements.append({

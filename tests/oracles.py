@@ -41,7 +41,6 @@ from gstab.numsgp import IntegerIdeal, _check_table_size
 from gstab.posets import comparability_graph
 from gstab.toric import (
     UNIT,
-    FacetSystem,
     Monomial,
     _clique_rows,
     _clique_sums,
@@ -53,23 +52,23 @@ from gstab.toric import (
 )
 
 
-def slack(fs, exps, degree):
-    """Slack of x^a t^q in each ring inequality: a_1..a_n, then
-    q - sum_{i in C} a_i for each maximal clique C, in the order of
-    `fs.cliques`.  The point is in the ring iff every entry is >= 0, and
-    entry j is 0 on the j-th facet of the `_zero_masks` of `fs`."""
-    return (*exps, *(degree - s for s in _clique_sums(fs, exps)))
+def slack(g, exps, degree):
+    """Slack of x^a t^q in each ring inequality of the graph `g`: a_1..a_n,
+    then q - sum_{i in C} a_i for each maximal clique C, in the order of
+    `maximal_cliques(g)`.  The point is in the ring iff every entry is
+    >= 0, and entry j is 0 on the j-th facet of the `_zero_masks` of `g`."""
+    return (*exps, *(degree - s for s in _clique_sums(maximal_cliques(g).maximal_cliques, exps)))
 
 
-def zero_masks_by_slack(fs, points):
+def zero_masks_by_slack(g, points):
     """`_zero_masks` one `slack` tuple per point: for each entry, the
     bitset of the degree-one points (bit k for `points[k]`) with slack 0
     there.  The library reads the same bitsets off the stable sets'
     vertex bitsets."""
-    masks = [0] * (fs.n + len(fs.cliques))
+    masks = [0] * (g.n + len(maximal_cliques(g).maximal_cliques))
     for k, p in enumerate(points):
         bit = 1 << k
-        for j, x in enumerate(slack(fs, p, 1)):
+        for j, x in enumerate(slack(g, p, 1)):
             if not x:
                 masks[j] |= bit
     return masks
@@ -154,13 +153,13 @@ def face_of(masks, full, pattern):
     return face
 
 
-def face_lattice(fs):
+def face_lattice(g):
     """All faces of the cone over the stable set polytope, as a dict from
     each face to its dimension.
 
     Because the polytope has 0/1 vertices, each face is spanned by its
     degree-one lattice points, so a face is identified by the bitset of
-    those points (bit k for the k-th point of `_slice(fs, 0, 1)`) and an
+    those points (bit k for the k-th point of `_slice(g, 0, 1)`) and an
     intersection of faces by the AND of their bitsets, the facets being
     the `_zero_masks`.  An inequality is tight on a face iff the face's
     points all lie on that facet, a subset test of the two bitsets.
@@ -178,11 +177,11 @@ def face_lattice(fs):
     caller.
     """
     limit = cone_dim_limit()
-    if fs.n + 1 > limit:
+    if g.n + 1 > limit:
         raise SizeGuardError(
-            f"face enumeration limited to cone dimension {limit}, got {fs.n + 1}")
-    masks, full = _zero_masks(fs)
-    dims = {full: fs.n + 1}
+            f"face enumeration limited to cone dimension {limit}, got {g.n + 1}")
+    masks, full = _zero_masks(g)
+    dims = {full: g.n + 1}
     by_size = [[] for _ in range(full.bit_count())] + [[full]]
     for bucket in reversed(by_size):
         for face in bucket:
@@ -200,7 +199,7 @@ def face_lattice(fs):
     return dims
 
 
-def drop_splitter(fs, theta):
+def drop_splitter(g, theta):
     """The drop test by whole slices, point by point.
 
     Returns split(points, degree), which divides a degree slice into the
@@ -213,8 +212,8 @@ def drop_splitter(fs, theta):
     (`face_of`) has a degree-one point; the answer is memoised on the
     pattern.
     """
-    cliques = [tuple(i - 1 for i in c) for c in fs.cliques]
-    masks, full = _zero_masks(fs)
+    cliques = [tuple(i - 1 for i in c) for c in maximal_cliques(g).maximal_cliques]
+    masks, full = _zero_masks(g)
     memo = {}
 
     def split(points, degree):
@@ -235,20 +234,21 @@ def drop_splitter(fs, theta):
 @lru_cache(maxsize=None)
 def module_generators(g, theta):
     """Minimal generators of the theta-module (1: canonical, -1:
-    anticanonical) as the points of whole slices of `g`'s own facet system
-    that do not drop (`drop_splitter`), degree by degree.
+    anticanonical) as the points of whole slices of `g` that do not drop
+    (`drop_splitter`), degree by degree.
 
     The degrees run from the lowest module degree (delta + 1 for the
     canonical module, minus the smallest clique size minus 1 for the
     anticanonical one) until two consecutive degrees have no new
     generator, within a window of twice the clique-complex dimension plus
     6.  Cached, because several tests and oracles read the same graphs."""
-    fs = FacetSystem.from_graph(g)
-    split = drop_splitter(fs, theta)
-    start = fs.delta + 1 if theta == 1 else -min(len(c) for c in fs.cliques) - 1
+    split = drop_splitter(g, theta)
+    sizes = [len(c) for c in maximal_cliques(g).maximal_cliques]
+    start = max(sizes) + 1 if theta == 1 else -min(sizes) - 1
     gens, quiet = [], 0
-    for d in range(start, start + 2 * (maximal_cliques(g).dim + 3) + 1):
-        stuck = split(_slice(fs, theta, d), d)[1]
+    # the clique-complex dimension is max(sizes) - 1
+    for d in range(start, start + 2 * (max(sizes) + 2) + 1):
+        stuck = split(_slice(g, theta, d), d)[1]
         gens += (Monomial(p, d) for p in stuck)
         quiet = 0 if stuck else quiet + 1
         if quiet >= 2 and d > start:
@@ -266,10 +266,10 @@ def anticanonical_generators(g):
     return module_generators(g, -1)
 
 
-def tight_patterns(fs, gens, value):
+def tight_patterns(g, gens, value):
     """The distinct bitsets, one per generator, of the `slack` entries
     equal to `value` (bit j for entry j)."""
-    return {bits(x == value for x in slack(fs, m.exponents, m.degree)) for m in gens}
+    return {bits(x == value for x in slack(g, m.exponents, m.degree)) for m in gens}
 
 
 def generator_trace_height(g):
@@ -291,16 +291,15 @@ def generator_trace_height(g):
     largest dimension of a face containing no cut, which the apex always
     is.
     """
-    fs = FacetSystem.from_graph(g)
-    dims = face_lattice(fs)
-    omega = tight_patterns(fs, omega_generators(g), 1)
-    anti = tight_patterns(fs, anticanonical_generators(g), -1)
-    masks, full = _zero_masks(fs)
+    dims = face_lattice(g)
+    omega = tight_patterns(g, omega_generators(g), 1)
+    anti = tight_patterns(g, anticanonical_generators(g), -1)
+    masks, full = _zero_masks(g)
     cuts = {face_of(masks, full, w & v) for w in omega for v in anti}
     if 0 in cuts:
         return UNIT
-    return fs.n + 1 - max(dim for face, dim in dims.items()
-                          if not any(cut & face == cut for cut in cuts))
+    return g.n + 1 - max(dim for face, dim in dims.items()
+                         if not any(cut & face == cut for cut in cuts))
 
 
 @lru_cache(maxsize=None)
@@ -313,14 +312,13 @@ def pairwise_trace_generators(g):
     generator plus a ring point, so the pairwise sums generate, and a sum
     is redundant iff it lies above a kept one.  Cached, because several
     tests reduce the same graphs."""
-    fs = FacetSystem.from_graph(g)
     sums = sorted(
         {w + v for w in omega_generators(g) for v in anticanonical_generators(g)},
         key=lambda m: (m.degree, m.exponents))
     kept = []
     for cand in sums:
-        assert in_ring(fs, cand)
-        if not any(in_ring(fs, cand - k) for k in kept):
+        assert in_ring(g, cand)
+        if not any(in_ring(g, cand - k) for k in kept):
             kept.append(cand)
     return tuple(kept)
 
@@ -331,7 +329,7 @@ class Face:
 
     `tight_nonneg` / `tight_cliques` record which inequalities hold with
     equality everywhere on the face (vertex labels, resp. indices into the
-    facet system's clique list); `points` are the degree-one lattice points
+    graph's list of maximal cliques); `points` are the degree-one lattice points
     lying on the face, which span it.
     """
 
@@ -341,55 +339,54 @@ class Face:
     dim: int
 
 
-def cone_faces(fs: FacetSystem) -> tuple[Face, ...]:
+def cone_faces(g: Graph) -> tuple[Face, ...]:
     """All faces of the cone over the stable set polytope, ordered by
     dimension and then by their points (see `face_lattice`)."""
-    masks = _zero_masks(fs)[0]
-    points = _slice(fs, 0, 1)
+    masks = _zero_masks(g)[0]
+    points = _slice(g, 0, 1)
     faces = []
-    for face, dim in face_lattice(fs).items():
+    for face, dim in face_lattice(g).items():
         tight = [j for j, f in enumerate(masks) if face & f == face]
         bits = bin(face)[:1:-1]   # bit k of the face at index k
-        faces.append(Face(frozenset(j + 1 for j in tight if j < fs.n),
-                          frozenset(j - fs.n for j in tight if j >= fs.n),
+        faces.append(Face(frozenset(j + 1 for j in tight if j < g.n),
+                          frozenset(j - g.n for j in tight if j >= g.n),
                           tuple(points[k] for k, b in enumerate(bits) if b == "1"),
                           dim))
     faces.sort(key=lambda f: (f.dim, f.points))
     return tuple(faces)
 
 
-def monomial_on_face(fs: FacetSystem, face: Face, m: Monomial) -> bool:
+def monomial_on_face(g: Graph, face: Face, m: Monomial) -> bool:
     """Does a ring monomial satisfy all of the face's tight equalities?"""
     exps = m.exponents
     if any(exps[i - 1] != 0 for i in face.tight_nonneg):
         return False
-    return all(
-        sum(exps[i - 1] for i in fs.cliques[ci]) == m.degree
-        for ci in face.tight_cliques)
+    cliques = maximal_cliques(g).maximal_cliques
+    return all(sum(exps[i - 1] for i in cliques[ci]) == m.degree for ci in face.tight_cliques)
 
 
 def in_anticanonical_definitional(g, m: Monomial) -> bool:
     """True iff m + w lands in the ring for every canonical-module generator w."""
-    fs = FacetSystem.from_graph(g)
-    return all(in_ring(fs, m + w) for w in omega_generators(g))
+    return all(in_ring(g, m + w) for w in omega_generators(g))
 
 
-def full_trace_equals_power(fs, power):
+def full_trace_equals_power(g, power):
     """The trace-power test over every ring point, in ascending order: no
     point of degree below `power` is in the trace and every point of
     degree `power` is.  The library searches one point per twin orbit,
     degree `power` first and descending."""
-    rows = _clique_rows(fs)
+    cliques, rows = maximal_cliques(g).maximal_cliques, _clique_rows(g)
     for q in range(power):
-        if any(_trace_miss(fs, rows, [a], q, False) is not None for a in _slice(fs, 0, q)):
+        if any(_trace_miss(cliques, rows, [a], q, False) is not None for a in _slice(g, 0, q)):
             return False
-    return all(_trace_miss(fs, rows, [a], power, True) is None for a in _slice(fs, 0, power))
+    return all(_trace_miss(cliques, rows, [a], power, True) is None
+               for a in _slice(g, 0, power))
 
 
 def trace_contains_maximal_ideal(g) -> bool:
     """Oracle for near-Gorensteinness: every degree-one monomial in the trace."""
-    fs = FacetSystem.from_graph(g)
-    return _trace_miss(fs, _clique_rows(fs), _slice(fs, 0, 1), 1, True) is None
+    cliques = maximal_cliques(g).maximal_cliques
+    return _trace_miss(cliques, _clique_rows(g), _slice(g, 0, 1), 1, True) is None
 
 
 def colorable(adj, vertices, k):
@@ -514,10 +511,10 @@ def polytope_point_count(p, kind, q):
         order = sorted(range(n), key=below.__getitem__)
         return _order_points(p.lt, order, q, 0, [0] * n)
     if kind == "chain":
-        # the empty poset has only the origin (and no facet system)
+        # the empty poset has only the origin (and no clique inequality)
         if n == 0:
             return 1
-        return hilbert_function(FacetSystem.from_graph(comparability_graph(p), check=False), q)
+        return hilbert_function(comparability_graph(p), q)
     raise ParameterError(f"kind must be 'order' or 'chain', got {kind!r}")
 
 

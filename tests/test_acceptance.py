@@ -20,7 +20,6 @@ from gstab.graphs import (
 )
 from gstab.posets import comparability_graph, hmp_poset, poset_from_covers
 from gstab.toric import (
-    FacetSystem,
     _slice,
     a_invariant,
     hilbert_function,
@@ -145,8 +144,8 @@ def test_criterion_6_a_invariant(corpus):
     started = time.perf_counter()
     failures = []
     for name, g in corpus:
-        fs = FacetSystem.from_graph(g)
-        min_degree = next(q for q in range(0, fs.delta + 2) if _slice(fs, 1, q))
+        delta = maximal_cliques(g).dim + 1
+        min_degree = next(q for q in range(0, delta + 2) if _slice(g, 1, q))
         if -min_degree != a_invariant(g) or min_degree != maximal_cliques(g).dim + 2:
             failures.append((name, min_degree, a_invariant(g)))
     elapsed = time.perf_counter() - started
@@ -161,14 +160,12 @@ def test_criterion_7_segre_hilbert_identity(union_corpus):
     started = time.perf_counter()
     failures = []
     for name, g in union_corpus:
-        fs = FacetSystem.from_graph(g)
-        comp_fs = [FacetSystem.from_graph(component_graph(g, c), check=False)
-                   for c in connected_components(g)]
+        parts = [component_graph(g, c) for c in connected_components(g)]
         for q in range(7):
             expected = 1
-            for cf in comp_fs:
-                expected *= hilbert_function(cf, q)
-            if hilbert_function(fs, q) != expected:
+            for part in parts:
+                expected *= hilbert_function(part, q)
+            if hilbert_function(g, q) != expected:
                 failures.append((name, q))
     elapsed = time.perf_counter() - started
     ok = not failures
@@ -181,21 +178,21 @@ def test_criterion_7_segre_hilbert_identity(union_corpus):
 def _anticanonical_box_mismatches(g) -> int:
     """Vectorized comparison of the two anticanonical routes over the box
     a_i in [-2,3], q in [-(delta+1), 8]."""
-    fs = FacetSystem.from_graph(g)
+    cliques = maximal_cliques(g).maximal_cliques
     n = g.n
     count = 6 ** n
     flat = np.arange(count, dtype=np.int64)
     pts = np.empty((count, n), dtype=np.int16)
     for j in range(n):
         pts[:, j] = ((flat // 6 ** j) % 6).astype(np.int16) - 2
-    cmat = np.zeros((len(fs.cliques), n), dtype=np.int16)
-    for ci, c in enumerate(fs.cliques):
+    cmat = np.zeros((len(cliques), n), dtype=np.int16)
+    for ci, c in enumerate(cliques):
         for v in c:
             cmat[ci, v - 1] = 1
     sums = pts @ cmat.T
     sums_max = sums.max(axis=1)
     pts_min = pts.min(axis=1)
-    degrees = list(range(-(fs.delta + 1), 9))
+    degrees = list(range(-(max(map(len, cliques)) + 1), 9))
 
     threshold = {q: (pts_min >= -1) & (sums_max <= q + 1) for q in degrees}
     definitional = {q: np.ones(count, dtype=bool) for q in degrees}

@@ -149,29 +149,6 @@ def test_component_relabeling_preserves_edges():
             assert g.has_edge(comp.vertices[i - 1], comp.vertices[j - 1])
 
 
-def test_components_and_facet_system_share_one_clique_search(monkeypatch):
-    """The components read the graph's own cached cliques, so a facet
-    system built after them runs no second Bron-Kerbosch search in the
-    graph layer."""
-    from gstab.toric import FacetSystem
-
-    calls = []
-    search = graphs_module._maximal_clique_masks
-
-    def counting(adj, subset):
-        calls.append(subset)
-        return search(adj, subset)
-
-    monkeypatch.setattr(graphs_module, "_maximal_clique_masks", counting)
-    maximal_cliques.cache_clear()
-    g = disjoint_union(complete_graph(5), path_graph(3))
-    comps = connected_components(g)
-    assert [(c.vertices, c.dim, c.pure) for c in comps] == \
-        [((1, 2, 3, 4, 5), 4, True), ((6, 7, 8), 1, True)]
-    FacetSystem.from_graph(g)
-    assert len(calls) == 1
-
-
 # -- purity ------------------------------------------------------------------
 
 def test_is_pure():

@@ -12,6 +12,7 @@ from gstab.cli import _poset_payload
 from gstab.errors import FormatError, ParameterError
 from gstab.graphs import complete_graph, empty_graph, maximal_cliques, stable_sets
 from gstab.posets import (
+    Poset,
     antichain,
     antichains,
     chain,
@@ -23,7 +24,7 @@ from gstab.posets import (
     parse_poset_json,
     poset_from_covers,
 )
-from gstab.toric import FacetSystem, hilbert_function
+from gstab.toric import hilbert_function
 
 from oracles import polytope_point_count
 
@@ -131,6 +132,16 @@ def test_from_covers_closure():
 def test_from_covers_rejects_cycle():
     with pytest.raises(FormatError):
         poset_from_covers([1, 2], [(1, 2), (2, 1)])
+
+
+@pytest.mark.parametrize("lt", [(frozenset({1}),), (frozenset(),),
+                                (frozenset(), frozenset(), frozenset())])
+def test_poset_refuses_a_relation_row_count_other_than_the_element_count(lt):
+    """A row that points past the rows given, or a missing or extra row,
+    is a FormatError of the constructor, not an IndexError there or in
+    `comparability_graph` later."""
+    with pytest.raises(FormatError, match="rows for 2 elements"):
+        Poset(("a", "b"), lt)
 
 
 def test_from_covers_equals_reachability():
@@ -419,9 +430,9 @@ def test_order_count_matches_brute_force_on_random_posets():
 def test_chain_polytope_counts_ring_monomials():
     # chain polytope of P = stable set polytope of the comparability graph
     for p in [chain(3), hmp_poset(4, 5), x_poset()]:
-        fs = FacetSystem.from_graph(comparability_graph(p))
+        g = comparability_graph(p)
         for q in range(5):
-            assert polytope_point_count(p, "chain", q) == hilbert_function(fs, q)
+            assert polytope_point_count(p, "chain", q) == hilbert_function(g, q)
 
 
 def test_maximal_chains_hmp45():

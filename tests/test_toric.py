@@ -39,7 +39,6 @@ from gstab.graphs import (
 )
 from gstab.toric import (
     UNIT,
-    FacetSystem,
     Monomial,
     OracleCheck,
     _clique_rows,
@@ -98,21 +97,16 @@ K3K1 = disjoint_union(K3, K1)
 SMALL = [K1, K2, K3, P3, PAW, K2K1, K3K1]
 
 
-def fs_of(g):
-    return FacetSystem.from_graph(g)
-
-
 # -- independent oracles ------------------------------------------------------
 
 def sieve_module_generators(g, theta, degrees):
     """Per-degree sieve: a module point is a generator iff it is not a
     lower-degree point plus a degree-one ring point."""
-    fs = fs_of(g)
-    ring_one = [m.exponents for m in degree_monomials(fs, 1)]
+    ring_one = [m.exponents for m in degree_monomials(g, 1)]
     gens = []
-    prev = set(_slice(fs, theta, degrees[0] - 1))
+    prev = set(_slice(g, theta, degrees[0] - 1))
     for d in degrees:
-        level = _slice(fs, theta, d)
+        level = _slice(g, theta, d)
         for exps in level:
             covered = any(
                 tuple(a - b for a, b in zip(exps, r)) in prev for r in ring_one)
@@ -124,12 +118,11 @@ def sieve_module_generators(g, theta, degrees):
 
 def sieve_trace_generators(g, qmax):
     """Same sieve for the trace ideal, using only the brute in_trace test."""
-    fs = fs_of(g)
-    ring_one = degree_monomials(fs, 1)
+    ring_one = degree_monomials(g, 1)
     gens = []
     prev = set()
     for q in range(qmax + 1):
-        level = {m for m in degree_monomials(fs, q) if in_trace(fs, m)}
+        level = {m for m in degree_monomials(g, q) if in_trace(g, m)}
         covered = {p + r for p in prev for r in ring_one}
         gens.extend(sorted(level - covered, key=lambda m: m.exponents))
         prev = level
@@ -163,12 +156,12 @@ def int_rank(rows):
     return rank
 
 
-def face_walk_missed(fs, faces, gens):
+def face_walk_missed(g, faces, gens):
     """Faces on which no generator lies, one monomial_on_face test at a time."""
-    return [f for f in faces if not any(monomial_on_face(fs, f, t) for t in gens)]
+    return [f for f in faces if not any(monomial_on_face(g, f, t) for t in gens)]
 
 
-def missed_faces(fs, dims, gens):
+def missed_faces(g, dims, gens):
     """The faces of `dims` (a `face_lattice` result) on which no
     generator lies, as a dict from face bitset to dimension.
 
@@ -177,14 +170,14 @@ def missed_faces(fs, dims, gens):
     inequalities where it has slack 0 cut out the smallest face containing
     it (`face_of`), so it lies on F iff that face is a subset of F.
     """
-    masks, full = _zero_masks(fs)
-    cuts = {face_of(masks, full, bits(x == 0 for x in slack(fs, m.exponents, m.degree)))
+    masks, full = _zero_masks(g)
+    cuts = {face_of(masks, full, bits(x == 0 for x in slack(g, m.exponents, m.degree)))
             for m in gens}
     return {face: dim for face, dim in dims.items()
             if not any(cut & face == cut for cut in cuts)}
 
 
-def in_trace_box(fs, m):
+def in_trace_box(g, m):
     """The trace test by scanning the whole box of canonical summands.
 
     A canonical summand w of x^a t^q has 1 <= w_i <= a_i + 1 (the rest
@@ -192,12 +185,14 @@ def in_trace_box(fs, m):
     iff the largest clique sum of w plus the largest clique sum of a - w
     is at most q.  Both clique-sum vectors are rebuilt for every w.
     """
-    if not in_ring(fs, m):
+    if not in_ring(g, m):
         return False
     a, q = m.exponents, m.degree
 
+    cliques = maximal_cliques(g).maximal_cliques
+
     def top(exps):
-        return max(sum(exps[i - 1] for i in c) for c in fs.cliques)
+        return max(sum(exps[i - 1] for i in c) for c in cliques)
 
     return any(top(w) + top(tuple(x - y for x, y in zip(a, w))) <= q
                for w in product(*(range(1, x + 2) for x in a)))
@@ -217,12 +212,11 @@ def kernel_corpus(corpus):
 
 @pytest.fixture(scope="module")
 def kernel_faces_and_gens(corpus):
-    """(name, graph, facet system, faces, trace generators) for each graph of
+    """(name, graph, faces, trace generators) for each graph of
     `kernel_corpus`, computed once for the tests that check them."""
     out = []
     for name, g in kernel_corpus(corpus):
-        fs = fs_of(g)
-        out.append((name, g, fs, cone_faces(fs), pairwise_trace_generators(g)))
+        out.append((name, g, cone_faces(g), pairwise_trace_generators(g)))
     return out
 
 
@@ -251,26 +245,24 @@ def test_reference_oracles_live_only_in_tests():
 # -- membership: ring ---------------------------------------------------------
 
 def test_in_ring_k2():
-    fs = fs_of(K2)
-    assert in_ring(fs, Monomial((1, 0), 1))
-    assert not in_ring(fs, Monomial((1, 1), 1))
+    assert in_ring(K2, Monomial((1, 0), 1))
+    assert not in_ring(K2, Monomial((1, 1), 1))
 
 
 def test_in_ring_paw_clique_violation():
     # clique {1,2,3} forces a1+a2+a3 <= q
-    assert not in_ring(fs_of(PAW), Monomial((1, 1, 1, 1), 2))
-    assert in_ring(fs_of(PAW), Monomial((1, 1, 1, 1), 3))
+    assert not in_ring(PAW, Monomial((1, 1, 1, 1), 2))
+    assert in_ring(PAW, Monomial((1, 1, 1, 1), 3))
 
 
 def test_in_ring_length_mismatch():
     with pytest.raises(ParameterError):
-        in_ring(fs_of(K2), Monomial((1,), 1))
+        in_ring(K2, Monomial((1,), 1))
 
 
 def test_monomial_refuses_non_integers():
     """A fractional exponent or degree is no lattice point: `Monomial`
     refuses it rather than letting the membership tests accept it."""
-    fs = fs_of(PAW)
     for test, exps, degree in ((in_ring, (0.5, 0, 0, 0), 1),
                                (in_anticanonical, (1.5, 1, 1, 1), 3),
                                (in_trace, (1, 0, 0, 0), 1.5),
@@ -278,7 +270,7 @@ def test_monomial_refuses_non_integers():
                                (in_ring, (0, 0, 0, 0), "1"),
                                (in_ring, 3, 1)):
         with pytest.raises(FormatError, match="must be integers"):
-            test(fs, Monomial(exps, degree))
+            test(PAW, Monomial(exps, degree))
 
 
 def test_monomial_stores_integer_like_values_as_ints():
@@ -286,62 +278,58 @@ def test_monomial_stores_integer_like_values_as_ints():
     assert m == Monomial((1, 0, 0, 1), 2) and hash(m) == hash(Monomial((1, 0, 0, 1), 2))
     assert type(m.exponents) is tuple and type(m.degree) is int
     assert all(type(x) is int for x in m.exponents)
-    assert in_ring(fs_of(PAW), m)
+    assert in_ring(PAW, m)
 
 
 # -- membership: canonical module ---------------------------------------------
 
 def test_in_canonical_k2():
-    fs = fs_of(K2)
-    assert in_canonical(fs, Monomial((1, 1), 3))
-    assert not in_canonical(fs, Monomial((1, 1), 2))
+    assert in_canonical(K2, Monomial((1, 1), 3))
+    assert not in_canonical(K2, Monomial((1, 1), 2))
 
 
 def test_in_canonical_paw():
-    assert in_canonical(fs_of(PAW), Monomial((1, 1, 1, 1), 5))
+    assert in_canonical(PAW, Monomial((1, 1, 1, 1), 5))
 
 
 # -- membership: anticanonical ------------------------------------------------
 
 def test_in_anticanonical_k2():
-    fs = fs_of(K2)
-    assert in_anticanonical(fs, Monomial((-1, -1), -3))
-    assert not in_anticanonical(fs, Monomial((-2, 0), 0))
+    assert in_anticanonical(K2, Monomial((-1, -1), -3))
+    assert not in_anticanonical(K2, Monomial((-2, 0), 0))
 
 
 def test_origin_always_anticanonical():
     for g in SMALL:
-        assert in_anticanonical(fs_of(g), Monomial((0,) * g.n, 0))
+        assert in_anticanonical(g, Monomial((0,) * g.n, 0))
         assert in_anticanonical_definitional(g, Monomial((0,) * g.n, 0))
 
 
 def test_anticanonical_definitional_matches_threshold_k2():
-    fs = fs_of(K2)
     for a1 in range(-2, 3):
         for a2 in range(-2, 3):
             for q in range(-4, 5):
                 m = Monomial((a1, a2), q)
-                assert in_anticanonical(fs, m) == in_anticanonical_definitional(K2, m)
+                assert in_anticanonical(K2, m) == in_anticanonical_definitional(K2, m)
 
 
 # -- membership: trace --------------------------------------------------------
 
 def test_in_trace_k2_origin_with_witness():
-    fs = fs_of(K2)
     w = Monomial((1, 1), 3)
     v = Monomial((-1, -1), -3)
-    assert in_canonical(fs, w)
-    assert in_anticanonical(fs, v)
+    assert in_canonical(K2, w)
+    assert in_anticanonical(K2, v)
     assert w + v == Monomial((0, 0), 0)
-    assert in_trace(fs, Monomial((0, 0), 0))
+    assert in_trace(K2, Monomial((0, 0), 0))
 
 
 def test_in_trace_paw_origin_false():
-    assert not in_trace(fs_of(PAW), Monomial((0, 0, 0, 0), 0))
+    assert not in_trace(PAW, Monomial((0, 0, 0, 0), 0))
 
 
 def test_in_trace_k3k1_degree_one_false():
-    assert not in_trace(fs_of(K3K1), Monomial((0, 0, 0, 1), 1))
+    assert not in_trace(K3K1, Monomial((0, 0, 0, 1), 1))
 
 
 def test_in_trace_matches_box_scan(corpus):
@@ -349,90 +337,85 @@ def test_in_trace_matches_box_scan(corpus):
     of degree at most spread + 1, and at points outside the ring."""
     cases = kernel_corpus(corpus) + [("P7", path_graph(7))]
     for name, g in cases:
-        fs = fs_of(g)
         dims = classify(g).component_dims
         for q in range(dims[0] - dims[-1] + 2):
-            for m in degree_monomials(fs, q):
-                assert in_trace(fs, m) == in_trace_box(fs, m), (name, m)
+            for m in degree_monomials(g, q):
+                assert in_trace(g, m) == in_trace_box(g, m), (name, m)
         # a negative entry, or degree 1 under a clique sum of 2
         outside = [Monomial((*m.exponents[:-1], -1), m.degree)
-                   for m in degree_monomials(fs, 2)]
-        outside += [Monomial(m.exponents, 1) for m in degree_monomials(fs, 2)
-                    if not in_ring(fs, Monomial(m.exponents, 1))]
+                   for m in degree_monomials(g, 2)]
+        outside += [Monomial(m.exponents, 1) for m in degree_monomials(g, 2)
+                    if not in_ring(g, Monomial(m.exponents, 1))]
+        cliques = maximal_cliques(g).maximal_cliques
         for m in outside:
-            assert not in_trace(fs, m) and not in_trace_box(fs, m), (name, m)
-            assert _trace_miss(fs, _clique_rows(fs), [m.exponents], m.degree, False) is None, \
+            assert not in_trace(g, m) and not in_trace_box(g, m), (name, m)
+            assert _trace_miss(cliques, _clique_rows(g), [m.exponents], m.degree, False) is None, \
                 (name, m)
 
 
 def test_in_trace_implies_in_ring():
-    fs = fs_of(PAW)
     box = [(-1, 0, 1, 0), (0, 0, 0, 0), (1, 0, 0, 1), (2, 1, 1, 1)]
     for exps in box:
         for q in range(-1, 5):
             m = Monomial(exps, q)
-            if in_trace(fs, m):
-                assert in_ring(fs, m)
+            if in_trace(PAW, m):
+                assert in_ring(PAW, m)
 
 
 def test_trace_translate_closed():
-    fs = fs_of(K2K1)
-    one = degree_monomials(fs, 1)
+    one = degree_monomials(K2K1, 1)
     for q in range(3):
-        for m in degree_monomials(fs, q):
-            if in_trace(fs, m):
+        for m in degree_monomials(K2K1, q):
+            if in_trace(K2K1, m):
                 for r in one:
-                    assert in_trace(fs, m + r)
+                    assert in_trace(K2K1, m + r)
 
 
 def test_omega_translate_closed():
     for g in [K2, PAW, K2K1]:
-        fs = fs_of(g)
-        one = degree_monomials(fs, 1)
-        start = fs.delta + 1
-        for exps in _slice(fs, 1, start):
+        one = degree_monomials(g, 1)
+        start = maximal_cliques(g).dim + 2
+        for exps in _slice(g, 1, start):
             w = Monomial(exps, start)
             for r in one:
-                assert in_canonical(fs, w + r)
+                assert in_canonical(g, w + r)
 
 
 def test_anticanonical_translate_closed():
     for g in [K2, PAW, K2K1]:
-        fs = fs_of(g)
-        one = degree_monomials(fs, 1)
-        start = -min(len(c) for c in fs.cliques) - 1
+        one = degree_monomials(g, 1)
+        start = -min(len(c) for c in maximal_cliques(g).maximal_cliques) - 1
         for d in (start, start + 1):
-            for exps in _slice(fs, -1, d):
+            for exps in _slice(g, -1, d):
                 w = Monomial(exps, d)
                 for r in one:
-                    assert in_anticanonical(fs, w + r)
+                    assert in_anticanonical(g, w + r)
 
 
 # -- degree slices ------------------------------------------------------------
 
 def test_degree_monomials_k1():
-    got = degree_monomials(fs_of(K1), 2)
+    got = degree_monomials(K1, 2)
     assert got == [Monomial((0,), 2), Monomial((1,), 2), Monomial((2,), 2)]
 
 
 def test_degree_monomials_k2_degree_one():
-    fs = fs_of(K2)
-    assert hilbert_function(fs, 1) == 3
+    assert hilbert_function(K2, 1) == 3
 
 
 def test_segre_count_k2k1():
-    assert hilbert_function(fs_of(K2K1), 2) == 18
-    assert hilbert_function(fs_of(K2), 2) * hilbert_function(fs_of(K1), 2) == 18
+    assert hilbert_function(K2K1, 2) == 18
+    assert hilbert_function(K2, 2) * hilbert_function(K1, 2) == 18
     # the ring of a disjoint union is the Segre product of the components'
     # rings, so its Hilbert function is the product of theirs
     pieces = [g for n in range(1, 4) for g in graphs_up_to_iso(n)
               if is_perfect(g) and len(connected_components(g)) == 1]
     assert len(pieces) == 4   # K1, K2, P3, K3
     for g, h in product(pieces, repeat=2):
-        union = fs_of(disjoint_union(g, h))
+        union = disjoint_union(g, h)
         for q in range(4):
             assert hilbert_function(union, q) == \
-                hilbert_function(fs_of(g), q) * hilbert_function(fs_of(h), q), (g, h, q)
+                hilbert_function(g, q) * hilbert_function(h, q), (g, h, q)
 
 
 # -- a-invariant ---------------------------------------------------------------
@@ -458,9 +441,8 @@ def test_classify_fields_reject_what_classify_rejects(field):
 
 
 def test_minimal_canonical_degree_k3():
-    fs = fs_of(K3)
-    assert _slice(fs, 1, 3) == ()
-    assert _slice(fs, 1, 4) == ((1, 1, 1),)
+    assert _slice(K3, 1, 3) == ()
+    assert _slice(K3, 1, 4) == ((1, 1, 1),)
 
 
 # -- generators ----------------------------------------------------------------
@@ -477,20 +459,19 @@ def assert_generators_match_sieve(g, theta, gens, start):
 
 def test_omega_generators_against_sieve(corpus):
     for name, g in kernel_corpus(corpus):
-        fs = fs_of(g)
-        assert_generators_match_sieve(g, 1, omega_generators(g), fs.delta + 1)
+        assert_generators_match_sieve(g, 1, omega_generators(g), maximal_cliques(g).dim + 2)
 
 
 def test_anticanonical_generators_against_sieve(corpus):
     for name, g in kernel_corpus(corpus):
-        start = -min(len(c) for c in fs_of(g).cliques) - 1
+        start = -min(len(c) for c in maximal_cliques(g).maximal_cliques) - 1
         assert_generators_match_sieve(g, -1, anticanonical_generators(g), start)
 
 
 def test_tables_built_once_per_facet_system(monkeypatch):
     """`classify(oracle=True)` builds the incidence table once, for the
-    graph's own facet system, connected or not: the height route builds
-    it and the power test reads none."""
+    graph itself, connected or not: the height route builds it and the
+    power test reads none."""
     from gstab.posets import comparability_graph, hmp_poset
 
     builds = []
@@ -502,6 +483,33 @@ def test_tables_built_once_per_facet_system(monkeypatch):
         builds.clear()
         assert classify(g, oracle=True).oracle.agreement
         assert len(builds) == expected
+
+
+def test_one_clique_search_per_oracle_call(monkeypatch):
+    """An oracle call runs the graph layer's Bron-Kerbosch search once:
+    the components and every oracle table read the graph's cached
+    cliques, and nothing searches again to check them.  Counted at the
+    top-level calls of `graphs._extend_clique`, one per search."""
+    from gstab.posets import comparability_graph, hmp_poset
+
+    searches = []
+    extend = graphs._extend_clique
+
+    def counting(adj, r, p, x, cliques):
+        if r == 0:
+            searches.append(p)
+        return extend(adj, r, p, x, cliques)
+
+    monkeypatch.setattr(graphs, "_extend_clique", counting)
+    k5p3 = disjoint_union(complete_graph(5), path_graph(3))
+    hmp = comparability_graph(hmp_poset(4, 9))
+    for call in (lambda: classify(k5p3, oracle=True), lambda: trace_height(hmp)):
+        maximal_cliques.cache_clear()
+        searches.clear()
+        call()
+        assert len(searches) == 1
+    assert [(c.vertices, c.dim, c.pure) for c in connected_components(k5p3)] == \
+        [((1, 2, 3, 4, 5), 4, True), ((6, 7, 8), 1, True)]
 
 
 def test_classify_oracle_guard_fires_before_any_oracle_work(monkeypatch):
@@ -526,11 +534,10 @@ def test_zero_masks_match_slack_route():
     graphs = perfect_graphs_up_to(7)
     assert len(graphs) == 1105
     for name, g in graphs:
-        fs = fs_of(g)
-        points = _slice(fs, 0, 1)
-        masks, full = _zero_masks(fs)
+        points = _slice(g, 0, 1)
+        masks, full = _zero_masks(g)
         assert full == (1 << len(points)) - 1, name
-        assert masks == zero_masks_by_slack(fs, points), name
+        assert masks == zero_masks_by_slack(g, points), name
 
 
 def test_trace_generators_against_sieve():
@@ -543,10 +550,9 @@ def test_trace_generators_against_sieve():
 
 def test_trace_generators_all_pass_brute_membership():
     for g in SMALL:
-        fs = fs_of(g)
         for t in pairwise_trace_generators(g):
-            assert in_ring(fs, t)
-            assert in_trace(fs, t)
+            assert in_ring(g, t)
+            assert in_trace(g, t)
 
 
 def test_paw_trace_generators_exact():
@@ -562,10 +568,9 @@ def test_trace_candidates_lie_in_ring(corpus):
     # every canonical-plus-anticanonical sum is a ring point, so its slack
     # vector is nonnegative, which the trace-generator reduction relies on
     for name, g in kernel_corpus(corpus):
-        fs = fs_of(g)
         anti = anticanonical_generators(g)
         for w in omega_generators(g):
-            assert all(in_ring(fs, w + v) for v in anti), name
+            assert all(in_ring(g, w + v) for v in anti), name
 
 
 # -- trace as a power of the maximal ideal --------------------------------------
@@ -593,90 +598,35 @@ def test_trace_power_rejects_negative():
 def test_powers_and_degrees_must_be_integers():
     """A fractional power or degree is a parameter error, as a negative
     power is; an integer-like one is taken as an int."""
-    fs = fs_of(P3)
     with pytest.raises(ParameterError, match="must be integers"):
         trace_equals_power(K2, 1.5)
     with pytest.raises(ParameterError, match="must be integers"):
-        hilbert_function(fs, 1.5)
+        hilbert_function(P3, 1.5)
     with pytest.raises(ParameterError, match="must be integers"):
-        degree_monomials(fs, 2.0)
-    assert hilbert_function(fs, np.int64(2)) == 14
+        degree_monomials(P3, 2.0)
+    assert hilbert_function(P3, np.int64(2)) == 14
     assert trace_equals_power(K2K1, np.int32(1))
 
 
-def test_tables_are_no_part_of_the_facet_system_value():
+def test_tables_are_no_part_of_the_graph_value():
     """The oracles' tables are derived per call and never stored: after
-    every oracle has run on a system, its attributes are its two fields,
-    and its equality, hash, repr and pickled form are as they were.  A
-    copy or an unpickled system is equal and derives the same tables."""
-    assert not hasattr(FacetSystem, "tables") and "__reduce__" not in vars(FacetSystem)
+    every oracle has run on a graph, its attributes are its two fields,
+    and its hash, repr and pickled form are as they were.  A copy or an
+    unpickled graph is equal and derives the same tables."""
+    assert not hasattr(Graph, "tables") and "__reduce__" not in vars(Graph)
     for g in (K3K1, PAW, disjoint_union(complete_graph(4), P3)):
-        fs, fresh = fs_of(g), fs_of(g)
-        before = (hash(fs), repr(fs), pickle.dumps(fs))
-        _local_height(fs)
-        _trace_equals_power(fs, 1)
-        in_trace(fs, Monomial((1,) * g.n, 2))
-        assert (hash(fs), repr(fs), pickle.dumps(fs)) == before
-        assert vars(fs) == {"n": g.n, "cliques": fs.cliques}
-        assert fs == fresh and hash(fs) == hash(fresh)
-        for other in (pickle.loads(pickle.dumps(fs)), copy.copy(fs), copy.deepcopy(fs)):
-            assert other == fs and hash(other) == hash(fs) and vars(other) == vars(fs)
+        before = (dict(vars(g)), hash(g), repr(g), pickle.dumps(g))
+        classify(g, oracle=True)
+        trace_height(g)
+        is_m_primary(g)
+        trace_equals_power(g, 1)
+        in_trace(g, Monomial((1,) * g.n, 2))
+        assert (vars(g), hash(g), repr(g), pickle.dumps(g)) == before
+        assert set(vars(g)) == {"n", "edges"}
+        for other in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert other == g and hash(other) == hash(g) and vars(other) == vars(g)
             assert (_zero_masks(other), _clique_rows(other), _twin_floors(other)) == \
-                (_zero_masks(fs), _clique_rows(fs), _twin_floors(fs))
-
-
-def test_facet_system_is_its_vertex_count_and_cliques():
-    """`n` and `cliques` are the only fields, stored as ints; `delta` is
-    the largest clique size, read off the cliques."""
-    assert [f.name for f in dataclasses.fields(FacetSystem)] == ["n", "cliques"]
-    for g in SMALL + [disjoint_union(complete_graph(4), P3)]:
-        fs = fs_of(g)
-        assert fs.delta == maximal_cliques(g).dim + 1
-        assert set(vars(fs)) == {"n", "cliques"}
-    fs = FacetSystem(np.int64(3), ((np.int32(1), 2), [2, np.int8(3)]))
-    assert fs == fs_of(P3) and fs.cliques == ((1, 2), (2, 3))
-    assert {type(v) for c in fs.cliques for v in c} == {type(fs.n)} == {int}
-
-
-NOT_MAXIMAL = "not the maximal cliques of the graph they span"
-
-
-@pytest.mark.parametrize("n, cliques, error, match", [
-    (0, (), ParameterError, "at least one vertex"),
-    (-1, (), ParameterError, "at least one vertex"),
-    (2.0, ((1, 2),), ParameterError, "must be integers"),
-    (2, ((1, 1.5),), FormatError, "must be integers"),
-    (2, ((1, "2"),), FormatError, "must be integers"),
-    (2, ((1, 2), ()), FormatError, NOT_MAXIMAL),
-    (2, ((1, 3),), FormatError, "leaves 1..2"),
-    (2, ((0, 1, 2),), FormatError, "leaves 1..2"),
-    (2, ((1, 1, 2),), FormatError, "repeats a vertex"),
-    (2, ((1,),), FormatError, NOT_MAXIMAL),
-    (2, ((1, 2), (1,)), FormatError, NOT_MAXIMAL),
-    (2, ((1, 2), (2, 1)), FormatError, NOT_MAXIMAL),
-    (3, ((1, 2, 3), (2, 3)), FormatError, NOT_MAXIMAL),
-    (3, ((1, 2), (2, 3), (1, 3)), FormatError, NOT_MAXIMAL),
-])
-def test_facet_system_refuses_malformed_input(n, cliques, error, match):
-    """Each refusal on its own.  Unchecked, (1, 3) on two vertices ends in
-    an IndexError, zero vertices or a vertex in no clique in a ValueError
-    from min(), the non-maximal clique (1,) beside K2's (1, 2) turns the
-    anticanonical point x_1^2 x_2^-1 into a non-member, and the three
-    edges of a triangle stand for the triangle's one clique (1, 2, 3)
-    while giving the ring other inequalities."""
-    with pytest.raises(error, match=match):
-        FacetSystem(n, cliques)
-
-
-def test_facet_system_accepts_every_graphs_maximal_cliques(union_corpus):
-    """`from_graph` builds the facet system of every perfect graph with at
-    most seven vertices and of every two-component union: the maximal
-    cliques pass the check that they are those of the graph they span,
-    and that graph, read off the cliques, is the graph itself."""
-    for name, g in perfect_graphs_up_to(7) + union_corpus:
-        fs = fs_of(g)
-        assert fs.cliques == maximal_cliques(g).maximal_cliques, name
-        assert toric._adjacency(g.n, fs.cliques) == list(graphs._adjacency_masks(g)), name
+                (_zero_masks(g), _clique_rows(g), _twin_floors(g))
 
 
 def test_twin_floors_are_the_clique_preserving_swaps():
@@ -685,14 +635,13 @@ def test_twin_floors_are_the_clique_preserving_swaps():
     same vertex) iff swapping them maps the maximal cliques onto
     themselves, and each floor is the largest such vertex below."""
     for name, g in perfect_graphs_up_to(6):
-        fs = fs_of(g)
-        cliques = {frozenset(c) for c in fs.cliques}
+        cliques = {frozenset(c) for c in maximal_cliques(g).maximal_cliques}
 
         def swaps(u, v):
             tau = {u + 1: v + 1, v + 1: u + 1}
             return {frozenset(tau.get(i, i) for i in c) for c in cliques} == cliques
 
-        floors = _twin_floors(fs)
+        floors = _twin_floors(g)
         root = list(range(g.n))
         for v, f in enumerate(floors):
             if f >= 0:
@@ -708,8 +657,7 @@ def test_twin_walk_yields_one_point_per_orbit():
     non-decreasing along every twin class, once, in lexicographic order:
     one point per orbit of the twin swaps."""
     for name, g in perfect_graphs_up_to(5) + [("K4+P3", disjoint_union(complete_graph(4), P3))]:
-        fs = fs_of(g)
-        floors = _twin_floors(fs)
+        floors = _twin_floors(g)
         classes = []
         for v, f in enumerate(floors):
             if f < 0:
@@ -724,10 +672,11 @@ def test_twin_walk_yields_one_point_per_orbit():
                     out[v] = x
             return tuple(out)
 
-        for theta, degrees in ((0, range(4)), (1, range(fs.delta + 1, fs.delta + 4))):
+        cliques, delta = maximal_cliques(g).maximal_cliques, maximal_cliques(g).dim + 1
+        for theta, degrees in ((0, range(4)), (1, range(delta + 1, delta + 4))):
             for q in degrees:
-                walked = toric._walk(fs, theta, q, floors)
-                assert walked == sorted(set(map(sort_classes, _slice(fs, theta, q)))), \
+                walked = toric._walk(cliques, theta, q, floors)
+                assert walked == sorted(set(map(sort_classes, _slice(g, theta, q)))), \
                     (name, theta, q)
 
 
@@ -736,10 +685,9 @@ def test_trace_equals_power_matches_full_search(union_corpus):
     ring point, for every power from 0 to the component dimension spread
     plus one."""
     for name, g in perfect_graphs_up_to(6) + union_corpus:
-        fs = fs_of(g)
         dims = [maximal_cliques(component_graph(g, c)).dim for c in connected_components(g)]
         for power in range(dims[0] - dims[-1] + 2):
-            assert _trace_equals_power(fs, power) == full_trace_equals_power(fs, power), \
+            assert _trace_equals_power(g, power) == full_trace_equals_power(g, power), \
                 (name, power)
 
 
@@ -755,10 +703,9 @@ def test_trace_power_refutes_like_full_search_at_seven():
         dims = report.component_dims
         if report.classification != "NotGPS" or dims[0] == dims[-1]:
             continue
-        fs = fs_of(g)
         spread = dims[0] - dims[-1]
-        assert not _trace_equals_power(fs, spread), k
-        assert not full_trace_equals_power(fs, spread), k
+        assert not _trace_equals_power(g, spread), k
+        assert not full_trace_equals_power(g, spread), k
         checked += 1
     assert checked == 90
 
@@ -782,7 +729,8 @@ def test_trace_power_search_counts(monkeypatch):
             yield p
 
     monkeypatch.setattr(toric, "_trace_miss",
-                        lambda fs, rows, points, q, want: search(fs, rows, tally(points), q, want))
+                        lambda cliques, rows, points, q, want:
+                        search(cliques, rows, tally(points), q, want))
     for g, gps, searches in (
             (disjoint_union(complete_graph(5), K1), True, 105),
             (disjoint_union(complete_graph(5), K2), True, 63),
@@ -800,18 +748,18 @@ def test_trace_power_search_counts(monkeypatch):
 # -- faces ----------------------------------------------------------------------
 
 def test_cone_faces_k1():
-    faces = cone_faces(fs_of(K1))
+    faces = cone_faces(K1)
     assert sorted(f.dim for f in faces) == [0, 1, 1, 2]
 
 
 def test_cone_faces_k2_simplex():
-    faces = cone_faces(fs_of(K2))
+    faces = cone_faces(K2)
     assert len(faces) == 8
     assert sorted(f.dim for f in faces) == [0, 1, 1, 1, 2, 2, 2, 3]
 
 
 def test_cone_faces_paw():
-    faces = cone_faces(fs_of(PAW))
+    faces = cone_faces(PAW)
     dims = [f.dim for f in faces]
     assert max(dims) == 5
     assert min(dims) == 0
@@ -819,7 +767,7 @@ def test_cone_faces_paw():
 
 def test_cone_face_guard():
     with pytest.raises(SizeGuardError):
-        cone_faces(fs_of(empty_graph(9)))
+        cone_faces(empty_graph(9))
 
 
 def test_face_dims_match_rank(corpus):
@@ -830,7 +778,7 @@ def test_face_dims_match_rank(corpus):
     graphs = [(name, g) for name, g in corpus if "+" not in name]
     graphs.append(("hmp(5,6)", comparability_graph(hmp_poset(5, 6))))
     for name, g in graphs:
-        for face in cone_faces(fs_of(g)):
+        for face in cone_faces(g):
             rank = int_rank([list(p) + [1] for p in face.points])
             assert face.dim == rank, (name, face)
 
@@ -846,7 +794,7 @@ def test_faces_and_generators_pinned(corpus):
                disjoint_union(complete_graph(4), path_graph(3))]
     digest = hashlib.sha256()
     for g in graphs:
-        for part in (cone_faces(fs_of(g)), omega_generators(g),
+        for part in (cone_faces(g), omega_generators(g),
                      anticanonical_generators(g), pairwise_trace_generators(g)):
             digest.update(repr(part).encode())
     assert digest.hexdigest() == \
@@ -855,34 +803,32 @@ def test_faces_and_generators_pinned(corpus):
 
 def test_face_count_pinned(corpus):
     # the 51 perfect graphs on at most five vertices
-    total = sum(len(cone_faces(fs_of(g))) for name, g in corpus if "+" not in name)
+    total = sum(len(cone_faces(g)) for name, g in corpus if "+" not in name)
     assert total == 4962
 
 
 def test_full_cone_contains_every_stable_set_point():
-    fs = fs_of(P3)
-    top = max(cone_faces(fs), key=lambda f: f.dim)
-    assert top.dim == fs.n + 1
-    assert len(top.points) == hilbert_function(fs, 1)
-    for m in degree_monomials(fs, 2):
-        assert monomial_on_face(fs, top, m)
+    top = max(cone_faces(P3), key=lambda f: f.dim)
+    assert top.dim == P3.n + 1
+    assert len(top.points) == hilbert_function(P3, 1)
+    for m in degree_monomials(P3, 2):
+        assert monomial_on_face(P3, top, m)
 
 
 def test_origin_face_accepts_only_origin():
-    fs = fs_of(P3)
-    origin = min(cone_faces(fs), key=lambda f: f.dim)
+    origin = min(cone_faces(P3), key=lambda f: f.dim)
     assert origin.dim == 0
-    assert monomial_on_face(fs, origin, Monomial((0, 0, 0), 0))
-    assert not monomial_on_face(fs, origin, Monomial((0, 0, 0), 1))
+    assert monomial_on_face(P3, origin, Monomial((0, 0, 0), 0))
+    assert not monomial_on_face(P3, origin, Monomial((0, 0, 0), 1))
 
 
 def test_missed_faces_match_face_walk(kernel_faces_and_gens):
-    for name, g, fs, faces, gens in kernel_faces_and_gens:
-        missed = face_walk_missed(fs, faces, gens)
+    for name, g, faces, gens in kernel_faces_and_gens:
+        missed = face_walk_missed(g, faces, gens)
         # each walked face as its bitset of degree-one points, with its dim
-        index = {p: k for k, p in enumerate(_slice(fs, 0, 1))}
+        index = {p: k for k, p in enumerate(_slice(g, 0, 1))}
         walked = {sum(1 << index[p] for p in f.points): f.dim for f in missed}
-        assert missed_faces(fs, face_lattice(fs), gens) == walked, name
+        assert missed_faces(g, face_lattice(g), gens) == walked, name
 
 
 def test_face_oracles_match_minimal_generator_route(kernel_faces_and_gens):
@@ -891,10 +837,10 @@ def test_face_oracles_match_minimal_generator_route(kernel_faces_and_gens):
     ideal, otherwise n + 1 minus the largest dimension of a face no
     generator lies on; m-primary (only the apex missed) iff the height is
     UNIT or n + 1."""
-    for name, g, fs, faces, gens in kernel_faces_and_gens:
-        height = _local_height(fs)
+    for name, g, faces, gens in kernel_faces_and_gens:
+        height = _local_height(g)
         assert (height is UNIT) == any(m.degree == 0 for m in gens), name
-        missed = missed_faces(fs, face_lattice(fs), gens)
+        missed = missed_faces(g, face_lattice(g), gens)
         if height is not UNIT:
             assert height == g.n + 1 - max(missed.values()), name
         assert all(dim < 1 for dim in missed.values()) == \
@@ -902,7 +848,7 @@ def test_face_oracles_match_minimal_generator_route(kernel_faces_and_gens):
 
 
 def test_slices_build_no_incidence_table(monkeypatch):
-    """On a new facet system, `hilbert_function`, `degree_monomials` and
+    """On a new graph, `hilbert_function`, `degree_monomials` and
     the chain count of the oracle `polytope_point_count` walk the cliques
     alone and build no `_zero_masks`."""
     from gstab.posets import hmp_poset
@@ -910,10 +856,9 @@ def test_slices_build_no_incidence_table(monkeypatch):
     builds = []
     zero_masks = toric._zero_masks
     monkeypatch.setattr(toric, "_zero_masks", lambda *args: builds.append(1) or zero_masks(*args))
-    fs = fs_of(empty_graph(12))
-    assert hilbert_function(fs, 1) == 2 ** 12
+    assert hilbert_function(empty_graph(12), 1) == 2 ** 12
     # a1 + a2 <= 2 and a2 + a3 <= 2: 9 + 4 + 1 points by a2
-    assert len(degree_monomials(fs_of(P3), 2)) == 14
+    assert len(degree_monomials(P3, 2)) == 14
     # the chain and order polytopes of a poset have the same Ehrhart
     # polynomial (Stanley, "Two poset polytopes", 1986)
     p = hmp_poset(4, 6)
@@ -931,8 +876,8 @@ def test_trace_searches_build_no_incidence_table(monkeypatch):
     builds = []
     zero_masks = toric._zero_masks
     monkeypatch.setattr(toric, "_zero_masks", lambda *args: builds.append(1) or zero_masks(*args))
-    assert in_trace(FacetSystem(18, tuple((v,) for v in range(1, 19))), Monomial((1,) * 18, 3))
-    assert not in_trace(fs_of(K3K1), Monomial((0, 0, 0, 1), 1))
+    assert in_trace(empty_graph(18), Monomial((1,) * 18, 3))
+    assert not in_trace(K3K1, Monomial((0, 0, 0, 1), 1))
     assert trace_equals_power(K3K1, 2) and not trace_equals_power(K3K1, 1)
     assert not trace_equals_power(comparability_graph(hmp_poset(4, 6)), 1)
     assert builds == []
@@ -1003,7 +948,7 @@ def test_local_height_matches_generator_route(corpus):
     graphs = kernel_corpus(corpus) + perfect_graphs_up_to(6) + oracle_large_graphs()
     assert len(graphs) == 69 + 199 + 20
     for name, g in graphs:
-        assert _local_height(fs_of(g)) == generator_trace_height(g), name
+        assert _local_height(g) == generator_trace_height(g), name
 
 
 def test_faces_within_match_face_lattice():
@@ -1014,17 +959,17 @@ def test_faces_within_match_face_lattice():
     minus the largest lattice dimension of a non-Gorenstein face, as the
     generator route says."""
     for name, g in perfect_graphs_up_to(6) + oracle_large_graphs():
-        fs = fs_of(g)
-        masks, full = _zero_masks(fs)
-        dims = face_lattice(fs)
+        cliques = maximal_cliques(g).maximal_cliques
+        masks, full = _zero_masks(g)
+        dims = face_lattice(g)
         everything = [1 << k for k in range(full.bit_length())]
         assert _faces_within(masks, full, everything) == {f: d for f, d in dims.items() if f}, name
-        bad = [r for r in everything if not _gorenstein(fs.cliques, masks, r)]
+        bad = [r for r in everything if not _gorenstein(cliques, masks, r)]
         within = sum(bad)
         assert _faces_within(masks, full, bad) == \
             {f: d for f, d in dims.items() if f and f & within == f}, name
-        height = _local_height(fs)
-        missed = [d for f, d in dims.items() if not _gorenstein(fs.cliques, masks, f)]
+        height = _local_height(g)
+        missed = [d for f, d in dims.items() if not _gorenstein(cliques, masks, f)]
         assert (height is UNIT) == (missed == []), name
         if missed:
             assert height == g.n + 1 - max(missed), name
@@ -1063,9 +1008,9 @@ def test_height_solve_counts(solves, monkeypatch):
     for g in (K2K1, K3K1, k5p3):
         solves[0] = 0
         assert trace_height(g) == g.n + 1
-        assert solves[0] == 1 + hilbert_function(fs_of(g), 1)
+        assert solves[0] == 1 + hilbert_function(g, 1)
     # so K5+P3 takes 31 solves
-    assert hilbert_function(fs_of(k5p3), 1) == 30
+    assert hilbert_function(k5p3, 1) == 30
     assert walks == []
     solves[0] = 0
     assert trace_height(comparability_graph(hmp_poset(4, 9))) == 4
@@ -1084,7 +1029,7 @@ def test_ray_stage_decides_m_primariness():
     assert len(eights) == 450
     for name, g in perfect_graphs_up_to(7) + eights:
         height = trace_height(g)
-        decided = _ray_stage(fs_of(g))[0]
+        decided = _ray_stage(g)[0]
         assert (decided is not None) == (height is UNIT or height == g.n + 1), name
         assert decided in (None, height), name
         assert is_m_primary(g) == (decided is not None), name
@@ -1119,7 +1064,7 @@ def test_verify_equivalence_reports_disagreements(monkeypatch):
     """A trace-power oracle that always says no disagrees with the fast
     criterion on each of the three graphs on at most two vertices, all
     GPS and m-primary, and each is listed with the three verdicts."""
-    monkeypatch.setattr(toric, "_trace_equals_power", lambda fs, power: False)
+    monkeypatch.setattr(toric, "_trace_equals_power", lambda g, power: False)
     result = verify_equivalence(2)
     assert (result["graphs_checked"], result["perfect"], result["disagreements"]) == (3, 3, 3)
     assert result["details"] == [
@@ -1147,12 +1092,11 @@ def test_height_found_above_the_rays(solves, monkeypatch):
     assert solves[0] == 66
     [dims] = listed
     assert len(dims) == 99
-    fs = fs_of(g)
     span = {(1, 3), (2, 4), (1, 3, 6), (2, 4, 7)}
-    face = sum(1 << k for k, p in enumerate(_slice(fs, 0, 1))
+    face = sum(1 << k for k, p in enumerate(_slice(g, 0, 1))
                if tuple(v + 1 for v, x in enumerate(p) if x) in span)
     assert dims[face] == 4
-    assert not _gorenstein(fs.cliques, _zero_masks(fs)[0], face)
+    assert not _gorenstein(maximal_cliques(g).maximal_cliques, _zero_masks(g)[0], face)
 
 
 def test_trace_height_guard_fires_before_any_solve(solves):
@@ -1190,18 +1134,18 @@ def test_integer_and_rational_solvability_agree():
     memo = {}
     faces = bad = 0
     for name, g in perfect_graphs_up_to(6):
-        fs = fs_of(g)
-        masks = _zero_masks(fs)[0]
+        cliques = maximal_cliques(g).maximal_cliques
+        masks = _zero_masks(g)[0]
         n = g.n
-        for face in face_lattice(fs):
+        for face in face_lattice(g):
             fixed = [face & masks[j] == face for j in range(n)]
             rows = tuple(sorted(
                 ((*(-int(i + 1 in c and not fixed[i]) for i in range(n)), 1),
                  1 + sum(fixed[i - 1] for i in c))
-                for c, mask in zip(fs.cliques, masks[n:]) if face & mask == face))
+                for c, mask in zip(cliques, masks[n:]) if face & mask == face))
             if rows not in memo:
                 memo[rows] = rational_solvable(rows)
-            assert _gorenstein(fs.cliques, masks, face) == memo[rows], (name, face)
+            assert _gorenstein(cliques, masks, face) == memo[rows], (name, face)
             faces += 1
             bad += not memo[rows]
     assert (faces, bad) == (53398, 973)
@@ -1214,7 +1158,7 @@ def test_gorenstein_is_an_integer_test():
     faces or of the oracle_large graphs needs a Euclid step on a pivot
     that is no unit.  One vertex is fixed (its mask holds the face, bit
     0), the others are free, and the rows are q - sum_{i in C} c_i = 1 for
-    the sets C below, of vertices 1..n as in a facet system (no graph has
+    the sets C below, of vertices 1..n as in `toric._cliques` (no graph has
     these as its maximal cliques, so they are passed to `_gorenstein`
     directly, with the masks).
     - Vertex 2 fixed: the row of (2,) gives q = 2, so the other three rows
@@ -1241,11 +1185,11 @@ def test_gorenstein_matches_basis_route():
     def check(graphs):
         faces = 0
         for name, g in graphs:
-            fs = fs_of(g)
-            masks = _zero_masks(fs)[0]
-            for face in face_lattice(fs):
-                assert _gorenstein(fs.cliques, masks, face) == \
-                    gorenstein_by_basis(fs.cliques, masks, face), (name, face)
+            cliques = maximal_cliques(g).maximal_cliques
+            masks = _zero_masks(g)[0]
+            for face in face_lattice(g):
+                assert _gorenstein(cliques, masks, face) == \
+                    gorenstein_by_basis(cliques, masks, face), (name, face)
                 faces += 1
         return faces
 
@@ -1265,12 +1209,12 @@ def test_ray_gorenstein_closed_form():
     the solver against a rule it does not use."""
     rays = 0
     for name, g in perfect_graphs_up_to(6):
-        fs = fs_of(g)
-        masks = _zero_masks(fs)[0]
-        sizes = [{len(c) for c in fs.cliques if v + 1 in c} for v in range(g.n)]
-        for k, point in enumerate(_slice(fs, 0, 1)):
+        cliques = maximal_cliques(g).maximal_cliques
+        masks = _zero_masks(g)[0]
+        sizes = [{len(c) for c in cliques if v + 1 in c} for v in range(g.n)]
+        for k, point in enumerate(_slice(g, 0, 1)):
             one_size = all(len(sizes[v]) == 1 for v in range(g.n) if point[v])
-            assert _gorenstein(fs.cliques, masks, 1 << k) == one_size, (name, point)
+            assert _gorenstein(cliques, masks, 1 << k) == one_size, (name, point)
             rays += 1
     assert rays == 3265
 
@@ -1361,6 +1305,49 @@ def test_classify_checks_perfection_once(monkeypatch):
 def test_classify_rejects_empty_graph():
     with pytest.raises(ParameterError):
         classify(empty_graph(0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: in_ring(g, Monomial((), 0)),
+    lambda g: in_canonical(g, Monomial((), 0)),
+    lambda g: in_anticanonical(g, Monomial((), 0)),
+    lambda g: in_trace(g, Monomial((), 0)),
+    lambda g: degree_monomials(g, 1),
+    lambda g: degree_monomials(g, -1),
+    lambda g: hilbert_function(g, 1),
+    lambda g: hilbert_function(g, -1),
+    lambda g: trace_equals_power(g, 0),
+    is_m_primary,
+    trace_height,
+], ids=["in_ring", "in_canonical", "in_anticanonical", "in_trace", "degree_monomials",
+        "degree_monomials_below_0", "hilbert_function", "hilbert_function_below_0",
+        "trace_equals_power", "is_m_primary", "trace_height"])
+def test_toric_entry_points_refuse_a_graph_without_vertices(call):
+    """A graph with no vertices has no maximal clique to read the ring's
+    inequalities from, so every entry point refuses it, below degree 0
+    too; `classify` and its fields are checked by their own tests."""
+    with pytest.raises(ParameterError, match="at least one vertex"):
+        call(Graph(0, frozenset()))
+
+
+@pytest.mark.parametrize("oracle", [lambda g: trace_equals_power(g, 1),
+                                    is_m_primary, trace_height],
+                         ids=["trace_equals_power", "is_m_primary", "trace_height"])
+def test_oracles_refuse_imperfect_graphs(oracle):
+    """C5's ring is not cut out by its clique inequalities, so the three
+    oracles, which read nothing else, refuse it."""
+    with pytest.raises(NotPerfectError):
+        oracle(cycle_graph(5))
+
+
+def test_membership_reads_the_clique_inequalities_of_any_graph():
+    """The membership tests and slices test no perfection: on C5 they
+    answer from its clique (edge) inequalities.  x^(1,1,1,1,1) t^2 meets
+    every one, though the odd-cycle inequality x(C5) <= 2q of C5's stable
+    set polytope cuts it off."""
+    c5 = cycle_graph(5)
+    assert in_ring(c5, Monomial((1,) * 5, 2))
+    assert hilbert_function(c5, 1) == 11
 
 
 def test_classify_vertex_limit_override():
