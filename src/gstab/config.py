@@ -29,10 +29,10 @@ DEFAULT_PERFECT_LIMIT = 12
 
 # The face oracle walks faces of the (n+1)-dimensional cone.  At the
 # default, `verify` checks the 9992 perfect graphs on at most 8 vertices
-# in about 20 s, in flat memory (about 18 MB peak RSS), since it solves
+# in about 11 s, in flat memory (about 18 MB peak RSS), since it solves
 # only each cone's apex and rays and drops them with the graph.  There are
 # 274668 graphs on 9 vertices, 22 times as many as on 8, so 9 needs the
-# environment override; the whole run to 9 takes about 9 minutes.
+# environment override; the whole run to 9 takes about 6 minutes.
 DEFAULT_CONE_DIM_LIMIT = 9
 
 _ENV_VAR = "GSTAB_SIZE_LIMIT"

@@ -14,6 +14,7 @@ stable sets, so both are read off the graph.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -25,27 +26,40 @@ from .graphs import Graph, stable_sets
 class Poset:
     """elements: label list; lt: lt[i] is the frozenset of indices j with
     element i strictly below element j (already transitively closed), one
-    row per element."""
+    row per element.  The labels must be hashable, and the indices may be
+    any integer-like values (`operator.index`); they are stored as ints."""
 
     elements: tuple
     lt: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        try:
+            elements = tuple(self.elements)
+            distinct = len(set(elements))
+        except TypeError:
+            raise FormatError(f"poset labels must be hashable, got {self.elements!r}") from None
+        try:
+            lt = tuple(frozenset(map(operator.index, ups)) for ups in self.lt)
+        except TypeError:
+            raise FormatError("relation rows must be sets of integer indices, "
+                              f"got {self.lt!r}") from None
+        if distinct != len(elements):
             raise FormatError("duplicate poset labels")
-        n = len(self.elements)
-        if len(self.lt) != n:
-            raise FormatError(f"relation has {len(self.lt)} rows for {n} elements")
-        for i, ups in enumerate(self.lt):
+        n = len(elements)
+        if len(lt) != n:
+            raise FormatError(f"relation has {len(lt)} rows for {n} elements")
+        for i, ups in enumerate(lt):
             if i in ups:
                 raise FormatError("strict order cannot be reflexive")
             for j in ups:
                 if not 0 <= j < n:
                     raise FormatError("relation index out of range")
-                if i in self.lt[j]:
+                if i in lt[j]:
                     raise FormatError("antisymmetry violated")
-                if not self.lt[j] <= ups:
+                if not lt[j] <= ups:
                     raise FormatError("relation not transitively closed")
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "lt", lt)
 
     def __len__(self):
         return len(self.elements)

@@ -144,6 +144,26 @@ def test_poset_refuses_a_relation_row_count_other_than_the_element_count(lt):
         Poset(("a", "b"), lt)
 
 
+@pytest.mark.parametrize("elements, lt, message", [
+    (("a", "b"), (frozenset({"x"}), frozenset()), "integer indices"),
+    (("a", "b"), (5, frozenset()), "integer indices"),
+    (("a", "b"), (frozenset({1.0}), frozenset()), "integer indices"),
+    ((["a"], "b"), (frozenset({1}), frozenset()), "hashable"),
+])
+def test_poset_refuses_malformed_labels_and_relation_entries(elements, lt, message):
+    """A non-integer index, a row that is no set and an unhashable label are
+    each a FormatError of the constructor, not a TypeError inside it."""
+    with pytest.raises(FormatError, match=message):
+        Poset(elements, lt)
+
+
+def test_poset_accepts_integer_like_indices_as_ints():
+    p = Poset(("a", "b"), (frozenset({np.int64(1)}), frozenset()))
+    assert p == Poset(("a", "b"), (frozenset({1}), frozenset()))
+    assert all(type(j) is int for row in p.lt for j in row)
+    assert p.less("a", "b")
+
+
 def test_from_covers_equals_reachability():
     rng = random.Random(1701)
     for _ in range(300):
