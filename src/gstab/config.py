@@ -23,13 +23,13 @@ import os
 from .errors import ParameterError
 
 # The perfection test (Lovasz's criterion) runs two clique searches on
-# each induced subgraph inside one connected component: all 2^n of them
-# for a connected graph.
+# each induced subgraph of at least 5 vertices inside one connected
+# component: nearly all 2^n of them for a connected graph.
 DEFAULT_PERFECT_LIMIT = 12
 
 # The face oracle walks faces of the (n+1)-dimensional cone.  At the
 # default, `verify` checks the 9992 perfect graphs on at most 8 vertices
-# in about 11 s, in flat memory (about 18 MB peak RSS), since it solves
+# in about 10 s, in flat memory (about 18 MB peak RSS), since it solves
 # only each cone's apex and rays and drops them with the graph.  There are
 # 274668 graphs on 9 vertices, 22 times as many as on 8, so 9 needs the
 # environment override; the whole run to 9 takes about 6 minutes.

@@ -4,9 +4,9 @@ Vertices are labeled 1..n.  Edges are unordered pairs.  All values are
 immutable and all operations are pure functions, so everything here is safe
 to share across threads.  Perfection is decided by Lovasz's criterion
 (omega(H) * alpha(H) >= |V(H)| on every induced subgraph H), tested on the
-induced subgraphs inside one connected component: exponential in the
-largest component's size, and guarded by a vertex limit.  Enumeration up
-to isomorphism is guarded by the cone-dimension limit.
+induced subgraphs of 5+ vertices inside one connected component: exponential
+in the largest component's size, and guarded by a vertex limit.  Enumeration
+up to isomorphism is guarded by the cone-dimension limit.
 """
 
 from __future__ import annotations
@@ -342,10 +342,12 @@ def is_perfect(g: Graph, limit: int | None = None) -> bool:
     parts H1, H2 with no edge between them, omega(H) is the larger of
     omega(H1), omega(H2) and alpha(H) = alpha(H1) + alpha(H2), so
     omega(H) * alpha(H) >= omega(H1) * alpha(H1) + omega(H2) * alpha(H2),
-    and H passes when its parts do.  That is sum 2^|C| subsets over the
-    components C, all 2^n for a connected graph, so `limit` (default: the
-    perfection guard of `config`; an integer, else a ParameterError) caps
-    the vertex count.
+    and H passes when its parts do.  Subgraphs of at most four vertices are
+    not tested: C5 is the smallest imperfect graph, and a perfect H has
+    |V(H)| <= chi(H) * alpha(H) = omega(H) * alpha(H).  The scan still
+    walks sum 2^|C| subsets over the components C, all 2^n for a connected
+    graph, so `limit` (default: the perfection guard of `config`; an
+    integer, else a ParameterError) caps the vertex count.
     """
     if limit is None:
         limit = perfect_limit()
@@ -358,6 +360,8 @@ def is_perfect(g: Graph, limit: int | None = None) -> bool:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _perfect(g: Graph) -> bool:
+    """Lovasz's test on the subsets of five or more vertices of each
+    component, ascending, up to the first failing one (`is_perfect`)."""
     adj = _adjacency_masks(g)
     full = (1 << g.n) - 1
     # the complement's adjacency: alpha(H) is its clique number on H
@@ -366,7 +370,8 @@ def _perfect(g: Graph) -> bool:
         # the nonempty subsets of comp in ascending order
         h = 0
         while h := (h - comp) & comp:
-            if _max_clique_size(adj, h) * _max_clique_size(co_adj, h) < h.bit_count():
+            if (k := h.bit_count()) > 4 and \
+                    _max_clique_size(adj, h) * _max_clique_size(co_adj, h) < k:
                 return False
     return True
 

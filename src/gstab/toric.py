@@ -459,14 +459,17 @@ def _trace_equals_power(g: Graph, power: int) -> bool:
     decided by `_trace_miss` from the definition; neither the faces nor
     the purity criterion is read.  `full_trace_equals_power` in the tests
     is the loop over every point.  The clique rows and the twin floors are
-    derived once and read by every search and walk.
+    derived once and read by every search and walk.  The absence tests
+    start at degree omega - min |C|: below it `_trace_miss` has no degree
+    split to try, so no point there is in the trace.
     """
     cliques, rows, floors = _cliques(g), _clique_rows(g), _twin_floors(g)
     top = _walk(cliques, 0, power, floors)[::-1]
     if _trace_miss(cliques, rows, top, power, True) is not None:
         return False
+    sizes = list(map(len, cliques))
     return all(_trace_miss(cliques, rows, _walk(cliques, 0, q, floors), q, False) is None
-               for q in range(power))
+               for q in range(max(sizes) - min(sizes), power))
 
 
 def _twin_floors(g: Graph) -> tuple[int, ...]:

@@ -240,15 +240,18 @@ def test_perfection_agrees_with_hole_and_coloring_oracles():
 
 
 @pytest.mark.parametrize("g, calls", [
-    (union(complete_graph(5), path_graph(3)), 76),                  # 2^n: 510
-    (union(complete_graph(3), complete_graph(3), complete_graph(1)), 30),  # 254
-    (union(complete_graph(3), cycle_graph(5)), 76),                 # imperfect; 496
-    (path_graph(7), 254),                                           # connected
+    pytest.param(union(complete_graph(5), path_graph(3)), 2, id="K5+P3"),  # 2^n: 510
+    pytest.param(union(complete_graph(3), complete_graph(3), complete_graph(1)), 0,
+                 id="K3+K3+K1"),                                            # 254
+    pytest.param(union(complete_graph(3), cycle_graph(5)), 2, id="K3+C5"),  # imperfect; 496
+    pytest.param(path_graph(7), 58, id="P7"),                               # connected
 ])
 def test_perfection_searches_within_components(monkeypatch, g, calls):
-    """Two clique searches per nonempty vertex subset of one component, in
-    ascending order up to the first violation, where every subset of the
-    graph would take 2 * (2^n - 1)."""
+    """Two clique searches per vertex subset of five or more vertices of
+    one component, in ascending order up to the first violation, where
+    every nonempty subset of the graph would take 2 * (2^n - 1): the K5
+    alone in K5+P3, the C5 alone in K3+C5, none in K3+K3+K1, and the 29
+    subsets of P7 with at least five vertices."""
     counted = []
     search = graphs_module._max_clique_size
 
@@ -260,6 +263,41 @@ def test_perfection_searches_within_components(monkeypatch, g, calls):
     # the undecorated test, so that no cached verdict hides the searches
     graphs_module._perfect.__wrapped__(g)
     assert len(counted) == calls
+    assert all(h.bit_count() >= 5 for h in counted)
+
+
+def test_subsets_of_at_most_four_vertices_pass_lovasz():
+    """Every graph on at most four vertices is perfect, so
+    omega(H) * alpha(H) >= |V(H)| holds on each of its induced subgraphs H:
+    this is why `_perfect` runs no clique search on them.  Checked on the
+    19 graphs up to isomorphism, with the search `_perfect` uses."""
+    graphs = [g for n in range(5) for g in graphs_up_to_iso(n)]
+    assert len(graphs) == 19
+    for g in graphs:
+        adj = graphs_module._adjacency_masks(g)
+        co_adj = graphs_module._adjacency_masks(complement(g))
+        for h in range(1, 1 << g.n):
+            omega = graphs_module._max_clique_size(adj, h)
+            alpha = graphs_module._max_clique_size(co_adj, h)
+            assert omega * alpha >= h.bit_count(), (g, h)
+
+
+def test_perfection_searches_on_seven_vertices(monkeypatch):
+    """The 1044 classes on seven vertices take 45550 clique searches in
+    all (220450 with the subsets of at most four vertices), and 906 are
+    perfect."""
+    calls = [0]
+    search = graphs_module._max_clique_size
+
+    def counting(adj, subset):
+        calls[0] += 1
+        return search(adj, subset)
+
+    monkeypatch.setattr(graphs_module, "_max_clique_size", counting)
+    graphs = list(graphs_up_to_iso(7))
+    assert len(graphs) == 1044
+    assert sum(graphs_module._perfect.__wrapped__(g) for g in graphs) == 906
+    assert calls[0] == 45550
 
 
 def seeded_comparability_graph() -> Graph:
@@ -274,15 +312,16 @@ def seeded_comparability_graph() -> Graph:
 
 
 @pytest.mark.parametrize("g, frames", [
-    (path_graph(7), 988),
-    (union(complete_graph(5), path_graph(3)), 229),
-    (seeded_comparability_graph(), 55674),
+    pytest.param(path_graph(7), 334, id="P7"),
+    pytest.param(union(complete_graph(5), path_graph(3)), 11, id="K5+P3"),
+    pytest.param(seeded_comparability_graph(), 49691, id="comparability12"),
 ])
 def test_clique_search_frames_pinned(monkeypatch, g, frames):
     """The branch and bound of `_grow_clique`, pinned by the number of its
-    frames over one perfection test: the candidates are taken lowest bit
-    first and the bound is tested before each branch and after each
-    drop, so a change of branching order or bound moves the count."""
+    frames over one perfection test, which searches only the subsets of
+    five or more vertices: the candidates are taken lowest bit first and
+    the bound is tested before each branch and after each drop, so a
+    change of branching order or bound moves the count."""
     counted = [0]
     grow = graphs_module._grow_clique
 

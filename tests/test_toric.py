@@ -712,13 +712,14 @@ def test_trace_power_refutes_like_full_search_at_seven():
 
 def test_trace_power_search_counts(monkeypatch):
     """`classify(oracle=True)` searches one ring point per twin orbit of
-    degrees 0..N, degree N first and descending, and stops at the first
-    point of degree N outside the trace.  A GPS graph misses none, so all
-    its orbits are searched: searching every point took 930, 705, 2005,
-    236 and 333 searches on these graphs.  A NotGPS graph stops at its
-    first miss: on the first two, with N = 2 and 3, that is the first
-    point, where the absence tests first took 60 and 223 searches; the
-    third misses 49 orbits in (72 absence first)."""
+    degrees omega - min |C| .. N, degree N first and descending, and stops
+    at the first point of degree N outside the trace.  A GPS graph misses
+    none, so all its orbits of those degrees are searched: searching every
+    point took 930, 705, 2005, 236 and 333 searches on these graphs, and
+    every orbit from degree 0 took 105, 63, 189, 49 and 57.  A NotGPS graph
+    stops at its first miss: on the first two, with N = 2 and 3, that is
+    the first point, where the absence tests first took 60 and 223
+    searches; the third misses 49 orbits in (72 absence first)."""
     calls = 0
     search = toric._trace_miss
 
@@ -732,11 +733,11 @@ def test_trace_power_search_counts(monkeypatch):
                         lambda cliques, rows, points, q, want:
                         search(cliques, rows, tally(points), q, want))
     for g, gps, searches in (
-            (disjoint_union(complete_graph(5), K1), True, 105),
-            (disjoint_union(complete_graph(5), K2), True, 63),
-            (disjoint_union(complete_graph(5), P3), True, 189),
-            (disjoint_union(complete_graph(4), P3), True, 49),
-            (disjoint_union(disjoint_union(K3, K3), K1), True, 57),
+            (disjoint_union(complete_graph(5), K1), True, 60),
+            (disjoint_union(complete_graph(5), K2), True, 42),
+            (disjoint_union(complete_graph(5), P3), True, 140),
+            (disjoint_union(complete_graph(4), P3), True, 40),
+            (disjoint_union(disjoint_union(K3, K3), K1), True, 48),
             (Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3)]), False, 1),
             (Graph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)]), False, 1),
             (Graph(6, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4)]), False, 49)):
