@@ -10,7 +10,6 @@ from .errors import (
     SizeGuardError,
 )
 from .graphs import (
-    CliqueComplex,
     Component,
     Graph,
     complement,

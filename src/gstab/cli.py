@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-    gstab graph analyze FILE [--oracle] [--max-n N]
-    gstab poset analyze FILE [--oracle] [--max-n N]
+    gstab graph analyze FILE [--oracle]
+    gstab poset analyze FILE [--oracle]
     gstab family hmp --a A --b B [--oracle]
     gstab numsgp --gens 3,4,5 | --family A B
     gstab verify --max-n K
@@ -24,13 +24,14 @@ import sys
 import time
 
 from . import __version__
-from .config import perfect_limit
+from .config import check_size
 from .errors import (
     FormatError,
     GstabError,
     NotPerfectError,
     ParameterError,
     SizeGuardError,
+    _read_text,
 )
 from .graphs import Graph, connected_components, load_graph
 from .numsgp import (
@@ -96,23 +97,9 @@ def _graph_payload(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.sorted_edges()]}
 
 
-def _size_guard(what: str, limit: int, n: int) -> None:
-    """Refuse n vertices above limit before anything is built."""
-    if n > limit:
-        raise SizeGuardError(f"{what} limited to {limit} vertices, got {n}")
-
-
-def _vertex_limit(args) -> int | None:
-    """The analysis commands' `--max-n`, which must be at least 1 if given."""
-    if args.max_n is not None and args.max_n < 1:
-        raise ParameterError("--max-n must be at least 1")
-    return args.max_n
-
-
 def cmd_graph_analyze(args) -> tuple[dict, int]:
-    limit = _vertex_limit(args)
     g = load_graph(args.file)
-    report = classify(g, oracle=args.oracle, vertex_limit=limit)
+    report = classify(g, oracle=args.oracle)
     payload = {
         **_header("graph analyze"),
         "input": {"path": args.file, **_graph_payload(g)},
@@ -130,16 +117,13 @@ def _poset_payload(p: Poset) -> dict:
 
 
 def cmd_poset_analyze(args) -> tuple[dict, int]:
-    limit = _vertex_limit(args)
-    with open(args.file, "r", encoding="utf-8") as fh:
-        elements, covers = _decode_poset_json(fh.read())
+    elements, covers = _decode_poset_json(_read_text(args.file))
     # the comparability graph has one vertex per element; refuse before
     # closing the relation, with the perfection guard classify would apply
-    _size_guard("perfection test", perfect_limit() if limit is None else limit,
-                len(elements))
+    check_size("perfection test", len(elements))
     p = poset_from_covers(elements, covers)
     g = comparability_graph(p)
-    report = classify(g, oracle=args.oracle, vertex_limit=limit)
+    report = classify(g, oracle=args.oracle)
     payload = {
         **_header("poset analyze"),
         "input": {"path": args.file, **_poset_payload(p)},
@@ -154,7 +138,7 @@ def cmd_poset_analyze(args) -> tuple[dict, int]:
 
 def cmd_family_hmp(args) -> tuple[dict, int]:
     # the poset has b - 1 elements; refuse before building it
-    _size_guard("family hmp", perfect_limit(), args.b - 1)
+    check_size("family hmp", args.b - 1)
     p = hmp_poset(args.a, args.b)
     g = comparability_graph(p)
     payload = {
@@ -247,8 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def analysis_flags(p):
         p.add_argument("--oracle", action="store_true",
                        help="also run the brute-force lattice-point checks")
-        p.add_argument("--max-n", type=int, default=None,
-                       help="override the perfection-test vertex limit")
 
     graph = sub.add_parser("graph", help="graph file operations")
     graph_sub = graph.add_subparsers(dest="graph_command", required=True)

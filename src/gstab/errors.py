@@ -1,9 +1,12 @@
 """Exception hierarchy shared across the package.
 
 Every failure mode the CLI distinguishes by exit code has its own class
-here, so library users can catch precisely what they care about.
+here, so library users can catch precisely what they care about.  The
+private helpers turn malformed outside input (numbers, files, JSON) into
+these errors.
 """
 
+import json
 import operator
 
 
@@ -34,3 +37,23 @@ def _ints(values, error: type[GstabError], what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         raise error(f"{what} must be integers, got {values!r}") from None
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at `path`; bytes that are not UTF-8 are
+    a FormatError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _decode_json(text: str):
+    """`text` decoded as JSON.  Malformed JSON, nesting deeper than the
+    decoder's recursion limit and an integer longer than Python's limit on
+    int-string conversion are each a FormatError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"invalid JSON: {exc}") from exc

@@ -11,14 +11,13 @@ up to isomorphism is guarded by the cone-dimension limit.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .config import cone_dim_limit, perfect_limit
-from .errors import FormatError, ParameterError, SizeGuardError, _ints
+from .config import check_size
+from .errors import FormatError, ParameterError, _decode_json, _ints, _read_text
 
 # Entries in each cache keyed on one graph: `maximal_cliques` and
 # `_perfect`.  A sweep such as `verify` asks `is_perfect` and then
@@ -74,15 +73,6 @@ class Graph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-
-@dataclass(frozen=True)
-class CliqueComplex:
-    """The inclusion-maximal cliques of a graph, plus the complex dimension
-    (largest clique size minus one)."""
-
-    maximal_cliques: tuple[tuple[int, ...], ...]
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -150,10 +140,7 @@ def parse_graph_json(text: str) -> Graph:
     Duplicate pairs and reversed duplicates are rejected rather than
     silently merged.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+    data = _decode_json(text)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise FormatError('graph file needs keys "n" and "edges"')
     n = data["n"]
@@ -181,8 +168,7 @@ def parse_graph_json(text: str) -> Graph:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_json(fh.read())
+    return parse_graph_json(_read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +271,13 @@ def _grow_clique(adj: tuple[int, ...], size: int, candidates: int, best: int) ->
 # operations
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def maximal_cliques(g: Graph) -> CliqueComplex:
+def maximal_cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All inclusion-maximal cliques, lexicographically sorted.
 
     An isolated vertex i contributes the singleton clique (i,).
     """
-    adj = _adjacency_masks(g)
-    full = (1 << g.n) - 1
-    masks = _maximal_clique_masks(adj, full)
-    cliques = sorted(tuple(v + 1 for v in _bits(m)) for m in masks)
-    dim = max((len(c) for c in cliques), default=0) - 1
-    return CliqueComplex(tuple(cliques), dim)
+    masks = _maximal_clique_masks(_adjacency_masks(g), (1 << g.n) - 1)
+    return tuple(sorted(tuple(v + 1 for v in _bits(m)) for m in masks))
 
 
 def connected_components(g: Graph) -> tuple[Component, ...]:
@@ -308,7 +290,7 @@ def connected_components(g: Graph) -> tuple[Component, ...]:
     purity) sequence is therefore the same for every labelling of the
     graph.
     """
-    cliques = maximal_cliques(g).maximal_cliques
+    cliques = maximal_cliques(g)
     built = []
     for comp in _component_masks(_adjacency_masks(g)):
         sizes = {len(c) for c in cliques if comp >> (c[0] - 1) & 1}
@@ -322,18 +304,27 @@ def stable_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All stable (independent) vertex sets, the empty set included.
 
     Ordered by size then lexicographically.  These index the degree-one
-    generators of the stable set ring.  Built vertex by vertex: each set
-    found so far is kept, and extended by the vertex if it holds none of
-    the vertex's neighbours.
+    generators of the stable set ring; `_stable_masks` grows them.
+    """
+    sets = (tuple(v + 1 for v in _bits(m)) for m in _stable_masks(_adjacency_masks(g)))
+    return tuple(sorted(sets, key=lambda s: (len(s), s)))
+
+
+def _stable_masks(adj: tuple[int, ...]) -> list[int]:
+    """The vertex bitsets of all stable sets, the empty set first.
+
+    Grown from the last vertex down: each set found so far is kept, and
+    extended by the vertex if it holds none of the vertex's neighbours, so
+    the sets holding a vertex follow those that do not: the sets come in
+    ascending lexicographic order of their 0/1 vectors.
     """
     masks = [0]
-    for v, a in enumerate(_adjacency_masks(g)):
-        masks += [m | 1 << v for m in masks if not m & a]
-    return tuple(sorted((tuple(v + 1 for v in _bits(m)) for m in masks),
-                        key=lambda s: (len(s), s)))
+    for v in reversed(range(len(adj))):
+        masks += [m | 1 << v for m in masks if not m & adj[v]]
+    return masks
 
 
-def is_perfect(g: Graph, limit: int | None = None) -> bool:
+def is_perfect(g: Graph) -> bool:
     """Is the graph perfect?
 
     Decided by Lovasz's criterion (1972): a graph is perfect iff
@@ -346,15 +337,9 @@ def is_perfect(g: Graph, limit: int | None = None) -> bool:
     not tested: C5 is the smallest imperfect graph, and a perfect H has
     |V(H)| <= chi(H) * alpha(H) = omega(H) * alpha(H).  The scan still
     walks sum 2^|C| subsets over the components C, all 2^n for a connected
-    graph, so `limit` (default: the perfection guard of `config`; an
-    integer, else a ParameterError) caps the vertex count.
+    graph, so the perfection guard of `config` caps the vertex count.
     """
-    if limit is None:
-        limit = perfect_limit()
-    else:
-        limit = _ints((limit,), ParameterError, "vertex limits")[0]
-    if g.n > limit:
-        raise SizeGuardError(f"perfection test limited to {limit} vertices, got {g.n}")
+    check_size("perfection test", g.n)
     return _perfect(g)
 
 
@@ -496,9 +481,7 @@ def graphs_up_to_iso(n: int):
     n = _ints((n,), ParameterError, "vertex counts")[0]
     if n < 0:
         raise ParameterError(f"vertex count must be nonnegative, got {n}")
-    limit = cone_dim_limit()
-    if n > limit:
-        raise SizeGuardError(f"enumeration limited to {limit} vertices, got {n}")
+    check_size("enumeration", n)
     pairs = list(combinations(range(n), 2))
     for mask in _canonical_masks(n):
         edges = [(i + 1, j + 1) for k, (i, j) in enumerate(pairs) if mask >> k & 1]

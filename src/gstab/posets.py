@@ -13,12 +13,11 @@ stable sets, so both are read off the graph.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import FormatError, ParameterError, _ints
+from .errors import FormatError, ParameterError, _decode_json, _ints, _read_text
 from .graphs import Graph, stable_sets
 
 
@@ -116,10 +115,7 @@ def poset_from_covers(elements, covers) -> Poset:
 
 def _decode_poset_json(text: str) -> tuple[list, list[tuple]]:
     """Elements and cover pairs of a poset file, checked for shape only."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+    data = _decode_json(text)
     if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
         raise FormatError('poset file needs keys "elements" and "covers"')
     if not isinstance(data["elements"], list):
@@ -137,8 +133,7 @@ def parse_poset_json(text: str) -> Poset:
 
 
 def load_poset(path: str) -> Poset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_poset_json(fh.read())
+    return parse_poset_json(_read_text(path))
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .config import cone_dim_limit
-from .errors import FormatError, NotPerfectError, ParameterError, SizeGuardError, _ints
+from .config import check_size
+from .errors import FormatError, NotPerfectError, ParameterError, _ints
 from .graphs import (
     Graph,
     _adjacency_masks,
+    _stable_masks,
     _twin_masks,
     connected_components,
     graphs_up_to_iso,
@@ -112,7 +113,7 @@ def _cliques(g: Graph) -> tuple[tuple[int, ...], ...]:
     per clique C.  A graph with no vertices is a ParameterError."""
     if g.n == 0:
         raise ParameterError("need at least one vertex")
-    return maximal_cliques(g).maximal_cliques
+    return maximal_cliques(g)
 
 
 def _check_perfect(g: Graph):
@@ -389,9 +390,9 @@ def _zero_masks(g: Graph) -> tuple[list[int], int]:
     """For each facet of the cone, the bitset of the degree-one points on
     it, and the bitset `full` of every point.
 
-    The degree-one points are the stable sets of `g`, grown from the last
-    vertex down: those holding v follow those that do not, so bit k is
-    the k-th point of `_slice(g, 0, 1)`, in ascending lexicographic order.
+    The degree-one points are the stable sets of `g` in the order of
+    `_stable_masks`, so bit k is the k-th point of `_slice(g, 0, 1)`, in
+    ascending lexicographic order.
 
     Facet j < n is x_{j+1} = 0, which holds the stable sets avoiding
     vertex j + 1; facet n + i is q = sum_{v in C} x_v for the i-th clique C
@@ -401,10 +402,7 @@ def _zero_masks(g: Graph) -> tuple[list[int], int]:
     facets containing it and is spanned by its degree-one points, so ANDs
     of these bitsets name every face.
     """
-    adj = _adjacency_masks(g)
-    sets = [0]
-    for v in reversed(range(g.n)):
-        sets += [s | 1 << v for s in sets if not s & adj[v]]
+    sets = _stable_masks(_adjacency_masks(g))
     holding = [0] * g.n
     for k, s in enumerate(sets):
         bit = 1 << k
@@ -636,10 +634,7 @@ def _ray_stage(g: Graph):
     are the stable sets grown and the facet bitsets built, once, and
     handed to every solve.
     """
-    limit = cone_dim_limit()
-    if g.n + 1 > limit:
-        raise SizeGuardError(
-            f"face enumeration limited to cone dimension {limit}, got {g.n + 1}")
+    check_size("face enumeration", g.n + 1)
     cliques = _cliques(g)
     masks, full = _zero_masks(g)
     if _gorenstein(cliques, masks, 0):
@@ -700,7 +695,7 @@ def is_nearly_gorenstein(g: Graph) -> bool:
     return classify(g).nearly_gorenstein
 
 
-def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) -> TraceReport:
+def classify(g: Graph, oracle: bool = False) -> TraceReport:
     """Classify the non-Gorenstein locus of the stable set ring.
 
     Fast path: component dimensions and purity.  With `oracle=True` the
@@ -711,7 +706,7 @@ def classify(g: Graph, oracle: bool = False, vertex_limit: int | None = None) ->
     """
     if g.n == 0:
         raise ParameterError("need at least one vertex")
-    if not is_perfect(g, vertex_limit):
+    if not is_perfect(g):
         raise NotPerfectError("classification requires a perfect graph")
     comps = connected_components(g)
     dims = tuple(c.dim for c in comps)
@@ -778,14 +773,13 @@ def verify_equivalence(max_n: int) -> dict:
     face above them; the heights come from `classify(oracle=True)`.
 
     Returns counts plus a list of any disagreements (expected empty).  The
-    face oracle's cone has dimension n + 1, so a max_n above the cone guard
-    minus one is a SizeGuardError, and a max_n below 1 or not an integer a
-    ParameterError, both raised before any graph is built.
+    face oracle's cone has dimension n + 1, so a max_n above the `verify`
+    guard of `config`, one below the cone guard, is a SizeGuardError, and a
+    max_n below 1 or not an integer a ParameterError, both raised before
+    any graph is built.
     """
     max_n = _ints((max_n,), ParameterError, "vertex counts")[0]
-    limit = cone_dim_limit() - 1
-    if max_n > limit:
-        raise SizeGuardError(f"verify limited to {limit} vertices, got {max_n}")
+    check_size("verify", max_n)
     if max_n < 1:
         raise ParameterError(f"max_n must be at least 1, got {max_n}")
     checked = 0

@@ -27,8 +27,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from gstab.config import cone_dim_limit
-from gstab.errors import ParameterError, SizeGuardError, _ints
+from gstab.config import check_size
+from gstab.errors import ParameterError, _ints
 from gstab.graphs import (
     Graph,
     _adjacency_masks,
@@ -52,12 +52,18 @@ from gstab.toric import (
 )
 
 
+def clique_dim(g):
+    """The dimension of the clique complex of `g`: its largest clique size
+    minus one."""
+    return max(map(len, maximal_cliques(g))) - 1
+
+
 def slack(g, exps, degree):
     """Slack of x^a t^q in each ring inequality of the graph `g`: a_1..a_n,
     then q - sum_{i in C} a_i for each maximal clique C, in the order of
     `maximal_cliques(g)`.  The point is in the ring iff every entry is
     >= 0, and entry j is 0 on the j-th facet of the `_zero_masks` of `g`."""
-    return (*exps, *(degree - s for s in _clique_sums(maximal_cliques(g).maximal_cliques, exps)))
+    return (*exps, *(degree - s for s in _clique_sums(maximal_cliques(g), exps)))
 
 
 def zero_masks_by_slack(g, points):
@@ -65,7 +71,7 @@ def zero_masks_by_slack(g, points):
     bitset of the degree-one points (bit k for `points[k]`) with slack 0
     there.  The library reads the same bitsets off the stable sets'
     vertex bitsets."""
-    masks = [0] * (g.n + len(maximal_cliques(g).maximal_cliques))
+    masks = [0] * (g.n + len(maximal_cliques(g)))
     for k, p in enumerate(points):
         bit = 1 << k
         for j, x in enumerate(slack(g, p, 1)):
@@ -176,10 +182,7 @@ def face_lattice(g):
     (`_faces_within`); it keeps the cone-dimension guard of that walk's
     caller.
     """
-    limit = cone_dim_limit()
-    if g.n + 1 > limit:
-        raise SizeGuardError(
-            f"face enumeration limited to cone dimension {limit}, got {g.n + 1}")
+    check_size("face enumeration", g.n + 1)
     masks, full = _zero_masks(g)
     dims = {full: g.n + 1}
     by_size = [[] for _ in range(full.bit_count())] + [[full]]
@@ -212,7 +215,7 @@ def drop_splitter(g, theta):
     (`face_of`) has a degree-one point; the answer is memoised on the
     pattern.
     """
-    cliques = [tuple(i - 1 for i in c) for c in maximal_cliques(g).maximal_cliques]
+    cliques = [tuple(i - 1 for i in c) for c in maximal_cliques(g)]
     masks, full = _zero_masks(g)
     memo = {}
 
@@ -243,7 +246,7 @@ def module_generators(g, theta):
     generator, within a window of twice the clique-complex dimension plus
     6.  Cached, because several tests and oracles read the same graphs."""
     split = drop_splitter(g, theta)
-    sizes = [len(c) for c in maximal_cliques(g).maximal_cliques]
+    sizes = [len(c) for c in maximal_cliques(g)]
     start = max(sizes) + 1 if theta == 1 else -min(sizes) - 1
     gens, quiet = [], 0
     # the clique-complex dimension is max(sizes) - 1
@@ -361,7 +364,7 @@ def monomial_on_face(g: Graph, face: Face, m: Monomial) -> bool:
     exps = m.exponents
     if any(exps[i - 1] != 0 for i in face.tight_nonneg):
         return False
-    cliques = maximal_cliques(g).maximal_cliques
+    cliques = maximal_cliques(g)
     return all(sum(exps[i - 1] for i in cliques[ci]) == m.degree for ci in face.tight_cliques)
 
 
@@ -375,7 +378,7 @@ def full_trace_equals_power(g, power):
     point of degree below `power` is in the trace and every point of
     degree `power` is.  The library searches one point per twin orbit,
     degree `power` first and descending."""
-    cliques, rows = maximal_cliques(g).maximal_cliques, _clique_rows(g)
+    cliques, rows = maximal_cliques(g), _clique_rows(g)
     for q in range(power):
         if any(_trace_miss(cliques, rows, [a], q, False) is not None for a in _slice(g, 0, q)):
             return False
@@ -385,7 +388,7 @@ def full_trace_equals_power(g, power):
 
 def trace_contains_maximal_ideal(g) -> bool:
     """Oracle for near-Gorensteinness: every degree-one monomial in the trace."""
-    cliques = maximal_cliques(g).maximal_cliques
+    cliques = maximal_cliques(g)
     return _trace_miss(cliques, _clique_rows(g), _slice(g, 0, 1), 1, True) is None
 
 
@@ -480,7 +483,7 @@ def is_pure(g):
     """True when every maximal clique of `g` has the same number of
     vertices: with `component_graph`, the purity of one component, which
     the library reads off the whole graph's cliques instead."""
-    sizes = {len(c) for c in maximal_cliques(g).maximal_cliques}
+    sizes = {len(c) for c in maximal_cliques(g)}
     return len(sizes) <= 1
 
 

@@ -29,6 +29,7 @@ from gstab.toric import (
 )
 
 from oracles import (
+    clique_dim,
     component_graph,
     is_pure,
     omega_generators,
@@ -38,7 +39,7 @@ from oracles import (
 
 
 def dim_spread(g):
-    dims = [maximal_cliques(component_graph(g, c)).dim for c in connected_components(g)]
+    dims = [clique_dim(component_graph(g, c)) for c in connected_components(g)]
     return dims[0] - dims[-1]
 
 
@@ -144,9 +145,9 @@ def test_criterion_6_a_invariant(corpus):
     started = time.perf_counter()
     failures = []
     for name, g in corpus:
-        delta = maximal_cliques(g).dim + 1
+        delta = clique_dim(g) + 1
         min_degree = next(q for q in range(0, delta + 2) if _slice(g, 1, q))
-        if -min_degree != a_invariant(g) or min_degree != maximal_cliques(g).dim + 2:
+        if -min_degree != a_invariant(g) or min_degree != clique_dim(g) + 2:
             failures.append((name, min_degree, a_invariant(g)))
     elapsed = time.perf_counter() - started
     ok = not failures
@@ -178,7 +179,7 @@ def test_criterion_7_segre_hilbert_identity(union_corpus):
 def _anticanonical_box_mismatches(g) -> int:
     """Vectorized comparison of the two anticanonical routes over the box
     a_i in [-2,3], q in [-(delta+1), 8]."""
-    cliques = maximal_cliques(g).maximal_cliques
+    cliques = maximal_cliques(g)
     n = g.n
     count = 6 ** n
     flat = np.arange(count, dtype=np.int64)

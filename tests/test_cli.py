@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import gstab
-from gstab import __version__
+from gstab import __version__, graphs
 from gstab.cli import (
     EXIT_CLOSED_STDOUT,
     EXIT_MISMATCH,
@@ -24,6 +24,7 @@ from gstab.cli import (
     MAX_JSON_INDENT,
     main,
 )
+from gstab.errors import SizeGuardError
 
 
 def run_cli(capsys, *argv):
@@ -159,16 +160,15 @@ def test_poset_analyze_size_guard_before_building(capsys, tmp_path, monkeypatch)
     assert "perfection test limited to 12 vertices, got 13" in err
 
 
-def test_poset_analyze_max_n_raises_the_guard(capsys, tmp_path):
-    code, payload, err = run_cli(capsys, "poset", "analyze", _chain_file(tmp_path, 13),
-                                 "--max-n", "13")
+def test_poset_analyze_size_limit_raises_the_guard(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("GSTAB_SIZE_LIMIT", "13")
+    code, payload, err = run_cli(capsys, "poset", "analyze", _chain_file(tmp_path, 13))
     assert code == EXIT_OK, err
     assert payload["comparability_graph"]["n"] == 13
     assert payload["classification"] == "Gorenstein"
-    code, _, err = run_cli(capsys, "poset", "analyze", _chain_file(tmp_path, 13),
-                           "--max-n", "12")
+    code, _, err = run_cli(capsys, "poset", "analyze", _chain_file(tmp_path, 14))
     assert code == EXIT_SIZE_GUARD
-    assert "perfection test limited to 12 vertices, got 13" in err
+    assert "perfection test limited to 13 vertices, got 14" in err
 
 
 def test_family_hmp_45(capsys):
@@ -325,10 +325,10 @@ def test_verify_max_n_below_one_is_parameter_error(capsys, max_n):
 def test_verify_limit_is_one_below_the_cone_guard(capsys, monkeypatch, raw, reach):
     """`verify` reaches one vertex below the face oracle's cone guard, for
     every value of GSTAB_SIZE_LIMIT."""
-    from gstab.config import cone_dim_limit
+    from gstab.config import size_limit
 
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", raw)
-    assert cone_dim_limit() - 1 == reach
+    assert size_limit("verify") == size_limit("face enumeration") - 1 == reach
     code, payload, err = run_cli(capsys, "verify", "--max-n", str(reach + 1))
     assert code == EXIT_SIZE_GUARD
     assert payload is None
@@ -345,26 +345,6 @@ def test_size_limit_env_leaves_perfection_guard_at_default(capsys, graph_file, m
     assert payload["classification"] == "Gorenstein"
 
 
-@pytest.mark.parametrize("command", ["graph", "poset"])
-@pytest.mark.parametrize("max_n", ["0", "-1"])
-def test_analyze_max_n_below_one_is_parameter_error(capsys, tmp_path, command, max_n):
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps({"n": 2, "edges": [[1, 2]]} if command == "graph" else
-                               {"elements": ["a", "b"], "covers": [["a", "b"]]}))
-    code, payload, err = run_cli(capsys, command, "analyze", str(path), "--max-n", max_n)
-    assert code == EXIT_PARAMS
-    assert payload is None
-    assert "--max-n must be at least 1" in err
-
-
-def test_analyze_max_n_still_guards_perfection(capsys, graph_file):
-    path = graph_file("k2k1.json", 3, [[1, 2]])
-    code, payload, err = run_cli(capsys, "graph", "analyze", path, "--max-n", "2")
-    assert code == EXIT_SIZE_GUARD
-    assert payload is None
-    assert "perfection test limited to 2 vertices" in err
-
-
 @pytest.mark.parametrize("raw", ["abc", "-3"])
 def test_malformed_size_limit_env(capsys, graph_file, monkeypatch, raw):
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", raw)
@@ -374,6 +354,105 @@ def test_malformed_size_limit_env(capsys, graph_file, monkeypatch, raw):
         assert code == EXIT_PARAMS
         assert payload is None
         assert "ParameterError" in err
+
+
+def _edgeless_file(tmp_path, n):
+    path = tmp_path / f"e{n}.json"
+    path.write_text(json.dumps({"n": n, "edges": []}))
+    return str(path)
+
+
+def _antichain_file(tmp_path, n):
+    path = tmp_path / f"a{n}.json"
+    path.write_text(json.dumps({"elements": list(range(n)), "covers": []}))
+    return str(path)
+
+
+# the argv that asks a guard for n vertices (None: enumeration, which has
+# no command of its own)
+GUARD_ARGV = {
+    "graph analyze": lambda tmp_path, n: ["graph", "analyze", _edgeless_file(tmp_path, n)],
+    "poset analyze": lambda tmp_path, n: ["poset", "analyze", _antichain_file(tmp_path, n)],
+    "family hmp": lambda tmp_path, n: ["family", "hmp", "--a", "4", "--b", str(n + 1)],
+    "enumeration": None,
+    "face oracle": lambda tmp_path, n: ["graph", "analyze", _edgeless_file(tmp_path, n),
+                                        "--oracle"],
+    "verify": lambda tmp_path, n: ["verify", "--max-n", str(n)],
+}
+
+
+# guard, GSTAB_SIZE_LIMIT, the most vertices it takes, its message at one more.
+# Above 11 the perfection guard refuses a graph before the face oracle's
+# guard could, so the face oracle is raised by 10.
+GUARD_CASES = [
+    ("graph analyze", None, 12, "perfection test limited to 12 vertices, got 13"),
+    ("graph analyze", "13", 13, "perfection test limited to 13 vertices, got 14"),
+    ("poset analyze", None, 12, "perfection test limited to 12 vertices, got 13"),
+    ("poset analyze", "13", 13, "perfection test limited to 13 vertices, got 14"),
+    ("family hmp", None, 12, "family hmp limited to 12 vertices, got 13"),
+    ("family hmp", "13", 13, "family hmp limited to 13 vertices, got 14"),
+    ("enumeration", None, 9, "enumeration limited to 9 vertices, got 10"),
+    ("enumeration", "13", 14, "enumeration limited to 14 vertices, got 15"),
+    ("face oracle", None, 8, "face enumeration limited to cone dimension 9, got 10"),
+    ("face oracle", "10", 10, "face enumeration limited to cone dimension 11, got 12"),
+    ("verify", None, 8, "verify limited to 8 vertices, got 9"),
+    ("verify", "13", 13, "verify limited to 13 vertices, got 14"),
+]
+
+
+@pytest.mark.parametrize("guard, override, limit, message", GUARD_CASES,
+                         ids=[f"{g}-{o or 'default'}" for g, o, _, _ in GUARD_CASES])
+def test_size_guards(capsys, tmp_path, monkeypatch, guard, override, limit, message):
+    """Every vertex and cone guard takes its limit and refuses one more
+    with its message and exit 4, by default and under GSTAB_SIZE_LIMIT.
+    Enumeration layers are stubbed out, so `verify` and the enumeration
+    are driven to their limits without building a graph, and a refusal
+    builds no layer."""
+    if override is None:
+        monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
+    else:
+        monkeypatch.setenv("GSTAB_SIZE_LIMIT", override)
+    built = []
+    monkeypatch.setattr(graphs, "_canonical_masks", lambda n: built.append(n) or ())
+    argv = GUARD_ARGV[guard]
+    if argv is None:
+        assert list(graphs.graphs_up_to_iso(limit)) == []
+        with pytest.raises(SizeGuardError) as refused:
+            next(graphs.graphs_up_to_iso(limit + 1))
+        assert str(refused.value) == message
+        assert built == [limit]
+        return
+    code, _, err = run_cli(capsys, *argv(tmp_path, limit))
+    assert code == EXIT_OK, err
+    built.clear()
+    code, payload, err = run_cli(capsys, *argv(tmp_path, limit + 1))
+    assert (code, payload, built) == (EXIT_SIZE_GUARD, None, [])
+    assert err == json.dumps({"error": message, "kind": "SizeGuardError"}, sort_keys=True) + "\n"
+
+
+MALFORMED_FILES = {
+    # a UTF-16 byte-order mark, which is not UTF-8
+    "not UTF-8": lambda command: b"\xff\xfe{}",
+    # deeper than the JSON decoder's recursion limit
+    "nested arrays": lambda command: b"[" * 200000,
+    # longer than Python's limit on int-string conversion
+    "5000-digit integer": lambda command: (
+        b'{"n": ' + b"7" * 5000 + b', "edges": []}' if command == "graph"
+        else b'{"elements": [' + b"7" * 5000 + b'], "covers": []}'),
+}
+
+
+@pytest.mark.parametrize("command", ["graph", "poset"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_is_a_format_error(capsys, tmp_path, command, case):
+    """A file that cannot be decoded ends with exit 2 and one JSON error
+    line on stderr, not a traceback."""
+    path = tmp_path / "input.json"
+    path.write_bytes(MALFORMED_FILES[case](command))
+    code, payload, err = run_cli(capsys, command, "analyze", str(path))
+    assert (code, payload) == (EXIT_PARSE, None)
+    assert err.count("\n") == 1
+    assert json.loads(err)["kind"] == "FormatError"
 
 
 @pytest.mark.parametrize("command, argv", [

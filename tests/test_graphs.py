@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 from oracles import (
+    clique_dim,
     component_graph,
     is_pure,
     perfect_by_coloring,
@@ -65,39 +66,34 @@ def brute_clique_count(g: Graph):
 # -- maximal cliques ---------------------------------------------------------
 
 def test_maximal_cliques_complete():
-    cx = maximal_cliques(complete_graph(3))
-    assert cx.maximal_cliques == ((1, 2, 3),)
-    assert cx.dim == 2
+    assert maximal_cliques(complete_graph(3)) == ((1, 2, 3),)
 
 
 def test_maximal_cliques_path():
-    cx = maximal_cliques(path_graph(3))
-    assert cx.maximal_cliques == ((1, 2), (2, 3))
-    assert cx.dim == 1
+    assert maximal_cliques(path_graph(3)) == ((1, 2), (2, 3))
 
 
 def test_maximal_cliques_paw_against_brute():
-    cx = maximal_cliques(paw_graph())
-    assert list(cx.maximal_cliques) == brute_maximal_cliques(paw_graph())
-    assert cx.maximal_cliques == ((1, 2, 3), (3, 4))
-    assert cx.dim == 2
+    cliques = maximal_cliques(paw_graph())
+    assert list(cliques) == brute_maximal_cliques(paw_graph())
+    assert cliques == ((1, 2, 3), (3, 4))
 
 
 def test_maximal_cliques_match_brute_on_all_small_graphs():
     for n in range(1, 6):
         for g in graphs_up_to_iso(n):
-            assert list(maximal_cliques(g).maximal_cliques) == brute_maximal_cliques(g)
+            assert list(maximal_cliques(g)) == brute_maximal_cliques(g)
 
 
 def test_isolated_vertex_is_a_maximal_clique():
     g = disjoint_union(complete_graph(2), complete_graph(1))
-    assert (3,) in maximal_cliques(g).maximal_cliques
+    assert (3,) in maximal_cliques(g)
 
 
 def test_every_vertex_in_some_maximal_clique():
     for n in range(1, 6):
         for g in graphs_up_to_iso(n):
-            covered = {v for c in maximal_cliques(g).maximal_cliques for v in c}
+            covered = {v for c in maximal_cliques(g) for v in c}
             assert covered == set(range(1, n + 1))
 
 
@@ -139,7 +135,7 @@ def test_components_carry_their_dim_and_purity(union_corpus):
         assert sorted(v for c in comps for v in c.vertices) == list(range(1, g.n + 1)), g
         for c in comps:
             sub = component_graph(g, c)
-            assert (c.dim, c.pure) == (maximal_cliques(sub).dim, is_pure(sub)), g
+            assert (c.dim, c.pure) == (clique_dim(sub), is_pure(sub)), g
 
 
 def test_component_relabeling_preserves_edges():
@@ -161,7 +157,7 @@ def test_is_pure():
 
 def test_c5_not_perfect():
     c5 = cycle_graph(5)
-    assert maximal_cliques(c5).dim == 1
+    assert clique_dim(c5) == 1
     assert not is_perfect(c5)
 
 
@@ -340,17 +336,12 @@ def test_perfection_self_complementary():
             assert is_perfect(g) == is_perfect(complement(g))
 
 
-def test_perfection_size_guard():
-    with pytest.raises(SizeGuardError):
+def test_perfection_size_guard(monkeypatch):
+    monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
+    with pytest.raises(SizeGuardError, match="perfection test limited to 12 vertices, got 13"):
         is_perfect(empty_graph(13))
-    assert is_perfect(empty_graph(13), limit=13)
-
-
-@pytest.mark.parametrize("limit", [2.5, "9", 9.0])
-def test_perfection_limit_must_be_an_integer(limit):
-    with pytest.raises(ParameterError, match="vertex limits must be integers"):
-        is_perfect(complete_graph(3), limit=limit)
-    assert is_perfect(complete_graph(3), limit=np.int64(3))
+    monkeypatch.setenv("GSTAB_SIZE_LIMIT", "13")
+    assert is_perfect(empty_graph(13))
 
 
 # -- stable sets -------------------------------------------------------------
@@ -562,5 +553,5 @@ def test_enumeration_refuses_non_integer_counts(no_layer_built, n):
 def test_only_c5_imperfect_on_five_vertices():
     bad = [g for g in graphs_up_to_iso(5) if not is_perfect(g)]
     assert len(bad) == 1
-    assert maximal_cliques(bad[0]).dim == 1
+    assert clique_dim(bad[0]) == 1
     assert len(bad[0].edges) == 5

@@ -206,6 +206,16 @@ def test_parse_poset_json_rejects_bad_labels(text):
         parse_poset_json(text)
 
 
+def test_load_poset_reads_utf8_and_refuses_other_bytes(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text('{"elements": ["m", "p", "c1", "c2"],'
+                    ' "covers": [["m", "p"], ["m", "c1"], ["c1", "c2"]]}', encoding="utf-8")
+    assert load_poset(str(path)) == hmp_poset(4, 5)
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(FormatError, match="not UTF-8 text"):
+        load_poset(str(path))
+
+
 # -- comparability graphs ----------------------------------------------------
 
 def test_comparability_chain_is_complete():
@@ -461,7 +471,7 @@ def test_maximal_chains_hmp45():
     p = hmp_poset(4, 5)
     labeled = [tuple(p.elements[i] for i in ch) for ch in maximal_chains(p)]
     assert sorted(labeled) == [("m", "c1", "c2"), ("m", "p")]
-    cliques = maximal_cliques(comparability_graph(p)).maximal_cliques
+    cliques = maximal_cliques(comparability_graph(p))
     assert sorted(tuple(sorted(i + 1 for i in ch)) for ch in maximal_chains(p)) == \
         list(cliques)
 

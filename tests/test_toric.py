@@ -69,6 +69,7 @@ from gstab.toric import (
 from oracles import (
     anticanonical_generators,
     bits,
+    clique_dim,
     component_graph,
     cone_faces,
     face_lattice,
@@ -189,7 +190,7 @@ def in_trace_box(g, m):
         return False
     a, q = m.exponents, m.degree
 
-    cliques = maximal_cliques(g).maximal_cliques
+    cliques = maximal_cliques(g)
 
     def top(exps):
         return max(sum(exps[i - 1] for i in c) for c in cliques)
@@ -346,7 +347,7 @@ def test_in_trace_matches_box_scan(corpus):
                    for m in degree_monomials(g, 2)]
         outside += [Monomial(m.exponents, 1) for m in degree_monomials(g, 2)
                     if not in_ring(g, Monomial(m.exponents, 1))]
-        cliques = maximal_cliques(g).maximal_cliques
+        cliques = maximal_cliques(g)
         for m in outside:
             assert not in_trace(g, m) and not in_trace_box(g, m), (name, m)
             assert _trace_miss(cliques, _clique_rows(g), [m.exponents], m.degree, False) is None, \
@@ -374,7 +375,7 @@ def test_trace_translate_closed():
 def test_omega_translate_closed():
     for g in [K2, PAW, K2K1]:
         one = degree_monomials(g, 1)
-        start = maximal_cliques(g).dim + 2
+        start = clique_dim(g) + 2
         for exps in _slice(g, 1, start):
             w = Monomial(exps, start)
             for r in one:
@@ -384,7 +385,7 @@ def test_omega_translate_closed():
 def test_anticanonical_translate_closed():
     for g in [K2, PAW, K2K1]:
         one = degree_monomials(g, 1)
-        start = -min(len(c) for c in maximal_cliques(g).maximal_cliques) - 1
+        start = -min(len(c) for c in maximal_cliques(g)) - 1
         for d in (start, start + 1):
             for exps in _slice(g, -1, d):
                 w = Monomial(exps, d)
@@ -459,12 +460,12 @@ def assert_generators_match_sieve(g, theta, gens, start):
 
 def test_omega_generators_against_sieve(corpus):
     for name, g in kernel_corpus(corpus):
-        assert_generators_match_sieve(g, 1, omega_generators(g), maximal_cliques(g).dim + 2)
+        assert_generators_match_sieve(g, 1, omega_generators(g), clique_dim(g) + 2)
 
 
 def test_anticanonical_generators_against_sieve(corpus):
     for name, g in kernel_corpus(corpus):
-        start = -min(len(c) for c in maximal_cliques(g).maximal_cliques) - 1
+        start = -min(len(c) for c in maximal_cliques(g)) - 1
         assert_generators_match_sieve(g, -1, anticanonical_generators(g), start)
 
 
@@ -635,7 +636,7 @@ def test_twin_floors_are_the_clique_preserving_swaps():
     same vertex) iff swapping them maps the maximal cliques onto
     themselves, and each floor is the largest such vertex below."""
     for name, g in perfect_graphs_up_to(6):
-        cliques = {frozenset(c) for c in maximal_cliques(g).maximal_cliques}
+        cliques = {frozenset(c) for c in maximal_cliques(g)}
 
         def swaps(u, v):
             tau = {u + 1: v + 1, v + 1: u + 1}
@@ -672,7 +673,7 @@ def test_twin_walk_yields_one_point_per_orbit():
                     out[v] = x
             return tuple(out)
 
-        cliques, delta = maximal_cliques(g).maximal_cliques, maximal_cliques(g).dim + 1
+        cliques, delta = maximal_cliques(g), clique_dim(g) + 1
         for theta, degrees in ((0, range(4)), (1, range(delta + 1, delta + 4))):
             for q in degrees:
                 walked = toric._walk(cliques, theta, q, floors)
@@ -685,7 +686,7 @@ def test_trace_equals_power_matches_full_search(union_corpus):
     ring point, for every power from 0 to the component dimension spread
     plus one."""
     for name, g in perfect_graphs_up_to(6) + union_corpus:
-        dims = [maximal_cliques(component_graph(g, c)).dim for c in connected_components(g)]
+        dims = [clique_dim(component_graph(g, c)) for c in connected_components(g)]
         for power in range(dims[0] - dims[-1] + 2):
             assert _trace_equals_power(g, power) == full_trace_equals_power(g, power), \
                 (name, power)
@@ -960,7 +961,7 @@ def test_faces_within_match_face_lattice():
     minus the largest lattice dimension of a non-Gorenstein face, as the
     generator route says."""
     for name, g in perfect_graphs_up_to(6) + oracle_large_graphs():
-        cliques = maximal_cliques(g).maximal_cliques
+        cliques = maximal_cliques(g)
         masks, full = _zero_masks(g)
         dims = face_lattice(g)
         everything = [1 << k for k in range(full.bit_length())]
@@ -1097,7 +1098,7 @@ def test_height_found_above_the_rays(solves, monkeypatch):
     face = sum(1 << k for k, p in enumerate(_slice(g, 0, 1))
                if tuple(v + 1 for v, x in enumerate(p) if x) in span)
     assert dims[face] == 4
-    assert not _gorenstein(maximal_cliques(g).maximal_cliques, _zero_masks(g)[0], face)
+    assert not _gorenstein(maximal_cliques(g), _zero_masks(g)[0], face)
 
 
 def test_trace_height_guard_fires_before_any_solve(solves):
@@ -1135,7 +1136,7 @@ def test_integer_and_rational_solvability_agree():
     memo = {}
     faces = bad = 0
     for name, g in perfect_graphs_up_to(6):
-        cliques = maximal_cliques(g).maximal_cliques
+        cliques = maximal_cliques(g)
         masks = _zero_masks(g)[0]
         n = g.n
         for face in face_lattice(g):
@@ -1186,7 +1187,7 @@ def test_gorenstein_matches_basis_route():
     def check(graphs):
         faces = 0
         for name, g in graphs:
-            cliques = maximal_cliques(g).maximal_cliques
+            cliques = maximal_cliques(g)
             masks = _zero_masks(g)[0]
             for face in face_lattice(g):
                 assert _gorenstein(cliques, masks, face) == \
@@ -1210,7 +1211,7 @@ def test_ray_gorenstein_closed_form():
     the solver against a rule it does not use."""
     rays = 0
     for name, g in perfect_graphs_up_to(6):
-        cliques = maximal_cliques(g).maximal_cliques
+        cliques = maximal_cliques(g)
         masks = _zero_masks(g)[0]
         sizes = [{len(c) for c in cliques if v + 1 in c} for v in range(g.n)]
         for k, point in enumerate(_slice(g, 0, 1)):
@@ -1232,7 +1233,7 @@ def test_trace_height_prescribed_family_extra_pairs():
 def test_classify_oracle_matches_separate_calls(oracle_reports):
     # agreement is True: the criterion holds on every graph of the corpus
     for name, g, report in oracle_reports:
-        dims = [maximal_cliques(component_graph(g, c)).dim for c in connected_components(g)]
+        dims = [clique_dim(component_graph(g, c)) for c in connected_components(g)]
         separate = OracleCheck(trace_equals_power(g, dims[0] - dims[-1]),
                                is_m_primary(g), trace_height(g), True)
         assert report.oracle == separate, name
@@ -1351,43 +1352,43 @@ def test_membership_reads_the_clique_inequalities_of_any_graph():
     assert hilbert_function(c5, 1) == 11
 
 
-def test_classify_vertex_limit_override():
+def test_classify_vertex_limit_override(monkeypatch):
+    monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
     with pytest.raises(SizeGuardError):
         classify(empty_graph(13), oracle=False)
-    report = classify(empty_graph(13), oracle=False, vertex_limit=13)
+    monkeypatch.setenv("GSTAB_SIZE_LIMIT", "13")
+    report = classify(empty_graph(13), oracle=False)
     assert report.classification == "Gorenstein"
 
 
-def test_classify_vertex_limit_must_be_an_integer():
-    with pytest.raises(ParameterError, match="vertex limits must be integers"):
-        classify(path_graph(3), vertex_limit=2.5)
+GUARD_STEPS = ("perfection test", "family hmp", "enumeration", "face enumeration", "verify")
 
 
 def test_size_limit_env_override(monkeypatch):
-    """GSTAB_SIZE_LIMIT only ever raises a guard; an explicit vertex_limit
-    replaces it, up or down."""
-    from gstab.config import cone_dim_limit, perfect_limit
+    """GSTAB_SIZE_LIMIT only ever raises a guard: the perfection guard to
+    n, the cone guard to n + 1."""
+    from gstab.config import size_limit
 
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "13")
     assert classify(empty_graph(13)).gorenstein
-    assert (perfect_limit(), cone_dim_limit()) == (13, 14)
+    assert [size_limit(step) for step in GUARD_STEPS] == [13, 13, 14, 14, 13]
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "8")
-    assert (perfect_limit(), cone_dim_limit()) == (12, 9)
+    assert [size_limit(step) for step in GUARD_STEPS] == [12, 12, 9, 9, 8]
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "4")
-    assert (perfect_limit(), cone_dim_limit()) == (12, 9)
+    assert [size_limit(step) for step in GUARD_STEPS] == [12, 12, 9, 9, 8]
     assert classify(path_graph(5)).gorenstein
-    with pytest.raises(SizeGuardError):
-        classify(path_graph(5), vertex_limit=4)
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3", ""])
 def test_malformed_size_limit_env(monkeypatch, raw):
-    from gstab.config import cone_dim_limit, perfect_limit
+    from gstab.config import check_size, size_limit
 
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", raw)
-    for limit in (perfect_limit, cone_dim_limit):
+    for step in GUARD_STEPS:
         with pytest.raises(ParameterError):
-            limit()
+            size_limit(step)
+        with pytest.raises(ParameterError):
+            check_size(step, 1)
     with pytest.raises(ParameterError):
         classify(K2)
 
