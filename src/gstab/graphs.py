@@ -32,9 +32,9 @@ GRAPH_CACHE_SIZE = 32
 class Graph:
     """A finite simple graph on vertices 1..n.
 
-    `edges` holds each edge once as a pair (i, j) with i < j.  The count
-    and the labels may be any integer-like values (`operator.index`); they
-    are stored as ints.
+    The one rule for every graph: integer-like (`operator.index`) count
+    and labels, stored as ints; each pair in either order, stored as
+    (min, max); a loop or a label outside 1..n is a FormatError.
     """
 
     n: int
@@ -44,29 +44,25 @@ class Graph:
         index = operator.index
         try:
             n = index(self.n)
-            edges = frozenset([(index(i), index(j)) for i, j in self.edges])
+            pairs = [(index(i), index(j)) for i, j in self.edges]
         except (TypeError, ValueError):
             raise FormatError("need an integer vertex count and pairs of integer "
                               f"labels, got n={self.n!r}, edges {self.edges!r}") from None
         if n < 0:
             raise FormatError("vertex count must be nonnegative")
+        edges = frozenset([(i, j) if i < j else (j, i) for i, j in pairs])
         for i, j in edges:
             if i == j:
                 raise FormatError(f"loop at vertex {i}")
-            if not (1 <= i < j <= n):
-                raise FormatError(f"edge {(i, j)!r} out of range or not normalized")
+            if not (1 <= i and j <= n):
+                raise FormatError(f"edge {(i, j)!r} out of range 1..{n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        """Build a graph, normalizing each pair to (min, max)."""
-        try:
-            normalized = {(i, j) if i < j else (j, i) for i, j in edges}
-        except (TypeError, ValueError):
-            raise FormatError(
-                f"edges must be pairs of integer labels, got {edges!r}") from None
-        return Graph(n, normalized)
+        """`Graph(n, edges)`, under the name older callers use."""
+        return Graph(n, edges)
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -137,16 +133,16 @@ def complement(g: Graph) -> Graph:
 def parse_graph_json(text: str) -> Graph:
     """Parse {"n": int, "edges": [[i,j], ...]} with 1-based labels.
 
-    Duplicate pairs and reversed duplicates are rejected rather than
-    silently merged.
+    File rules only: the JSON shape, integers that are not true or false,
+    and no pair given twice in either order; `Graph` checks the rest.
     """
     data = _decode_json(text)
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise FormatError('graph file needs keys "n" and "edges"')
     n = data["n"]
     # bool is a subclass of int, and true must not read as one vertex
-    if type(n) is not int or n < 0:
-        raise FormatError('"n" must be a nonnegative integer')
+    if type(n) is not int:
+        raise FormatError('"n" must be an integer')
     raw = data["edges"]
     if not isinstance(raw, list):
         raise FormatError('"edges" must be a list of pairs')
@@ -155,16 +151,11 @@ def parse_graph_json(text: str) -> Graph:
         if (not isinstance(pair, list)) or len(pair) != 2 \
                 or not all(type(v) is int for v in pair):
             raise FormatError(f"bad edge entry: {pair!r}")
-        i, j = pair
-        if i == j:
-            raise FormatError(f"loop at vertex {i}")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise FormatError(f"edge {pair!r} out of range 1..{n}")
-        key = (min(i, j), max(i, j))
+        key = (min(pair), max(pair))
         if key in seen:
             raise FormatError(f"duplicate or reversed edge {pair!r}")
         seen.add(key)
-    return Graph(n, frozenset(seen))
+    return Graph(n, seen)
 
 
 def load_graph(path: str) -> Graph:

@@ -10,7 +10,7 @@ x iff x >= ap[x % m], so membership is one comparison.
 Fractional ideals are integer sets closed under adding semigroup elements,
 stored as their minimum plus a membership window of conductor length,
 beyond which everything belongs.  All arithmetic runs on Apery vectors;
-ideal sums and quotients take O(m^2) steps.
+ideal sums and quotients of two ideals of one semigroup take O(m^2) steps.
 """
 
 from __future__ import annotations
@@ -184,27 +184,35 @@ def canonical_ideal(h: NumericalSemigroup) -> IntegerIdeal:
     return _ideal(h, [f + m - ap[(f - r) % m] for r in range(m)])
 
 
+def _vectors(a: IntegerIdeal, b: IntegerIdeal):
+    """Both ideals' semigroup and Apery vectors; two semigroups are a ParameterError."""
+    if a.semigroup != b.semigroup:
+        raise ParameterError(f"ideals over different semigroups {a.semigroup.generators} "
+                             f"and {b.semigroup.generators}")
+    return a.semigroup, _vector(a), _vector(b)
+
+
 def ideal_quotient(target: IntegerIdeal, ideal: IntegerIdeal) -> IntegerIdeal:
-    """{z : z + ideal inside target}.
+    """{z : z + ideal inside target}, for two ideals of one semigroup.
 
     For z in class r mod m and each class start e of the ideal, z + e is
     in the target iff z >= t[(r + e) % m] - e, a bound itself in class r."""
-    t, es = _vector(target), _vector(ideal)
+    h, t, es = _vectors(target, ideal)
     m = len(t)
-    return _ideal(target.semigroup, [max(t[(r + e) % m] - e for e in es) for r in range(m)])
+    return _ideal(h, [max(t[(r + e) % m] - e for e in es) for r in range(m)])
 
 
 def ideal_dual(h: NumericalSemigroup, ideal: IntegerIdeal) -> IntegerIdeal:
-    """{z : z + ideal inside the semigroup}."""
+    """{z : z + ideal inside the semigroup}, for an ideal of `h`."""
     return ideal_quotient(semigroup_as_ideal(h), ideal)
 
 
 def ideal_sum(a: IntegerIdeal, b: IntegerIdeal) -> IntegerIdeal:
-    """Elementwise sums {x + y}: the least in class r adds a class start x
-    of a to b's start in class r - x."""
-    xs, ys = _vector(a), _vector(b)
+    """Elementwise sums {x + y} of two ideals of one semigroup: the least
+    in class r adds a class start x of a to b's start in class r - x."""
+    h, xs, ys = _vectors(a, b)
     m = len(xs)
-    return _ideal(a.semigroup, [min(x + ys[(r - x) % m] for x in xs) for r in range(m)])
+    return _ideal(h, [min(x + ys[(r - x) % m] for x in xs) for r in range(m)])
 
 
 def trace_ideal(h: NumericalSemigroup) -> IntegerIdeal:

@@ -82,26 +82,21 @@ class Poset:
         return sorted(out, key=lambda ab: (str(ab[0]), str(ab[1])))
 
 
-def _hashable(label) -> bool:
-    try:
-        hash(label)
-    except TypeError:
-        return False
-    return True
-
-
 def poset_from_covers(elements, covers) -> Poset:
-    """Build a poset from cover (or any generating) relations."""
+    """Build a poset from cover (or any generating) relations, checking
+    each label where it is hashed and each cover where it is unpacked."""
     elements = tuple(elements)
-    for e in elements:
-        if not _hashable(e):
-            raise FormatError(f"poset label {e!r} is not hashable")
-    index = {e: i for i, e in enumerate(elements)}
+    try:
+        index = {e: i for i, e in enumerate(elements)}
+    except TypeError:
+        raise FormatError(f"poset labels must be hashable, got {elements!r}") from None
     above = [set() for _ in elements]
-    for a, b in covers:
-        if not (_hashable(a) and _hashable(b) and a in index and b in index):
-            raise FormatError(f"cover ({a!r}, {b!r}) uses unknown label")
-        above[index[a]].add(index[b])
+    for cover in covers:
+        try:
+            a, b = cover
+            above[index[a]].add(index[b])
+        except (KeyError, TypeError, ValueError):
+            raise FormatError(f"cover {cover!r} is not a pair of known labels") from None
     # Warshall: after pivot k, i reaches j whenever a path from i to j
     # passes only through pivots <= k
     for k, above_k in enumerate(above):

@@ -460,6 +460,10 @@ def _trace_equals_power(g: Graph, power: int) -> bool:
     derived once and read by every search and walk.  The absence tests
     start at degree omega - min |C|: below it `_trace_miss` has no degree
     split to try, so no point there is in the trace.
+    `_oracle_check` asks for the component dimensions' spread, at most
+    omega - min |C| (the smallest component's largest clique has at least
+    min |C| vertices), so it walks the top slice alone; only larger
+    powers, from `trace_equals_power`, walk the absence loop.
     """
     cliques, rows, floors = _cliques(g), _clique_rows(g), _twin_floors(g)
     top = _walk(cliques, 0, power, floors)[::-1]

@@ -107,6 +107,17 @@ def test_graph_analyze_rejects_bool_integers(capsys, graph_file, n, edges):
     assert "FormatError" in err
 
 
+# the reader leaves loops, labels outside 1..n and a negative count to
+# `Graph`, whose refusal is still a parse error
+@pytest.mark.parametrize("n, edges", [(3, [[2, 2]]), (3, [[1, 4]]), (3, [[0, 1]]), (-1, [])])
+def test_graph_analyze_rejects_what_graph_refuses(capsys, graph_file, n, edges):
+    path = graph_file("bad.json", n, edges)
+    code, payload, err = run_cli(capsys, "graph", "analyze", path)
+    assert code == EXIT_PARSE
+    assert payload is None
+    assert "FormatError" in err
+
+
 def test_poset_analyze(capsys, tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({

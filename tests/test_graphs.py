@@ -432,6 +432,20 @@ def test_graph_accepts_integer_like_values_as_ints():
     assert Graph(np.int64(2), frozenset({(np.int64(1), 2)})) == complete_graph(2)
 
 
+def test_graph_has_one_construction_rule():
+    """`Graph` itself stores each pair as (min, max) and refuses loops and
+    labels outside 1..n; `from_edges` is the same constructor."""
+    assert Graph(3, {(2, 1)}) == Graph.from_edges(3, [(2, 1)]) == Graph(3, {(1, 2)})
+    assert Graph(3, [(3, 2), (2, 3)]).edges == frozenset({(2, 3)})
+    for edges, message in (([(2, 2)], "loop at vertex 2"), ([(4, 1)], r"\(1, 4\) out of range 1..3"),
+                           ([(1, 0)], r"\(0, 1\) out of range")):
+        for build in (Graph, Graph.from_edges):
+            with pytest.raises(FormatError, match=message):
+                build(3, edges)
+    with pytest.raises(FormatError, match="nonnegative"):
+        Graph(-1, ())
+
+
 def test_parse_graph_json_roundtrip():
     g = parse_graph_json('{"n": 3, "edges": [[1, 2], [2, 3]]}')
     assert g == path_graph(3)

@@ -164,6 +164,22 @@ def test_integer_ideal_stores_integer_like_values_as_ints():
     assert ideal_sum(ideal, ideal) == ideal_sum(k, k)
 
 
+@pytest.mark.parametrize("other", [(3, 5, 7), (2, 3)])
+def test_ideal_arithmetic_refuses_two_semigroups(other):
+    """Ideals over <3, 4, 5> and a semigroup with the same m (3) or
+    another m (2) are a ParameterError of the sum, the quotient and the
+    dual, never an ideal over one of them or an IndexError."""
+    h, o = semigroup([3, 4, 5]), semigroup(other)
+    a, b = semigroup_as_ideal(h), semigroup_as_ideal(o)
+    for call in (lambda: ideal_sum(a, b), lambda: ideal_sum(b, a),
+                 lambda: ideal_quotient(a, b), lambda: ideal_quotient(b, a),
+                 lambda: ideal_dual(o, a), lambda: ideal_dual(h, b)):
+        with pytest.raises(ParameterError, match="different semigroups"):
+            call()
+    # an equal semigroup built anew is the same semigroup
+    assert ideal_sum(a, semigroup_as_ideal(semigroup([5, 4, 3]))) == ideal_sum(a, a)
+
+
 def test_integer_ideal_refuses_sets_that_are_no_ideal():
     """Each check of the constructor on its own.  Below the conductor 8
     of <3, 5> the members are 0, 3, 5 and 6."""

@@ -157,6 +157,17 @@ def test_poset_refuses_malformed_labels_and_relation_entries(elements, lt, messa
         Poset(elements, lt)
 
 
+def test_from_covers_refuses_bad_labels_and_covers():
+    """An unhashable element gets `Poset`'s message, and a cover that is
+    no pair, or whose label is unhashable or no element, is refused where
+    it is unpacked or looked up."""
+    with pytest.raises(FormatError, match="labels must be hashable"):
+        poset_from_covers([1, [2]], [])
+    for cover in (([1], 2), (1, {2}), (1, 3), (1, 2, 3), (1,), 5):
+        with pytest.raises(FormatError, match="not a pair of known labels"):
+            poset_from_covers([1, 2], [cover])
+
+
 def test_poset_accepts_integer_like_indices_as_ints():
     p = Poset(("a", "b"), (frozenset({np.int64(1)}), frozenset()))
     assert p == Poset(("a", "b"), (frozenset({1}), frozenset()))

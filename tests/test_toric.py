@@ -469,7 +469,7 @@ def test_anticanonical_generators_against_sieve(corpus):
         assert_generators_match_sieve(g, -1, anticanonical_generators(g), start)
 
 
-def test_tables_built_once_per_facet_system(monkeypatch):
+def test_zero_masks_built_once_per_oracle_call(monkeypatch):
     """`classify(oracle=True)` builds the incidence table once, for the
     graph itself, connected or not: the height route builds it and the
     power test reads none."""
@@ -511,6 +511,54 @@ def test_one_clique_search_per_oracle_call(monkeypatch):
         assert len(searches) == 1
     assert [(c.vertices, c.dim, c.pure) for c in connected_components(k5p3)] == \
         [((1, 2, 3, 4, 5), 4, True), ((6, 7, 8), 1, True)]
+
+
+def test_oracles_read_no_fast_classification(corpus, monkeypatch):
+    """The trace-power test, m-primariness and the trace height answer
+    the same on the corpus while the components and `classify`, which
+    the fast criterion reads, raise: no oracle leans on what it checks.
+    `_oracle_check` reads the fast report by design and is left out."""
+    def answers():
+        return [([trace_equals_power(g, p) for p in range(4)], is_m_primary(g), trace_height(g))
+                for _, g in corpus]
+
+    expected = answers()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle read the fast classification")
+
+    for module, name in ((graphs, "connected_components"), (toric, "connected_components"),
+                         (toric, "classify")):
+        monkeypatch.setattr(module, name, refuse)
+    assert answers() == expected
+
+
+def test_oracle_check_walks_one_slice_per_graph(monkeypatch):
+    """`_oracle_check` asks for the power spread = dims[0] - dims[-1],
+    which is at most omega - min |C|, so the absence loop of
+    `_trace_equals_power` is empty and each check walks the top slice
+    alone: one `_walk` per perfect graph on at most six vertices, under
+    `classify(oracle=True)` and `verify_equivalence` alike."""
+    walks, per_check = [], []
+    walk, check = toric._walk, toric._oracle_check
+
+    def counting_walk(*args):
+        walks.append(1)
+        return walk(*args)
+
+    def counting_check(*args):
+        walks.clear()
+        result = check(*args)
+        per_check.append(len(walks))
+        return result
+
+    monkeypatch.setattr(toric, "_walk", counting_walk)
+    monkeypatch.setattr(toric, "_oracle_check", counting_check)
+    perfect = [g for n in range(1, 7) for g in graphs_up_to_iso(n) if is_perfect(g)]
+    for g in perfect:
+        assert classify(g, oracle=True).oracle.agreement
+    assert verify_equivalence(6)["perfect"] == len(perfect)
+    assert per_check == [1] * (2 * len(perfect))
 
 
 def test_classify_oracle_guard_fires_before_any_oracle_work(monkeypatch):
@@ -609,7 +657,7 @@ def test_powers_and_degrees_must_be_integers():
     assert trace_equals_power(K2K1, np.int32(1))
 
 
-def test_tables_are_no_part_of_the_graph_value():
+def test_oracles_store_nothing_on_the_graph():
     """The oracles' tables are derived per call and never stored: after
     every oracle has run on a graph, its attributes are its two fields,
     and its hash, repr and pickled form are as they were.  A copy or an
@@ -1352,7 +1400,7 @@ def test_membership_reads_the_clique_inequalities_of_any_graph():
     assert hilbert_function(c5, 1) == 11
 
 
-def test_classify_vertex_limit_override(monkeypatch):
+def test_classify_perfection_guard_follows_size_limit(monkeypatch):
     monkeypatch.delenv("GSTAB_SIZE_LIMIT", raising=False)
     with pytest.raises(SizeGuardError):
         classify(empty_graph(13), oracle=False)
