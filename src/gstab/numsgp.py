@@ -1,23 +1,23 @@
 """Numerical semigroups and the trace of their canonical ideal.
 
-A semigroup stores its generators alone.  Its Apery vector with respect
-to m = min(gens), ap[r] the least member in residue class r mod m, comes
-from the round-robin algorithm (Boecker and Liptak, Algorithmica 2007);
-that vector, the conductor, the Frobenius number and the gaps are derived
-on first use and kept on the object.  A set closed under adding m holds
-x iff x >= ap[x % m], so membership is one comparison.
+A semigroup is the value of its generators.  The constructor derives its
+Apery vector with respect to m = min(gens), ap[r] the least member in
+residue class r mod m, by the round-robin algorithm (Boecker and Liptak,
+Algorithmica 2007), and the conductor and Frobenius number from it, once.
+A set closed under adding m holds x iff x >= ap[x % m], so membership is
+one comparison.
 
 Fractional ideals are integer sets closed under adding semigroup elements,
 stored as their minimum plus a membership window of conductor length,
-beyond which everything belongs.  All arithmetic runs on Apery vectors;
-ideal sums and quotients of two ideals of one semigroup take O(m^2) steps.
+beyond which everything belongs, with the Apery vector read off that
+window.  All arithmetic runs on Apery vectors; ideal sums and quotients
+of two ideals of one semigroup take O(m^2) steps.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import gcd, inf
 
 from .errors import FormatError, ParameterError, SizeGuardError, _ints
@@ -42,12 +42,15 @@ class NumericalSemigroup:
     (`operator.index`) with gcd 1, stored sorted and without repeats.
 
     The generators are the whole value: equality, hashing, repr, copying
-    and pickling see them alone.  The Apery vector, conductor, Frobenius
-    number and gaps are derived from them on first use and kept on the
-    object.
+    and pickling see them alone.  The Apery vector `apery`, the conductor
+    and the Frobenius number are derived from them at construction and
+    cannot be passed in; the gaps are listed on each read.
     """
 
     generators: tuple[int, ...]
+    apery: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    conductor: int = field(init=False, repr=False, compare=False)
+    frobenius: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(sorted(set(_ints(self.generators, FormatError, "generators"))))
@@ -56,20 +59,11 @@ class NumericalSemigroup:
         if gcd(*gens) != 1:
             raise FormatError(f"gcd of generators is {gcd(*gens)}, complement would be infinite")
         _check_table_size(gens[0], gens[-1])
-        object.__setattr__(self, "generators", gens)
-
-    def __reduce__(self):
-        # the generators alone: the derived values are rebuilt on first use
-        return NumericalSemigroup, (self.generators,)
-
-    @cached_property
-    def apery(self) -> tuple[int, ...]:
-        """ap[r]: the least member congruent to r mod m = min(generators)."""
         # round robin: generator a goes once round each cycle r, r + a, ... of
         # residues mod m, from the cycle's least entry, which a cannot lower
-        m = self.generators[0]
+        m = gens[0]
         ap = [0] + [inf] * (m - 1)
-        for a in self.generators[1:]:
+        for a in gens[1:]:
             d = gcd(a, m)
             for p in range(d):
                 n = min(ap[p::d])
@@ -77,17 +71,16 @@ class NumericalSemigroup:
                     for _ in range(m // d - 1):
                         n = min(n + a, ap[(n + a) % m])
                         ap[n % m] = n
-        return tuple(ap)
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "apery", tuple(ap))
+        object.__setattr__(self, "conductor", max(ap) - m + 1)
+        object.__setattr__(self, "frobenius", self.conductor - 1)
 
-    @cached_property
-    def conductor(self) -> int:
-        return max(self.apery) - self.generators[0] + 1
+    def __reduce__(self):
+        # the generators alone: the constructor derives the rest again
+        return NumericalSemigroup, (self.generators,)
 
-    @cached_property
-    def frobenius(self) -> int:
-        return self.conductor - 1
-
-    @cached_property
+    @property
     def gaps(self) -> tuple[int, ...]:
         return tuple(x for x in range(1, self.conductor) if not self.contains(x))
 
@@ -97,15 +90,6 @@ class NumericalSemigroup:
 
 # the constructor under the name the command line and older callers use
 semigroup = NumericalSemigroup
-
-
-def _vector(ideal: IntegerIdeal) -> list[int]:
-    """Apery vector of `ideal`, read off its window."""
-    m, top = ideal.semigroup.generators[0], ideal.min + ideal.semigroup.conductor
-    ap = [top + (r - top) % m for r in range(m)]
-    for z in ideal.window:
-        ap[z % m] = min(ap[z % m], z)
-    return ap
 
 
 def _ideal(h: NumericalSemigroup, ap: list[int]) -> IntegerIdeal:
@@ -139,12 +123,14 @@ class IntegerIdeal:
     `window` lists the members m with min <= m < min + conductor.  The
     minimum and the members may be any integer-like values
     (`operator.index`), the members in any iterable; they are stored as
-    an int and a frozenset of ints.
+    an int and a frozenset of ints.  Their Apery vector `ap` is derived
+    at construction and is no part of the value.
     """
 
     semigroup: NumericalSemigroup
     min: int
     window: frozenset[int]
+    ap: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         index = operator.index
@@ -160,12 +146,18 @@ class IntegerIdeal:
             raise FormatError("minimum must belong to the ideal")
         top = least + c
         gens, contains = self.semigroup.generators, self.contains
+        m = gens[0]
+        # every class starts at min + conductor at the latest
+        ap = [top + (r - top) % m for r in range(m)]
         for z in window:
             if not least <= z < top:
                 raise FormatError("window element out of range")
             for g in gens:
                 if not contains(z + g):
                     raise FormatError("ideal not closed under semigroup addition")
+            if z < ap[z % m]:
+                ap[z % m] = z
+        object.__setattr__(self, "ap", tuple(ap))
 
     def contains(self, z: int) -> bool:
         return z >= self.min + self.semigroup.conductor or z in self.window
@@ -189,7 +181,7 @@ def _vectors(a: IntegerIdeal, b: IntegerIdeal):
     if a.semigroup != b.semigroup:
         raise ParameterError(f"ideals over different semigroups {a.semigroup.generators} "
                              f"and {b.semigroup.generators}")
-    return a.semigroup, _vector(a), _vector(b)
+    return a.semigroup, a.ap, b.ap
 
 
 def ideal_quotient(target: IntegerIdeal, ideal: IntegerIdeal) -> IntegerIdeal:
@@ -232,7 +224,7 @@ def _residue(h: NumericalSemigroup, tr: IntegerIdeal) -> int:
     Counted class by class: the trace lies inside the semigroup, so in
     class r it misses the (tr[r] - ap[r]) / m members from ap[r] up.
     """
-    return sum(map(operator.sub, _vector(tr), h.apery)) // h.generators[0]
+    return sum(map(operator.sub, tr.ap, h.apery)) // h.generators[0]
 
 
 def family(a: int, b: int) -> NumericalSemigroup:

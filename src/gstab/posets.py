@@ -185,12 +185,11 @@ def hmp_poset(a: int, b: int) -> Poset:
     a, b = _ints((a, b), ParameterError, "a and b")
     if not (4 <= a < b):
         raise ParameterError(f"need 4 <= a < b, got a={a}, b={b}")
-    bottom = chain(b - a - 1, [f"b{i + 1}" for i in range(b - a - 1)])
-    top = poset_from_covers(
-        ("p",) + tuple(f"c{i + 1}" for i in range(a - 2)),
-        [(f"c{i + 1}", f"c{i + 2}") for i in range(a - 3)],
-    )
-    return ordinal_sum(bottom, ordinal_sum(chain(1, ["m"]), top))
+    # the chain b1 < ... < b{b-a-1} < m < c1 < ... < c{a-2}, and m < p
+    bottom = [f"b{i + 1}" for i in range(b - a - 1)] + ["m"]
+    top = [f"c{i + 1}" for i in range(a - 2)]
+    line = bottom + top
+    return poset_from_covers(bottom + ["p"] + top, [*zip(line, line[1:]), ("m", "p")])
 
 
 # ---------------------------------------------------------------------------

@@ -312,11 +312,12 @@ def _complete_summand(a, rows, part, done, v: int, hi: int, slack: int) -> bool:
 # ---------------------------------------------------------------------------
 # degree slices
 
-def _walk(cliques, theta: int, degree: int, floors) -> list[tuple[int, ...]]:
+def _walk(cliques, theta: int, degree: int, floors):
     """The exponent vectors of the theta-module slice at the given degree,
     for the maximal `cliques` of a graph on len(floors) vertices, whose
     value at each vertex v is at least the value at `floors[v]` (no bound
-    where that is -1), in ascending lexicographic order.
+    where that is -1), as an iterator in descending lexicographic order:
+    a search that stops early stops the walk with it.
 
     The walk assigns the vertices in order, each value shifted down by
     theta, and carries what is left of the cap of each clique through the
@@ -327,34 +328,32 @@ def _walk(cliques, theta: int, degree: int, floors) -> list[tuple[int, ...]]:
     n = len(floors)
     caps = [degree - theta * (len(c) + 1) for c in cliques]
     if any(cap < 0 for cap in caps):
-        return []
+        return iter(())
     by_vertex = [[] for _ in range(n)]
     for ci, c in enumerate(cliques):
         for i in c:
             by_vertex[i - 1].append(ci)
-    out: list[tuple[int, ...]] = []
     # shifted[-1] stays 0: the start of a vertex whose floor is -1
-    _walk_from(0, theta, by_vertex, floors, caps, [0] * (n + 1), out)
-    return out
+    return _walk_from(0, theta, by_vertex, floors, caps, [0] * (n + 1))
 
 
-def _walk_from(v: int, theta: int, by_vertex, floors, caps, shifted, out):
-    """Append to `out` every completion of the shifted values
-    `shifted[:v]` of `_walk`, with `caps` what is left of each clique's
-    cap; `caps` is restored on return.  Module-level, like
-    `_complete_summand`, so that no call leaves a reference cycle."""
+def _walk_from(v: int, theta: int, by_vertex, floors, caps, shifted):
+    """Yield every completion of the shifted values `shifted[:v]` of
+    `_walk`, largest first, with `caps` what is left of each clique's cap;
+    `caps` is restored once the completions are exhausted.  Module-level,
+    like `_complete_summand`, so that no call leaves a reference cycle."""
     cliques = by_vertex[v]
     room = min(caps[ci] for ci in cliques)
     lo = shifted[floors[v]]
     if v + 1 == len(by_vertex):
         prefix = tuple(x + theta for x in shifted[:v])
-        out.extend((*prefix, b + theta) for b in range(lo, room + 1))
+        yield from ((*prefix, b + theta) for b in range(room, lo - 1, -1))
         return
-    for b in range(lo, room + 1):
+    for b in range(room, lo - 1, -1):
         shifted[v] = b
         for ci in cliques:
             caps[ci] -= b
-        _walk_from(v + 1, theta, by_vertex, floors, caps, shifted, out)
+        yield from _walk_from(v + 1, theta, by_vertex, floors, caps, shifted)
         for ci in cliques:
             caps[ci] += b
 
@@ -362,7 +361,7 @@ def _walk_from(v: int, theta: int, by_vertex, floors, caps, shifted, out):
 def _slice(g: Graph, theta: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors in the theta-module of `g` at the given degree,
     in ascending lexicographic order."""
-    return tuple(_walk(_cliques(g), theta, degree, (-1,) * g.n))
+    return tuple(_walk(_cliques(g), theta, degree, (-1,) * g.n))[::-1]
 
 
 def degree_monomials(g: Graph, q: int) -> list[Monomial]:
@@ -466,8 +465,7 @@ def _trace_equals_power(g: Graph, power: int) -> bool:
     powers, from `trace_equals_power`, walk the absence loop.
     """
     cliques, rows, floors = _cliques(g), _clique_rows(g), _twin_floors(g)
-    top = _walk(cliques, 0, power, floors)[::-1]
-    if _trace_miss(cliques, rows, top, power, True) is not None:
+    if _trace_miss(cliques, rows, _walk(cliques, 0, power, floors), power, True) is not None:
         return False
     sizes = list(map(len, cliques))
     return all(_trace_miss(cliques, rows, _walk(cliques, 0, q, floors), q, False) is None

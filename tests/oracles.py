@@ -581,6 +581,17 @@ def ideal_members_upto(ideal, bound):
     return small + list(range(top, max(top, bound)))
 
 
+def apery_of_window(ideal):
+    """The Apery vector of an IntegerIdeal read off its window: per class
+    r mod min(generators), the least window member, else the first
+    integer of the class from min + conductor on."""
+    m, top = ideal.semigroup.generators[0], ideal.min + ideal.semigroup.conductor
+    ap = [top + (r - top) % m for r in range(m)]
+    for z in ideal.window:
+        ap[z % m] = min(ap[z % m], z)
+    return tuple(ap)
+
+
 def ideal_from_test(h, test, lo, hi):
     """{z : test(z)} as an IntegerIdeal whose minimum lies in [lo, hi]."""
     mn = next(z for z in range(lo, hi + 1) if test(z))

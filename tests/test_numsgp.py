@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    apery_of_window,
     members_upto,
     scan_canonical_ideal,
     scan_quotient,
@@ -103,33 +104,38 @@ def test_semigroup_rejects_bad_input():
 
 
 def test_semigroup_is_its_generators():
-    """The generators are the only field; derived values cannot be passed
-    in, so a wrong type or residue cannot be smuggled in with them."""
-    assert [f.name for f in dataclasses.fields(NumericalSemigroup)] == ["generators"]
+    """The generators are the only constructor argument and the only
+    compared field; derived values cannot be passed in, so a wrong type or
+    residue cannot be smuggled in with them."""
+    fields = dataclasses.fields(NumericalSemigroup)
+    assert [f.name for f in fields if f.init] == ["generators"]
+    assert [f.name for f in fields if f.compare or f.repr] == ["generators"]
     assert semigroup is NumericalSemigroup
     with pytest.raises(TypeError):
         NumericalSemigroup((3, 5), frozenset({0, 3, 5, 6}), (1, 2, 4), 4, 5)
+    with pytest.raises(TypeError):
+        NumericalSemigroup((3, 5), apery=(0, 10, 5))
     h = NumericalSemigroup([5, 3, 5])
     assert h.generators == (3, 5)
     assert (cm_type(h), residue(h)) == (1, 0)
 
 
 def test_derived_values_are_no_part_of_the_semigroup_value():
-    """Reading the Apery vector, conductor, Frobenius number and gaps keeps
-    them on the semigroup, computed once, but leaves its equality, hash,
-    repr and pickled form as they were; a copy or an unpickled semigroup
-    derives its own values when asked and answers the same."""
+    """The constructor derives the Apery vector, conductor and Frobenius
+    number, but equality, hash and repr read the generators alone, and a
+    pickled semigroup carries only them: an unpickled or copied semigroup
+    derives its own values and answers the same."""
     derived = ("apery", "conductor", "frobenius", "gaps")
     for gens in ASSORTED:
-        h, fresh = semigroup(gens), semigroup(gens)
-        before = (hash(h), repr(h), pickle.dumps(h))
+        h = semigroup(gens)
         values = tuple(getattr(h, name) for name in derived)
-        assert set(vars(h)) == {"generators", *derived}
-        assert all(getattr(h, name) is v for name, v in zip(derived, values))
-        assert (hash(h), repr(h), pickle.dumps(h)) == before
-        assert h == fresh and hash(h) == hash(fresh) and set(vars(fresh)) == {"generators"}
-        for other in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
-            assert other == h and set(vars(other)) == {"generators"}
+        assert repr(h) == f"NumericalSemigroup(generators={h.generators!r})"
+        assert hash(h) == hash(semigroup(reversed(gens)))
+        assert h.__reduce__() == (NumericalSemigroup, (h.generators,))
+        payload = pickle.dumps(h)
+        assert not any(name.encode() in payload for name in derived)
+        for other in (pickle.loads(payload), copy.copy(h), copy.deepcopy(h)):
+            assert other == h and hash(other) == hash(h)
             assert tuple(getattr(other, name) for name in derived) == values
             assert pseudo_frobenius(other) == pseudo_frobenius(h)
             assert residue(other) == residue(h)
@@ -162,6 +168,36 @@ def test_integer_ideal_stores_integer_like_values_as_ints():
     assert {type(z) for z in ideal.window} == {int}
     assert ideal == k
     assert ideal_sum(ideal, ideal) == ideal_sum(k, k)
+
+
+def test_ideal_stores_the_apery_vector_of_its_window():
+    """Every ideal keeps the Apery vector of its window, whether the
+    arithmetic or a caller built it, and pickling and copying keep the
+    ideal and its vector."""
+    ideals = []
+    for gens in ASSORTED:
+        h = semigroup(gens)
+        k, whole = canonical_ideal(h), semigroup_as_ideal(h)
+        dual = ideal_dual(h, k)
+        ideals += [k, whole, dual, ideal_quotient(whole, k), ideal_quotient(k, dual),
+                   ideal_sum(k, dual), ideal_sum(k, k), trace_ideal(h)]
+    naturals = semigroup([1])
+    assert naturals.conductor == 0
+    ideals += [IntegerIdeal(naturals, 0, frozenset()), IntegerIdeal(naturals, -4, ())]
+    h = semigroup([3, 5])
+    # -4 + <3, 5>: a negative minimum, and classes mod 3 that start at 6
+    # (no window member; the first multiple of 3 from min + conductor = 4
+    # on), 1 and -4
+    low = IntegerIdeal(h, -4, {-4, -1, 1, 2})
+    ideals += [low, IntegerIdeal(h, 0, {0, 2, 3, 5, 6, 7})]
+    assert low.ap == (6, 1, -4) and ideals[-1].ap == (0, 7, 2)
+    for ideal in ideals:
+        assert ideal.ap == apery_of_window(ideal), ideal
+        for other in (pickle.loads(pickle.dumps(ideal)), copy.copy(ideal), copy.deepcopy(ideal)):
+            assert other == ideal and hash(other) == hash(ideal) and other.ap == ideal.ap
+    assert repr(low) == f"IntegerIdeal(semigroup={h!r}, min=-4, window={low.window!r})"
+    with pytest.raises(TypeError):
+        IntegerIdeal(h, 0, {0, 3, 5, 6}, (0, 10, 5))
 
 
 @pytest.mark.parametrize("other", [(3, 5, 7), (2, 3)])

@@ -703,8 +703,8 @@ def test_twin_floors_are_the_clique_preserving_swaps():
 
 def test_twin_walk_yields_one_point_per_orbit():
     """With the twin floors, `_walk` yields each slice point that is
-    non-decreasing along every twin class, once, in lexicographic order:
-    one point per orbit of the twin swaps."""
+    non-decreasing along every twin class, once, in descending
+    lexicographic order: one point per orbit of the twin swaps."""
     for name, g in perfect_graphs_up_to(5) + [("K4+P3", disjoint_union(complete_graph(4), P3))]:
         floors = _twin_floors(g)
         classes = []
@@ -724,9 +724,9 @@ def test_twin_walk_yields_one_point_per_orbit():
         cliques, delta = maximal_cliques(g), clique_dim(g) + 1
         for theta, degrees in ((0, range(4)), (1, range(delta + 1, delta + 4))):
             for q in degrees:
-                walked = toric._walk(cliques, theta, q, floors)
-                assert walked == sorted(set(map(sort_classes, _slice(g, theta, q)))), \
-                    (name, theta, q)
+                walked = list(toric._walk(cliques, theta, q, floors))
+                assert walked == sorted(set(map(sort_classes, _slice(g, theta, q))),
+                                        reverse=True), (name, theta, q)
 
 
 def test_trace_equals_power_matches_full_search(union_corpus):
