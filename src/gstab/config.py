@@ -24,8 +24,8 @@ import os
 from .errors import ParameterError, SizeGuardError
 
 # The perfection test (Lovasz's criterion) runs two clique searches on
-# each induced subgraph of at least 5 vertices inside one connected
-# component: nearly all 2^n of them for a connected graph.
+# each induced subgraph of 5 or of at least 7 vertices inside one
+# connected component: nearly all 2^n of them for a connected graph.
 DEFAULT_PERFECT_LIMIT = 12
 
 # The face oracle walks faces of the (n+1)-dimensional cone.  At the

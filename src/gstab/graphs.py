@@ -4,9 +4,10 @@ Vertices are labeled 1..n.  Edges are unordered pairs.  All values are
 immutable and all operations are pure functions, so everything here is safe
 to share across threads.  Perfection is decided by Lovasz's criterion
 (omega(H) * alpha(H) >= |V(H)| on every induced subgraph H), tested on the
-induced subgraphs of 5+ vertices inside one connected component: exponential
-in the largest component's size, and guarded by a vertex limit.  Enumeration
-up to isomorphism is guarded by the cone-dimension limit.
+induced subgraphs of five or of seven and more vertices inside one connected
+component (the others always pass): exponential in the largest component's
+size, and guarded by a vertex limit.  Enumeration up to isomorphism is
+guarded by the cone-dimension limit.
 """
 
 from __future__ import annotations
@@ -324,11 +325,11 @@ def is_perfect(g: Graph) -> bool:
     parts H1, H2 with no edge between them, omega(H) is the larger of
     omega(H1), omega(H2) and alpha(H) = alpha(H1) + alpha(H2), so
     omega(H) * alpha(H) >= omega(H1) * alpha(H1) + omega(H2) * alpha(H2),
-    and H passes when its parts do.  Subgraphs of at most four vertices are
-    not tested: C5 is the smallest imperfect graph, and a perfect H has
-    |V(H)| <= chi(H) * alpha(H) = omega(H) * alpha(H).  The scan still
-    walks sum 2^|C| subsets over the components C, all 2^n for a connected
-    graph, so the perfection guard of `config` caps the vertex count.
+    and H passes when its parts do.  Subgraphs of at most four vertices
+    and of exactly six are not tested, since they always pass (`_perfect`).
+    The scan still walks sum 2^|C| subsets over the components C, all 2^n
+    for a connected graph, so the perfection guard of `config` caps the
+    vertex count.
     """
     check_size("perfection test", g.n)
     return _perfect(g)
@@ -336,8 +337,19 @@ def is_perfect(g: Graph) -> bool:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _perfect(g: Graph) -> bool:
-    """Lovasz's test on the subsets of five or more vertices of each
-    component, ascending, up to the first failing one (`is_perfect`)."""
+    """Lovasz's test on the subsets of five or of seven and more vertices
+    of each component, ascending, up to the first failing one
+    (`is_perfect`).
+
+    The skipped subsets H always pass.  With at most four vertices, H is
+    perfect (C5 is the smallest imperfect graph), and a perfect H has
+    |V(H)| <= chi(H) * alpha(H) = omega(H) * alpha(H).  With six vertices,
+    Ramsey's R(3, 3) = 6 gives omega(H) >= 3 or alpha(H) >= 3, and the
+    other number is at least 2 unless H is complete or edgeless, where
+    omega(H) * alpha(H) = 6 anyway; so omega(H) * alpha(H) >= 6.  Skipping
+    them leaves the first failing subset, and so every verdict, as it is:
+    C5 + K1 passes on all six vertices and fails on its C5.
+    """
     adj = _adjacency_masks(g)
     full = (1 << g.n) - 1
     # the complement's adjacency: alpha(H) is its clique number on H
@@ -346,7 +358,7 @@ def _perfect(g: Graph) -> bool:
         # the nonempty subsets of comp in ascending order
         h = 0
         while h := (h - comp) & comp:
-            if (k := h.bit_count()) > 4 and \
+            if (k := h.bit_count()) > 4 and k != 6 and \
                     _max_clique_size(adj, h) * _max_clique_size(co_adj, h) < k:
                 return False
     return True

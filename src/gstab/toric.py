@@ -372,8 +372,10 @@ def degree_monomials(g: Graph, q: int) -> list[Monomial]:
 
 
 def hilbert_function(g: Graph, q: int) -> int:
+    """The number of ring monomials of degree exactly q, counted along the
+    walk, which keeps no point."""
     q = _ints((q,), ParameterError, "degrees")[0]
-    return len(_slice(g, 0, q))
+    return sum(1 for _ in _walk(_cliques(g), 0, q, (-1,) * g.n))
 
 
 def a_invariant(g: Graph) -> int:
@@ -455,21 +457,27 @@ def _trace_equals_power(g: Graph, power: int) -> bool:
     most six vertices, against 1366 absence first.  Membership is still
     decided by `_trace_miss` from the definition; neither the faces nor
     the purity criterion is read.  `full_trace_equals_power` in the tests
-    is the loop over every point.  The clique rows and the twin floors are
-    derived once and read by every search and walk.  The absence tests
-    start at degree omega - min |C|: below it `_trace_miss` has no degree
-    split to try, so no point there is in the trace.
+    is the loop over every point.  Below degree omega - min |C|,
+    `_trace_miss` has no degree split to try, so no point there is in the
+    trace: a smaller `power` is answered False before anything is built,
+    since its slice holds the zero vector, and the absence tests start at
+    that degree.  Otherwise the clique rows and the twin floors are
+    derived once and read by every search and walk.
     `_oracle_check` asks for the component dimensions' spread, at most
     omega - min |C| (the smallest component's largest clique has at least
-    min |C| vertices), so it walks the top slice alone; only larger
-    powers, from `trace_equals_power`, walk the absence loop.
+    min |C| vertices), so it walks the top slice alone, or none; only
+    larger powers, from `trace_equals_power`, walk the absence loop.
     """
-    cliques, rows, floors = _cliques(g), _clique_rows(g), _twin_floors(g)
+    cliques = _cliques(g)
+    sizes = list(map(len, cliques))
+    lowest = max(sizes) - min(sizes)
+    if power < lowest:
+        return False
+    rows, floors = _clique_rows(g), _twin_floors(g)
     if _trace_miss(cliques, rows, _walk(cliques, 0, power, floors), power, True) is not None:
         return False
-    sizes = list(map(len, cliques))
     return all(_trace_miss(cliques, rows, _walk(cliques, 0, q, floors), q, False) is None
-               for q in range(max(sizes) - min(sizes), power))
+               for q in range(lowest, power))
 
 
 def _twin_floors(g: Graph) -> tuple[int, ...]:

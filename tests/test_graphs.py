@@ -240,14 +240,14 @@ def test_perfection_agrees_with_hole_and_coloring_oracles():
     pytest.param(union(complete_graph(3), complete_graph(3), complete_graph(1)), 0,
                  id="K3+K3+K1"),                                            # 254
     pytest.param(union(complete_graph(3), cycle_graph(5)), 2, id="K3+C5"),  # imperfect; 496
-    pytest.param(path_graph(7), 58, id="P7"),                               # connected
+    pytest.param(path_graph(7), 44, id="P7"),                               # connected
 ])
 def test_perfection_searches_within_components(monkeypatch, g, calls):
-    """Two clique searches per vertex subset of five or more vertices of
-    one component, in ascending order up to the first violation, where
-    every nonempty subset of the graph would take 2 * (2^n - 1): the K5
-    alone in K5+P3, the C5 alone in K3+C5, none in K3+K3+K1, and the 29
-    subsets of P7 with at least five vertices."""
+    """Two clique searches per vertex subset of five or of seven and more
+    vertices of one component, in ascending order up to the first
+    violation, where every nonempty subset of the graph would take
+    2 * (2^n - 1): the K5 alone in K5+P3, the C5 alone in K3+C5, none in
+    K3+K3+K1, and the 22 subsets of P7 with five or seven vertices."""
     counted = []
     search = graphs_module._max_clique_size
 
@@ -259,7 +259,7 @@ def test_perfection_searches_within_components(monkeypatch, g, calls):
     # the undecorated test, so that no cached verdict hides the searches
     graphs_module._perfect.__wrapped__(g)
     assert len(counted) == calls
-    assert all(h.bit_count() >= 5 for h in counted)
+    assert all(h.bit_count() == 5 or h.bit_count() >= 7 for h in counted)
 
 
 def test_subsets_of_at_most_four_vertices_pass_lovasz():
@@ -278,10 +278,34 @@ def test_subsets_of_at_most_four_vertices_pass_lovasz():
             assert omega * alpha >= h.bit_count(), (g, h)
 
 
+def test_six_vertex_subsets_pass_lovasz():
+    """By R(3, 3) = 6, every graph H on six vertices has
+    omega(H) * alpha(H) >= 6, so `_perfect` runs no clique search on
+    six-vertex subsets either.  Checked on the 156 classes, with the
+    search `_perfect` uses; they still hold imperfect graphs, C5 + K1
+    among them (omega * alpha = 2 * 3 = 6), which fail on a five-vertex
+    subset."""
+    graphs = list(graphs_up_to_iso(6))
+    assert len(graphs) == 156
+    full = (1 << 6) - 1
+    for g in graphs:
+        adj = graphs_module._adjacency_masks(g)
+        co_adj = graphs_module._adjacency_masks(complement(g))
+        omega = graphs_module._max_clique_size(adj, full)
+        alpha = graphs_module._max_clique_size(co_adj, full)
+        assert omega * alpha >= 6, g
+
+    def canonical(g):
+        return graphs_module._canonical_mask(graphs_module._adjacency_masks(g))
+
+    imperfect = {canonical(g) for g in graphs if not is_perfect(g)}
+    assert canonical(union(cycle_graph(5), complete_graph(1))) in imperfect
+
+
 def test_perfection_searches_on_seven_vertices(monkeypatch):
-    """The 1044 classes on seven vertices take 45550 clique searches in
-    all (220450 with the subsets of at most four vertices), and 906 are
-    perfect."""
+    """The 1044 classes on seven vertices take 35004 clique searches in
+    all (45550 with the six-vertex subsets, 220450 with those of at most
+    four vertices as well), and 906 are perfect."""
     calls = [0]
     search = graphs_module._max_clique_size
 
@@ -293,7 +317,7 @@ def test_perfection_searches_on_seven_vertices(monkeypatch):
     graphs = list(graphs_up_to_iso(7))
     assert len(graphs) == 1044
     assert sum(graphs_module._perfect.__wrapped__(g) for g in graphs) == 906
-    assert calls[0] == 45550
+    assert calls[0] == 35004
 
 
 def seeded_comparability_graph() -> Graph:
@@ -308,16 +332,16 @@ def seeded_comparability_graph() -> Graph:
 
 
 @pytest.mark.parametrize("g, frames", [
-    pytest.param(path_graph(7), 334, id="P7"),
+    pytest.param(path_graph(7), 237, id="P7"),
     pytest.param(union(complete_graph(5), path_graph(3)), 11, id="K5+P3"),
-    pytest.param(seeded_comparability_graph(), 49691, id="comparability12"),
+    pytest.param(seeded_comparability_graph(), 37502, id="comparability12"),
 ])
 def test_clique_search_frames_pinned(monkeypatch, g, frames):
     """The branch and bound of `_grow_clique`, pinned by the number of its
     frames over one perfection test, which searches only the subsets of
-    five or more vertices: the candidates are taken lowest bit first and
-    the bound is tested before each branch and after each drop, so a
-    change of branching order or bound moves the count."""
+    five or of seven and more vertices: the candidates are taken lowest
+    bit first and the bound is tested before each branch and after each
+    drop, so a change of branching order or bound moves the count."""
     counted = [0]
     grow = graphs_module._grow_clique
 
