@@ -31,6 +31,7 @@ from .errors import (
     NotPerfectError,
     ParameterError,
     SizeGuardError,
+    _int_text,
     _read_text,
 )
 from .graphs import Graph, connected_components, load_graph
@@ -173,7 +174,7 @@ def cmd_numsgp(args) -> tuple[dict, int]:
         h = family(a, b)
     else:
         try:
-            gens = [int(x) for x in args.gens.split(",") if x.strip()]
+            gens = [_int_text(x) for x in args.gens.split(",") if x.strip()]
         except ValueError as exc:
             raise FormatError(f"bad generator list {args.gens!r}") from exc
         h = semigroup(gens)
@@ -219,12 +220,20 @@ def cmd_verify(args) -> tuple[dict, int]:
     return payload, EXIT_OK if result["disagreements"] == 0 else EXIT_MISMATCH
 
 
+def _int_option(text: str) -> int:
+    """Every integer option's `type`: `_int_text`, refused as `int` is."""
+    try:
+        return _int_text(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gstab",
         description="Stable set rings of perfect graphs: classification and oracles.",
     )
-    parser.add_argument("--json-indent", type=int, default=2,
+    parser.add_argument("--json-indent", type=_int_option, default=2,
                         help=f"spaces per JSON nesting level, 0..{MAX_JSON_INDENT}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -249,20 +258,20 @@ def _build_parser() -> argparse.ArgumentParser:
     fam = sub.add_parser("family", help="built-in families")
     fam_sub = fam.add_subparsers(dest="family_command", required=True)
     hmp = fam_sub.add_parser("hmp", help="poset family with prescribed height and dimension")
-    hmp.add_argument("--a", type=int, required=True)
-    hmp.add_argument("--b", type=int, required=True)
+    hmp.add_argument("--a", type=_int_option, required=True)
+    hmp.add_argument("--b", type=_int_option, required=True)
     hmp.add_argument("--oracle", action="store_true")
     hmp.set_defaults(run=cmd_family_hmp)
 
     num = sub.add_parser("numsgp", help="numerical semigroup invariants")
     num.add_argument("--gens", type=str, default=None,
                      help="comma-separated generators")
-    num.add_argument("--family", type=int, nargs=2, metavar=("A", "B"), default=None,
+    num.add_argument("--family", type=_int_option, nargs=2, metavar=("A", "B"), default=None,
                      help="type/residue family parameters")
     num.set_defaults(run=cmd_numsgp)
 
     ver = sub.add_parser("verify", help="check the classification against the oracles")
-    ver.add_argument("--max-n", type=int, required=True)
+    ver.add_argument("--max-n", type=_int_option, required=True)
     ver.set_defaults(run=cmd_verify)
 
     return parser

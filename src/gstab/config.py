@@ -15,17 +15,17 @@ n).  It raises the guards and never lowers one: the perfection guard
 becomes the larger of its default and n, the cone guard the larger of its
 default and n + 1.  So `GSTAB_SIZE_LIMIT=9`, which lets `verify` reach 9
 vertices (and the face oracle cone dimension 10), leaves the perfection
-test at 12.  A value that is not a nonnegative integer is a
-ParameterError.
+test at 12.  A value that is not a nonnegative integer (ASCII digits,
+with an optional sign and surrounding whitespace) is a ParameterError.
 """
 
 import os
 
-from .errors import ParameterError, SizeGuardError
+from .errors import ParameterError, SizeGuardError, _int_text
 
-# The perfection test (Lovasz's criterion) runs two clique searches on
-# each induced subgraph of 5 or of at least 7 vertices inside one
-# connected component: nearly all 2^n of them for a connected graph.
+# The perfection test (Lovasz's criterion) reads omega and alpha off each
+# component's maximal cliques and stable sets on its induced subgraphs of
+# 5 or of at least 7 vertices: nearly all 2^n for a connected graph.
 DEFAULT_PERFECT_LIMIT = 12
 
 # The face oracle walks faces of the (n+1)-dimensional cone.  At the
@@ -53,7 +53,7 @@ def _env_override() -> int | None:
     if raw is None:
         return None
     try:
-        value = int(raw)
+        value = _int_text(raw)
     except ValueError:
         value = None
     if value is None or value < 0:

@@ -8,6 +8,7 @@ these errors.
 
 import json
 import operator
+import re
 
 
 class GstabError(Exception):
@@ -37,6 +38,14 @@ def _ints(values, error: type[GstabError], what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError:
         raise error(f"{what} must be integers, got {values!r}") from None
+
+
+def _int_text(text: str) -> int:
+    """`text` as an int if it is ASCII digits after an optional sign, with
+    optional surrounding whitespace; else a ValueError, also for "1_0"."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _read_text(path: str) -> str:

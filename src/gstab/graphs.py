@@ -5,9 +5,10 @@ immutable and all operations are pure functions, so everything here is safe
 to share across threads.  Perfection is decided by Lovasz's criterion
 (omega(H) * alpha(H) >= |V(H)| on every induced subgraph H), tested on the
 induced subgraphs of five or of seven and more vertices inside one connected
-component (the others always pass): exponential in the largest component's
-size, and guarded by a vertex limit.  Enumeration up to isomorphism is
-guarded by the cone-dimension limit.
+component (the others always pass), with omega and alpha read off the
+component's maximal cliques and stable sets: exponential in the largest
+component's size, and guarded by a vertex limit.  Enumeration up to
+isomorphism is guarded by the cone-dimension limit.
 """
 
 from __future__ import annotations
@@ -183,10 +184,11 @@ def _maximal_clique_masks(adj: tuple[int, ...], subset: int) -> list[int]:
 
 def _extend_clique(adj: tuple[int, ...], r: int, p: int, x: int, cliques: list[int]):
     """Append to `cliques` every maximal clique that holds the clique `r`,
-    draws its other vertices from `p` and none from `x`.  Module-level,
-    like `_grow_clique`, so that no call leaves a reference cycle.  Every
-    later `p` and `x` stays inside the first call's `p`, since `x` only
-    gains vertices of `p`.
+    draws its other vertices from `p` and none from `x`.  Every later `p`
+    and `x` stays inside the first call's `p`, since `x` only gains
+    vertices of `p`.  The package's one clique search, module-level so
+    that no call leaves a reference cycle: a nested recursive function
+    refers to itself through its closure.
     """
     if p == 0 and x == 0:
         cliques.append(r)
@@ -224,39 +226,6 @@ def _component_masks(adj: tuple[int, ...]) -> list[int]:
         left &= ~comp
         comps.append(comp)
     return comps
-
-
-def _max_clique_size(adj: tuple[int, ...], subset: int) -> int:
-    """The clique number of the subgraph induced on `subset`."""
-    return _grow_clique(adj, 0, subset, 0)
-
-
-def _grow_clique(adj: tuple[int, ...], size: int, candidates: int, best: int) -> int:
-    """The larger of `best` and the largest clique that adds vertices of
-    `candidates` (each adjacent to every chosen vertex) to the `size`
-    vertices chosen so far.
-
-    Branch and bound: each candidate v in turn is chosen, with its
-    neighbours among the candidates left as the next candidates, and then
-    dropped; a branch stops once its size plus its candidate count cannot
-    exceed `best`.  It is module-level and hands `best` back as its value,
-    since a nested recursive function refers to itself through its
-    closure: a reference cycle for the cyclic collector on each of the two
-    searches per subset of `_perfect`.  The candidates are taken lowest
-    bit first by an inline loop, not the `_bits` generator, which would
-    cost a generator object per call.
-    """
-    if size + candidates.bit_count() <= best:
-        return best
-    if candidates == 0:
-        return size
-    while candidates:
-        low = candidates & -candidates
-        best = _grow_clique(adj, size + 1, candidates & adj[low.bit_length() - 1], best)
-        candidates ^= low
-        if size + candidates.bit_count() <= best:
-            return best
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +295,10 @@ def is_perfect(g: Graph) -> bool:
     omega(H1), omega(H2) and alpha(H) = alpha(H1) + alpha(H2), so
     omega(H) * alpha(H) >= omega(H1) * alpha(H1) + omega(H2) * alpha(H2),
     and H passes when its parts do.  Subgraphs of at most four vertices
-    and of exactly six are not tested, since they always pass (`_perfect`).
-    The scan still walks sum 2^|C| subsets over the components C, all 2^n
-    for a connected graph, so the perfection guard of `config` caps the
-    vertex count.
+    and of exactly six always pass and are not tested (`_perfect`, which
+    also says where omega and alpha come from).  The scan still walks
+    sum 2^|C| subsets over the components C, all 2^n for a connected
+    graph, so the perfection guard of `config` caps the vertex count.
     """
     check_size("perfection test", g.n)
     return _perfect(g)
@@ -340,6 +309,11 @@ def _perfect(g: Graph) -> bool:
     """Lovasz's test on the subsets of five or of seven and more vertices
     of each component, ascending, up to the first failing one
     (`is_perfect`).
+
+    Each component of at least five vertices lists its maximal cliques
+    and maximal stable sets, and omega(H) is the most vertices H shares
+    with one of those cliques, alpha(H) with one of those stable sets:
+    every clique (stable set) of H lies in a maximal one of the component.
 
     The skipped subsets H always pass.  With at most four vertices, H is
     perfect (C5 is the smallest imperfect graph), and a perfect H has
@@ -352,14 +326,19 @@ def _perfect(g: Graph) -> bool:
     """
     adj = _adjacency_masks(g)
     full = (1 << g.n) - 1
-    # the complement's adjacency: alpha(H) is its clique number on H
+    # the complement's adjacency: its cliques are the stable sets
     co_adj = tuple(full & ~a & ~(1 << v) for v, a in enumerate(adj))
     for comp in _component_masks(adj):
+        if comp.bit_count() < 5:
+            continue
+        cliques = _maximal_clique_masks(adj, comp)
+        stables = _maximal_clique_masks(co_adj, comp)
         # the nonempty subsets of comp in ascending order
         h = 0
         while h := (h - comp) & comp:
             if (k := h.bit_count()) > 4 and k != 6 and \
-                    _max_clique_size(adj, h) * _max_clique_size(co_adj, h) < k:
+                    max((h & c).bit_count() for c in cliques) * \
+                    max((h & s).bit_count() for s in stables) < k:
                 return False
     return True
 

@@ -272,7 +272,7 @@ def _complete_summand(a, rows, part, done, v: int, hi: int, slack: int) -> bool:
     of `a` over the vertices before v, so that every clique lands in its
     interval (`_trace_miss`)?  `part` and `done` are restored on return.
     Module-level with its state in arguments, so that no call leaves a
-    reference cycle (see `graphs._grow_clique`).
+    reference cycle (see `graphs._extend_clique`).
     """
     # with count later vertices in C, each between 1 and a_i + 1:
     # x >= cs_C(a) - slack - part_C - (largest sum of C's later vertices)
@@ -716,8 +716,7 @@ def classify(g: Graph, oracle: bool = False) -> TraceReport:
     """
     if g.n == 0:
         raise ParameterError("need at least one vertex")
-    if not is_perfect(g):
-        raise NotPerfectError("classification requires a perfect graph")
+    _check_perfect(g)
     comps = connected_components(g)
     dims = tuple(c.dim for c in comps)
     pure = tuple(c.pure for c in comps)

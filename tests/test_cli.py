@@ -291,6 +291,49 @@ def test_numsgp_needs_exactly_one_input(capsys):
     assert code == EXIT_PARAMS
 
 
+# digit-group underscores and non-ASCII digits ("\u0661\u0660" is 10 in
+# Arabic-Indic digits), both of which `int` alone reads as 10
+NOT_ASCII_INTEGERS = ["1_0", "\u0661\u0660"]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS, ids=["underscore", "arabic_indic"])
+def test_numsgp_gens_take_ascii_digits_only(capsys, text):
+    """"1_0,3" is a bad generator list (exit 2), not <3, 10>."""
+    code, payload, err = run_cli(capsys, "numsgp", "--gens", f"{text},3")
+    assert code == EXIT_PARSE
+    assert payload is None
+    assert "FormatError" in err
+
+
+def test_numsgp_gens_take_a_sign_and_surrounding_whitespace(capsys):
+    code, payload, _ = run_cli(capsys, "numsgp", "--gens", " 3, +4 ,5 ")
+    assert code == EXIT_OK
+    assert payload["generators"] == [3, 4, 5]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_INTEGERS, ids=["underscore", "arabic_indic"])
+@pytest.mark.parametrize("argv", [
+    ["--json-indent", "{}", "verify", "--max-n", "1"],
+    ["family", "hmp", "--a", "{}", "--b", "5"],
+    ["family", "hmp", "--a", "2", "--b", "{}"],
+    ["numsgp", "--family", "{}", "3"],
+    ["verify", "--max-n", "{}"],
+], ids=["json-indent", "a", "b", "family", "max-n"])
+def test_integer_options_take_ascii_digits_only(capsys, argv, text):
+    """Every integer option reads ASCII digits only, and refuses anything
+    else as argparse refuses a malformed `int` (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(text) for arg in argv])
+    assert exc.value.code == EXIT_PARSE
+    assert f"invalid int value: {text!r}" in capsys.readouterr().err
+
+
+def test_integer_options_take_a_sign_and_surrounding_whitespace(capsys):
+    code, payload, _ = run_cli(capsys, "--json-indent", " 0", "verify", "--max-n", "+1 ")
+    assert code == EXIT_OK
+    assert payload["graphs_checked"] == 1
+
+
 def test_verify_max_n_1(capsys):
     code, payload, _ = run_cli(capsys, "verify", "--max-n", "1")
     assert code == EXIT_OK

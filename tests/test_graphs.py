@@ -191,13 +191,40 @@ def wheel(k: int) -> Graph:
                             + [(i, k + 1) for i in range(1, k + 1)])
 
 
+def complete_multipartite(*parts: int) -> Graph:
+    """Blocks of the given sizes on consecutive labels, two vertices
+    adjacent iff they lie in different blocks."""
+    block = [b for b, size in enumerate(parts) for _ in range(size)]
+    return Graph(len(block), [(i + 1, j + 1) for i, j in combinations(range(len(block)), 2)
+                              if block[i] != block[j]])
+
+
+def join(g: Graph, h: Graph) -> Graph:
+    """The disjoint union of g and h (h's labels shifted up by g.n) with
+    every vertex of g adjacent to every vertex of h."""
+    across = [(i, j) for i in range(1, g.n + 1) for j in range(g.n + 1, g.n + h.n + 1)]
+    return Graph(g.n + h.n, list(disjoint_union(g, h).edges) + across)
+
+
+def seeded_connected_graph(rng: random.Random, n: int) -> Graph:
+    """The first connected graph of n vertices that `rng` draws, each at
+    an edge density drawn from 0.2..0.8."""
+    while True:
+        p = rng.uniform(0.2, 0.8)
+        g = Graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+        if len(connected_components(g)) == 1:
+            return g
+
+
 def test_perfection_agrees_with_hole_and_coloring_oracles():
     """Lovasz's criterion, the Strong Perfect Graph Theorem and the
     definition agree on every graph with at most seven vertices, on seeded
-    random graphs on eight to ten vertices, and on disjoint unions on
-    eight to twelve vertices whose imperfect part, if any, is often not
-    the first component, nor the whole of its component, nor labelled
-    apart from the others."""
+    random graphs on eight to ten vertices, on disjoint unions on eight to
+    twelve vertices whose imperfect part, if any, is often not the first
+    component, nor the whole of its component, nor labelled apart from
+    the others, and on connected graphs of eleven and twelve vertices with
+    many maximal cliques or stable sets.  `perfect_by_holes` reads no
+    clique at all."""
     graphs = [g for n in range(1, 8) for g in graphs_up_to_iso(n)]
     assert len(graphs) == 1252
     rng = random.Random(1972)
@@ -226,73 +253,150 @@ def test_perfection_agrees_with_hole_and_coloring_oracles():
         if 8 <= g.n <= 12:
             unions.append(relabel(g, rng))
     graphs += unions
+    comparability = seeded_comparability_graph()
+    large = [
+        complete_multipartite(3, 3, 3, 3),
+        complete_multipartite(2, 2, 2, 2, 2, 2),
+        # the C5 on labels 8..12, the last subset of its size to be tested
+        join(complete_graph(7), c5),
+        comparability,
+        complement(comparability),
+    ]
+    assert [len(maximal_cliques(g)) for g in large[:2]] == [81, 64]
+    assert all(len(connected_components(g)) == 1 for g in large)
+    large += [seeded_connected_graph(rng, n) for n in (11, 11, 12, 12)]
+    graphs += large
     verdicts = [(is_perfect(g), perfect_by_holes(g), perfect_by_coloring(g)) for g in graphs]
     assert all(a == b == c for a, b, c in verdicts)
     # the perfect graphs on at most seven vertices, as `verify --max-n 7` counts them
     assert sum(a for a, _, _ in verdicts[:1252]) == 1105
     assert {a for a, _, _ in verdicts[1252:1282]} == {True, False}
     assert [a for a, _, _ in verdicts[1282:1290]] == [False] * 7 + [True]
-    assert {a for a, _, _ in verdicts[1290:]} == {True, False}
+    assert {a for a, _, _ in verdicts[1290:1314]} == {True, False}
+    assert [a for a, _, _ in verdicts[1314:]] == [True, True, False, True, True,
+                                                  False, True, False, True]
 
 
-@pytest.mark.parametrize("g, calls", [
-    pytest.param(union(complete_graph(5), path_graph(3)), 2, id="K5+P3"),  # 2^n: 510
+@pytest.mark.parametrize("g, searches", [
+    pytest.param(union(complete_graph(5), path_graph(3)), 2, id="K5+P3"),
     pytest.param(union(complete_graph(3), complete_graph(3), complete_graph(1)), 0,
-                 id="K3+K3+K1"),                                            # 254
-    pytest.param(union(complete_graph(3), cycle_graph(5)), 2, id="K3+C5"),  # imperfect; 496
-    pytest.param(path_graph(7), 44, id="P7"),                               # connected
+                 id="K3+K3+K1"),
+    pytest.param(union(complete_graph(3), cycle_graph(5)), 2, id="K3+C5"),  # imperfect
+    pytest.param(path_graph(7), 2, id="P7"),                                # connected
 ])
-def test_perfection_searches_within_components(monkeypatch, g, calls):
-    """Two clique searches per vertex subset of five or of seven and more
-    vertices of one component, in ascending order up to the first
-    violation, where every nonempty subset of the graph would take
-    2 * (2^n - 1): the K5 alone in K5+P3, the C5 alone in K3+C5, none in
-    K3+K3+K1, and the 22 subsets of P7 with five or seven vertices."""
+def test_perfection_searches_within_components(monkeypatch, g, searches):
+    """Two Bron-Kerbosch searches, for the maximal cliques and then the
+    maximal stable sets, per component of at least five vertices, each
+    over the whole component, up to the first component that fails: the
+    K5 alone in K5+P3, the C5 alone in K3+C5, none in K3+K3+K1 (its
+    subsets of at most four vertices always pass) and all of P7.  Counted
+    at the top-level calls of `_extend_clique`, one per search."""
     counted = []
-    search = graphs_module._max_clique_size
+    extend = graphs_module._extend_clique
 
-    def counting(adj, subset):
-        counted.append(subset)
-        return search(adj, subset)
+    def counting(adj, r, p, x, cliques):
+        if r == 0:
+            counted.append(p)
+        return extend(adj, r, p, x, cliques)
 
-    monkeypatch.setattr(graphs_module, "_max_clique_size", counting)
+    monkeypatch.setattr(graphs_module, "_extend_clique", counting)
     # the undecorated test, so that no cached verdict hides the searches
     graphs_module._perfect.__wrapped__(g)
-    assert len(counted) == calls
-    assert all(h.bit_count() == 5 or h.bit_count() >= 7 for h in counted)
+    assert len(counted) == searches
+    comps = graphs_module._component_masks(graphs_module._adjacency_masks(g))
+    assert all(p in comps and p.bit_count() >= 5 for p in counted)
+    assert counted[0::2] == counted[1::2]
+
+
+def brute_maximal_masks(within: int, adjacent) -> list[int]:
+    """The vertex masks inside `within` whose pairs (0-based) all satisfy
+    `adjacent` and that no further vertex of `within` extends, ascending:
+    the maximal cliques of the subgraph on `within`, by scanning every
+    subset of it."""
+    verts = [v for v in range(within.bit_length()) if within >> v & 1]
+
+    def fits(mask):
+        return all(adjacent(i, j) for i, j in combinations(verts, 2)
+                   if mask >> i & 1 and mask >> j & 1)
+
+    found, h = [], 0
+    while h := (h - within) & within:
+        if fits(h) and not any(fits(h | 1 << v) for v in verts if not h >> v & 1):
+            found.append(h)
+    return found
+
+
+def test_component_searches_match_brute_force():
+    """`_maximal_clique_masks` on one component, with the graph's and with
+    the complement's adjacency as `_perfect` passes them, lists the
+    maximal cliques and the maximal stable sets of the component's own
+    subgraph: on every component of every graph with at most seven
+    vertices, and of seeded disconnected graphs on eight to twelve
+    vertices with their labels shuffled, so that a component is a proper
+    vertex subset that is not a block of consecutive labels."""
+    graphs = [g for n in range(1, 8) for g in graphs_up_to_iso(n)]
+    rng = random.Random(1998)
+    seeded = []
+    while len(seeded) < 16:
+        parts = [seeded_connected_graph(rng, rng.randint(1, 7)) for _ in range(rng.randint(2, 4))]
+        g = union(*parts)
+        if 8 <= g.n <= 12:
+            seeded.append(relabel(g, rng))
+    graphs += seeded
+    for g in graphs:
+        adj = graphs_module._adjacency_masks(g)
+        co_adj = graphs_module._adjacency_masks(complement(g))
+        comps = graphs_module._component_masks(adj)
+        assert len(comps) >= 2 or g.n <= 7
+        for comp in comps:
+            def edge(i, j):
+                return g.has_edge(i + 1, j + 1)
+
+            assert sorted(graphs_module._maximal_clique_masks(adj, comp)) == \
+                brute_maximal_masks(comp, edge), (g, comp)
+            assert sorted(graphs_module._maximal_clique_masks(co_adj, comp)) == \
+                brute_maximal_masks(comp, lambda i, j: not edge(i, j)), (g, comp)
+
+
+def lovasz_numbers(g: Graph, within: int):
+    """The function taking a subset h of the vertex mask `within` to
+    (omega, alpha) of the subgraph of `g` on h, read as `_perfect` reads
+    them: the most vertices h shares with one maximal clique, and with one
+    maximal stable set, of the subgraph on `within`."""
+    cliques = graphs_module._maximal_clique_masks(graphs_module._adjacency_masks(g), within)
+    stables = graphs_module._maximal_clique_masks(
+        graphs_module._adjacency_masks(complement(g)), within)
+    return lambda h: (max((h & c).bit_count() for c in cliques),
+                      max((h & s).bit_count() for s in stables))
 
 
 def test_subsets_of_at_most_four_vertices_pass_lovasz():
     """Every graph on at most four vertices is perfect, so
     omega(H) * alpha(H) >= |V(H)| holds on each of its induced subgraphs H:
-    this is why `_perfect` runs no clique search on them.  Checked on the
-    19 graphs up to isomorphism, with the search `_perfect` uses."""
+    this is why `_perfect` tests no such subset, and searches no component
+    of fewer than five vertices.  Checked on the 19 graphs up to
+    isomorphism, with omega and alpha read as `_perfect` reads them."""
     graphs = [g for n in range(5) for g in graphs_up_to_iso(n)]
     assert len(graphs) == 19
     for g in graphs:
-        adj = graphs_module._adjacency_masks(g)
-        co_adj = graphs_module._adjacency_masks(complement(g))
+        numbers = lovasz_numbers(g, (1 << g.n) - 1)
         for h in range(1, 1 << g.n):
-            omega = graphs_module._max_clique_size(adj, h)
-            alpha = graphs_module._max_clique_size(co_adj, h)
+            omega, alpha = numbers(h)
             assert omega * alpha >= h.bit_count(), (g, h)
 
 
 def test_six_vertex_subsets_pass_lovasz():
     """By R(3, 3) = 6, every graph H on six vertices has
-    omega(H) * alpha(H) >= 6, so `_perfect` runs no clique search on
-    six-vertex subsets either.  Checked on the 156 classes, with the
-    search `_perfect` uses; they still hold imperfect graphs, C5 + K1
+    omega(H) * alpha(H) >= 6, so `_perfect` tests no six-vertex subset
+    either.  Checked on the 156 classes, with omega and alpha read as
+    `_perfect` reads them; they still hold imperfect graphs, C5 + K1
     among them (omega * alpha = 2 * 3 = 6), which fail on a five-vertex
     subset."""
     graphs = list(graphs_up_to_iso(6))
     assert len(graphs) == 156
     full = (1 << 6) - 1
     for g in graphs:
-        adj = graphs_module._adjacency_masks(g)
-        co_adj = graphs_module._adjacency_masks(complement(g))
-        omega = graphs_module._max_clique_size(adj, full)
-        alpha = graphs_module._max_clique_size(co_adj, full)
+        omega, alpha = lovasz_numbers(g, full)(full)
         assert omega * alpha >= 6, g
 
     def canonical(g):
@@ -303,21 +407,21 @@ def test_six_vertex_subsets_pass_lovasz():
 
 
 def test_perfection_searches_on_seven_vertices(monkeypatch):
-    """The 1044 classes on seven vertices take 35004 clique searches in
-    all (45550 with the six-vertex subsets, 220450 with those of at most
-    four vertices as well), and 906 are perfect."""
+    """The 1044 classes on seven vertices take 2014 Bron-Kerbosch
+    searches in all, two per component of at least five vertices up to
+    the first that fails, and 906 are perfect."""
     calls = [0]
-    search = graphs_module._max_clique_size
+    extend = graphs_module._extend_clique
 
-    def counting(adj, subset):
-        calls[0] += 1
-        return search(adj, subset)
+    def counting(adj, r, p, x, cliques):
+        calls[0] += r == 0
+        return extend(adj, r, p, x, cliques)
 
-    monkeypatch.setattr(graphs_module, "_max_clique_size", counting)
+    monkeypatch.setattr(graphs_module, "_extend_clique", counting)
     graphs = list(graphs_up_to_iso(7))
     assert len(graphs) == 1044
     assert sum(graphs_module._perfect.__wrapped__(g) for g in graphs) == 906
-    assert calls[0] == 35004
+    assert calls[0] == 2014
 
 
 def seeded_comparability_graph() -> Graph:
@@ -332,24 +436,23 @@ def seeded_comparability_graph() -> Graph:
 
 
 @pytest.mark.parametrize("g, frames", [
-    pytest.param(path_graph(7), 237, id="P7"),
-    pytest.param(union(complete_graph(5), path_graph(3)), 11, id="K5+P3"),
-    pytest.param(seeded_comparability_graph(), 37502, id="comparability12"),
+    pytest.param(path_graph(7), 27, id="P7"),
+    pytest.param(union(complete_graph(5), path_graph(3)), 12, id="K5+P3"),
+    pytest.param(seeded_comparability_graph(), 40, id="comparability12"),
 ])
 def test_clique_search_frames_pinned(monkeypatch, g, frames):
-    """The branch and bound of `_grow_clique`, pinned by the number of its
-    frames over one perfection test, which searches only the subsets of
-    five or of seven and more vertices: the candidates are taken lowest
-    bit first and the bound is tested before each branch and after each
-    drop, so a change of branching order or bound moves the count."""
+    """Bron-Kerbosch with pivoting, pinned by the number of its frames
+    over one perfection test, which searches the maximal cliques and the
+    maximal stable sets of each component of at least five vertices: a
+    change of pivot rule or of branching order moves the count."""
     counted = [0]
-    grow = graphs_module._grow_clique
+    extend = graphs_module._extend_clique
 
     def counting(*args):
         counted[0] += 1
-        return grow(*args)
+        return extend(*args)
 
-    monkeypatch.setattr(graphs_module, "_grow_clique", counting)
+    monkeypatch.setattr(graphs_module, "_extend_clique", counting)
     assert graphs_module._perfect.__wrapped__(g)
     assert counted[0] == frames
 

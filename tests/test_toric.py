@@ -506,10 +506,12 @@ def test_zero_masks_built_once_per_oracle_call(monkeypatch):
 
 
 def test_one_clique_search_per_oracle_call(monkeypatch):
-    """An oracle call runs the graph layer's Bron-Kerbosch search once:
-    the components and every oracle table read the graph's cached
-    cliques, and nothing searches again to check them.  Counted at the
-    top-level calls of `graphs._extend_clique`, one per search."""
+    """On a graph already tested perfect, an oracle call runs the graph
+    layer's Bron-Kerbosch search once: the components and every oracle
+    table read the graph's cached cliques, and nothing searches again to
+    check them.  Counted at the top-level calls of `graphs._extend_clique`,
+    one per search; Lovasz's test runs its own searches, on each
+    component, and caches its verdict."""
     from gstab.posets import comparability_graph, hmp_poset
 
     searches = []
@@ -523,7 +525,8 @@ def test_one_clique_search_per_oracle_call(monkeypatch):
     monkeypatch.setattr(graphs, "_extend_clique", counting)
     k5p3 = disjoint_union(complete_graph(5), path_graph(3))
     hmp = comparability_graph(hmp_poset(4, 9))
-    for call in (lambda: classify(k5p3, oracle=True), lambda: trace_height(hmp)):
+    for g, call in ((k5p3, lambda: classify(k5p3, oracle=True)), (hmp, lambda: trace_height(hmp))):
+        assert is_perfect(g)
         maximal_cliques.cache_clear()
         searches.clear()
         call()
@@ -1407,12 +1410,14 @@ def test_toric_entry_points_refuse_a_graph_without_vertices(call):
 
 
 @pytest.mark.parametrize("oracle", [lambda g: trace_equals_power(g, 1),
-                                    is_m_primary, trace_height],
-                         ids=["trace_equals_power", "is_m_primary", "trace_height"])
+                                    is_m_primary, trace_height, classify],
+                         ids=["trace_equals_power", "is_m_primary", "trace_height", "classify"])
 def test_oracles_refuse_imperfect_graphs(oracle):
     """C5's ring is not cut out by its clique inequalities, so the three
-    oracles, which read nothing else, refuse it."""
-    with pytest.raises(NotPerfectError):
+    oracles, which read nothing else, refuse it, and so does `classify`,
+    whose criterion holds only for perfect graphs: one check, one
+    message."""
+    with pytest.raises(NotPerfectError, match="^graph is not perfect$"):
         oracle(cycle_graph(5))
 
 
@@ -1440,10 +1445,11 @@ GUARD_STEPS = ("perfection test", "family hmp", "enumeration", "face enumeration
 
 def test_size_limit_env_override(monkeypatch):
     """GSTAB_SIZE_LIMIT only ever raises a guard: the perfection guard to
-    n, the cone guard to n + 1."""
+    n, the cone guard to n + 1.  A sign and surrounding whitespace are
+    read as `int` reads them."""
     from gstab.config import size_limit
 
-    monkeypatch.setenv("GSTAB_SIZE_LIMIT", "13")
+    monkeypatch.setenv("GSTAB_SIZE_LIMIT", " +13 ")
     assert classify(empty_graph(13)).gorenstein
     assert [size_limit(step) for step in GUARD_STEPS] == [13, 13, 14, 14, 13]
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", "8")
@@ -1453,8 +1459,10 @@ def test_size_limit_env_override(monkeypatch):
     assert classify(path_graph(5)).gorenstein
 
 
-@pytest.mark.parametrize("raw", ["abc", "-3", ""])
+@pytest.mark.parametrize("raw", ["abc", "-3", "", "1_3", "\u0661\u0663"])
 def test_malformed_size_limit_env(monkeypatch, raw):
+    """Not a nonnegative integer in ASCII digits: digit-group underscores
+    and non-ASCII digits, which `int` alone reads as 13, are refused."""
     from gstab.config import check_size, size_limit
 
     monkeypatch.setenv("GSTAB_SIZE_LIMIT", raw)
