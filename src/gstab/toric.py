@@ -17,9 +17,12 @@ values that no completion of a partial summand can make valid, so it
 never uses the purity criterion or the faces.  The trace-power test
 (`_trace_equals_power`) runs that search on one ring point per orbit of
 twin swaps, which are graph automorphisms and so map the trace onto
-itself (`_twin_floors`), one slice per search (`_trace_miss`): the top
+itself (`_twin_floors`), one slice per call of `_trace_miss`: the top
 degree first, in descending order, so a point outside the trace ends the
-test early.
+test early.  Along a slice each degree split resumes the search's first
+path from the previous point, where consecutive points differ only in
+their last coordinates, and a point whose path stops short is searched
+exhaustively from the first vertex, so the answers are the search's own.
 
 m-primariness and the trace height come from the faces of the cone: the
 trace misses a face iff the ring localised at the face's prime is not
@@ -246,24 +249,80 @@ def _trace_miss(cliques, rows, points, q: int, want: bool):
     `_clique_rows` of their graph.
     Those bounds only prune: at a clique's last vertex there are no later
     vertices and the test is the clique's own interval, so every full
-    assignment reached is a witness and no witness is skipped.  The
-    buffers and degrees are set up once per slice and handed, with each
-    point, to the search `_complete_summand`.
+    assignment reached is a witness and no witness is skipped.
+
+    Points of a slice walk come in descending lexicographic order, so
+    consecutive ones share all but their last coordinates.  Each degree
+    split therefore keeps the first path of the search `_complete_summand`,
+    the one that takes the least value at every vertex, with its clique
+    sums, and `_first_summand` carries it from the split's previous point
+    to the next: it undoes the steps from the first vertex where the two
+    differ and continues.  A path that reaches the last vertex is a
+    witness.  One that stops short sends the point to `_complete_summand`
+    from vertex 0, which covers every summand of that split, so an answer
+    "not in the trace" is still exhaustive, and each point's answer, the
+    first miss returned among them, is the one that deciding it alone
+    gives.  The buffers, splits and paths are set up once per call.
     """
     part = [0] * len(cliques)   # sum of w over each clique's assigned vertices
     done = [0] * len(cliques)   # sum of a over the same vertices
-    # hi = d - 1 is the top of every clique's interval; slack = q - d + 1
+    # hi = d - 1 is the top of every clique's interval; slack = q - d + 1;
+    # then the first path's clique sums and its (a_v, w_v) steps
     sizes = list(map(len, cliques))
-    splits = [(d - 1, q - d + 1) for d in range(max(sizes) + 1, q + 2 + min(sizes))]
+    splits = [(d - 1, q - d + 1, [0] * len(cliques), [0] * len(cliques), [])
+              for d in range(max(sizes) + 1, q + 2 + min(sizes))]
     for a in points:
         found = False
-        for hi, slack in splits:
-            if _complete_summand(a, rows, part, done, 0, hi, slack):
+        for hi, slack, first_part, first_done, path in splits:
+            if (_first_summand(a, rows, first_part, first_done, path, hi, slack)
+                    or _complete_summand(a, rows, part, done, 0, hi, slack)):
                 found = True
                 break
         if found != want:
             return a
     return None
+
+
+def _first_summand(a, rows, part, done, path, hi: int, slack: int) -> bool:
+    """Does the first path of `_complete_summand` for the point `a`, the
+    one that takes the least value x_lo at every vertex, reach the last
+    vertex?  `path` holds the steps (a_v, w_v) of that path for an earlier
+    point, and `part` and `done` its clique sums; the steps from the first
+    vertex where `a` differs are undone, the path is continued, and the
+    three are left holding the path of `a`."""
+    v = 0
+    depth = len(path)
+    while v < depth and path[v][0] == a[v]:
+        v += 1
+    while depth > v:
+        depth -= 1
+        av, x = path.pop()
+        for ci, _ in rows[depth]:
+            part[ci] -= x
+            done[ci] -= av
+    last = len(rows) - 1
+    while True:
+        # the bounds of `_complete_summand`, inline to spare a call per vertex
+        av = a[v]
+        x_lo, x_hi = 1, av + 1
+        row = rows[v]
+        for ci, count in row:
+            p = part[ci]
+            low = done[ci] + av - count - slack - p
+            if low > x_lo:
+                x_lo = low
+            high = hi - p - count
+            if high < x_hi:
+                x_hi = high
+        if x_lo > x_hi:
+            return False
+        if v == last:
+            return True
+        for ci, _ in row:
+            part[ci] += x_lo
+            done[ci] += av
+        path.append((av, x_lo))
+        v += 1
 
 
 def _complete_summand(a, rows, part, done, v: int, hi: int, slack: int) -> bool:
@@ -453,8 +512,10 @@ def _trace_equals_power(g: Graph, power: int) -> bool:
     answer; the one that refutes runs first.  Every graph that is not GPS
     checked so far passes the absence tests and misses a point of degree
     `power`, and the slice walked in descending lexicographic order meets
-    one early: 60 searches in all for the 12 such graphs with N >= 1 on at
-    most six vertices, against 1366 absence first.  Membership is still
+    one early: 60 points searched in all for the 12 such graphs with
+    N >= 1 on at most six vertices, against 1366 absence first (each
+    point handed to `_trace_miss` counts once, however its answer is
+    found).  Membership is still
     decided by `_trace_miss` from the definition; neither the faces nor
     the purity criterion is read.  `full_trace_equals_power` in the tests
     is the loop over every point.  Below degree omega - min |C|,

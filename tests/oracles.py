@@ -44,8 +44,8 @@ from gstab.toric import (
     Monomial,
     _clique_rows,
     _clique_sums,
+    _complete_summand,
     _slice,
-    _trace_miss,
     _zero_masks,
     hilbert_function,
     in_ring,
@@ -373,23 +373,36 @@ def in_anticanonical_definitional(g, m: Monomial) -> bool:
     return all(in_ring(g, m + w) for w in omega_generators(g))
 
 
+def in_trace_by_search(cliques, rows, a, q) -> bool:
+    """Is the ring point x^a t^q in the trace?  The library's exhaustive
+    search `_complete_summand` from vertex 0, over every degree split
+    omega + 1 .. q + 1 + min |C| (`_trace_miss` has the derivation), for
+    this point alone: no path is kept from point to point."""
+    sizes = list(map(len, cliques))
+    part, done = [0] * len(cliques), [0] * len(cliques)
+    return any(_complete_summand(a, rows, part, done, 0, d - 1, q - d + 1)
+               for d in range(max(sizes) + 1, q + 2 + min(sizes)))
+
+
 def full_trace_equals_power(g, power):
-    """The trace-power test over every ring point, in ascending order: no
-    point of degree below `power` is in the trace and every point of
-    degree `power` is.  The library searches one point per twin orbit,
-    degree `power` first and descending."""
+    """The trace-power test over every ring point, in ascending order, each
+    decided by itself (`in_trace_by_search`): no point of degree below
+    `power` is in the trace and every point of degree `power` is.  The
+    library searches one point per twin orbit, degree `power` first and
+    descending, resuming each degree split's first path from point to
+    point."""
     cliques, rows = maximal_cliques(g), _clique_rows(g)
     for q in range(power):
-        if any(_trace_miss(cliques, rows, [a], q, False) is not None for a in _slice(g, 0, q)):
+        if any(in_trace_by_search(cliques, rows, a, q) for a in _slice(g, 0, q)):
             return False
-    return all(_trace_miss(cliques, rows, [a], power, True) is None
-               for a in _slice(g, 0, power))
+    return all(in_trace_by_search(cliques, rows, a, power) for a in _slice(g, 0, power))
 
 
 def trace_contains_maximal_ideal(g) -> bool:
-    """Oracle for near-Gorensteinness: every degree-one monomial in the trace."""
-    cliques = maximal_cliques(g)
-    return _trace_miss(cliques, _clique_rows(g), _slice(g, 0, 1), 1, True) is None
+    """Oracle for near-Gorensteinness: every degree-one monomial in the
+    trace, each decided by itself (`in_trace_by_search`)."""
+    cliques, rows = maximal_cliques(g), _clique_rows(g)
+    return all(in_trace_by_search(cliques, rows, a, 1) for a in _slice(g, 0, 1))
 
 
 def colorable(adj, vertices, k):

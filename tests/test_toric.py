@@ -78,6 +78,7 @@ from oracles import (
     generator_trace_height,
     gorenstein_by_basis,
     in_anticanonical_definitional,
+    in_trace_by_search,
     is_pure,
     monomial_on_face,
     omega_generators,
@@ -797,9 +798,16 @@ def test_trace_power_search_counts(monkeypatch):
     every orbit from degree 0 took 105, 63, 189, 49 and 57.  A NotGPS graph
     stops at its first miss: on the first two, with N = 2 and 3, that is
     the first point, where the absence tests first took 60 and 223
-    searches; the third misses 49 orbits in (72 absence first)."""
-    calls = 0
-    search = toric._trace_miss
+    searches; the third misses 49 orbits in (72 absence first).
+
+    The second count is of exhaustive searches from vertex 0: each degree
+    split resumes its first path from point to point, so a GPS graph runs
+    none (one per point searched before, 60, 42, 140, 40 and 48), and a
+    miss runs one per split.  Over the 199 perfect graphs on at most six
+    vertices that is 24 exhaustive searches, where deciding each point
+    afresh ran 1222."""
+    calls = exhaustive = 0
+    search, complete = toric._trace_miss, toric._complete_summand
 
     def tally(points):
         nonlocal calls
@@ -807,21 +815,63 @@ def test_trace_power_search_counts(monkeypatch):
             calls += 1
             yield p
 
+    def from_vertex_0(a, rows, part, done, v, hi, slack):
+        nonlocal exhaustive
+        exhaustive += v == 0
+        return complete(a, rows, part, done, v, hi, slack)
+
     monkeypatch.setattr(toric, "_trace_miss",
                         lambda cliques, rows, points, q, want:
                         search(cliques, rows, tally(points), q, want))
-    for g, gps, searches in (
-            (disjoint_union(complete_graph(5), K1), True, 60),
-            (disjoint_union(complete_graph(5), K2), True, 42),
-            (disjoint_union(complete_graph(5), P3), True, 140),
-            (disjoint_union(complete_graph(4), P3), True, 40),
-            (disjoint_union(disjoint_union(K3, K3), K1), True, 48),
-            (Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3)]), False, 1),
-            (Graph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)]), False, 1),
-            (Graph(6, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4)]), False, 49)):
-        calls = 0
+    monkeypatch.setattr(toric, "_complete_summand", from_vertex_0)
+    for g, gps, searches, from_zero in (
+            (disjoint_union(complete_graph(5), K1), True, 60, 0),
+            (disjoint_union(complete_graph(5), K2), True, 42, 0),
+            (disjoint_union(complete_graph(5), P3), True, 140, 0),
+            (disjoint_union(complete_graph(4), P3), True, 40, 0),
+            (disjoint_union(disjoint_union(K3, K3), K1), True, 48, 0),
+            (Graph(5, [(1, 2), (1, 3), (1, 4), (2, 3)]), False, 1, 1),
+            (Graph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)]), False, 1, 1),
+            (Graph(6, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4)]), False, 49, 13)):
+        calls = exhaustive = 0
         assert classify(g, oracle=True).oracle.trace_power is gps
-        assert calls == searches, g
+        assert (calls, exhaustive) == (searches, from_zero), g
+    perfect, exhaustive = perfect_graphs_up_to(6), 0
+    for _, g in perfect:
+        assert classify(g, oracle=True).oracle.agreement
+    assert (len(perfect), exhaustive) == (199, 24)
+
+
+def test_resumed_trace_search_matches_point_by_point():
+    """`_trace_miss` keeps each degree split's first path from one point to
+    the next.  On seeded shuffles of slices, where consecutive points share
+    no prefix, at degrees from omega - min |C| up, where several splits are
+    tried, it returns the same first miss as deciding every point by itself
+    with the exhaustive search, for `want` True and False; a second order
+    puts the points whose answer is `want` first, so the miss, if any,
+    comes after every resumed witness."""
+    rng = random.Random(36)
+    cases = [PAW, disjoint_union(PAW, K1), disjoint_union(complete_graph(4), P3),
+             Graph(6, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)]),
+             Graph(6, [(1, 2), (1, 5), (2, 3), (2, 4), (3, 4)]),
+             disjoint_union(disjoint_union(K3, K3), K1), path_graph(5)]
+    tried = [0, 0]
+    for g in cases:
+        cliques, rows = maximal_cliques(g), _clique_rows(g)
+        sizes = list(map(len, cliques))
+        for q in range(max(sizes) - min(sizes), max(sizes) - min(sizes) + 3):
+            points = list(_slice(g, 0, q))
+            member = {a: in_trace_by_search(cliques, rows, a, q) for a in points}
+            for _ in range(3):
+                rng.shuffle(points)
+                for want in (True, False):
+                    grouped = sorted(points, key=lambda a: member[a] != want)
+                    for order in (points, grouped):
+                        expected = next((a for a in order if member[a] != want), None)
+                        assert _trace_miss(cliques, rows, order, q, want) == expected, \
+                            (g, q, want)
+                        tried[expected is None] += 1
+    assert all(tried), tried
 
 
 # -- faces ----------------------------------------------------------------------
